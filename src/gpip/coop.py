@@ -4,11 +4,11 @@ The cluster shares (imperfect) channel knowledge but not user data: each BS
 still transmits only to its own users, and cooperation consists of designing
 all C stacked precoders jointly so cross-cell interference is shaped rather
 than ignored. The objective lifts to a product of C*K Rayleigh quotients of
-the concatenated stack f (length C*N*K); the fixed-point iteration is the
-same as the single-cell solver, run under the relaxed sum-power constraint,
-followed by one rescaling that enforces the binding per-BS power constraint
-(the largest per-cell norm is scaled to one, so every cell's power is
-feasible and at least one is tight).
+the concatenated stack f (length C*N*K). This module lifts the cluster's
+pairs into that problem and runs the power-iteration kernel of `solver` on
+it, under the relaxed sum-power constraint, followed by one rescaling that
+enforces the binding per-BS power constraint (the largest per-cell norm is
+scaled to one, so every cell's power is feasible and at least one is tight).
 
 Quotient (l, k) belongs to user k of cell l. Its lifted matrix is block
 diagonal over (cell j, user i) blocks of size N: every block of cell j equals
@@ -20,12 +20,21 @@ rank-one term at block (l, k) only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .numerics import BlockDiagonal, solve_hermitian
-from .solver import DEFAULT_MAX_ITER, DEFAULT_SELECT_THRESHOLD, DEFAULT_TOL
+from .solver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_SELECT_THRESHOLD,
+    DEFAULT_TOL,
+    _as_weights,
+    _ClusterProblem,
+    _log2_objective,
+    _power_iteration,
+)
 
 
 @dataclass(frozen=True)
@@ -116,111 +125,44 @@ def build_coop_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[CoopEf
     ]
 
 
-class _ClusterProblem:
-    """Shared per-iteration quantities for the cooperative pencil."""
-
-    def __init__(self, pairs: list[CoopEffectivePair]):
-        c, k = pairs[0].n_cells, pairs[0].n_users
-        if len(pairs) != c * k:
-            raise DimensionMismatch("need one pair per (cell, user)")
-        by_index = {}
-        for p in pairs:
-            if p.n_cells != c or p.n_users != k:
-                raise DimensionMismatch("inconsistent cluster dimensions across pairs")
-            by_index[(p.cell, p.user)] = p
-        if len(by_index) != c * k:
-            raise DimensionMismatch("pairs must cover every (cell, user) exactly once")
-        ordered = [by_index[(l, u)] for l in range(c) for u in range(k)]
-        n = ordered[0].n_antennas
-        self.c, self.k, self.n = c, k, n
-        # est[j, l, u] = BS j's estimate toward user (l, u)
-        self.est = np.empty((c, c, k, n), dtype=np.complex128)
-        self.cov = np.empty((c, c, k, n, n), dtype=np.complex128)
-        self.nr = np.empty((c, k))
-        for l in range(c):
-            for u in range(k):
-                p = by_index[(l, u)]
-                self.est[:, l, u] = p.estimates
-                self.cov[:, l, u] = p.error_covs
-                self.nr[l, u] = p.noise_ratio
-        self.g0 = (
-            np.einsum("jlkn,jlkm->jlknm", self.est, self.est.conj()) + self.cov
-        )
-        self.own_rank1 = np.empty((c, k, n, n), dtype=np.complex128)
-        for j in range(c):
-            for u in range(k):
-                h = self.est[j, j, u]
-                self.own_rank1[j, u] = np.outer(h, h.conj())
-
-    def quad_forms(self, f_cells: np.ndarray):
-        """f^H A_(l,k) f and f^H B_(l,k) f for a (C, K, N) stack."""
-        norm2 = float(np.sum(np.abs(f_cells) ** 2))
-        # inner[j, l, u, i] = est(BS j -> user (l,u))^H f_{j,i}
-        inner = np.einsum("jlkn,jin->jlki", self.est.conj(), f_cells)
-        sig = np.sum(np.abs(inner) ** 2, axis=3)  # (C, C, K): per (j, l, u)
-        phi = np.real(
-            np.einsum("jin,jlknm,jim->jlk", f_cells.conj(), self.cov, f_cells)
-        )
-        qa = np.sum(sig + phi, axis=0) + self.nr * norm2  # (C, K) indexed (l, u)
-        own = np.empty((self.c, self.k))
-        for l in range(self.c):
-            for u in range(self.k):
-                own[l, u] = abs(inner[l, l, u, u]) ** 2
-        return qa, qa - own
-
-    def coefficients(self, qa, qb, w):
-        log_c = np.log(w) - np.log(qa) + np.sum(w * np.log(qa))
-        log_d = np.log(w) - np.log(qb) + np.sum(w * np.log(qb))
-        shift = max(log_c.max(), log_d.max())
-        return np.exp(log_c - shift), np.exp(log_d - shift)
-
-    def cell_blocks(self, coeff):
-        """Per-cell shared diagonal block sum_(l,u) coeff[l,u] * g0[j,l,u] + ridge."""
-        base = np.einsum("lk,jlknm->jnm", coeff, self.g0)
-        ridge = float(np.sum(coeff * self.nr))
-        return base + ridge * np.eye(self.n)[None, :, :]
+def _coop_problem(pairs: list[CoopEffectivePair]) -> _ClusterProblem:
+    """The kernel's problem, with the pairs stacked in (cell, user) order."""
+    c, k = pairs[0].n_cells, pairs[0].n_users
+    if len(pairs) != c * k:
+        raise DimensionMismatch("need one pair per (cell, user)")
+    by_index = {}
+    for p in pairs:
+        if p.n_cells != c or p.n_users != k:
+            raise DimensionMismatch("inconsistent cluster dimensions across pairs")
+        by_index[(p.cell, p.user)] = p
+    if len(by_index) != c * k:
+        raise DimensionMismatch("pairs must cover every (cell, user) exactly once")
+    ordered = [by_index[(l, u)] for l in range(c) for u in range(k)]
+    n = ordered[0].n_antennas
+    # est[j, l, u] = BS j's estimate toward user (l, u)
+    est = np.stack([p.estimates for p in ordered], axis=1).reshape(c, c, k, n)
+    cov = np.stack([p.error_covs for p in ordered], axis=1).reshape(c, c, k, n, n)
+    nr = np.array([p.noise_ratio for p in ordered]).reshape(c, k)
+    return _ClusterProblem(est, cov, nr)
 
 
 def lambda_coop_log2(pairs: list[CoopEffectivePair], weights, f_cells: np.ndarray) -> float:
     """log2 of the cooperative quotient product (weighted cluster rate bound)."""
-    prob = _ClusterProblem(pairs)
-    w = _coop_weights(weights, prob.c, prob.k)
+    prob = _coop_problem(pairs)
+    w = _as_weights(weights, (prob.c, prob.k))
     qa, qb = prob.quad_forms(np.asarray(f_cells, dtype=np.complex128))
-    return float(np.sum(w * (np.log2(qa) - np.log2(qb))))
+    return _log2_objective(w, qa, qb)
 
 
 def lambda_coop(pairs: list[CoopEffectivePair], weights, f_cells: np.ndarray) -> float:
     return float(2.0 ** lambda_coop_log2(pairs, weights, f_cells))
 
 
-def _coop_weights(weights, c: int, k: int) -> np.ndarray:
-    if weights is None:
-        return np.ones((c, k))
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (c, k):
-        raise DimensionMismatch(f"weights must have shape ({c}, {k})")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    return w
-
-
 def coop_kkt_residual(pairs: list[CoopEffectivePair], weights, f_cells: np.ndarray) -> float:
     """Pencil residual of the cooperative stationarity condition."""
-    prob = _ClusterProblem(pairs)
-    w = _coop_weights(weights, prob.c, prob.k)
-    f_cells = np.asarray(f_cells, dtype=np.complex128)
-    qa, qb = prob.quad_forms(f_cells)
-    c, d = prob.coefficients(qa, qb, w)
-    lam = float(2.0 ** np.sum(w * (np.log2(qa) - np.log2(qb))))
-    a_cell = prob.cell_blocks(c)
-    b_cell = prob.cell_blocks(d)
-    af = np.einsum("jnm,jim->jin", a_cell, f_cells)
-    bf = np.einsum("jnm,jim->jin", b_cell, f_cells)
-    for j in range(prob.c):
-        for u in range(prob.k):
-            bf[j, u] -= d[j, u] * (prob.own_rank1[j, u] @ f_cells[j, u])
-    num = np.linalg.norm((af - lam * bf).reshape(-1))
-    return float(num / np.linalg.norm(af.reshape(-1)))
+    prob = _coop_problem(pairs)
+    w = _as_weights(weights, (prob.c, prob.k))
+    return prob.kkt_residual(w, np.asarray(f_cells, dtype=np.complex128))
 
 
 @dataclass
@@ -261,61 +203,19 @@ def gpip_coop(
 ) -> CoopResult:
     """Cooperative power iteration plus the per-BS power rescaling.
 
-    Runs the single-cell update on the cluster pencil under the sum-power
+    Runs the power-iteration kernel on the cluster pencil under the sum-power
     relaxation (the full stack is kept unit-norm between sweeps), then scales
     the converged stack by 1/max_l ||f_l|| so every per-BS constraint holds
     with the binding cell at equality. The stationarity residual is reported
     on the unit-norm iterate, where the relaxation's optimality condition
     lives; it is invariant to the final rescaling.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    prob = _ClusterProblem(pairs)
-    w = _coop_weights(weights, prob.c, prob.k)
-    if init is None:
-        # MRT start: each BS's own-user estimates, jointly normalized below
-        f = prob.est[np.arange(prob.c), np.arange(prob.c)].copy()
-    else:
-        f = np.asarray(init, dtype=np.complex128).copy()
-        if f.shape == (prob.c * prob.k * prob.n,):
-            f = f.reshape(prob.c, prob.k, prob.n)
-        if f.shape != (prob.c, prob.k, prob.n):
-            raise DimensionMismatch(f"init must be (C, K, N) or flat, got {f.shape}")
-    if not np.linalg.norm(f) > 0:
-        raise ValueError("init must be nonzero")
-    f = f / np.linalg.norm(f)
-
-    def log2_obj(fc):
-        qa, qb = prob.quad_forms(fc)
-        return float(np.sum(w * (np.log2(qa) - np.log2(qb))))
-
-    best_f = f.copy()
-    best_obj = log2_obj(f)
-    traj = [best_obj]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        qa, qb = prob.quad_forms(f)
-        c, d = prob.coefficients(qa, qb, w)
-        a_cell = prob.cell_blocks(c)
-        b_cell = prob.cell_blocks(d)
-        rhs = np.einsum("jnm,jim->jin", a_cell, f)
-        f_new = np.empty_like(f)
-        for j in range(prob.c):
-            for u in range(prob.k):
-                block = b_cell[j] - d[j, u] * prob.own_rank1[j, u]
-                f_new[j, u] = solve_hermitian(block, rhs[j, u])
-        f_new /= np.linalg.norm(f_new)
-        step = float(np.linalg.norm((f_new - f).reshape(-1)))
-        f = f_new
-        obj = log2_obj(f)
-        traj.append(obj)
-        if obj > best_obj:
-            best_obj, best_f = obj, f.copy()
-        if step <= tol:
-            converged = True
-            break
-
+    prob = _coop_problem(pairs)
+    w = _as_weights(weights, (prob.c, prob.k))
+    solve_blocks = partial(prob.cholesky_blocks, solve=solve_hermitian)
+    best_f, best_obj, iterations, converged, traj = _power_iteration(
+        prob, w, init, (prob.c, prob.k, prob.n), tol, max_iter, solve_blocks
+    )
     residual = coop_kkt_residual(pairs, w, best_f)
     cell_norms = np.linalg.norm(best_f.reshape(prob.c, -1), axis=1)
     scaled = best_f / cell_norms.max()

@@ -35,28 +35,32 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 def cholesky_factor(m: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     """Lower-triangular L with L @ L^H = m for Hermitian positive-definite m.
 
-    Raises NotPositiveDefinite if any pivot is <= pivot_tol times the largest
-    diagonal entry, which signals a degenerate input: the caller must add a
-    ridge or reject it.
+    LAPACK factors the lower triangle. Raises NotPositiveDefinite for a
+    non-finite entry, a failed factorization, or any pivot |L_jj|^2 <=
+    pivot_tol times the largest diagonal entry, which signals a degenerate
+    input: the caller must add a ridge or reject it.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    # LAPACK never reads the upper triangle, so every entry is checked here
+    if not np.all(np.isfinite(a)):
+        raise NotPositiveDefinite("non-finite entry")
     scale = float(np.max(a.diagonal().real, initial=0.0))
     if scale <= 0.0:
         raise NotPositiveDefinite("no positive diagonal entry")
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
     threshold = pivot_tol * scale
-    low = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        pivot = a[j, j].real - np.sum(np.abs(low[j, :j]) ** 2)
-        if not pivot > threshold:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} (threshold {threshold:.1e})"
-            )
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j].conj()) / low[j, j]
+    pivots = np.abs(low.diagonal()) ** 2
+    bad = np.flatnonzero(~(pivots > threshold))
+    if bad.size:
+        j = bad[0]
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.3e} at column {j} (threshold {threshold:.1e})"
+        )
     return low
 
 

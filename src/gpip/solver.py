@@ -1,4 +1,4 @@
-"""Joint user selection, power allocation, and precoding for one cell.
+"""Joint user selection, power allocation, and precoding: the power iteration.
 
 The weighted sum of rate lower bounds over K users equals the base-2 log of a
 product of Rayleigh quotients of the stacked per-user precoder f (length N*K):
@@ -13,14 +13,20 @@ Abar(f) f = objective(f) * Bbar(f) f, and the solver finds one by power
 iteration: f <- normalize(Bbar(f)^-1 Abar(f) f). Selection, powers, and beam
 directions are all read off the per-user segments of the converged stack.
 
-Block structure is exploited throughout: Abar has K identical diagonal blocks
-and every block of Bbar is that shared matrix minus one rank-one term, so one
-iteration costs K Cholesky solves of size N, never a dense N*K factorization.
+The iteration is written once, as a private kernel over the (C, K, N) stack
+of a cluster of C cooperating base stations (see `coop`); the single-cell
+solvers here are the case C = 1. Block structure is exploited throughout:
+within cell j, Abar has one shared diagonal block and every block of Bbar is
+another shared matrix minus one rank-one term, so one iteration costs C*K
+solves of size N, never a dense factorization. The general path factors each
+block by Cholesky; the covariance-free path, for scalar error covariances,
+hands the kernel recursive rank-one inverses instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -80,8 +86,9 @@ def build_effective_pair(
 
 def build_effective_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[EffectivePair]:
     """One EffectivePair per user of the cell."""
-    est, _, _ = _as_cell_arrays(estimates, error_covs, noise_ratio)
-    return [build_effective_pair(estimates, error_covs, k, noise_ratio) for k in range(est.shape[0])]
+    est, cov, nr = _as_cell_arrays(estimates, error_covs, noise_ratio)
+    k = est.shape[0]
+    return [EffectivePair(u, k, est[u], cov[u], float(nr[u])) for u in range(k)]
 
 
 def _as_cell_arrays(estimates, error_covs, noise_ratio):
@@ -112,71 +119,129 @@ def _unpack_pairs(pairs: list[EffectivePair]):
     return est, cov, nr
 
 
-def _as_weights(weights, k: int) -> np.ndarray:
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+
+
+def _as_weights(weights, shape: tuple) -> np.ndarray:
     if weights is None:
-        return np.ones(k)
+        return np.ones(shape)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (k,):
-        raise DimensionMismatch(f"weights must have shape ({k},)")
+    if w.shape != shape:
+        raise DimensionMismatch(f"weights must have shape {shape}")
+    _require_finite("weights", w)
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
     return w
 
 
-class _CellProblem:
-    """Precomputed per-cell quantities shared by every iteration."""
+def _log2_objective(w, qa, qb) -> float:
+    return float(np.sum(w * (np.log2(qa) - np.log2(qb))))
+
+
+class _ClusterProblem:
+    """Per-cluster quantities shared by every iteration of the kernel.
+
+    est[j, l, u] is BS j's estimate of its channel toward user u of cell l,
+    cov[j, l, u] its error covariance, and nr[l, u] that user's effective
+    noise over transmit power. A single cell is C = 1.
+    """
 
     def __init__(self, est, cov, nr):
-        self.est = est  # (K, N)
-        self.cov = cov  # (K, N, N)
-        self.nr = nr  # (K,)
-        self.k, self.n = est.shape
-        self.rank1 = np.einsum("kn,km->knm", est, est.conj())
-        self.g0 = self.rank1 + cov  # per-user block without the ridge
+        _require_finite("estimates", est)
+        _require_finite("error covariances", cov)
+        _require_finite("noise ratios", nr)
+        self.c, _, self.k, self.n = est.shape
+        self.est = est  # (C, C, K, N)
+        self.cov = cov  # (C, C, K, N, N)
+        self.nr = nr  # (C, K)
         self.has_cov = bool(np.any(cov))
+        cells = np.arange(self.c)
+        self.own = est[cells, cells]  # (C, K, N): each BS toward its own users
+        self.g0 = np.einsum("jlkn,jlkm->jlknm", est, est.conj()) + cov
+        self.own_rank1 = np.einsum("jkn,jkm->jknm", self.own, self.own.conj())
 
-    def quad_forms(self, f_users: np.ndarray):
-        """f^H A_k f and f^H B_k f for all k, for per-user rows f_users (K, N)."""
-        norm2 = float(np.sum(np.abs(f_users) ** 2))
-        inner = self.est.conj() @ f_users.T  # inner[k, i] = est_k^H f_i
-        sig = np.sum(np.abs(inner) ** 2, axis=1)
+    def quad_forms(self, f: np.ndarray):
+        """f^H A_(l,u) f and f^H B_(l,u) f as (C, K) arrays, for a (C, K, N) stack."""
+        norm2 = float(np.sum(np.abs(f) ** 2))
+        # inner[j, l, u, i] = est(BS j -> user (l, u))^H f_(j, i)
+        inner = self.est.conj() @ f.transpose(0, 2, 1)[:, None]
+        sig = np.sum(np.abs(inner) ** 2, axis=(0, 3))
         if self.has_cov:
-            sig = sig + np.real(
-                np.einsum("in,knm,im->k", f_users.conj(), self.cov, f_users)
-            )
+            # sum_i f_i^H cov f_i = <cov, sum_i conj(f_i) f_i^T>
+            gram = np.einsum("jin,jim->jnm", f.conj(), f)
+            sig = sig + np.real(np.einsum("jlknm,jnm->lk", self.cov, gram))
         qa = sig + self.nr * norm2
-        qb = qa - np.abs(np.diagonal(inner)) ** 2
-        return qa, qb
+        cells = np.arange(self.c)
+        desired = np.diagonal(inner[cells, cells], axis1=1, axis2=2)  # (C, K)
+        return qa, qa - np.abs(desired) ** 2
 
     def coefficients(self, qa, qb, w):
         """Log-domain quotient weights, re-centered by the shared max exponent.
 
-        Products of K quadratic forms overflow doubles well before K hits the
-        sizes the solver targets, so both coefficient families are accumulated
-        as log sums and exponentiated after subtracting one shared maximum,
-        which fixes the common positive scale of Abar and Bbar.
+        Products of C*K quadratic forms overflow doubles well before K hits
+        the sizes the solver targets, so both coefficient families are
+        accumulated as log sums and exponentiated after subtracting one shared
+        maximum, which fixes the common positive scale of Abar and Bbar.
         """
         log_c = np.log(w) - np.log(qa) + np.sum(w * np.log(qa))
         log_d = np.log(w) - np.log(qb) + np.sum(w * np.log(qb))
         shift = max(log_c.max(), log_d.max())
         return np.exp(log_c - shift), np.exp(log_d - shift)
 
-    def abar_block(self, c):
-        """The one distinct diagonal block of Abar."""
-        return np.tensordot(c, self.g0, axes=1) + float(np.sum(c * self.nr)) * np.eye(self.n)
+    def cell_blocks(self, coeff):
+        """Per-cell shared block sum_(l,u) coeff[l,u] * g0[j,l,u] + ridge, (C, N, N).
 
-    def bbar_shared(self, d):
-        """Shared part of Bbar's blocks; block j subtracts d_j * rank1_j."""
-        return np.tensordot(d, self.g0, axes=1) + float(np.sum(d * self.nr)) * np.eye(self.n)
+        With the c coefficients this is every diagonal block of Abar in cell
+        j; with the d coefficients, block (j, u) of Bbar subtracts
+        d[j, u] * own_rank1[j, u] from it.
+        """
+        base = np.einsum("lk,jlknm->jnm", coeff, self.g0)
+        return base + float(np.sum(coeff * self.nr)) * np.eye(self.n)
+
+    def cholesky_blocks(self, d, rhs, solve):
+        """Bbar^-1 rhs, one `solve` (a Cholesky solver) per (cell, user) block."""
+        shared = self.cell_blocks(d)
+        out = np.empty_like(rhs)
+        for j in range(self.c):
+            for u in range(self.k):
+                out[j, u] = solve(shared[j] - d[j, u] * self.own_rank1[j, u], rhs[j, u])
+        return out
+
+    def kkt_residual(self, w, f) -> float:
+        """|| Abar f - objective * Bbar f || / || Abar f || at the (C, K, N) stack f."""
+        qa, qb = self.quad_forms(f)
+        c, d = self.coefficients(qa, qb, w)
+        lam = 2.0 ** _log2_objective(w, qa, qb)
+        af = f @ self.cell_blocks(c).transpose(0, 2, 1)
+        bf = f @ self.cell_blocks(d).transpose(0, 2, 1)
+        bf -= d[:, :, None] * np.einsum("jknm,jkm->jkn", self.own_rank1, f)
+        return float(np.linalg.norm(af - lam * bf) / np.linalg.norm(af))
+
+
+class _CellProblem(_ClusterProblem):
+    """The C = 1 problem seen through a (K, N) stack and (K,) quadratic forms."""
+
+    def __init__(self, est, cov, nr):
+        super().__init__(est[None, None], cov[None, None], np.asarray(nr, dtype=float)[None])
+
+    def quad_forms(self, f_users: np.ndarray):
+        qa, qb = super().quad_forms(f_users[None])
+        return qa[0], qb[0]
+
+
+def _cell_problem(pairs: list[EffectivePair]) -> _ClusterProblem:
+    est, cov, nr = _unpack_pairs(pairs)
+    return _ClusterProblem(est[None, None], cov[None, None], nr[None])
 
 
 def objective_log2(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> float:
     """log2 of the Rayleigh-quotient product; equals the weighted rate bound sum."""
-    est, cov, nr = _unpack_pairs(pairs)
-    prob = _CellProblem(est, cov, nr)
-    w = _as_weights(weights, prob.k)
-    qa, qb = prob.quad_forms(np.asarray(f_users, dtype=np.complex128))
-    return float(np.sum(w * (np.log2(qa) - np.log2(qb))))
+    prob = _cell_problem(pairs)
+    w = _as_weights(weights, (prob.k,))
+    qa, qb = prob.quad_forms(np.asarray(f_users, dtype=np.complex128)[None])
+    return _log2_objective(w, qa, qb)
 
 
 def objective_lambda(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> float:
@@ -192,27 +257,20 @@ def build_weighted_pair(
     Both matrices are defined up to one common positive scale, fixed here by
     the shared-max-exponent normalization of the coefficients.
     """
-    est, cov, nr = _unpack_pairs(pairs)
-    prob = _CellProblem(est, cov, nr)
-    w = _as_weights(weights, prob.k)
-    f_users = np.asarray(f_users, dtype=np.complex128)
-    qa, qb = prob.quad_forms(f_users)
+    prob = _cell_problem(pairs)
+    w = _as_weights(weights, (prob.k,))
+    qa, qb = prob.quad_forms(np.asarray(f_users, dtype=np.complex128)[None])
     c, d = prob.coefficients(qa, qb, w)
-    a_blk = prob.abar_block(c)
-    shared = prob.bbar_shared(d)
-    a_blocks = np.broadcast_to(a_blk, (prob.k, prob.n, prob.n)).copy()
-    b_blocks = shared[None, :, :] - d[:, None, None] * prob.rank1
+    a_blocks = np.broadcast_to(prob.cell_blocks(c), (prob.k, prob.n, prob.n)).copy()
+    b_blocks = prob.cell_blocks(d) - d[0, :, None, None] * prob.own_rank1[0]
     return BlockDiagonal(a_blocks), BlockDiagonal(b_blocks)
 
 
 def kkt_residual(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> float:
     """|| Abar f - objective * Bbar f || / || Abar f ||, zero at stationarity."""
-    abar, bbar = build_weighted_pair(pairs, weights, f_users)
-    lam = objective_lambda(pairs, weights, f_users)
-    f = np.asarray(f_users, dtype=np.complex128).reshape(-1)
-    af = abar.matvec(f)
-    bf = bbar.matvec(f)
-    return float(np.linalg.norm(af - lam * bf) / np.linalg.norm(af))
+    prob = _cell_problem(pairs)
+    w = _as_weights(weights, (prob.k,))
+    return prob.kkt_residual(w, np.asarray(f_users, dtype=np.complex128)[None])
 
 
 def mrt_stack(estimates: np.ndarray) -> np.ndarray:
@@ -268,16 +326,73 @@ class GpipResult:
         return base + [f"power_{k}" for k in range(n_users)]
 
 
-def _finish(w, pairs, best_f, best_obj, iterations, converged, traj,
-            select_threshold) -> GpipResult:
-    res = kkt_residual(pairs, w, best_f)
-    active, powers = extract_schedule(best_f, select_threshold)
+def _initial_stack(prob: _ClusterProblem, init, shape: tuple) -> np.ndarray:
+    """The unit-norm (C, K, N) start: `init`, in the caller's `shape` or flat,
+    or by default each BS's estimates of its own users (matched filter)."""
+    if init is None:
+        f = prob.own
+    else:
+        f = np.asarray(init, dtype=np.complex128)
+        size = prob.c * prob.k * prob.n
+        if f.shape not in (shape, (size,)):
+            raise DimensionMismatch(f"init must be {shape} or ({size},), got {f.shape}")
+        _require_finite("init", f)
+        f = f.reshape(prob.c, prob.k, prob.n)
+    norm = np.linalg.norm(f)
+    if not norm > 0:
+        raise ValueError("init must be nonzero")
+    return f / norm
+
+
+def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve_blocks):
+    """The fixed-point iteration on a (C, K, N) stack, shared by every solver.
+
+    Each sweep rebuilds the pencil at the current stack, applies the per-cell
+    Abar block, hands the Bbar blocks to `solve_blocks(d, rhs)`, and
+    renormalizes. The quadratic forms are evaluated once per iterate and serve
+    both its objective and the next sweep's coefficients. The normalized
+    update runs first and the stopping distance compares successive unit-norm
+    stacks, so `tol` is scale-free. Returns (best stack, its log2 objective,
+    sweeps, converged, objective per iterate); the best iterate seen,
+    including the start, is the one returned, so the result never falls below
+    its initialization.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    f = _initial_stack(prob, init, shape)
+    qa, qb = prob.quad_forms(f)
+    best_f, best_obj = f, _log2_objective(w, qa, qb)
+    traj = [best_obj]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        c, d = prob.coefficients(qa, qb, w)
+        rhs = f @ prob.cell_blocks(c).transpose(0, 2, 1)  # row (j, u) is Abar_j f_(j, u)
+        f_new = solve_blocks(d, rhs)
+        f_new /= np.linalg.norm(f_new)
+        step = float(np.linalg.norm(f_new - f))
+        f = f_new
+        qa, qb = prob.quad_forms(f)
+        obj = _log2_objective(w, qa, qb)
+        traj.append(obj)
+        if obj > best_obj:
+            best_obj, best_f = obj, f
+        if step <= tol:
+            converged = True
+            break
+    return best_f, best_obj, iterations, converged, traj
+
+
+def _finish(pairs, w, select_threshold, best_f, best_obj, iterations, converged,
+            traj) -> GpipResult:
+    f_users = best_f[0]
+    active, powers = extract_schedule(f_users, select_threshold)
     return GpipResult(
-        precoder=best_f,
+        precoder=f_users,
         objective_log2=best_obj,
         iterations=iterations,
         converged=converged,
-        kkt_residual=res,
+        kkt_residual=kkt_residual(pairs, w, f_users),
         schedule=active,
         per_user_power=powers,
         trajectory=traj,
@@ -301,52 +416,11 @@ def gpip_iterate(
     with the best objective seen (including the start) is returned, so the
     result never falls below its initialization.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    est, cov, nr = _unpack_pairs(pairs)
-    prob = _CellProblem(est, cov, nr)
-    w = _as_weights(weights, prob.k)
-    f = mrt_stack(est) if init is None else np.asarray(init, dtype=np.complex128).copy()
-    if f.shape == (prob.k * prob.n,):
-        f = f.reshape(prob.k, prob.n)
-    if f.shape != (prob.k, prob.n):
-        raise DimensionMismatch(f"init must be (K, N) or (K*N,), got {f.shape}")
-    if not np.linalg.norm(f) > 0:
-        raise ValueError("init must be nonzero")
-    f = f / np.linalg.norm(f)
-
-    def log2_obj(fu, qa=None, qb=None):
-        if qa is None:
-            qa, qb = prob.quad_forms(fu)
-        return float(np.sum(w * (np.log2(qa) - np.log2(qb))))
-
-    best_f = f.copy()
-    best_obj = log2_obj(f)
-    traj = [best_obj]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        qa, qb = prob.quad_forms(f)
-        c, d = prob.coefficients(qa, qb, w)
-        a_blk = prob.abar_block(c)
-        shared = prob.bbar_shared(d)
-        rhs = f @ a_blk.T  # row j is a_blk @ f_j
-        f_new = np.empty_like(f)
-        for j in range(prob.k):
-            block = shared - d[j] * prob.rank1[j]
-            f_new[j] = solve_hermitian(block, rhs[j])
-        f_new /= np.linalg.norm(f_new)
-        step = float(np.linalg.norm(f_new - f))
-        f = f_new
-        obj = log2_obj(f)
-        traj.append(obj)
-        if obj > best_obj:
-            best_obj, best_f = obj, f.copy()
-        if step <= tol:
-            converged = True
-            break
-    return _finish(w, pairs, best_f, best_obj, iterations, converged, traj,
-                   select_threshold)
+    prob = _cell_problem(pairs)
+    w = _as_weights(weights, (prob.k,))
+    solve_blocks = partial(prob.cholesky_blocks, solve=solve_hermitian)
+    out = _power_iteration(prob, w, init, (prob.k, prob.n), tol, max_iter, solve_blocks)
+    return _finish(pairs, w, select_threshold, *out)
 
 
 def covfree_block_inverses(
@@ -388,47 +462,17 @@ def gpip_covfree(
     gpip_iterate; only the block inversion path differs, so the two agree to
     solver tolerance on the same inputs.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     est = np.asarray(estimates, dtype=np.complex128)
     k, n = est.shape
     alphas = np.broadcast_to(np.asarray(error_scales, dtype=float), (k,))
-    nr = np.broadcast_to(np.asarray(noise_ratio, dtype=float), (k,))
-    cov = alphas[:, None, None] * np.eye(n)[None, :, :]
-    pairs = [EffectivePair(j, k, est[j], cov[j], float(nr[j])) for j in range(k)]
-    prob = _CellProblem(est, cov.astype(np.complex128), nr)
-    w = _as_weights(weights, k)
-    f = mrt_stack(est) if init is None else np.asarray(init, dtype=np.complex128).copy()
-    if f.shape == (k * n,):
-        f = f.reshape(k, n)
-    f = f / np.linalg.norm(f)
+    pairs = build_effective_pairs(est, alphas[:, None, None] * np.eye(n), noise_ratio)
+    prob = _cell_problem(pairs)
+    w = _as_weights(weights, (k,))
 
-    def log2_obj(fu):
-        qa, qb = prob.quad_forms(fu)
-        return float(np.sum(w * (np.log2(qa) - np.log2(qb))))
+    def solve_blocks(d, rhs):
+        delta = float(np.sum(d * (alphas + prob.nr)))
+        inverses = covfree_block_inverses(est, d[0], delta)
+        return np.einsum("jnm,jm->jn", inverses, rhs[0])[None]
 
-    best_f = f.copy()
-    best_obj = log2_obj(f)
-    traj = [best_obj]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        qa, qb = prob.quad_forms(f)
-        c, d = prob.coefficients(qa, qb, w)
-        a_blk = prob.abar_block(c)
-        delta = float(np.sum(d * (alphas + nr)))
-        inverses = covfree_block_inverses(est, d, delta)
-        rhs = f @ a_blk.T
-        f_new = np.einsum("jnm,jm->jn", inverses, rhs)
-        f_new /= np.linalg.norm(f_new)
-        step = float(np.linalg.norm(f_new - f))
-        f = f_new
-        obj = log2_obj(f)
-        traj.append(obj)
-        if obj > best_obj:
-            best_obj, best_f = obj, f.copy()
-        if step <= tol:
-            converged = True
-            break
-    return _finish(w, pairs, best_f, best_obj, iterations, converged, traj,
-                   select_threshold)
+    out = _power_iteration(prob, w, init, (k, n), tol, max_iter, solve_blocks)
+    return _finish(pairs, w, select_threshold, *out)

@@ -2,8 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpip import coop, solver
+from gpip.errors import DimensionMismatch
 from gpip.numerics import hermitize
 
 
@@ -135,6 +138,38 @@ class TestGpipCoop:
         assert np.abs(cres.precoder[0] - res.precoder).max() < 1e-10
         assert cres.iterations == res.iterations
         assert cres.objective_log2 == pytest.approx(res.objective_log2, abs=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4), st.booleans())
+    def test_single_cell_cluster_repeats_single_cell_iteration(self, seed, k, n, with_cov):
+        rng = np.random.default_rng(seed)
+        est, cov = random_cluster(rng, 1, k, n, cov_scale=0.1 if with_cov else 0.0)
+        nr = rng.uniform(0.05, 0.5, size=k)
+        pairs = solver.build_effective_pairs(est[0, 0], None if cov is None else cov[0, 0], nr)
+        res = solver.gpip_iterate(pairs, tol=1e-6, max_iter=50)
+        cres = coop.gpip_coop(coop.build_coop_pairs(est, cov, nr[None]), tol=1e-6, max_iter=50)
+        assert cres.iterations == res.iterations
+        assert cres.trajectory == res.trajectory
+        assert np.abs(cres.precoder[0] - res.precoder).max() <= 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+    def test_objective_never_below_start_property(self, seed, c, k, n):
+        rng = np.random.default_rng(seed)
+        est, cov = random_cluster(rng, c, k, n, cov_scale=0.1)
+        pairs = coop.build_coop_pairs(est, cov, 0.2)
+        res = coop.gpip_coop(pairs, init=random_coop_stack(rng, c, k, n), tol=1e-6, max_iter=50)
+        assert res.objective_log2 >= res.trajectory[0]
+
+    def test_rejects_non_finite_estimates_and_misshaped_init(self):
+        rng = np.random.default_rng(12)
+        est, cov = random_cluster(rng, 2, 2, 3)
+        pairs = coop.build_coop_pairs(est, cov, 0.2)
+        with pytest.raises(DimensionMismatch):
+            coop.gpip_coop(pairs, init=np.ones((2, 3)))
+        est[1, 0, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="estimates must be finite"):
+            coop.gpip_coop(coop.build_coop_pairs(est, cov, 0.2))
 
     def test_mirrored_cells_get_equal_norms(self):
         rng = np.random.default_rng(7)

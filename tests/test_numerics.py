@@ -47,6 +47,16 @@ class TestCholesky:
         m = np.diag([1.0, -1.0])
         with pytest.raises(NotPositiveDefinite):
             cholesky_factor(m)
+        # never a LinAlgError or a NaN factor: non-finite entries, and a
+        # leading minor that turns negative at a middle column
+        nan_entry = np.eye(3)
+        nan_entry[2, 1] = nan_entry[1, 2] = np.nan
+        inf_entry = np.eye(3)
+        inf_entry[1, 0] = inf_entry[0, 1] = np.inf
+        middle = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for bad in (nan_entry, inf_entry, middle):
+            with pytest.raises(NotPositiveDefinite):
+                cholesky_factor(bad)
 
     def test_rejects_tiny_pivot(self):
         with pytest.raises(NotPositiveDefinite):

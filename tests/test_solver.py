@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpip import solver
+from gpip.errors import DimensionMismatch
 from gpip.numerics import cholesky_factor, hermitize, solve_hermitian
 
 # channels of the two-antenna, three-user worked example used across the suite
@@ -239,6 +240,30 @@ class TestGpipIterate:
         assert not res.converged
         assert res.iterations == 3
 
+    def test_rejects_non_finite_estimates_and_misshaped_init(self):
+        pairs = solver.build_effective_pairs(EX_CHANNELS, None, 0.1)
+        with pytest.raises(DimensionMismatch):
+            solver.gpip_iterate(pairs, init=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="init must be finite"):
+            solver.gpip_iterate(pairs, init=np.full((3, 2), np.inf))
+        bad = EX_CHANNELS.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="estimates must be finite"):
+            solver.gpip_iterate(solver.build_effective_pairs(bad, None, 0.1))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4))
+    def test_objective_never_below_start_property(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        est, cov, nr = random_instance(rng, k, n, cov_scale=0.1)
+        pairs = solver.build_effective_pairs(est, cov, nr)
+        init = random_stack(rng, k, n)
+        for res in (
+            solver.gpip_iterate(pairs, init=init, tol=1e-6, max_iter=50),
+            solver.gpip_covfree(est, 0.1, nr, init=init, tol=1e-6, max_iter=50),
+        ):
+            assert res.objective_log2 >= res.trajectory[0]
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 1000))
     def test_scale_invariance_property(self, seed):
@@ -290,6 +315,16 @@ class TestCovarianceFree:
         fast = solver.gpip_covfree(est, alpha, 0.2, tol=1e-8, max_iter=300)
         assert np.abs(ref.precoder - fast.precoder).max() < 1e-6
         assert ref.schedule == fast.schedule
+
+    def test_rejects_non_finite_inputs_and_misshaped_init(self):
+        with pytest.raises(DimensionMismatch):
+            solver.gpip_covfree(EX_CHANNELS, 0.1, 0.1, init=np.ones(5))
+        with pytest.raises(ValueError, match="noise ratios must be finite"):
+            solver.gpip_covfree(EX_CHANNELS, 0.1, np.nan)
+        bad = EX_CHANNELS.copy()
+        bad[2, 1] = np.inf
+        with pytest.raises(ValueError, match="estimates must be finite"):
+            solver.gpip_covfree(bad, 0.1, 0.1)
 
 
 class TestSchedule:
