@@ -99,7 +99,7 @@ def one_ring_correlation(geom: ArrayGeometry, params: OneRingParams) -> np.ndarr
         + np.sin(alphas)[:, None] * geom.positions[None, :, 1]
     )
     steer = np.exp(1j * phase)  # (nodes, N)
-    r = params.gain * np.einsum("m,mn,mk->nk", weights, steer, steer.conj())
+    r = params.gain * ((weights[:, None] * steer).T @ steer.conj())
     return hermitize(r)
 
 

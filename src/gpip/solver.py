@@ -17,10 +17,11 @@ The iteration is written once, as a private kernel over the (C, K, N) stack
 of a cluster of C cooperating base stations (see `coop`); the single-cell
 solvers here are the case C = 1. Block structure is exploited throughout:
 within cell j, Abar has one shared diagonal block and every block of Bbar is
-another shared matrix minus one rank-one term, so one iteration costs C*K
-solves of size N, never a dense factorization. The general path factors each
-block by Cholesky; the covariance-free path, for scalar error covariances,
-hands the kernel recursive rank-one inverses instead.
+another shared matrix minus one rank-one term, so one iteration costs one
+Cholesky factorization of size N per cell plus O(C*K*N^2) for the rank-one
+corrections, never a dense factorization. The covariance-free path, for scalar
+error covariances, hands the kernel explicit block inverses instead, built
+from the ridge by O(K log K) rank-one inverse updates.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .numerics import BlockDiagonal, rank1_inverse_update, solve_hermitian
+from .errors import DimensionMismatch, NotPositiveDefinite
+from .numerics import PIVOT_TOL, BlockDiagonal, rank1_inverse_update, solve_hermitian
 
 DEFAULT_TOL = 0.01
 DEFAULT_MAX_ITER = 100
@@ -137,7 +138,7 @@ def _as_weights(weights, shape: tuple) -> np.ndarray:
 
 
 def _log2_objective(w, qa, qb) -> float:
-    return float(np.sum(w * (np.log2(qa) - np.log2(qb))))
+    return float(np.vdot(w, np.log2(qa / qb)))
 
 
 class _ClusterProblem:
@@ -145,7 +146,9 @@ class _ClusterProblem:
 
     est[j, l, u] is BS j's estimate of its channel toward user u of cell l,
     cov[j, l, u] its error covariance, and nr[l, u] that user's effective
-    noise over transmit power. A single cell is C = 1.
+    noise over transmit power. A single cell is C = 1. Small problems are
+    bound by the number of numpy calls per sweep, so everything a sweep
+    reuses (conjugates, cell indices, the identity) is computed here once.
     """
 
     def __init__(self, est, cov, nr):
@@ -157,25 +160,28 @@ class _ClusterProblem:
         self.cov = cov  # (C, C, K, N, N)
         self.nr = nr  # (C, K)
         self.has_cov = bool(np.any(cov))
-        cells = np.arange(self.c)
-        self.own = est[cells, cells]  # (C, K, N): each BS toward its own users
-        self.g0 = np.einsum("jlkn,jlkm->jlknm", est, est.conj()) + cov
-        self.own_rank1 = np.einsum("jkn,jkm->jknm", self.own, self.own.conj())
+        self.cells = np.arange(self.c)
+        self.own = est[self.cells, self.cells]  # (C, K, N): each BS toward its own users
+        self.own_conj = self.own.conj()
+        self.est_conj = est.conj()
+        self.eye = np.eye(self.n)
+        self.g0 = np.einsum("jlkn,jlkm->jlknm", est, self.est_conj) + cov
+        self.own_rank1 = np.einsum("jkn,jkm->jknm", self.own, self.own_conj)
 
     def quad_forms(self, f: np.ndarray):
         """f^H A_(l,u) f and f^H B_(l,u) f as (C, K) arrays, for a (C, K, N) stack."""
-        norm2 = float(np.sum(np.abs(f) ** 2))
+        norm2 = np.vdot(f, f).real
         # inner[j, l, u, i] = est(BS j -> user (l, u))^H f_(j, i)
-        inner = self.est.conj() @ f.transpose(0, 2, 1)[:, None]
-        sig = np.sum(np.abs(inner) ** 2, axis=(0, 3))
+        inner = self.est_conj @ f.transpose(0, 2, 1)[:, None]
+        power = np.abs(inner) ** 2
+        sig = np.sum(power, axis=(0, 3))
         if self.has_cov:
             # sum_i f_i^H cov f_i = <cov, sum_i conj(f_i) f_i^T>
             gram = np.einsum("jin,jim->jnm", f.conj(), f)
             sig = sig + np.real(np.einsum("jlknm,jnm->lk", self.cov, gram))
         qa = sig + self.nr * norm2
-        cells = np.arange(self.c)
-        desired = np.diagonal(inner[cells, cells], axis1=1, axis2=2)  # (C, K)
-        return qa, qa - np.abs(desired) ** 2
+        desired = np.diagonal(power[self.cells, self.cells], axis1=1, axis2=2)  # (C, K)
+        return qa, qa - desired
 
     def coefficients(self, qa, qb, w):
         """Log-domain quotient weights, re-centered by the shared max exponent.
@@ -185,8 +191,9 @@ class _ClusterProblem:
         accumulated as log sums and exponentiated after subtracting one shared
         maximum, which fixes the common positive scale of Abar and Bbar.
         """
-        log_c = np.log(w) - np.log(qa) + np.sum(w * np.log(qa))
-        log_d = np.log(w) - np.log(qb) + np.sum(w * np.log(qb))
+        log_w, log_qa, log_qb = np.log(w), np.log(qa), np.log(qb)
+        log_c = log_w - log_qa + np.vdot(w, log_qa)
+        log_d = log_w - log_qb + np.vdot(w, log_qb)
         shift = max(log_c.max(), log_d.max())
         return np.exp(log_c - shift), np.exp(log_d - shift)
 
@@ -198,16 +205,40 @@ class _ClusterProblem:
         d[j, u] * own_rank1[j, u] from it.
         """
         base = np.einsum("lk,jlknm->jnm", coeff, self.g0)
-        return base + float(np.sum(coeff * self.nr)) * np.eye(self.n)
+        return base + np.vdot(coeff, self.nr) * self.eye
 
     def cholesky_blocks(self, d, rhs, solve):
-        """Bbar^-1 rhs, one `solve` (a Cholesky solver) per (cell, user) block."""
+        """Bbar^-1 rhs: one `solve` (a Cholesky solver) per cell, then one
+        rank-one correction per user.
+
+        Block (j, u) of Bbar is shared_j - d[j, u] e e^H, with e = own[j, u].
+        One factorization of shared_j serves all 2K right-hand sides
+        [rhs_j | own_j], giving y = shared_j^-1 rhs_(j, u) and
+        z = shared_j^-1 e, and Sherman-Morrison finishes every block at once:
+        x = y + z * d (e^H y) / (1 - d e^H z). The denominator equals
+        det(block) / det(shared_j), which lies in (0, 1] for a positive-definite
+        block; one that is not finite or is at most PIVOT_TOL marks an
+        indefinite or degenerate block and raises NotPositiveDefinite.
+        """
+        k = self.k
+        stacked = np.concatenate([rhs, self.own], axis=1).transpose(0, 2, 1)
         shared = self.cell_blocks(d)
-        out = np.empty_like(rhs)
+        sol = np.empty_like(stacked)
         for j in range(self.c):
-            for u in range(self.k):
-                out[j, u] = solve(shared[j] - d[j, u] * self.own_rank1[j, u], rhs[j, u])
-        return out
+            sol[j] = solve(shared[j], stacked[j])
+        # proj[j, u, i] = own[j, u]^H sol[j, :, i]; its two diagonals are
+        # e^H y and e^H z of every user
+        proj = self.own_conj @ sol
+        ey = np.diagonal(proj[:, :, :k], axis1=1, axis2=2)
+        denom = 1.0 - d * np.diagonal(proj[:, :, k:], axis1=1, axis2=2).real
+        if not (denom.min() > PIVOT_TOL and denom.max() < np.inf):  # NaN fails both
+            j, u = np.argwhere(~(np.isfinite(denom) & (denom > PIVOT_TOL)))[0]
+            raise NotPositiveDefinite(
+                f"Bbar block (cell {j}, user {u}): rank-one correction denominator "
+                f"{denom[j, u]:.3e} (threshold {PIVOT_TOL:.1e})"
+            )
+        x = sol[:, :, :k] + sol[:, :, k:] * (d * ey / denom)[:, None, :]
+        return x.transpose(0, 2, 1)
 
     def kkt_residual(self, w, f) -> float:
         """|| Abar f - objective * Bbar f || / || Abar f || at the (C, K, N) stack f."""
@@ -331,6 +362,11 @@ def _initial_stack(prob: _ClusterProblem, init, shape: tuple) -> np.ndarray:
     or by default each BS's estimates of its own users (matched filter)."""
     if init is None:
         f = prob.own
+        if not np.any(f):
+            raise ValueError(
+                "own-cell estimates are all zero, so the default matched-filter "
+                "init is zero; pass a nonzero init"
+            )
     else:
         f = np.asarray(init, dtype=np.complex128)
         size = prob.c * prob.k * prob.n
@@ -369,8 +405,9 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
         c, d = prob.coefficients(qa, qb, w)
         rhs = f @ prob.cell_blocks(c).transpose(0, 2, 1)  # row (j, u) is Abar_j f_(j, u)
         f_new = solve_blocks(d, rhs)
-        f_new /= np.linalg.norm(f_new)
-        step = float(np.linalg.norm(f_new - f))
+        f_new /= np.sqrt(np.vdot(f_new, f_new).real)
+        diff = f_new - f
+        step = float(np.sqrt(np.vdot(diff, diff).real))
         f = f_new
         qa, qb = prob.quad_forms(f)
         obj = _log2_objective(w, qa, qb)
@@ -410,11 +447,12 @@ def gpip_iterate(
     """Power iteration on the self-consistent pencil until the stack settles.
 
     Each sweep rebuilds the pencil at the current stack, applies the shared
-    Abar block, solves the K rank-one-perturbed Bbar blocks by Cholesky, and
-    renormalizes. The normalized update runs first and the stopping distance
-    compares successive unit-norm stacks, so `tol` is scale-free. The iterate
-    with the best objective seen (including the start) is returned, so the
-    result never falls below its initialization.
+    Abar block, solves the K rank-one-perturbed Bbar blocks with one Cholesky
+    factorization and a rank-one correction per user, and renormalizes. The
+    normalized update runs first and the stopping distance compares successive
+    unit-norm stacks, so `tol` is scale-free. The iterate with the best
+    objective seen (including the start) is returned, so the result never
+    falls below its initialization.
     """
     prob = _cell_problem(pairs)
     w = _as_weights(weights, (prob.k,))
@@ -428,20 +466,29 @@ def covfree_block_inverses(
 ) -> np.ndarray:
     """Inverses of every Bbar block when all error covariances are scalar.
 
-    Block j is delta * I + sum_{i != j} d_i * est_i est_i^H; its inverse is
-    built from (1/delta) I by chaining K-1 rank-one inverse updates, one per
-    interfering estimate, replacing the Cholesky factorization with vector
-    arithmetic.
+    Block j is delta * I + sum_{i != j} d_i * est_i est_i^H. The K
+    leave-one-out inverses are built by divide and conquer from (1/delta) I:
+    each half of a range of users continues from the inverse that already
+    holds every user outside the range, plus the other half, so every block
+    comes from additive rank-one inverse updates only, about K log2 K of them
+    in all instead of K (K - 1).
     """
     est = np.asarray(estimates, dtype=np.complex128)
     k, n = est.shape
     out = np.empty((k, n, n), dtype=np.complex128)
-    for j in range(k):
-        inv = (1.0 / delta) * np.eye(n)
-        for i in range(k):
-            if i != j:
-                inv = rank1_inverse_update(inv, est[i], float(d[i]))
-        out[j] = inv
+    # each entry: the inverse holding every user outside [lo, hi), lo, hi
+    pending = [((1.0 / delta) * np.eye(n), 0, k)]
+    while pending:
+        inv, lo, hi = pending.pop()
+        if hi - lo <= 1:
+            out[lo:hi] = inv
+            continue
+        mid = (lo + hi) // 2
+        for (a, b), added in (((lo, mid), range(mid, hi)), ((mid, hi), range(lo, mid))):
+            part = inv
+            for i in added:
+                part = rank1_inverse_update(part, est[i], float(d[i]))
+            pending.append((part, a, b))
     return out
 
 

@@ -60,6 +60,22 @@ class TestOneRing:
         ref = reference_one_ring(geom.positions, 1.0, 0.0, np.pi / 6, 1.0)
         assert np.abs(r - ref).max() < 1e-6
 
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_equals_explicit_node_sum(self, n):
+        geom = channel.uniform_circular_array(n)
+        params = channel.OneRingParams(0.9, 0.35, 1.4)
+        nodes, weights = np.polynomial.legendre.leggauss(channel.QUAD_NODES)
+        ref = np.zeros((n, n), dtype=complex)
+        for node, weight in zip(nodes, weights):
+            a = params.azimuth + params.angular_spread * node
+            s = np.exp(
+                -1j * (2 * np.pi / geom.wavelength)
+                * (np.cos(a) * geom.positions[:, 0] + np.sin(a) * geom.positions[:, 1])
+            )
+            ref += 0.5 * weight * np.outer(s, s.conj())
+        r = channel.one_ring_correlation(geom, params)
+        assert np.abs(r - params.gain * ref).max() < 1e-12
+
     @pytest.mark.parametrize("n,theta,delta", [(4, 0.0, 0.1), (8, 1.2, np.pi / 6), (32, -2.0, 0.8)])
     def test_hermitian_psd_and_trace(self, n, theta, delta):
         beta = 1.7

@@ -171,6 +171,11 @@ class TestGpipCoop:
         with pytest.raises(ValueError, match="estimates must be finite"):
             coop.gpip_coop(coop.build_coop_pairs(est, cov, 0.2))
 
+    def test_all_zero_estimates_name_the_estimates(self):
+        pairs = coop.build_coop_pairs(np.zeros((2, 2, 2, 3)), None, 0.2)
+        with pytest.raises(ValueError, match="estimates are all zero"):
+            coop.gpip_coop(pairs)
+
     def test_mirrored_cells_get_equal_norms(self):
         rng = np.random.default_rng(7)
         k, n = 2, 3

@@ -1,10 +1,13 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpip import solver
-from gpip.errors import DimensionMismatch
+from gpip.errors import DimensionMismatch, NotPositiveDefinite
 from gpip.numerics import cholesky_factor, hermitize, solve_hermitian
 
 # channels of the two-antenna, three-user worked example used across the suite
@@ -251,6 +254,11 @@ class TestGpipIterate:
         with pytest.raises(ValueError, match="estimates must be finite"):
             solver.gpip_iterate(solver.build_effective_pairs(bad, None, 0.1))
 
+    def test_all_zero_estimates_name_the_estimates(self):
+        pairs = solver.build_effective_pairs(np.zeros((3, 2)), None, 0.1)
+        with pytest.raises(ValueError, match="estimates are all zero"):
+            solver.gpip_iterate(pairs)
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4))
     def test_objective_never_below_start_property(self, seed, k, n):
@@ -279,6 +287,42 @@ class TestGpipIterate:
             )
 
 
+class TestBlockSolves:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.booleans(),
+        st.sampled_from([0.0, 30.0, 60.0]),
+    )
+    def test_one_sweep_matches_per_block_cholesky(self, seed, k, n, with_cov, snr_db):
+        rng = np.random.default_rng(seed)
+        est, cov, nr = random_instance(
+            rng, k, n, cov_scale=0.1 if with_cov else 0.0, noise_ratio=10 ** (-snr_db / 10)
+        )
+        pairs = solver.build_effective_pairs(est, cov, nr)
+        w = rng.uniform(0.2, 2.0, size=k)
+        f = random_stack(rng, k, n)
+        res = solver.gpip_iterate(pairs, w, init=f, tol=1e-300, max_iter=1)
+        abar, bbar = solver.build_weighted_pair(pairs, w, f)
+        step = bbar.solve(abar.matvec(f.reshape(-1)))
+        step /= np.linalg.norm(step)
+        ref = solver.objective_log2(pairs, w, step.reshape(k, n))
+        assert res.trajectory[1] == pytest.approx(ref, rel=1e-9)
+
+    def test_singular_block_raises_without_warnings(self):
+        # no ridge and no error covariance: with K = N every Bbar block is
+        # the full-rank shared block minus one of its K rank-one terms
+        rng = np.random.default_rng(4)
+        est, _, _ = random_instance(rng, 4, 4)
+        pairs = solver.build_effective_pairs(est, None, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite):
+                solver.gpip_iterate(pairs)
+
+
 class TestCovarianceFree:
     def test_block_inverses_match_direct_cholesky(self):
         rng = np.random.default_rng(9)
@@ -296,6 +340,34 @@ class TestCovarianceFree:
             direct = solve_hermitian(block, np.eye(n, dtype=complex))
             assert np.abs(inverses[j] - direct).max() < 1e-8
             assert np.abs(low @ low.conj().T - block).max() < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 5, 32])
+    def test_block_inverses_match_dense_inverse_over_wide_range(self, k):
+        rng = np.random.default_rng(k)
+        n, delta = 8, 1e-3
+        est = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
+        d = np.exp(rng.uniform(np.log(1e-6), 0.0, size=k))
+        inverses = solver.covfree_block_inverses(est, d, delta)
+        for j in range(k):
+            others = np.arange(k) != j
+            block = delta * np.eye(n) + np.einsum(
+                "i,in,im->nm", d[others], est[others], est[others].conj()
+            )
+            direct = np.linalg.inv(block)
+            assert np.linalg.norm(inverses[j] - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle per sweep keeps every sweep's (K, N, N) inverses alive until
+        # a full collection, which grows the peak memory of long campaigns
+        rng = np.random.default_rng(3)
+        est = (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))) / np.sqrt(2)
+        gc.collect()
+        gc.disable()
+        try:
+            solver.gpip_covfree(est, 0.1, 0.1, max_iter=5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_zero_error_single_user_matched_filter(self):
         rng = np.random.default_rng(1)
@@ -325,6 +397,10 @@ class TestCovarianceFree:
         bad[2, 1] = np.inf
         with pytest.raises(ValueError, match="estimates must be finite"):
             solver.gpip_covfree(bad, 0.1, 0.1)
+
+    def test_all_zero_estimates_name_the_estimates(self):
+        with pytest.raises(ValueError, match="estimates are all zero"):
+            solver.gpip_covfree(np.zeros((3, 2)), 0.1, 0.1)
 
 
 class TestSchedule:
