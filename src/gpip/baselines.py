@@ -72,36 +72,57 @@ def rzf(estimates: np.ndarray, noise_ratio: float, ridge_scale: float = 1.0) -> 
 def waterfill(gains, total_power: float, noise_var: float = 1.0) -> np.ndarray:
     """Power allocation p_k = max(0, mu - noise_var/gains_k) summing to total_power.
 
-    The water level mu is located by bisection; a final equal spread of the
-    (tiny) bisection residue over the active channels pins the sum exactly.
+    Closed form: with the floors noise_var/gains sorted ascending, the level
+    over the m lowest floors is (total_power + their sum) / m, and the active
+    set is the longest prefix whose level stays above its last floor. A final
+    equal spread of the rounding residue over the active channels pins the
+    sum exactly; it also cancels the common error the level picks up from
+    large floors.
     """
     g = np.asarray(gains, dtype=float)
     noise_var = float(noise_var)
     if g.size == 0 or np.all(g <= 0):
         raise ValueError("need at least one positive gain")
     floors = np.where(g > 0, noise_var / np.maximum(g, 1e-300), np.inf)
-    lo = float(np.min(floors))
-    hi = lo + total_power + 1e-12
-
-    def allocated(mu):
-        return float(np.sum(np.maximum(0.0, mu - floors[np.isfinite(floors)])))
-
-    while allocated(hi) < total_power:
-        hi = lo + 2 * (hi - lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if allocated(mid) < total_power:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
-            break
-    mu = 0.5 * (lo + hi)
-    p = np.where(np.isfinite(floors), np.maximum(0.0, mu - floors), 0.0)
+    s = np.sort(floors[np.isfinite(floors)])
+    levels = (total_power + np.cumsum(s)) / np.arange(1, s.size + 1)
+    mu = levels[np.count_nonzero(levels >= s) - 1]
+    p = np.maximum(0.0, mu - floors)
     active = p > 0
     if np.any(active):
         p[active] += (total_power - p.sum()) / np.count_nonzero(active)
     return p
+
+
+def _greedy_orthogonal(est: np.ndarray, limit: int, alpha: float | None = None):
+    """Greedy Gram-Schmidt selection over the rows of est.
+
+    Each step takes the remaining row with the largest component orthogonal
+    to the span of the rows taken so far (the first index on ties). It stops
+    after `limit` rows or when no remaining row has a residual above 1e-12.
+    With `alpha`, each step also drops every remaining row whose normalized
+    projection |est_i^H d| / ||est_i|| onto the newest direction d exceeds
+    alpha (semi-orthogonal user selection). Returns (order, residual norms).
+    """
+    k, n = est.shape
+    open_rows = np.ones(k, dtype=bool)
+    row_norms = np.maximum(np.linalg.norm(est, axis=1), 1e-300)
+    basis = np.zeros((limit, n), dtype=est.dtype)
+    order: list[int] = []
+    norms: list[float] = []
+    for step in range(limit):
+        res = est - (est @ basis[:step].conj().T) @ basis[:step]
+        res_norms = np.where(open_rows, np.linalg.norm(res, axis=1), -1.0)
+        best = int(np.argmax(res_norms))
+        if res_norms[best] <= 1e-12:
+            break
+        order.append(best)
+        norms.append(float(res_norms[best]))
+        basis[step] = res[best] / res_norms[best]
+        open_rows[best] = False
+        if alpha is not None:
+            open_rows &= np.abs(est.conj() @ basis[step]) / row_norms <= alpha
+    return order, np.asarray(norms)
 
 
 def sus_zf(
@@ -109,46 +130,20 @@ def sus_zf(
 ) -> tuple[list[int], np.ndarray]:
     """Semi-orthogonal user selection, then zero forcing with water-filled powers.
 
-    Greedy: pick the user whose component orthogonal to the span of those
-    already selected is largest, then drop every remaining candidate whose
-    normalized projection onto the newest direction exceeds alpha_sus. Stops
-    at N users or when no candidate survives. Water-filling runs over the
-    selected users' effective beam gains.
+    Greedy selection as in _greedy_orthogonal: pick the user whose component
+    orthogonal to the span of those already selected is largest, then drop
+    every remaining candidate whose normalized projection onto the newest
+    direction exceeds alpha_sus. Stops at N users or when no candidate
+    survives. Water-filling runs over the selected users' effective beam
+    gains.
     """
     est = np.asarray(estimates, dtype=np.complex128)
     noise_ratio = float(noise_ratio)
-    k, n = est.shape
-    candidates = list(range(k))
-    selected: list[int] = []
-    basis: list[np.ndarray] = []
-    while candidates and len(selected) < n:
-        best, best_norm, best_res = None, -1.0, None
-        for i in candidates:
-            res = est[i].copy()
-            for b in basis:
-                res -= (b.conj() @ est[i]) * b
-            norm = np.linalg.norm(res)
-            if norm > best_norm:
-                best, best_norm, best_res = i, norm, res
-        if best_norm <= 1e-12:
-            break
-        selected.append(best)
-        new_dir = best_res / best_norm
-        basis.append(new_dir)
-        kept = []
-        for i in candidates:
-            if i == best:
-                continue
-            coh = abs(est[i].conj() @ new_dir) / max(np.linalg.norm(est[i]), 1e-300)
-            if coh <= alpha_sus:
-                kept.append(i)
-        candidates = kept
+    selected, _ = _greedy_orthogonal(est, est.shape[1], alpha_sus)
     f = np.zeros_like(est)
     dirs = _zf_directions(est[selected])
     gains = np.abs(np.einsum("sn,sn->s", est[selected].conj(), dirs)) ** 2
-    powers = waterfill(gains, 1.0, noise_ratio)
-    for row, i in enumerate(selected):
-        f[i] = np.sqrt(powers[row]) * dirs[row]
+    f[selected] = np.sqrt(waterfill(gains, 1.0, noise_ratio))[:, None] * dirs
     return selected, f
 
 
@@ -157,37 +152,18 @@ def zf_dpc_waterfilling(
 ) -> tuple[list[int], np.ndarray, float]:
     """Successive zero-forcing encoding bound with water-filled powers.
 
-    Users are ordered greedily by largest residual norm after projecting out
-    already-encoded channels; user i's effective gain is that squared
-    residual norm. Returns (ordering, powers over the ordering, sum rate):
-    rate = sum_i log2(1 + p_i * gain_i / noise_ratio). Serves as the
-    spectral-efficiency upper reference for linear schemes.
+    Users are ordered greedily as in _greedy_orthogonal, by largest residual
+    norm after projecting out already-encoded channels; user i's effective
+    gain is that squared residual norm. Returns (ordering, powers over the
+    ordering, sum rate): rate = sum_i log2(1 + p_i * gain_i / noise_ratio).
+    Serves as the spectral-efficiency upper reference for linear schemes.
     """
     h = np.asarray(channels, dtype=np.complex128)
     noise_ratio = float(noise_ratio)
-    k, n = h.shape
-    remaining = list(range(k))
-    basis: list[np.ndarray] = []
-    ordering: list[int] = []
-    gains: list[float] = []
-    for _ in range(min(k, n)):
-        best, best_norm, best_res = None, -1.0, None
-        for i in remaining:
-            res = h[i].copy()
-            for b in basis:
-                res -= (b.conj() @ h[i]) * b
-            norm = np.linalg.norm(res)
-            if norm > best_norm:
-                best, best_norm, best_res = i, norm, res
-        if best_norm <= 1e-12:
-            break
-        ordering.append(best)
-        gains.append(best_norm**2)
-        basis.append(best_res / best_norm)
-        remaining.remove(best)
+    ordering, norms = _greedy_orthogonal(h, min(h.shape))
     if not ordering:
         raise RankDeficient("no user has a nonzero channel")
-    gains_arr = np.asarray(gains)
+    gains_arr = norms**2
     powers = waterfill(gains_arr, 1.0, noise_ratio)
     rate = float(np.sum(np.log2(1.0 + powers * gains_arr / noise_ratio)))
     return ordering, powers, rate
@@ -232,6 +208,5 @@ def rank_adaptive_zf(
         best_rate = best_cand_rate
     f = np.zeros_like(est)
     dirs = _zf_directions(est[selected])
-    for row, i in enumerate(selected):
-        f[i] = dirs[row] / np.sqrt(len(selected))
+    f[selected] = dirs / np.sqrt(len(selected))
     return selected, f

@@ -47,13 +47,9 @@ def true_sinr(
     # inner[j, l, k, i] = h(BS j -> user (l,k))^H f_{j,i}
     inner = np.einsum("jlkn,jin->jlki", h.conj(), f)
     power = np.abs(inner) ** 2
-    sinr = np.empty((n_cells, n_users))
-    for l in range(n_cells):
-        for k in range(n_users):
-            desired = power[l, l, k, k]
-            iui = power[l, l, k].sum() - desired
-            ici = power[:, l, k].sum() - power[l, l, k].sum()
-            sinr[l, k] = desired / (iui + ici + noise_ratio)
+    c = np.arange(n_cells)
+    desired = np.diagonal(power[c, c], axis1=1, axis2=2)  # (L, K)
+    sinr = desired / (power.sum(axis=(0, 3)) - desired + noise_ratio)
     rate = np.log2(1.0 + sinr)
     w = np.ones_like(rate) if weights is None else np.asarray(weights, dtype=float)
     return RateReport(sinr, rate, float(rate.sum()), float((w * rate).sum()))
@@ -171,15 +167,18 @@ def _draw_link_csit(config, corr, rng):
 
 
 def _known_cov(config, cov, n):
-    """Error covariance as the transmitter knows it, per the knowledge setting."""
+    """Error covariance as the transmitter knows it, per the knowledge setting.
+
+    cov is a (..., N, N) stack or None; returns (known covariances, scalar
+    levels trace/N for the "scalar" setting, else None).
+    """
     if cov is None or config.cov_knowledge == "none":
         return None, None
     if config.cov_knowledge == "full":
         return cov, None
     if config.cov_knowledge == "scalar":
-        alphas = np.real(np.trace(cov, axis1=1, axis2=2)) / n
-        scal = alphas[:, None, None] * np.eye(n)[None, :, :]
-        return scal, alphas
+        alphas = np.real(np.trace(cov, axis1=-2, axis2=-1)) / n
+        return alphas[..., None, None] * np.eye(n), alphas
     raise ConfigInvalid(f"cov_knowledge: unknown setting {config.cov_knowledge!r}")
 
 

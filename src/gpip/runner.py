@@ -211,20 +211,12 @@ def effective_noise_ratios(corr: np.ndarray, noise_ratio_dl: float,
                            clusters=None) -> np.ndarray:
     """(L, K) effective noise over power: receiver noise plus the isotropic
     expectation of interference from cells outside the (optional) cluster."""
-    n_cells, _, n_users, n, _ = corr.shape
-    cluster_of = {l: [l] for l in range(n_cells)}
-    if clusters is not None:
-        for cl in clusters:
-            for l in cl:
-                cluster_of[l] = cl
-    out = np.full((n_cells, n_users), noise_ratio_dl)
+    n_cells, _, _, n, _ = corr.shape
+    outside = ~np.eye(n_cells, dtype=bool)  # outside[j, l]: BS j is outside l's cluster
+    for cl in clusters or []:
+        outside[np.ix_(cl, cl)] = False
     traces = np.real(np.trace(corr, axis1=3, axis2=4))  # (L, L, K)
-    for l in range(n_cells):
-        for k in range(n_users):
-            for j in range(n_cells):
-                if j not in cluster_of[l]:
-                    out[l, k] += traces[j, l, k] / n
-    return out
+    return noise_ratio_dl + np.einsum("jl,jlk->lk", outside, traces) / n
 
 
 def multicell_block(
@@ -263,12 +255,7 @@ def multicell_block(
             precoders = np.zeros((n_cells, n_users, n), dtype=np.complex128)
             for cl in clusters:
                 idx = np.ix_(cl, cl)
-                known = None
-                if not perfect and cfg.cov_knowledge != "none":
-                    known = csit.err_cov[idx]
-                    if cfg.cov_knowledge == "scalar":
-                        alphas = np.real(np.trace(known, axis1=3, axis2=4)) / n
-                        known = alphas[..., None, None] * np.eye(n)
+                known, _ = evaluation._known_cov(cfg, None if perfect else csit.err_cov[idx], n)
                 pairs = coop.build_coop_pairs(
                     csit.est_h[idx], known, nr_coop[cl],
                 )

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,94 @@ class TestPowerFeasibility:
             baselines.rank_adaptive_zf(est, 0.1)[1],
         ):
             assert total_power(f) <= 1 + 1e-10
+
+
+def greedy_loop_reference(est, limit, alpha=None):
+    """The per-candidate Gram-Schmidt loop the baselines used before
+    `_greedy_orthogonal`: (order, residual norms), first index on ties."""
+    candidates = list(range(est.shape[0]))
+    order, norms, basis = [], [], []
+    while candidates and len(order) < limit:
+        best, best_norm, best_res = None, -1.0, None
+        for i in candidates:
+            res = est[i].copy()
+            for b in basis:
+                res -= (b.conj() @ est[i]) * b
+            norm = np.linalg.norm(res)
+            if norm > best_norm:
+                best, best_norm, best_res = i, norm, res
+        if best_norm <= 1e-12:
+            break
+        order.append(best)
+        norms.append(best_norm)
+        basis.append(best_res / best_norm)
+        candidates = [
+            i for i in candidates
+            if i != best and (
+                alpha is None
+                or abs(est[i].conj() @ basis[-1]) / max(np.linalg.norm(est[i]), 1e-300) <= alpha
+            )
+        ]
+    return order, np.asarray(norms)
+
+
+def random_greedy_inputs(seed, max_dim=16):
+    """Random (K, N) rows with scales over four decades; every other draw
+    copies some rows onto others, so exact ties and rank deficiency occur.
+    Row norms stay below about 1e2, where a duplicate's rounding residual
+    (about 1e-16 times the row norm) is far below the absolute 1e-12 stop."""
+    rng = np.random.default_rng(seed)
+    k, n = rng.integers(1, max_dim + 1, 2)
+    est = random_channels(rng, k, n) * 10 ** rng.uniform(-3, 1, (k, 1))
+    if seed % 2 and k > 1:
+        src = rng.integers(0, k, rng.integers(1, k))
+        est[rng.integers(0, k, src.size)] = est[src]
+    return est, rng
+
+
+class TestGreedyOrthogonal:
+    def test_zf_dpc_ordering_matches_loop_reference(self):
+        for seed in range(300):
+            est, rng = random_greedy_inputs(seed)
+            nv = 10 ** rng.uniform(-3, 1)
+            ordering, powers, rate = baselines.zf_dpc_waterfilling(est, nv)
+            ref_order, ref_norms = greedy_loop_reference(est, min(est.shape))
+            assert ordering == ref_order
+            ref_powers = baselines.waterfill(ref_norms**2, 1.0, nv)
+            ref_rate = np.sum(np.log2(1.0 + ref_powers * ref_norms**2 / nv))
+            assert rate == pytest.approx(ref_rate, rel=1e-12)
+
+    def test_sus_selection_matches_loop_reference(self):
+        for seed in range(300):
+            est, rng = random_greedy_inputs(seed)
+            alpha = rng.uniform(0.1, 0.9)
+            order, _ = baselines._greedy_orthogonal(est, est.shape[1], alpha)
+            assert order == greedy_loop_reference(est, est.shape[1], alpha)[0]
+
+
+def waterfill_exact(gains, total, noise_var):
+    """Water-filling in exact rational arithmetic over the float floors
+    noise_var / gains (the rounding both sides share)."""
+    floors = [Fraction(float(f)) for f in noise_var / np.asarray(gains)]
+    s = sorted(floors)
+    total = Fraction(total)
+    mu = None
+    for m in range(1, len(s) + 1):
+        level = (total + sum(s[:m])) / m
+        if level <= s[m - 1]:
+            break
+        mu = level
+    return [max(Fraction(0), mu - f) for f in floors]
+
+
+class TestWaterfillExactReference:
+    def test_matches_rational_solution_over_eight_decades(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 33))
+            gains = 10 ** rng.uniform(-8, 0, k)
+            total = 10 ** rng.uniform(-1, 1)
+            nv = 10 ** rng.uniform(-2, 2)
+            p = baselines.waterfill(gains, total, nv)
+            exact = np.array([float(x) for x in waterfill_exact(gains, total, nv)])
+            assert np.abs(p - exact).max() <= 1e-14 * total
