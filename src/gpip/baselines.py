@@ -44,10 +44,10 @@ def zf(estimates: np.ndarray) -> np.ndarray:
     return dirs / np.sqrt(est.shape[0])
 
 
-def rrzf(estimates: np.ndarray, error_covs, noise_ratio: float, ridge_scale: float = 1.0) -> np.ndarray:
+def rrzf(estimates: np.ndarray, error_covs, noise_ratio: float) -> np.ndarray:
     """Regularized zero forcing robustified by the summed error covariances.
 
-    Beam rows solve (H^H H_cov + sum_k Phi_k + ridge_scale*noise_ratio*I) x_k
+    Beam rows solve (H^H H_cov + sum_k Phi_k + noise_ratio*I) x_k
     = est_k, where the first term is the N x N outer-product sum of the
     estimates; the result is normalized to unit total power. With zero error
     covariances this is plain RZF. noise_ratio is one scalar: the shared
@@ -58,15 +58,15 @@ def rrzf(estimates: np.ndarray, error_covs, noise_ratio: float, ridge_scale: flo
     gram = est.T @ est.conj()  # sum_k est_k est_k^H, (N, N)
     if error_covs is not None:
         gram = gram + np.sum(np.asarray(error_covs, dtype=np.complex128), axis=0)
-    gram = gram + ridge_scale * float(noise_ratio) * np.eye(n)
+    gram = gram + float(noise_ratio) * np.eye(n)
     cols = solve_hermitian(gram, est.T)  # (N, K)
     f = cols.T
     return f / np.linalg.norm(f)
 
 
-def rzf(estimates: np.ndarray, noise_ratio: float, ridge_scale: float = 1.0) -> np.ndarray:
+def rzf(estimates: np.ndarray, noise_ratio: float) -> np.ndarray:
     """Regularized zero forcing; the zero-error-covariance case of rrzf."""
-    return rrzf(estimates, None, noise_ratio, ridge_scale)
+    return rrzf(estimates, None, noise_ratio)
 
 
 def waterfill(gains, total_power: float, noise_var: float = 1.0) -> np.ndarray:
@@ -98,11 +98,14 @@ def _greedy_orthogonal(est: np.ndarray, limit: int, alpha: float | None = None):
     """Greedy Gram-Schmidt selection over the rows of est.
 
     Each step takes the remaining row with the largest component orthogonal
-    to the span of the rows taken so far (the first index on ties). It stops
-    after `limit` rows or when no remaining row has a residual above 1e-12.
-    With `alpha`, each step also drops every remaining row whose normalized
-    projection |est_i^H d| / ||est_i|| onto the newest direction d exceeds
-    alpha (semi-orthogonal user selection). Returns (order, residual norms).
+    to the span of the rows taken so far (the first index on ties). A row
+    whose residual falls to 1e-12 of its own norm or below lies in that span
+    to rounding and is closed for good, so the stop does not depend on the
+    scale of the rows; selection ends after `limit` rows or when no row is
+    left open. With `alpha`, each step also drops every remaining row whose
+    normalized projection |est_i^H d| / ||est_i|| onto the newest direction
+    d exceeds alpha (semi-orthogonal user selection). Returns (order,
+    residual norms).
     """
     k, n = est.shape
     open_rows = np.ones(k, dtype=bool)
@@ -112,10 +115,11 @@ def _greedy_orthogonal(est: np.ndarray, limit: int, alpha: float | None = None):
     norms: list[float] = []
     for step in range(limit):
         res = est - (est @ basis[:step].conj().T) @ basis[:step]
-        res_norms = np.where(open_rows, np.linalg.norm(res, axis=1), -1.0)
-        best = int(np.argmax(res_norms))
-        if res_norms[best] <= 1e-12:
+        res_norms = np.linalg.norm(res, axis=1)
+        open_rows &= res_norms > 1e-12 * row_norms
+        if not open_rows.any():
             break
+        best = int(np.argmax(np.where(open_rows, res_norms, -1.0)))
         order.append(best)
         norms.append(float(res_norms[best]))
         basis[step] = res[best] / res_norms[best]

@@ -79,14 +79,12 @@ def gmi_rate_lb(
     return np.log2(1.0 + desired / (interference + leak + nr))
 
 
-def pf_weights(long_term_rates, smoothing: float = 0.1, floor: float = 1e-3) -> np.ndarray:
+def pf_weights(long_term_rates, floor: float = 1e-3) -> np.ndarray:
     """Proportional-fairness weights: inverse smoothed rates, mean-normalized.
 
-    `smoothing` is only recorded for callers updating the averages as
-    T <- (1 - smoothing) T + smoothing * r; the weights themselves are
+    The smoothed rates T come from `update_pf_averages`; the weights are
     1 / max(T, floor) scaled to mean one.
     """
-    del smoothing
     t = np.maximum(np.asarray(long_term_rates, dtype=float), floor)
     w = 1.0 / t
     return w / w.mean()

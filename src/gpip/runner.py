@@ -326,7 +326,7 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
             if use_pf:
                 pf_w = {
                     alg: np.stack([
-                        evaluation.pf_weights(pf_avg[alg][l], cfg.pf_smoothing)
+                        evaluation.pf_weights(pf_avg[alg][l])
                         for l in range(cfg.n_cells)
                     ])
                     for alg in cfg.algorithms
@@ -392,12 +392,11 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     )
     if any(a == "gpip-coop" for a in cfg.algorithms):
         paths["solver_coop"] = out / "solver_coop.csv"
-        header = ["algorithm", "drop", "block", "seed", "N", "K", "SNR_dB",
-                  "iterations", "objective_log2", "kkt_residual", "active_count"]
-        for l in range(cfg.n_coop):
-            header.append(f"cell{l}_norm")
-            header.extend(f"cell{l}_power_{k}" for k in range(cfg.n_users))
-        _write_csv(paths["solver_coop"], header, coop_rows)
+        _write_csv(
+            paths["solver_coop"],
+            ["algorithm", "drop", "block"] + coop.CoopResult.csv_header(cfg.n_coop, cfg.n_users),
+            coop_rows,
+        )
     return paths
 
 

@@ -13,10 +13,10 @@ Abar(f) f = objective(f) * Bbar(f) f, and the solver finds one by power
 iteration: f <- normalize(Bbar(f)^-1 Abar(f) f). Selection, powers, and beam
 directions are all read off the per-user segments of the converged stack.
 
-The iteration is written once, as a private kernel over the (C, K, N) stack
-of a cluster of C cooperating base stations (see `coop`); the single-cell
-solvers here are the case C = 1. Block structure is exploited throughout:
-within cell j, Abar has one shared diagonal block and every block of Bbar is
+The lifted pair, its validation and the iteration are each written once,
+for a cluster of C cooperating base stations (see `coop`) and its (C, K, N)
+stack; the single-cell builders and solvers here are the case C = 1. Block
+structure is exploited throughout: within cell j, Abar has one shared diagonal block and every block of Bbar is
 another shared matrix minus one rank-one term, so one iteration costs one
 Cholesky factorization of size N per cell plus O(C*K*N^2) for the rank-one
 corrections, never a dense factorization. The covariance-free path, for scalar
@@ -41,83 +41,87 @@ DEFAULT_SELECT_THRESHOLD = 0.01
 
 @dataclass(frozen=True)
 class EffectivePair:
-    """The pair of lifted matrices defining user k's Rayleigh quotient."""
+    """The lifted matrices of the quotient of user `user` of cell `cell`.
 
+    estimates[j] and error_covs[j] are BS j's estimate and error covariance
+    toward this user, over the C cluster BSs (a single cell is C = 1). Every
+    (cell j, user i) block of A is BS j's outer product + error covariance +
+    ridge; B removes the desired rank-one term at block (cell, user).
+    """
+
+    cell: int
     user: int
+    n_cells: int
     n_users: int
-    estimate: np.ndarray  # (N,)
-    error_cov: np.ndarray  # (N, N)
+    estimates: np.ndarray  # (C, N)
+    error_covs: np.ndarray  # (C, N, N)
     noise_ratio: float  # effective noise variance over transmit power
 
-    @property
-    def n_antennas(self) -> int:
-        return self.estimate.shape[0]
-
-    def signal_block(self) -> np.ndarray:
-        """One diagonal block of A: estimate outer product + error cov + ridge."""
-        n = self.n_antennas
-        return (
-            np.outer(self.estimate, self.estimate.conj())
-            + self.error_cov
-            + self.noise_ratio * np.eye(n)
-        )
+    def _blocks(self, with_rank1: bool) -> BlockDiagonal:
+        est = self.estimates
+        ridge = self.noise_ratio * np.eye(est.shape[1])
+        per_cell = np.einsum("jn,jm->jnm", est, est.conj()) + self.error_covs + ridge
+        blocks = np.repeat(per_cell, self.n_users, axis=0)
+        if not with_rank1:
+            own = est[self.cell]
+            blocks[self.cell * self.n_users + self.user] -= np.outer(own, own.conj())
+        return BlockDiagonal(blocks)
 
     @property
     def a(self) -> BlockDiagonal:
-        blk = self.signal_block()
-        return BlockDiagonal(np.broadcast_to(blk, (self.n_users, *blk.shape)).copy())
+        return self._blocks(with_rank1=True)
 
     @property
     def b(self) -> BlockDiagonal:
-        blk = self.signal_block()
-        blocks = np.broadcast_to(blk, (self.n_users, *blk.shape)).copy()
-        blocks[self.user] -= np.outer(self.estimate, self.estimate.conj())
-        return BlockDiagonal(blocks)
+        return self._blocks(with_rank1=False)
+
+
+def _as_cluster_arrays(estimates, error_covs, noise_ratio):
+    """Checked (C, C, K, N) estimates, (C, C, K, N, N) error covariances (zero
+    for None) and (C, K) noise ratios; [j, l, u] is BS j toward user u of cell l."""
+    est = np.asarray(estimates, dtype=np.complex128)
+    if est.ndim != 4 or est.shape[0] != est.shape[1]:
+        raise DimensionMismatch(f"estimates must be (C, C, K, N), got {est.shape}")
+    c, _, k, n = est.shape
+    if error_covs is None:
+        cov = np.zeros((c, c, k, n, n), dtype=np.complex128)
+    else:
+        cov = np.asarray(error_covs, dtype=np.complex128)
+        if cov.shape != (c, c, k, n, n):
+            raise DimensionMismatch(f"error covariances must be (C, C, K, N, N), got {cov.shape}")
+    nr = np.broadcast_to(np.asarray(noise_ratio, dtype=float), (c, k))
+    return est, cov, nr
+
+
+def _as_lifted_cell(estimates, error_covs, noise_ratio):
+    """One cell's (K, N) estimates and (K, N, N) covariances as a cluster of one."""
+    est = np.asarray(estimates, dtype=np.complex128)
+    if est.ndim != 2:
+        raise DimensionMismatch(f"estimates must be (K, N), got {est.shape}")
+    cov = None if error_covs is None else np.asarray(error_covs, dtype=np.complex128)[None, None]
+    return _as_cluster_arrays(est[None, None], cov, noise_ratio)
+
+
+def _lift(est, cov, nr, cell: int, user: int) -> EffectivePair:
+    """The pair of user (cell, user) from checked cluster arrays."""
+    c, _, k, _ = est.shape
+    if not (0 <= cell < c and 0 <= user < k):
+        raise DimensionMismatch(f"(cell, user) index ({cell}, {user}) out of range")
+    return EffectivePair(cell, user, c, k, est[:, cell, user], cov[:, cell, user],
+                         float(nr[cell, user]))
 
 
 def build_effective_pair(
     estimates: np.ndarray, error_covs, user: int, noise_ratio
 ) -> EffectivePair:
     """Lift user `user`'s quotient from the cell's estimates and error covariances."""
-    est, cov, nr = _as_cell_arrays(estimates, error_covs, noise_ratio)
-    if not 0 <= user < est.shape[0]:
-        raise DimensionMismatch(f"user index {user} out of range")
-    return EffectivePair(user, est.shape[0], est[user], cov[user], float(nr[user]))
+    return _lift(*_as_lifted_cell(estimates, error_covs, noise_ratio), 0, user)
 
 
 def build_effective_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[EffectivePair]:
     """One EffectivePair per user of the cell."""
-    est, cov, nr = _as_cell_arrays(estimates, error_covs, noise_ratio)
-    k = est.shape[0]
-    return [EffectivePair(u, k, est[u], cov[u], float(nr[u])) for u in range(k)]
-
-
-def _as_cell_arrays(estimates, error_covs, noise_ratio):
-    est = np.asarray(estimates, dtype=np.complex128)
-    if est.ndim != 2:
-        raise DimensionMismatch(f"estimates must be (K, N), got {est.shape}")
-    k, n = est.shape
-    if error_covs is None:
-        cov = np.zeros((k, n, n), dtype=np.complex128)
-    else:
-        cov = np.asarray(error_covs, dtype=np.complex128)
-        if cov.shape != (k, n, n):
-            raise DimensionMismatch(f"error covariances must be (K, N, N), got {cov.shape}")
-    nr = np.broadcast_to(np.asarray(noise_ratio, dtype=float), (k,))
-    return est, cov, nr
-
-
-def _unpack_pairs(pairs: list[EffectivePair]):
-    k = len(pairs)
-    if k == 0:
-        raise DimensionMismatch("need at least one quotient pair")
-    if sorted(p.user for p in pairs) != list(range(k)) or any(p.n_users != k for p in pairs):
-        raise DimensionMismatch("pairs must cover users 0..K-1 exactly once")
-    ordered = sorted(pairs, key=lambda p: p.user)
-    est = np.array([p.estimate for p in ordered])
-    cov = np.array([p.error_cov for p in ordered])
-    nr = np.array([p.noise_ratio for p in ordered])
-    return est, cov, nr
+    est, cov, nr = _as_lifted_cell(estimates, error_covs, noise_ratio)
+    return [_lift(est, cov, nr, 0, u) for u in range(est.shape[2])]
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -262,14 +266,34 @@ class _CellProblem(_ClusterProblem):
         return qa[0], qb[0]
 
 
-def _cell_problem(pairs: list[EffectivePair]) -> _ClusterProblem:
-    est, cov, nr = _unpack_pairs(pairs)
-    return _ClusterProblem(est[None, None], cov[None, None], nr[None])
+def _problem(pairs: list[EffectivePair], single_cell: bool = False) -> _ClusterProblem:
+    """The kernel's problem, with the pairs stacked in (cell, user) order.
+
+    The pairs must cover every (cell, user) of one C x K cluster exactly
+    once, in any order; `single_cell` also requires C = 1.
+    """
+    if not pairs:
+        raise DimensionMismatch("need at least one quotient pair")
+    c, k = pairs[0].n_cells, pairs[0].n_users
+    if single_cell and c != 1:
+        raise DimensionMismatch(f"single-cell solvers need pairs of one cell, got {c} cells")
+    ordered = sorted(pairs, key=lambda p: (p.cell, p.user))
+    if [(p.cell, p.user, p.n_cells, p.n_users) for p in ordered] != [
+        (l, u, c, k) for l in range(c) for u in range(k)
+    ]:
+        raise DimensionMismatch("pairs must cover every (cell, user) of a cluster exactly once")
+    n = ordered[0].estimates.shape[1]
+    # pair (l, u) holds [:, l, u] of the cluster arrays; copied to C order,
+    # because the kernel's rounding depends on the memory layout
+    est = np.array([p.estimates for p in ordered]).swapaxes(0, 1).copy().reshape(c, c, k, n)
+    cov = np.array([p.error_covs for p in ordered]).swapaxes(0, 1).copy().reshape(c, c, k, n, n)
+    nr = np.array([p.noise_ratio for p in ordered]).reshape(c, k)
+    return _ClusterProblem(est, cov, nr)
 
 
 def objective_log2(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> float:
     """log2 of the Rayleigh-quotient product; equals the weighted rate bound sum."""
-    prob = _cell_problem(pairs)
+    prob = _problem(pairs, single_cell=True)
     w = _as_weights(weights, (prob.k,))
     qa, qb = prob.quad_forms(np.asarray(f_users, dtype=np.complex128)[None])
     return _log2_objective(w, qa, qb)
@@ -288,7 +312,7 @@ def build_weighted_pair(
     Both matrices are defined up to one common positive scale, fixed here by
     the shared-max-exponent normalization of the coefficients.
     """
-    prob = _cell_problem(pairs)
+    prob = _problem(pairs, single_cell=True)
     w = _as_weights(weights, (prob.k,))
     qa, qb = prob.quad_forms(np.asarray(f_users, dtype=np.complex128)[None])
     c, d = prob.coefficients(qa, qb, w)
@@ -299,7 +323,7 @@ def build_weighted_pair(
 
 def kkt_residual(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> float:
     """|| Abar f - objective * Bbar f || / || Abar f ||, zero at stationarity."""
-    prob = _cell_problem(pairs)
+    prob = _problem(pairs, single_cell=True)
     w = _as_weights(weights, (prob.k,))
     return prob.kkt_residual(w, np.asarray(f_users, dtype=np.complex128)[None])
 
@@ -326,6 +350,11 @@ def extract_schedule(
     return active, total_power * norms**2
 
 
+# leading columns of every solver CSV row, single-cell and cooperative
+_CSV_BASE = ("seed", "N", "K", "SNR_dB", "iterations", "objective_log2",
+                   "kkt_residual", "active_count")
+
+
 @dataclass
 class GpipResult:
     """Converged (or best-found) solution of the fixed-point iteration."""
@@ -339,10 +368,6 @@ class GpipResult:
     per_user_power: np.ndarray
     trajectory: list[float] = field(default_factory=list)  # objective_log2 per iterate
 
-    @property
-    def stacked(self) -> np.ndarray:
-        return self.precoder.reshape(-1)
-
     def csv_row(self, seed, snr_db) -> list:
         k, n = self.precoder.shape
         row = [seed, n, k, snr_db, self.iterations, repr(self.objective_log2),
@@ -352,9 +377,7 @@ class GpipResult:
 
     @staticmethod
     def csv_header(n_users: int) -> list[str]:
-        base = ["seed", "N", "K", "SNR_dB", "iterations", "objective_log2",
-                "kkt_residual", "active_count"]
-        return base + [f"power_{k}" for k in range(n_users)]
+        return [*_CSV_BASE, *(f"power_{k}" for k in range(n_users))]
 
 
 def _initial_stack(prob: _ClusterProblem, init, shape: tuple) -> np.ndarray:
@@ -454,7 +477,7 @@ def gpip_iterate(
     objective seen (including the start) is returned, so the result never
     falls below its initialization.
     """
-    prob = _cell_problem(pairs)
+    prob = _problem(pairs, single_cell=True)
     w = _as_weights(weights, (prob.k,))
     solve_blocks = partial(prob.cholesky_blocks, solve=solve_hermitian)
     out = _power_iteration(prob, w, init, (prob.k, prob.n), tol, max_iter, solve_blocks)
@@ -513,7 +536,7 @@ def gpip_covfree(
     k, n = est.shape
     alphas = np.broadcast_to(np.asarray(error_scales, dtype=float), (k,))
     pairs = build_effective_pairs(est, alphas[:, None, None] * np.eye(n), noise_ratio)
-    prob = _cell_problem(pairs)
+    prob = _problem(pairs, single_cell=True)
     w = _as_weights(weights, (k,))
 
     def solve_blocks(d, rhs):

@@ -354,6 +354,20 @@ class TestGreedyOrthogonal:
             order, _ = baselines._greedy_orthogonal(est, est.shape[1], alpha)
             assert order == greedy_loop_reference(est, est.shape[1], alpha)[0]
 
+    def test_dependent_rows_stop_at_rank_at_any_scale(self):
+        # rows e0, e1 and e0 + 2j e1 in a random orthonormal frame have rank
+        # 2; at scale 1e6 the third row's rounding residual lies far above an
+        # absolute 1e-12 stop but far below 1e-12 of its own norm
+        rows = np.zeros((3, 4), dtype=complex)
+        rows[0, 0] = rows[1, 1] = rows[2, 0] = 1.0
+        rows[2, 1] = 2j
+        for seed in range(50):
+            q, _ = np.linalg.qr(random_channels(np.random.default_rng(seed), 4, 4))
+            est = 1e6 * rows @ q
+            order, _ = baselines._greedy_orthogonal(est, 3)
+            assert len(order) == 2
+            assert len(baselines.zf_dpc_waterfilling(est, 0.1)[0]) == 2
+
 
 def waterfill_exact(gains, total, noise_var):
     """Water-filling in exact rational arithmetic over the float floors

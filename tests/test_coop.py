@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -241,3 +242,59 @@ class TestGpipCoop:
             times[c] = (time.perf_counter() - start) / (reps * 10)
         ratio = times[4] / times[1]
         assert 4.0 / 2.0 <= ratio <= 2.0 * 16.0
+
+
+class TestPairLists:
+    def test_cooperative_pair_is_the_single_pair_type(self):
+        assert coop.CoopEffectivePair is solver.EffectivePair
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_shuffled_pairs_give_identical_results(self, c):
+        rng = np.random.default_rng(40 + c)
+        est, cov = random_cluster(rng, c, 3, 2, cov_scale=0.1)
+        pairs = coop.build_coop_pairs(est, cov, 0.2)
+        ref = coop.gpip_coop(pairs, tol=1e-6, max_iter=200)
+        for _ in range(3):
+            perm = rng.permutation(len(pairs))
+            res = coop.gpip_coop([pairs[i] for i in perm], tol=1e-6, max_iter=200)
+            np.testing.assert_array_equal(res.precoder, ref.precoder)
+            assert res.iterations == ref.iterations
+            assert res.trajectory == ref.trajectory
+
+    def test_duplicate_missing_or_out_of_range_pairs_are_rejected(self):
+        rng = np.random.default_rng(43)
+        est, cov = random_cluster(rng, 2, 2, 3)
+        pairs = coop.build_coop_pairs(est, cov, 0.2)
+        f = random_coop_stack(rng, 2, 2, 3)
+        for bad in (
+            [],
+            pairs[:-1] + [pairs[0]],
+            pairs[:-1],
+            pairs[:-1] + [dataclasses.replace(pairs[-1], cell=2)],
+            pairs[:-1] + [dataclasses.replace(pairs[-1], user=2)],
+        ):
+            with pytest.raises(DimensionMismatch):
+                coop.gpip_coop(bad)
+            with pytest.raises(DimensionMismatch):
+                coop.lambda_coop_log2(bad, None, f)
+            with pytest.raises(DimensionMismatch):
+                coop.coop_kkt_residual(bad, None, f)
+        with pytest.raises(DimensionMismatch):
+            coop.build_coop_pair(est, cov, 2, 0, 0.2)
+
+    def test_cluster_pairs_are_rejected_by_single_cell_solvers(self):
+        est, cov = random_cluster(np.random.default_rng(44), 2, 3, 2)
+        with pytest.raises(DimensionMismatch, match="one cell"):
+            solver.gpip_iterate(coop.build_coop_pairs(est, cov, 0.2))
+
+    def test_csv_header_matches_row(self):
+        rng = np.random.default_rng(45)
+        est, cov = random_cluster(rng, 2, 3, 2)
+        res = coop.gpip_coop(coop.build_coop_pairs(est, cov, 0.2), tol=1e-3)
+        header = coop.CoopResult.csv_header(2, 3)
+        assert header == [
+            "seed", "N", "K", "SNR_dB", "iterations", "objective_log2", "kkt_residual",
+            "active_count", "cell0_norm", "cell0_power_0", "cell0_power_1", "cell0_power_2",
+            "cell1_norm", "cell1_power_0", "cell1_power_1", "cell1_power_2",
+        ]
+        assert len(res.csv_row(seed=7, snr_db=10.0)) == len(header)

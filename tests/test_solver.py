@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import warnings
 
@@ -462,3 +463,36 @@ class TestResultSerialization:
         assert len(header) == len(row)
         assert header[:4] == ["seed", "N", "K", "SNR_dB"]
         assert row[:4] == [7, 2, 3, 10.0]
+
+
+class TestPairLists:
+    def test_shuffled_pairs_give_identical_results(self):
+        rng = np.random.default_rng(31)
+        est, cov, nr = random_instance(rng, 5, 3, cov_scale=0.2)
+        pairs = solver.build_effective_pairs(est, cov, nr)
+        ref = solver.gpip_iterate(pairs, tol=1e-6, max_iter=200)
+        for _ in range(3):
+            perm = rng.permutation(len(pairs))
+            res = solver.gpip_iterate([pairs[i] for i in perm], tol=1e-6, max_iter=200)
+            np.testing.assert_array_equal(res.precoder, ref.precoder)
+            assert res.iterations == ref.iterations
+            assert res.trajectory == ref.trajectory
+
+    def test_duplicate_missing_or_out_of_range_pairs_are_rejected(self):
+        pairs = solver.build_effective_pairs(EX_CHANNELS, None, 0.1)
+        f = EX_CHANNELS / np.linalg.norm(EX_CHANNELS)
+        for bad in (
+            [],
+            pairs[:-1] + [pairs[0]],
+            pairs[:-1],
+            pairs[:-1] + [dataclasses.replace(pairs[-1], user=3)],
+            pairs[:-1] + [dataclasses.replace(pairs[-1], cell=1)],
+        ):
+            with pytest.raises(DimensionMismatch):
+                solver.gpip_iterate(bad)
+            with pytest.raises(DimensionMismatch):
+                solver.objective_log2(bad, None, f)
+            with pytest.raises(DimensionMismatch):
+                solver.kkt_residual(bad, None, f)
+        with pytest.raises(DimensionMismatch):
+            solver.build_effective_pair(EX_CHANNELS, None, 3, 0.1)
