@@ -281,12 +281,18 @@ def drop_users(
 ) -> Topology:
     """Uniform user positions inside each cell's hexagon, seeded.
 
-    Users are rejected until they are at least min_distance from every BS.
+    Users are rejected until they are at least min_distance from every BS,
+    so min_distance must lie below the hexagon's circumradius.
     """
     rng = as_rng(rng)
+    circum = inter_site / np.sqrt(3.0)
+    if min_distance >= circum:
+        raise ValueError(
+            f"min_distance {min_distance} must be below the circumradius {circum} "
+            "of a hexagon with the given inter-site distance"
+        )
     centers = hex_cell_centers(n_cells, inter_site)
     half_width = inter_site / 2.0
-    circum = inter_site / np.sqrt(3.0)
     users = np.empty((n_cells, n_users, 2))
     for l in range(n_cells):
         placed = 0

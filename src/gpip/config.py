@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .channel import MIN_DISTANCE_KM
 from .errors import ConfigInvalid
 
 KNOWN_ALGORITHMS = (
@@ -110,6 +111,21 @@ class ExperimentConfig:
                     "csit_model: the system scenario trains over the uplink; use "
                     "'tdd' or 'perfect'"
                 )
+            if self.min_distance_m / 1000.0 < MIN_DISTANCE_KM:
+                raise ConfigInvalid(
+                    f"min_distance_m: must be >= {MIN_DISTANCE_KM * 1000.0:g} m, "
+                    "the path-loss model's range"
+                )
+            if self.min_distance_m >= self.inter_site_m / math.sqrt(3.0):
+                raise ConfigInvalid(
+                    "min_distance_m: must be below the hexagon circumradius "
+                    f"inter_site_m / sqrt(3) = {self.inter_site_m / math.sqrt(3.0):g} m"
+                )
+        if "zf" in self.algorithms and self.n_users > self.n_antennas:
+            raise ConfigInvalid(
+                "algorithms: 'zf' serves every user and needs n_users <= n_antennas, "
+                f"got {self.n_users} users and {self.n_antennas} antennas"
+            )
         if self.csit_model not in CSIT_MODELS:
             raise ConfigInvalid(f"csit_model: must be one of {CSIT_MODELS}")
         if self.cov_knowledge not in COV_KNOWLEDGE:

@@ -19,17 +19,14 @@ from .errors import ConfigInvalid, DimensionMismatch
 
 @dataclass
 class RateReport:
-    """Per-user SINRs (linear) and rates (bits/s/Hz) plus their aggregates."""
+    """Per-user SINRs (linear) and rates (bits/s/Hz) plus their sum."""
 
     sinr: np.ndarray  # (L, K)
     rate: np.ndarray  # (L, K)
     sum_rate: float
-    weighted_sum_rate: float
 
 
-def true_sinr(
-    true_h: np.ndarray, precoders: np.ndarray, noise_ratio: float, weights=None
-) -> RateReport:
+def true_sinr(true_h: np.ndarray, precoders: np.ndarray, noise_ratio: float) -> RateReport:
     """Ground-truth SINRs of every user under all cells' actual precoders.
 
     true_h has shape (L, L, K, N) indexed [bs, user_cell, user]; precoders
@@ -51,8 +48,7 @@ def true_sinr(
     desired = np.diagonal(power[c, c], axis1=1, axis2=2)  # (L, K)
     sinr = desired / (power.sum(axis=(0, 3)) - desired + noise_ratio)
     rate = np.log2(1.0 + sinr)
-    w = np.ones_like(rate) if weights is None else np.asarray(weights, dtype=float)
-    return RateReport(sinr, rate, float(rate.sum()), float((w * rate).sum()))
+    return RateReport(sinr, rate, float(rate.sum()))
 
 
 def gmi_rate_lb(
@@ -83,11 +79,12 @@ def pf_weights(long_term_rates, floor: float = 1e-3) -> np.ndarray:
     """Proportional-fairness weights: inverse smoothed rates, mean-normalized.
 
     The smoothed rates T come from `update_pf_averages`; the weights are
-    1 / max(T, floor) scaled to mean one.
+    1 / max(T, floor) scaled to mean one over the last axis, so an (L, K)
+    array gives every cell's weights at once.
     """
     t = np.maximum(np.asarray(long_term_rates, dtype=float), floor)
     w = 1.0 / t
-    return w / w.mean()
+    return w / w.mean(axis=-1, keepdims=True)
 
 
 def update_pf_averages(averages, served_rates, smoothing: float = 0.1) -> np.ndarray:
@@ -225,7 +222,7 @@ def design_precoders(
 
 
 def link_trial(
-    config, snr_db: float, algorithms, rng, corr=None, weights=None, metric: str = "true"
+    config, snr_db: float, algorithms, rng, corr=None, metric: str = "true"
 ) -> dict:
     """One fading block: draw channels once, run every algorithm on them.
 
@@ -246,7 +243,7 @@ def link_trial(
             _, _, rate = baselines.zf_dpc_waterfilling(est, noise_ratio)
             out[alg] = (np.array([rate]), None)
             continue
-        f, extras = design_precoders(alg, est, known_cov, noise_ratio, config, alphas, weights)
+        f, extras = design_precoders(alg, est, known_cov, noise_ratio, config, alphas)
         if metric == "estimated":
             rates = gmi_rate_lb(est, known_cov, f, noise_ratio)
         else:
@@ -274,7 +271,7 @@ def ergodic_sum_se(
     corr = _link_correlations(config)
     sums = np.empty(trials)
     for t in range(trials):
-        rng = trial_rng(master, 0, t)
+        rng = trial_rng(master, DOMAIN_LINK_TRIAL, t)
         rates, _ = link_trial(config, snr, [algorithm], rng, corr, metric=metric)[algorithm]
         sums[t] = rates.sum()
     return monte_carlo_mean(sums)
@@ -287,6 +284,12 @@ def monte_carlo_mean(samples: np.ndarray) -> tuple[float, float]:
         return float(s.mean()), float("inf") if s.size else float("nan")
     half = 1.96 * s.std(ddof=1) / np.sqrt(s.size)
     return float(s.mean()), float(half)
+
+
+# spawn-key domains, so different purposes never share a substream
+DOMAIN_LINK_TRIAL = 0
+DOMAIN_SYSTEM_DROP = 1
+DOMAIN_SYSTEM_BLOCK = 2
 
 
 def trial_rng(master_seed: int, domain: int, index: int) -> np.random.Generator:

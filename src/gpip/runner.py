@@ -21,12 +21,14 @@ import numpy as np
 from . import baselines, channel, coop, evaluation, solver
 from .config import ExperimentConfig, write_manifest
 from .errors import ConfigInvalid
-from .evaluation import link_trial, monte_carlo_mean, trial_rng
-
-# spawn-key domains, so different purposes never share a substream
-DOMAIN_LINK_TRIAL = 0
-DOMAIN_SYSTEM_DROP = 1
-DOMAIN_SYSTEM_BLOCK = 2
+from .evaluation import (
+    DOMAIN_LINK_TRIAL,
+    DOMAIN_SYSTEM_BLOCK,
+    DOMAIN_SYSTEM_DROP,
+    link_trial,
+    monte_carlo_mean,
+    trial_rng,
+)
 
 
 def _write_csv(path, header, rows):
@@ -40,85 +42,85 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def run_link_level(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """Single-cell ergodic campaign; returns {artifact_name: path}."""
+def _campaign_dir(cfg: ExperimentConfig, scenario: str, out_dir) -> Path:
+    """Validate `cfg` for `scenario`, then create and return its output directory."""
     cfg.validate()
-    if cfg.scenario != "link":
-        raise ConfigInvalid("scenario: run_link_level needs scenario='link'")
+    if cfg.scenario != scenario:
+        raise ConfigInvalid(f"scenario: run_{scenario}_level needs scenario='{scenario}'")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _cdf_samples(cfg: ExperimentConfig) -> dict:
+    """Empty per-user rate samples for every precoding algorithm.
+
+    zf-dpc is a per-cell sum-rate bound, not a precoder: it has no per-user
+    rates and no solver diagnostics, so it gets no CDF, no per-user rows and
+    no solver rows.
+    """
+    return {alg: [] for alg in cfg.algorithms if alg != "zf-dpc"}
+
+
+def _write_artifacts(out: Path, cfg: ExperimentConfig, tables, cdf_samples) -> dict:
+    """Write the manifest, one CSV per (name, header, rows) table and one rate
+    CDF per precoding algorithm; returns {artifact_name: path}."""
+    paths = {"manifest": out / "manifest.json"}
+    write_manifest(cfg, paths["manifest"])
+    for name, header, rows in tables:
+        paths[name] = out / f"{name}.csv"
+        _write_csv(paths[name], header, rows)
+    for alg, samples in cdf_samples.items():
+        rows = []
+        if samples:
+            curve = evaluation.rate_cdf(samples)
+            rows = [[_fmt(v), _fmt(q)] for v, q in zip(curve.values, curve.quantiles)]
+        paths[f"cdf_{alg}"] = out / f"cdf_{alg}.csv"
+        _write_csv(paths[f"cdf_{alg}"], ["rate", "quantile"], rows)
+    return paths
+
+
+def run_link_level(cfg: ExperimentConfig, out_dir=None) -> dict:
+    """Single-cell ergodic campaign; returns {artifact_name: path}."""
+    out = _campaign_dir(cfg, "link", out_dir)
     corr = evaluation._link_correlations(cfg)
 
     summary_rows = []
     per_trial_rows = []
     per_user_rows = []
     solver_rows = []
-    cdf_samples = {alg: [] for alg in cfg.algorithms}
+    cdf_samples = _cdf_samples(cfg)
     for snr_idx, snr in enumerate(cfg.snr_db):
         sums = {alg: np.empty(cfg.n_trials) for alg in cfg.algorithms}
-        iters = {alg: [] for alg in cfg.algorithms}
-        resid = {alg: [] for alg in cfg.algorithms}
-        active = {alg: [] for alg in cfg.algorithms}
+        extras = {alg: [] for alg in cfg.algorithms}
         for t in range(cfg.n_trials):
             rng = trial_rng(cfg.seed, DOMAIN_LINK_TRIAL, snr_idx * cfg.n_trials + t)
             results = link_trial(cfg, snr, cfg.algorithms, rng, corr)
             for alg in cfg.algorithms:
-                rates, extras = results[alg]
-                sums[alg][t] = rates.sum()
-                per_trial_rows.append([alg, _fmt(snr), t, _fmt(rates.sum())])
-                if alg == "zf-dpc":
-                    continue
-                for k in range(cfg.n_users):
-                    per_user_rows.append(
-                        [alg, _fmt(snr), t, k, _fmt(rates[k])]
-                    )
-                    cdf_samples[alg].append(float(rates[k]))
-                if extras is not None:
-                    iters[alg].append(extras.iterations)
-                    resid[alg].append(extras.kkt_residual)
-                    active[alg].append(len(extras.schedule))
-                    solver_rows.append([alg] + extras.csv_row(cfg.seed, snr))
+                sums[alg][t] = results[alg][0].sum()
+                per_trial_rows.append([alg, _fmt(snr), t, _fmt(sums[alg][t])])
+            for alg, samples in cdf_samples.items():
+                rates, extra = results[alg]
+                for k, rate in enumerate(rates):
+                    per_user_rows.append([alg, _fmt(snr), t, k, _fmt(rate)])
+                    samples.append(float(rate))
+                if extra is not None:
+                    extras[alg].append(extra)
+                    solver_rows.append([alg] + extra.csv_row(cfg.seed, snr))
         for alg in cfg.algorithms:
             mean, half = monte_carlo_mean(sums[alg])
             row = [alg, _fmt(snr), cfg.n_trials, _fmt(mean), _fmt(half)]
-            if iters[alg]:
-                row += [_fmt(np.mean(iters[alg])), _fmt(np.mean(resid[alg])),
-                        _fmt(np.mean(active[alg]))]
-            else:
-                row += ["", "", ""]
+            stats = [(e.iterations, e.kkt_residual, len(e.schedule)) for e in extras[alg]]
+            row += [_fmt(np.mean(col)) for col in zip(*stats)] if stats else ["", "", ""]
             summary_rows.append(row)
 
-    paths = {}
-    paths["manifest"] = out / "manifest.json"
-    write_manifest(cfg, paths["manifest"])
-    paths["summary"] = out / "summary.csv"
-    _write_csv(
-        paths["summary"],
-        ["algorithm", "snr_db", "n_trials", "mean_sum_se", "ci_half_width",
-         "mean_iterations", "mean_kkt_residual", "mean_active_count"],
-        summary_rows,
-    )
-    paths["per_trial"] = out / "per_trial.csv"
-    _write_csv(paths["per_trial"], ["algorithm", "snr_db", "trial", "sum_rate"], per_trial_rows)
-    paths["per_user"] = out / "per_user.csv"
-    _write_csv(paths["per_user"], ["algorithm", "snr_db", "trial", "user", "rate"], per_user_rows)
-    for alg in cfg.algorithms:
-        if alg == "zf-dpc":
-            continue
-        curve = evaluation.rate_cdf(cdf_samples[alg]) if cdf_samples[alg] else None
-        p = out / f"cdf_{alg}.csv"
-        rows = []
-        if curve is not None:
-            rows = [[_fmt(v), _fmt(q)] for v, q in zip(curve.values, curve.quantiles)]
-        _write_csv(p, ["rate", "quantile"], rows)
-        paths[f"cdf_{alg}"] = p
-    paths["solver"] = out / "solver.csv"
-    _write_csv(
-        paths["solver"],
-        ["algorithm"] + solver.GpipResult.csv_header(cfg.n_users),
-        solver_rows,
-    )
-    return paths
+    return _write_artifacts(out, cfg, [
+        ("summary", ["algorithm", "snr_db", "n_trials", "mean_sum_se", "ci_half_width",
+                     "mean_iterations", "mean_kkt_residual", "mean_active_count"], summary_rows),
+        ("per_trial", ["algorithm", "snr_db", "trial", "sum_rate"], per_trial_rows),
+        ("per_user", ["algorithm", "snr_db", "trial", "user", "rate"], per_user_rows),
+        ("solver", ["algorithm"] + solver.GpipResult.csv_header(cfg.n_users), solver_rows),
+    ], cdf_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,11 @@ def effective_noise_ratios(corr: np.ndarray, noise_ratio_dl: float,
     return noise_ratio_dl + np.einsum("jl,jlk->lk", outside, traces) / n
 
 
+def _slice(a, idx):
+    """a[idx], passing None through."""
+    return None if a is None else a[idx]
+
+
 def multicell_block(
     cfg: ExperimentConfig,
     corr: np.ndarray,
@@ -245,30 +252,12 @@ def multicell_block(
         # uplink trained at physical powers; convert to the normalized units
         noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
     csit = multicell_csit(corr, clusters, noise_over_pilot, rng, perfect)
+    # one pass over every link's knowledge; each design below takes its slice
+    known_cov, alphas = evaluation._known_cov(cfg, None if perfect else csit.err_cov, n)
     nr_noncoop = effective_noise_ratios(corr, noise_ratio_dl)
     nr_coop = effective_noise_ratios(corr, noise_ratio_dl, clusters)
     out = {}
     for alg in algorithms:
-        extras = []
-        w_alg = pf_weights.get(alg) if pf_weights else None
-        if alg == "gpip-coop":
-            precoders = np.zeros((n_cells, n_users, n), dtype=np.complex128)
-            for cl in clusters:
-                idx = np.ix_(cl, cl)
-                known, _ = evaluation._known_cov(cfg, None if perfect else csit.err_cov[idx], n)
-                pairs = coop.build_coop_pairs(
-                    csit.est_h[idx], known, nr_coop[cl],
-                )
-                w = np.asarray([w_alg[l] for l in cl]) if w_alg is not None else None
-                res = coop.gpip_coop(pairs, weights=w, tol=cfg.tol,
-                                     max_iter=cfg.max_iter,
-                                     select_threshold=cfg.sel_threshold)
-                for pos, l in enumerate(cl):
-                    precoders[l] = res.precoder[pos]
-                extras.append(res)
-            report = evaluation.true_sinr(csit.true_h, precoders, noise_ratio_dl)
-            out[alg] = (report.rate, extras)
-            continue
         if alg == "zf-dpc":
             rates = np.zeros((n_cells, n_users))
             for l in range(n_cells):
@@ -277,18 +266,27 @@ def multicell_block(
                 rates[l, 0] = rate  # per-cell sum bound, stored on slot 0
             out[alg] = (rates, None)
             continue
+        w_alg = pf_weights.get(alg) if pf_weights else None
         precoders = np.zeros((n_cells, n_users, n), dtype=np.complex128)
-        for l in range(n_cells):
-            est = csit.serving_estimates(l)
-            cov = None if perfect else csit.serving_err_cov(l)
-            known_cov, alphas = evaluation._known_cov(cfg, cov, n)
-            f, extra = evaluation.design_precoders(
-                alg, est, known_cov, nr_noncoop[l], cfg, alphas,
-                w_alg[l] if (w_alg is not None and alg.startswith("gpip")) else None,
-            )
-            precoders[l] = f
-            if extra is not None:
-                extras.append(extra)
+        extras = []
+        if alg == "gpip-coop":
+            for cl in clusters:
+                idx = np.ix_(cl, cl)
+                pairs = coop.build_coop_pairs(csit.est_h[idx], _slice(known_cov, idx), nr_coop[cl])
+                res = coop.gpip_coop(pairs, weights=_slice(w_alg, cl), tol=cfg.tol,
+                                     max_iter=cfg.max_iter,
+                                     select_threshold=cfg.sel_threshold)
+                precoders[cl] = res.precoder
+                extras.append(res)
+        else:
+            w_cells = w_alg if alg.startswith("gpip") else None
+            for l in range(n_cells):
+                precoders[l], extra = evaluation.design_precoders(
+                    alg, csit.serving_estimates(l), _slice(known_cov, (l, l)),
+                    nr_noncoop[l], cfg, _slice(alphas, (l, l)), _slice(w_cells, l),
+                )
+                if extra is not None:
+                    extras.append(extra)
         report = evaluation.true_sinr(csit.true_h, precoders, noise_ratio_dl)
         out[alg] = (report.rate, extras or None)
     return out
@@ -296,11 +294,7 @@ def multicell_block(
 
 def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Hexagonal-layout campaign; returns {artifact_name: path}."""
-    cfg.validate()
-    if cfg.scenario != "system":
-        raise ConfigInvalid("scenario: run_system_level needs scenario='system'")
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _campaign_dir(cfg, "system", out_dir)
     clusters = consecutive_clusters(cfg.n_cells, cfg.n_coop)
     snr_db = cfg.bs_power_dbm - cfg.noise_power_dbm()
 
@@ -308,7 +302,7 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     per_drop_rows = []
     solver_rows = []
     coop_rows = []
-    cdf_samples = {alg: [] for alg in cfg.algorithms}
+    cdf_samples = _cdf_samples(cfg)
     drop_means = {alg: [] for alg in cfg.algorithms}
     use_pf = cfg.weights == "pf"
     for d in range(cfg.n_drops):
@@ -316,21 +310,10 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
             cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d)
         )
         acc = {alg: np.zeros((cfg.n_cells, cfg.n_users)) for alg in cfg.algorithms}
-        pf_avg = (
-            {alg: np.full((cfg.n_cells, cfg.n_users), 1e-3) for alg in cfg.algorithms}
-            if use_pf else None
-        )
+        pf_avg = {alg: np.full((cfg.n_cells, cfg.n_users), 1e-3) for alg in cfg.algorithms}
         for b in range(cfg.n_blocks):
             rng = trial_rng(cfg.seed, DOMAIN_SYSTEM_BLOCK, d * cfg.n_blocks + b)
-            pf_w = None
-            if use_pf:
-                pf_w = {
-                    alg: np.stack([
-                        evaluation.pf_weights(pf_avg[alg][l])
-                        for l in range(cfg.n_cells)
-                    ])
-                    for alg in cfg.algorithms
-                }
+            pf_w = {alg: evaluation.pf_weights(t) for alg, t in pf_avg.items()} if use_pf else None
             results = multicell_block(cfg, corr, clusters, cfg.algorithms, rng, pf_w)
             for alg in cfg.algorithms:
                 rates, extras = results[alg]
@@ -339,65 +322,34 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
                     pf_avg[alg] = evaluation.update_pf_averages(
                         pf_avg[alg], rates, cfg.pf_smoothing
                     )
-                if extras:
-                    for extra in extras:
-                        row = [alg, d, b] + extra.csv_row(cfg.seed, snr_db)
-                        if isinstance(extra, coop.CoopResult):
-                            coop_rows.append(row)
-                        else:
-                            solver_rows.append(row)
+                for extra in extras or []:
+                    row = [alg, d, b] + extra.csv_row(cfg.seed, snr_db)
+                    (coop_rows if isinstance(extra, coop.CoopResult) else solver_rows).append(row)
+        block_avg = {alg: a / cfg.n_blocks for alg, a in acc.items()}
         for alg in cfg.algorithms:
-            block_avg = acc[alg] / cfg.n_blocks
-            drop_means[alg].append(float(block_avg.sum(axis=1).mean()))
+            drop_means[alg].append(float(block_avg[alg].sum(axis=1).mean()))
             per_drop_rows.append([alg, d, _fmt(drop_means[alg][-1])])
-            if alg == "zf-dpc":
-                continue
-            for l in range(cfg.n_cells):
-                for k in range(cfg.n_users):
-                    per_user_rows.append([alg, d, l, k, _fmt(block_avg[l, k])])
-                    cdf_samples[alg].append(float(block_avg[l, k]))
+        for alg, samples in cdf_samples.items():
+            for (l, k), rate in np.ndenumerate(block_avg[alg]):
+                per_user_rows.append([alg, d, l, k, _fmt(rate)])
+                samples.append(float(rate))
 
-    paths = {}
-    paths["manifest"] = out / "manifest.json"
-    write_manifest(cfg, paths["manifest"])
     summary_rows = []
     for alg in cfg.algorithms:
         mean, half = monte_carlo_mean(np.asarray(drop_means[alg]))
         summary_rows.append([alg, _fmt(snr_db), cfg.n_drops, _fmt(mean), _fmt(half)])
-    paths["summary"] = out / "summary.csv"
-    _write_csv(
-        paths["summary"],
-        ["algorithm", "tx_snr_db", "n_drops", "mean_cell_sum_se", "ci_half_width"],
-        summary_rows,
-    )
-    paths["per_drop"] = out / "per_drop.csv"
-    _write_csv(paths["per_drop"], ["algorithm", "drop", "mean_cell_sum_se"], per_drop_rows)
-    paths["per_user"] = out / "per_user.csv"
-    _write_csv(paths["per_user"], ["algorithm", "drop", "cell", "user", "rate"], per_user_rows)
-    for alg in cfg.algorithms:
-        if alg == "zf-dpc":
-            continue
-        p = out / f"cdf_{alg}.csv"
-        rows = []
-        if cdf_samples[alg]:
-            curve = evaluation.rate_cdf(cdf_samples[alg])
-            rows = [[_fmt(v), _fmt(q)] for v, q in zip(curve.values, curve.quantiles)]
-        _write_csv(p, ["rate", "quantile"], rows)
-        paths[f"cdf_{alg}"] = p
-    paths["solver"] = out / "solver.csv"
-    _write_csv(
-        paths["solver"],
-        ["algorithm", "drop", "block"] + solver.GpipResult.csv_header(cfg.n_users),
-        solver_rows,
-    )
-    if any(a == "gpip-coop" for a in cfg.algorithms):
-        paths["solver_coop"] = out / "solver_coop.csv"
-        _write_csv(
-            paths["solver_coop"],
-            ["algorithm", "drop", "block"] + coop.CoopResult.csv_header(cfg.n_coop, cfg.n_users),
-            coop_rows,
-        )
-    return paths
+    tables = [
+        ("summary", ["algorithm", "tx_snr_db", "n_drops", "mean_cell_sum_se", "ci_half_width"],
+         summary_rows),
+        ("per_drop", ["algorithm", "drop", "mean_cell_sum_se"], per_drop_rows),
+        ("per_user", ["algorithm", "drop", "cell", "user", "rate"], per_user_rows),
+        ("solver", ["algorithm", "drop", "block"] + solver.GpipResult.csv_header(cfg.n_users),
+         solver_rows),
+    ]
+    if "gpip-coop" in cfg.algorithms:
+        tables.append(("solver_coop", ["algorithm", "drop", "block"]
+                       + coop.CoopResult.csv_header(cfg.n_coop, cfg.n_users), coop_rows))
+    return _write_artifacts(out, cfg, tables, cdf_samples)
 
 
 def run(cfg: ExperimentConfig, out_dir=None) -> dict:

@@ -288,6 +288,11 @@ class TestTopology:
             rel = topo.user_xy[l] - topo.cell_xy[l]
             assert channel._in_hexagon(rel, 500.0).all()
 
+    def test_minimum_distance_beyond_the_hexagon_rejected(self):
+        # no point of a 60 m hexagon lies 40 m from its center
+        with pytest.raises(ValueError, match="circumradius"):
+            channel.drop_users(1, 1, 60.0, 40.0, 0)
+
     def test_deterministic_per_seed(self):
         a = channel.drop_users(4, 6, 1000.0, 40.0, 11)
         b = channel.drop_users(4, 6, 1000.0, 40.0, 11)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gpip import cli, evaluation, runner
-from gpip.config import config_from_dict, load_config
+from gpip.config import ExperimentConfig, config_from_dict, load_config
 from gpip.errors import ConfigInvalid
 
 
@@ -85,6 +85,45 @@ class TestConfigValidation:
             config_from_dict(data)
         assert "csit_model" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            # zero forcing serves every user: K > N leaves no null space
+            (dict(n_antennas=4, n_users=8, algorithms=["gpip", "zf"]), "algorithms"),
+            (dict(scenario="system", n_cells=2, n_antennas=4, n_users=8,
+                  algorithms=["zf"]), "algorithms"),
+            # below the path-loss model's range
+            (dict(scenario="system", n_cells=7, n_users=30, inter_site_m=200.0,
+                  min_distance_m=1.0, seed=0), "min_distance_m"),
+            # no point of the hexagon is that far from its center
+            (dict(scenario="system", n_cells=7, inter_site_m=60.0,
+                  min_distance_m=40.0), "min_distance_m"),
+        ],
+    )
+    def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):
+        data = minimal_link(**patch)
+        with pytest.raises(ConfigInvalid) as err:
+            config_from_dict(data)
+        assert str(err.value).startswith(f"{field}:")
+        out = tmp_path / "out"
+        with pytest.raises(ConfigInvalid):
+            runner.run(ExperimentConfig(**data), out)
+        assert not out.exists()
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_runners_reject_the_other_scenario(self, tmp_path):
+        link = config_from_dict(minimal_link())
+        system = config_from_dict(minimal_link(scenario="system", n_cells=1))
+        with pytest.raises(ConfigInvalid, match=r"^scenario: run_link_level needs scenario='link'$"):
+            runner.run_link_level(system, tmp_path / "a")
+        with pytest.raises(ConfigInvalid,
+                           match=r"^scenario: run_system_level needs scenario='system'$"):
+            runner.run_system_level(link, tmp_path / "b")
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     def test_snr_conversion(self):
         cfg = config_from_dict(minimal_link(scenario="system", n_cells=1))
         # -174 dBm/Hz + 10log10(20 MHz) + 9 dB noise figure
@@ -140,6 +179,19 @@ class TestLinkRunner:
         assert cdf[0] == "rate,quantile"
         vals = np.array([list(map(float, r.split(","))) for r in cdf[1:]])
         assert np.all(np.diff(vals[:, 0]) >= 0)
+
+    def test_zf_dpc_is_a_bound_without_per_user_artifacts(self, tmp_path):
+        cfg = config_from_dict(minimal_link(algorithms=["gpip", "zf-dpc"], n_trials=3))
+        paths = runner.run_link_level(cfg, tmp_path)
+        assert "cdf_zf-dpc" not in paths
+        assert not (tmp_path / "cdf_zf-dpc.csv").exists()
+        summary = Path(paths["summary"]).read_text().strip().split("\n")
+        assert [r.split(",")[0] for r in summary[1:]] == ["gpip", "zf-dpc"]
+        per_trial = Path(paths["per_trial"]).read_text().strip().split("\n")
+        assert sum(r.startswith("zf-dpc,") for r in per_trial) == 3
+        for name in ("per_user", "solver"):
+            rows = Path(paths[name]).read_text().strip().split("\n")[1:]
+            assert rows and all(r.startswith("gpip,") for r in rows), name
 
 
 class TestSystemRunner:
@@ -206,6 +258,23 @@ class TestSystemRunner:
         assert "summary.csv" in names and "solver_coop.csv" in names
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("algorithms", [["gpip", "zf-dpc", "mrt"],
+                                            ["gpip-coop", "zf-dpc", "rrzf"]])
+    def test_system_artifact_set(self, tmp_path, algorithms):
+        cfg = config_from_dict(
+            minimal_link(
+                scenario="system", n_cells=2, n_coop=2, algorithms=algorithms,
+                n_drops=1, n_blocks=1, csit_model="tdd",
+            )
+        )
+        paths = runner.run_system_level(cfg, tmp_path)
+        expected = {"manifest", "summary", "per_drop", "per_user", "solver"}
+        expected |= {f"cdf_{alg}" for alg in algorithms if alg != "zf-dpc"}
+        if "gpip-coop" in algorithms:
+            expected.add("solver_coop")
+        assert set(paths) == expected
+        assert {p.name for p in tmp_path.iterdir()} == {Path(p).name for p in paths.values()}
 
     def test_baselines_accept_per_user_effective_noise(self, tmp_path):
         # per-user effective noise must reduce to one scalar for the one-shot

@@ -154,6 +154,12 @@ class TestPfWeights:
         w = evaluation.pf_weights([1.0, 3.0])
         np.testing.assert_allclose(w, [1.5, 0.5])
 
+    def test_cell_stack_equals_stacked_rows(self):
+        t = np.random.default_rng(4).uniform(0.0, 3.0, size=(5, 4))
+        t[2, 1] = 1e-9  # below the floor
+        expected = np.stack([evaluation.pf_weights(row) for row in t])
+        assert np.array_equal(evaluation.pf_weights(t), expected)
+
     def test_smoothing_update(self):
         t = evaluation.update_pf_averages([1.0, 1.0], [3.0, 0.0], 0.1)
         np.testing.assert_allclose(t, [1.2, 0.9])
