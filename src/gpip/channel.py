@@ -14,6 +14,7 @@ user k. Multi-cell true channels live in an (L, L, K, N) array indexed as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,12 +104,17 @@ def one_ring_correlation(geom: ArrayGeometry, params: OneRingParams) -> np.ndarr
     return hermitize(r)
 
 
-def sample_channel(corr: np.ndarray, rng) -> np.ndarray:
-    """Draw h = corr^(1/2) g with g standard circularly-symmetric Gaussian."""
+def sample_channel(corr: np.ndarray | None, rng, root: np.ndarray | None = None) -> np.ndarray:
+    """Draw h = corr^(1/2) g with g standard circularly-symmetric Gaussian.
+
+    `root` is corr's PSD root when the caller already holds it (campaigns
+    take every root of a drop from one batched `hermitian_sqrt`); `corr` is
+    then not read and may be None.
+    """
     rng = as_rng(rng)
-    n = corr.shape[0]
-    root = hermitian_sqrt(corr)
-    g = standard_complex_gaussian(rng, n)
+    if root is None:
+        root = hermitian_sqrt(corr)
+    g = standard_complex_gaussian(rng, root.shape[0])
     return root @ g
 
 
@@ -134,42 +140,75 @@ def gain_from_pathloss(loss_db: float, shadow_db: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mmse_csit_tdd(
+class MmseStatistics(NamedTuple):
+    """What uplink MMSE training fixes for a link: the error covariance phi
+    and the PSD roots of the estimate covariance R - phi and of phi.
+
+    Each field is one (N, N) matrix or a (..., N, N) stack of them.
+    """
+
+    phi: np.ndarray
+    est_root: np.ndarray
+    err_root: np.ndarray
+
+
+def mmse_statistics(
     r_serving: np.ndarray,
     r_interferers: list[np.ndarray],
     noise_var: float,
     pilot_len: float,
     pilot_power: float,
-    rng,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uplink-pilot MMSE estimation with co-pilot contamination.
+) -> MmseStatistics:
+    """The second-order statistics of `mmse_csit_tdd`, for one link or a stack.
 
-    Returns (true_h, estimate, error_cov). The error covariance is
-
-        phi = R - R (R + sum_j R_j + noise_var/(pilot_len*pilot_power) I)^-1 R
-
-    with the sum over the interfering co-pilot covariances. The estimate and
-    the error are drawn jointly and independently from CN(0, R - phi) and
-    CN(0, phi); the true channel is their sum, which makes the pair exactly
-    consistent with MMSE estimation (the estimate never carries more
-    uncertainty than the prior).
+    phi = R - R (R + sum_j R_j + noise_var/(pilot_len*pilot_power) I)^-1 R,
+    with the sum over the interfering co-pilot covariances. `r_serving` and
+    every interferer are (N, N) or share one (..., N, N) shape; each matrix
+    of a stack gets exactly what a call on it alone gives.
     """
-    rng = as_rng(rng)
     if pilot_len * pilot_power <= 0:
         raise ValueError("pilot_len * pilot_power must be positive")
     r = hermitize(np.asarray(r_serving, dtype=np.complex128))
-    n = r.shape[0]
+    n = r.shape[-1]
     total = r.copy()
     for ri in r_interferers:
         if ri.shape != r.shape:
             raise DimensionMismatch("interferer covariance shape mismatch")
         total = total + np.asarray(ri, dtype=np.complex128)
     total = hermitize(total) + (noise_var / (pilot_len * pilot_power)) * np.eye(n)
-    phi = hermitize(r - r @ solve_hermitian(total, r))
-    est_cov = hermitize(r - phi)
-    est = hermitian_sqrt(est_cov) @ standard_complex_gaussian(rng, n)
-    err = hermitian_sqrt(phi) @ standard_complex_gaussian(rng, n)
-    return est + err, est, phi
+    gain = np.empty_like(r)
+    for idx in np.ndindex(r.shape[:-2]):
+        gain[idx] = solve_hermitian(total[idx], r[idx])
+    phi = hermitize(r - r @ gain)
+    return MmseStatistics(phi, hermitian_sqrt(hermitize(r - phi)), hermitian_sqrt(phi))
+
+
+def mmse_csit_tdd(
+    r_serving: np.ndarray | None,
+    r_interferers: list[np.ndarray],
+    noise_var: float,
+    pilot_len: float,
+    pilot_power: float,
+    rng,
+    stats: MmseStatistics | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uplink-pilot MMSE estimation with co-pilot contamination.
+
+    Returns (true_h, estimate, error_cov), with the error covariance phi of
+    `mmse_statistics`. The estimate and the error are drawn jointly and
+    independently from CN(0, R - phi) and CN(0, phi), estimate first; the
+    true channel is their sum, which makes the pair exactly consistent with
+    MMSE estimation (the estimate never carries more uncertainty than the
+    prior). `stats` is `mmse_statistics` of these inputs when the caller
+    already holds it; only `rng` is then read.
+    """
+    rng = as_rng(rng)
+    if stats is None:
+        stats = mmse_statistics(r_serving, r_interferers, noise_var, pilot_len, pilot_power)
+    n = stats.phi.shape[-1]
+    est = stats.est_root @ standard_complex_gaussian(rng, n)
+    err = stats.err_root @ standard_complex_gaussian(rng, n)
+    return est + err, est, stats.phi
 
 
 def covfree_error_scale(beta_serving: float, beta_all: np.ndarray, noise_over_pilot: float) -> float:
@@ -182,7 +221,7 @@ def covfree_error_scale(beta_serving: float, beta_all: np.ndarray, noise_over_pi
 
 
 def fdd_quantized_csit(
-    corr: np.ndarray, kappa: float, rng
+    corr: np.ndarray, kappa: float, rng, root: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantized-feedback CSIT of tunable quality kappa in [0, 1].
 
@@ -192,13 +231,14 @@ def fdd_quantized_csit(
     g, v: kappa = 0 is perfect, kappa = 1 is useless. The reported error
     covariance is the kappa^2-scaled correlation matrix (the colored variance
     of the v term), which is the identification the rest of the pipeline
-    uses for robustness terms.
+    uses for robustness terms. `root` is S when the caller already holds it.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     rng = as_rng(rng)
     n = corr.shape[0]
-    root = hermitian_sqrt(corr)
+    if root is None:
+        root = hermitian_sqrt(corr)
     g = standard_complex_gaussian(rng, n)
     v = standard_complex_gaussian(rng, n)
     true_h = root @ g
@@ -208,12 +248,17 @@ def fdd_quantized_csit(
 
 
 def additive_error_csit(
-    true_h: np.ndarray, error_cov: np.ndarray, rng
+    true_h: np.ndarray, error_cov: np.ndarray, rng, err_root: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate = true channel plus CN(0, error_cov) noise; returns (estimate, error_cov)."""
+    """Estimate = true channel plus CN(0, error_cov) noise; returns (estimate, error_cov).
+
+    `err_root` is error_cov's PSD root when the caller already holds it.
+    """
     rng = as_rng(rng)
     true_h = np.asarray(true_h, dtype=np.complex128)
-    err = hermitian_sqrt(error_cov) @ standard_complex_gaussian(rng, true_h.shape[0])
+    if err_root is None:
+        err_root = hermitian_sqrt(error_cov)
+    err = err_root @ standard_complex_gaussian(rng, true_h.shape[0])
     return true_h + err, np.asarray(error_cov, dtype=np.complex128)
 
 

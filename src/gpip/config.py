@@ -126,6 +126,19 @@ class ExperimentConfig:
                 "algorithms: 'zf' serves every user and needs n_users <= n_antennas, "
                 f"got {self.n_users} users and {self.n_antennas} antennas"
             )
+        # physical quantities: NaN fails every comparison, so it is rejected too
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ConfigInvalid("snr_db: every entry must be finite")
+        for name in ("bandwidth_hz", "carrier_hz"):
+            if not getattr(self, name) > 0:
+                raise ConfigInvalid(f"{name}: must be positive")
+        if self.pilot_len is not None and not self.pilot_len > 0:
+            raise ConfigInvalid("pilot_len: must be positive")
+        for name in ("tdd_noise_over_pilot", "csit_error_var", "sel_threshold", "sus_alpha"):
+            if not getattr(self, name) >= 0:
+                raise ConfigInvalid(f"{name}: must be >= 0")
+        if not 0.0 < self.pf_smoothing <= 1.0:
+            raise ConfigInvalid("pf_smoothing: must lie in (0, 1]")
         if self.csit_model not in CSIT_MODELS:
             raise ConfigInvalid(f"csit_model: must be one of {CSIT_MODELS}")
         if self.cov_knowledge not in COV_KNOWLEDGE:

@@ -29,6 +29,7 @@ from .solver import (
     DEFAULT_SELECT_THRESHOLD,
     DEFAULT_TOL,
     EffectivePair,
+    _ClusterProblem,
     _as_cluster_arrays,
     _as_weights,
     _lift,
@@ -73,9 +74,14 @@ def lambda_coop(pairs: list[EffectivePair], weights, f_cells: np.ndarray) -> flo
     return float(2.0 ** lambda_coop_log2(pairs, weights, f_cells))
 
 
-def coop_kkt_residual(pairs: list[EffectivePair], weights, f_cells: np.ndarray) -> float:
-    """Pencil residual of the cooperative stationarity condition."""
-    prob = _problem(pairs)
+def coop_kkt_residual(pairs: list[EffectivePair], weights, f_cells: np.ndarray,
+                      problem: _ClusterProblem | None = None) -> float:
+    """Pencil residual of the cooperative stationarity condition.
+
+    `problem` is the kernel's problem already built from `pairs`; `gpip_coop`
+    passes its own so the residual does not rebuild it.
+    """
+    prob = _problem(pairs) if problem is None else problem
     w = _as_weights(weights, (prob.c, prob.k))
     return prob.kkt_residual(w, np.asarray(f_cells, dtype=np.complex128))
 
@@ -135,7 +141,7 @@ def gpip_coop(
     best_f, best_obj, iterations, converged, traj = _power_iteration(
         prob, w, init, (prob.c, prob.k, prob.n), tol, max_iter, solve_blocks
     )
-    residual = coop_kkt_residual(pairs, w, best_f)
+    residual = coop_kkt_residual(pairs, w, best_f, prob)
     scaled = best_f / np.linalg.norm(best_f.reshape(prob.c, -1), axis=1).max()
     cell_norms = np.linalg.norm(scaled.reshape(prob.c, -1), axis=1)
     active, _ = extract_schedule(scaled.reshape(-1, prob.n), select_threshold)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class GpipError(Exception):
     """Base class for all package-specific errors."""
@@ -31,3 +33,13 @@ class BelowMinimumDistance(GpipError):
 
 class ConfigInvalid(GpipError):
     """An experiment configuration failed validation; message names the field."""
+
+
+@contextmanager
+def located(where: str):
+    """Re-raise a NotPositiveDefinite or RankDeficient from the body as the
+    same type, its message prefixed with `where` (the unit that failed)."""
+    try:
+        yield
+    except (NotPositiveDefinite, RankDeficient) as exc:
+        raise type(exc)(f"{where}{exc}") from exc

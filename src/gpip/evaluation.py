@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, channel, solver
-from .errors import ConfigInvalid, DimensionMismatch
+from .config import CSIT_MODELS
+from .errors import ConfigInvalid, DimensionMismatch, located
+from .numerics import hermitian_sqrt, hermitize
 
 
 @dataclass
@@ -130,35 +132,98 @@ def _link_correlations(config) -> np.ndarray:
     return corr
 
 
-def _draw_link_csit(config, corr, rng):
-    """(true (K,N), est (K,N), cov (K,N,N) or None) for one fading block."""
+@dataclass(frozen=True)
+class LinkStatistics:
+    """What a link campaign's CSIT model fixes for all of its trials.
+
+    `corr` holds the (K, N, N) correlations and `roots` their PSD roots.
+    `cov` is the error covariance stack every trial reports (None under
+    perfect CSIT); `err_root` is the root of the additive model's error
+    covariance and `mmse` the stacked `channel.MmseStatistics` of the tdd
+    model (None otherwise). `settings` records the config values the
+    statistics depend on. Arrays are read-only: every trial shares them.
+    """
+
+    corr: np.ndarray
+    roots: np.ndarray
+    cov: np.ndarray | None
+    err_root: np.ndarray | None
+    mmse: channel.MmseStatistics | None
+    settings: tuple
+
+
+def _link_settings(config) -> tuple:
+    return (config.csit_model, config.csit_error_var, config.uplink_noise_over_pilot(),
+            config.fdd_kappa)
+
+
+def link_statistics(config, corr) -> LinkStatistics:
+    """The LinkStatistics of `config`'s CSIT model on the (K, N, N) correlations."""
+    corr = np.array(corr, dtype=np.complex128)
+    model, n = config.csit_model, config.n_antennas
+    if model not in CSIT_MODELS:
+        raise ConfigInvalid(f"csit_model: unknown model {model!r}")
+    cov = err_root = mmse = None
+    if model == "additive":
+        phi = config.csit_error_var * np.eye(n)
+        err_root = hermitian_sqrt(phi)
+        cov = np.repeat(np.asarray(phi, dtype=np.complex128)[None], corr.shape[0], axis=0)
+    elif model == "tdd":
+        # single-cell uplink training: no co-pilot cells, quality set by
+        # the configured noise-to-pilot-energy ratio
+        mmse = channel.mmse_statistics(corr, [], config.uplink_noise_over_pilot(), 1.0, 1.0)
+        cov = mmse.phi
+    elif model == "fdd":
+        cov = (config.fdd_kappa**2) * hermitize(corr)
+    roots = hermitian_sqrt(corr)
+    for a in (corr, roots, cov, err_root, *(mmse or ())):
+        if a is not None:
+            a.flags.writeable = False
+    return LinkStatistics(corr, roots, cov, err_root, mmse, _link_settings(config))
+
+
+def _as_link_statistics(config, corr) -> LinkStatistics:
+    """`corr`'s LinkStatistics: built from (K, N, N) correlations, or checked
+    against `config` when `corr` already is one."""
+    if not isinstance(corr, LinkStatistics):
+        return link_statistics(config, corr)
+    if corr.settings != _link_settings(config):
+        raise ValueError(
+            f"LinkStatistics built for (csit_model, csit_error_var, noise_over_pilot, "
+            f"fdd_kappa) = {corr.settings}, used with {_link_settings(config)}"
+        )
+    return corr
+
+
+def _draw_link_csit(config, stats: LinkStatistics, rng):
+    """(true (K,N), est (K,N), cov (K,N,N) or None) for one fading block.
+
+    Users are drawn in order, each through its CSIT model's channel
+    function with the campaign's precomputed roots; `cov` is the shared,
+    read-only `stats.cov`.
+    """
     k, n = config.n_users, config.n_antennas
     true = np.empty((k, n), dtype=np.complex128)
     est = np.empty((k, n), dtype=np.complex128)
-    cov = np.zeros((k, n, n), dtype=np.complex128)
     model = config.csit_model
     for u in range(k):
         if model == "perfect":
-            h = channel.sample_channel(corr[u], rng)
+            h = channel.sample_channel(stats.corr[u], rng, root=stats.roots[u])
             true[u], est[u] = h, h
         elif model == "additive":
-            h = channel.sample_channel(corr[u], rng)
-            phi = config.csit_error_var * np.eye(n)
-            est[u], cov[u] = channel.additive_error_csit(h, phi, rng)
+            h = channel.sample_channel(stats.corr[u], rng, root=stats.roots[u])
+            est[u], _ = channel.additive_error_csit(h, stats.cov[u], rng, err_root=stats.err_root)
             true[u] = h
         elif model == "tdd":
-            # single-cell uplink training: no co-pilot cells, quality set by
-            # the configured noise-to-pilot-energy ratio
-            h, hhat, phi = channel.mmse_csit_tdd(
-                corr[u], [], config.uplink_noise_over_pilot(), 1.0, 1.0, rng
+            true[u], est[u], _ = channel.mmse_csit_tdd(
+                stats.corr[u], [], config.uplink_noise_over_pilot(), 1.0, 1.0, rng,
+                stats=channel.MmseStatistics(*(a[u] for a in stats.mmse)),
             )
-            true[u], est[u], cov[u] = h, hhat, phi
-        elif model == "fdd":
-            h, hhat, phi = channel.fdd_quantized_csit(corr[u], config.fdd_kappa, rng)
-            true[u], est[u], cov[u] = h, hhat, phi
         else:
-            raise ConfigInvalid(f"csit_model: unknown model {model!r}")
-    return true, est, (None if model == "perfect" else cov)
+            true[u], est[u], _ = channel.fdd_quantized_csit(
+                stats.corr[u], config.fdd_kappa, rng, root=stats.roots[u]
+            )
+    return true, est, stats.cov
 
 
 def _known_cov(config, cov, n):
@@ -230,20 +295,24 @@ def link_trial(
     cross-algorithm comparisons paired. `metric` selects what the rates
     measure: "true" evaluates the designed precoders on the actual channels
     (what users receive), "estimated" reports the transmitter-side lower
-    bounds computed from its own imperfect knowledge.
+    bounds computed from its own imperfect knowledge. `corr` is the (K, N, N)
+    correlation stack or the `LinkStatistics` built from it for `config`;
+    campaigns pass the latter, built once.
     """
     if corr is None:
         corr = _link_correlations(config)
+    stats = _as_link_statistics(config, corr)
     noise_ratio = 10.0 ** (-snr_db / 10.0)
-    true, est, cov = _draw_link_csit(config, corr, rng)
+    true, est, cov = _draw_link_csit(config, stats, rng)
     known_cov, alphas = _known_cov(config, cov, config.n_antennas)
     out = {}
     for alg in algorithms:
-        if alg == "zf-dpc":
-            _, _, rate = baselines.zf_dpc_waterfilling(est, noise_ratio)
-            out[alg] = (np.array([rate]), None)
-            continue
-        f, extras = design_precoders(alg, est, known_cov, noise_ratio, config, alphas)
+        with located(f"algorithm {alg}: "):
+            if alg == "zf-dpc":
+                _, _, rate = baselines.zf_dpc_waterfilling(est, noise_ratio)
+                out[alg] = (np.array([rate]), None)
+                continue
+            f, extras = design_precoders(alg, est, known_cov, noise_ratio, config, alphas)
         if metric == "estimated":
             rates = gmi_rate_lb(est, known_cov, f, noise_ratio)
         else:
@@ -268,11 +337,11 @@ def ergodic_sum_se(
     master = config.seed if seed is None else seed
     if trials < 1:
         raise ConfigInvalid("n_trials: must be >= 1")
-    corr = _link_correlations(config)
+    stats = link_statistics(config, _link_correlations(config))
     sums = np.empty(trials)
     for t in range(trials):
         rng = trial_rng(master, DOMAIN_LINK_TRIAL, t)
-        rates, _ = link_trial(config, snr, [algorithm], rng, corr, metric=metric)[algorithm]
+        rates, _ = link_trial(config, snr, [algorithm], rng, stats, metric=metric)[algorithm]
         sums[t] = rates.sum()
     return monte_carlo_mean(sums)
 

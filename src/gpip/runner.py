@@ -14,13 +14,15 @@ and floats are written with repr (shortest round-trip form).
 from __future__ import annotations
 
 import csv
+import itertools
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, channel, coop, evaluation, solver
 from .config import ExperimentConfig, write_manifest
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, located
 from .evaluation import (
     DOMAIN_LINK_TRIAL,
     DOMAIN_SYSTEM_BLOCK,
@@ -29,6 +31,7 @@ from .evaluation import (
     monte_carlo_mean,
     trial_rng,
 )
+from .numerics import hermitian_sqrt
 
 
 def _write_csv(path, header, rows):
@@ -83,7 +86,7 @@ def _write_artifacts(out: Path, cfg: ExperimentConfig, tables, cdf_samples) -> d
 def run_link_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Single-cell ergodic campaign; returns {artifact_name: path}."""
     out = _campaign_dir(cfg, "link", out_dir)
-    corr = evaluation._link_correlations(cfg)
+    link_stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
 
     summary_rows = []
     per_trial_rows = []
@@ -95,7 +98,8 @@ def run_link_level(cfg: ExperimentConfig, out_dir=None) -> dict:
         extras = {alg: [] for alg in cfg.algorithms}
         for t in range(cfg.n_trials):
             rng = trial_rng(cfg.seed, DOMAIN_LINK_TRIAL, snr_idx * cfg.n_trials + t)
-            results = link_trial(cfg, snr, cfg.algorithms, rng, corr)
+            with located(f"SNR {snr} dB, trial {t}, "):
+                results = link_trial(cfg, snr, cfg.algorithms, rng, link_stats)
             for alg in cfg.algorithms:
                 sums[alg][t] = results[alg][0].sum()
                 per_trial_rows.append([alg, _fmt(snr), t, _fmt(sums[alg][t])])
@@ -170,7 +174,109 @@ def system_correlations(cfg: ExperimentConfig, rng) -> tuple[np.ndarray, channel
     return corr, topo, betas
 
 
-def multicell_csit(corr: np.ndarray, clusters, noise_over_pilot: float, rng,
+def _noise_over_pilot(cfg: ExperimentConfig) -> float:
+    """Uplink noise over pilot energy in the noise-normalized units of
+    `system_correlations` (training runs at physical powers)."""
+    return cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
+
+
+def _outside_power(traces: np.ndarray, n: int, clusters=None) -> np.ndarray:
+    """(L, K) isotropic expectation of the interference from the BSs outside
+    each user's cell or (optional) cluster, over transmit power, from the
+    (L, L, K) link correlation traces. Added to the receiver noise ratio it
+    is the users' effective noise over power."""
+    outside = ~np.eye(traces.shape[0], dtype=bool)  # outside[j, l]: BS j is outside l's cluster
+    for cl in clusters or []:
+        outside[np.ix_(cl, cl)] = False
+    return np.einsum("jl,jlk->lk", outside, traces) / n
+
+
+@dataclass(frozen=True)
+class DropStatistics:
+    """Everything second-order a drop fixes for all of its fading blocks.
+
+    `roots[j, l, k]` is the PSD root of link (j, l, k)'s correlation;
+    `known[j, l, k]` marks the links BS j trains from in-cluster pilots;
+    `err_cov` holds their MMSE error covariances (zero on every other link,
+    and everywhere under perfect CSIT), and `mmse` maps each trained link to
+    its `channel.MmseStatistics` (None under perfect CSIT). `outside` and
+    `outside_coop` are the out-of-cell and out-of-cluster interference
+    powers; a block adds its noise ratio to them. `settings` records the
+    clusters, pilot noise and CSIT model the statistics were built for.
+    Arrays are read-only: one drop's blocks share them.
+    """
+
+    roots: np.ndarray  # (L, L, K, N, N)
+    known: np.ndarray  # (L, L, K) bool
+    err_cov: np.ndarray  # (L, L, K, N, N)
+    mmse: dict | None
+    outside: np.ndarray  # (L, K)
+    outside_coop: np.ndarray  # (L, K)
+    settings: tuple
+
+
+def _settings(clusters, noise_over_pilot: float, perfect: bool) -> tuple:
+    return tuple(tuple(cl) for cl in clusters), float(noise_over_pilot), bool(perfect)
+
+
+def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
+                    perfect: bool = False) -> DropStatistics:
+    """The DropStatistics of one drop's (L, L, K, N, N) correlation stack.
+
+    `corr` is consumed: serving BS by serving BS, its correlations are
+    replaced by their PSD roots (one batched `hermitian_sqrt` each), so a
+    drop never holds the correlations and the roots at once, and `roots` is
+    `corr`'s buffer. Everything else a BS's statistics need is its own
+    correlations: one `channel.mmse_statistics` call per BS gives its
+    trained links, with the out-of-cluster co-pilot contamination that
+    `multicell_csit` describes. Pass a copy to keep the correlations.
+    """
+    n_cells, _, _, n, _ = corr.shape
+    cluster_of = {l: cl for cl in clusters for l in cl}
+    known = np.zeros(corr.shape[:3], dtype=bool)
+    for cl in clusters:
+        known[np.ix_(cl, cl)] = True
+    traces = np.real(np.trace(corr, axis1=3, axis2=4))  # (L, L, K)
+    # zeros are only written where a BS trains, so the rest stays unbacked
+    err_cov = np.zeros(corr.shape, dtype=np.complex128)
+    mmse = None if perfect else {}
+    for j in range(n_cells):
+        if not perfect:
+            cl = cluster_of[j]
+            r = corr[j, cl]  # (C, K, N, N): BS j toward its cluster's users
+            interferers = [np.broadcast_to(corr[j, lp], r.shape)
+                           for lp in range(n_cells) if lp not in cl]
+            stats = channel.mmse_statistics(r, interferers, noise_over_pilot, 1.0, 1.0)
+            err_cov[j, cl] = stats.phi
+            for (b, l), k in itertools.product(enumerate(cl), range(r.shape[1])):
+                mmse[j, l, k] = channel.MmseStatistics(
+                    err_cov[j, l, k], stats.est_root[b, k], stats.err_root[b, k]
+                )
+        corr[j] = hermitian_sqrt(corr[j])
+    for a in (corr, known, err_cov):
+        a.flags.writeable = False
+    return DropStatistics(
+        roots=corr, known=known, err_cov=err_cov, mmse=mmse,
+        outside=_outside_power(traces, n), outside_coop=_outside_power(traces, n, clusters),
+        settings=_settings(clusters, noise_over_pilot, perfect),
+    )
+
+
+def _statistics(corr, clusters, noise_over_pilot: float, perfect: bool) -> DropStatistics:
+    """`corr`'s DropStatistics: built from a correlation stack, or checked
+    against these settings when `corr` already is one."""
+    if not isinstance(corr, DropStatistics):
+        return drop_statistics(np.array(corr, dtype=np.complex128), clusters,
+                               noise_over_pilot, perfect)
+    if corr.settings != _settings(clusters, noise_over_pilot, perfect):
+        raise ValueError(
+            f"DropStatistics built for (clusters, noise_over_pilot, perfect) = "
+            f"{corr.settings}, used with {_settings(clusters, noise_over_pilot, perfect)}"
+        )
+    return corr
+
+
+def multicell_csit(corr, clusters, noise_over_pilot: float, rng,
                    perfect: bool = False) -> channel.ChannelSet:
     """Joint (true, estimate, error-cov) draw for every link of one block.
 
@@ -178,47 +284,26 @@ def multicell_csit(corr: np.ndarray, clusters, noise_over_pilot: float, rng,
     that are orthogonal inside the cluster and reused outside it, so the
     contaminating covariances for user (l, k) are the same-index users of all
     out-of-cluster cells. Links without pilots are drawn from their prior.
+    `corr` is the drop's (L, L, K, N, N) correlation stack, or the
+    `DropStatistics` built from it for the same clusters, pilot noise and
+    CSIT model, which leaves only the Gaussian draws to each block. Links are
+    drawn in (cell, user, BS) order.
     """
-    n_cells, _, n_users, n, _ = corr.shape
-    cluster_of = {}
-    for cl in clusters:
-        for l in cl:
-            cluster_of[l] = cl
+    stats = _statistics(corr, clusters, noise_over_pilot, perfect)
+    n_cells, _, n_users, n, _ = stats.roots.shape
     true_h = np.zeros((n_cells, n_cells, n_users, n), dtype=np.complex128)
     est_h = np.zeros_like(true_h)
-    err_cov = np.zeros((n_cells, n_cells, n_users, n, n), dtype=np.complex128)
-    known = np.zeros((n_cells, n_cells, n_users), dtype=bool)
-    for l in range(n_cells):
-        members = cluster_of[l]
-        copilot = [lp for lp in range(n_cells) if lp not in members]
-        for k in range(n_users):
-            for j in range(n_cells):
-                if j in members:
-                    if perfect:
-                        h = channel.sample_channel(corr[j, l, k], rng)
-                        true_h[j, l, k], est_h[j, l, k] = h, h
-                    else:
-                        interferers = [corr[j, lp, k] for lp in copilot]
-                        h, hhat, phi = channel.mmse_csit_tdd(
-                            corr[j, l, k], interferers, noise_over_pilot, 1.0, 1.0, rng
-                        )
-                        true_h[j, l, k], est_h[j, l, k], err_cov[j, l, k] = h, hhat, phi
-                    known[j, l, k] = True
-                else:
-                    true_h[j, l, k] = channel.sample_channel(corr[j, l, k], rng)
-    return channel.ChannelSet(true_h, est_h, err_cov, known)
-
-
-def effective_noise_ratios(corr: np.ndarray, noise_ratio_dl: float,
-                           clusters=None) -> np.ndarray:
-    """(L, K) effective noise over power: receiver noise plus the isotropic
-    expectation of interference from cells outside the (optional) cluster."""
-    n_cells, _, _, n, _ = corr.shape
-    outside = ~np.eye(n_cells, dtype=bool)  # outside[j, l]: BS j is outside l's cluster
-    for cl in clusters or []:
-        outside[np.ix_(cl, cl)] = False
-    traces = np.real(np.trace(corr, axis1=3, axis2=4))  # (L, L, K)
-    return noise_ratio_dl + np.einsum("jl,jlk->lk", outside, traces) / n
+    for l, k, j in np.ndindex(n_cells, n_users, n_cells):
+        if not stats.known[j, l, k]:
+            true_h[j, l, k] = channel.sample_channel(None, rng, root=stats.roots[j, l, k])
+        elif stats.mmse is None:
+            h = channel.sample_channel(None, rng, root=stats.roots[j, l, k])
+            true_h[j, l, k], est_h[j, l, k] = h, h
+        else:
+            true_h[j, l, k], est_h[j, l, k], _ = channel.mmse_csit_tdd(
+                None, [], noise_over_pilot, 1.0, 1.0, rng, stats=stats.mmse[j, l, k]
+            )
+    return channel.ChannelSet(true_h, est_h, stats.err_cov, stats.known)
 
 
 def _slice(a, idx):
@@ -240,55 +325,60 @@ def multicell_block(
 
     `corr` and the two noise parameters must share one unit convention; the
     system runner passes noise-normalized correlations with noise_ratio_dl=1.
+    `corr` may also be the drop's `DropStatistics` (see `multicell_csit`);
+    the system runner builds them once per drop.
     All algorithms see the same CSIT draw (paired comparison). `pf_weights`
     optionally maps an algorithm name to its (L, K) weight array; weights
     only affect the joint-design algorithms. Returns
     {algorithm: (rates (L, K), solver_extras)} with rates evaluated on the
     true channels under all cells' simultaneous transmissions.
     """
-    n_cells, _, n_users, n, _ = corr.shape
     perfect = cfg.csit_model == "perfect"
     if noise_over_pilot is None:
-        # uplink trained at physical powers; convert to the normalized units
-        noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
-    csit = multicell_csit(corr, clusters, noise_over_pilot, rng, perfect)
+        noise_over_pilot = _noise_over_pilot(cfg)
+    stats = _statistics(corr, clusters, noise_over_pilot, perfect)
+    n_cells, _, n_users, n, _ = stats.roots.shape
+    csit = multicell_csit(stats, clusters, noise_over_pilot, rng, perfect)
     # one pass over every link's knowledge; each design below takes its slice
     known_cov, alphas = evaluation._known_cov(cfg, None if perfect else csit.err_cov, n)
-    nr_noncoop = effective_noise_ratios(corr, noise_ratio_dl)
-    nr_coop = effective_noise_ratios(corr, noise_ratio_dl, clusters)
+    nr_noncoop = noise_ratio_dl + stats.outside
+    nr_coop = noise_ratio_dl + stats.outside_coop
     out = {}
     for alg in algorithms:
-        if alg == "zf-dpc":
-            rates = np.zeros((n_cells, n_users))
-            for l in range(n_cells):
-                nr_cell = float(np.mean(nr_noncoop[l]))
-                _, _, rate = baselines.zf_dpc_waterfilling(csit.serving_estimates(l), nr_cell)
-                rates[l, 0] = rate  # per-cell sum bound, stored on slot 0
-            out[alg] = (rates, None)
-            continue
-        w_alg = pf_weights.get(alg) if pf_weights else None
-        precoders = np.zeros((n_cells, n_users, n), dtype=np.complex128)
-        extras = []
-        if alg == "gpip-coop":
-            for cl in clusters:
-                idx = np.ix_(cl, cl)
-                pairs = coop.build_coop_pairs(csit.est_h[idx], _slice(known_cov, idx), nr_coop[cl])
-                res = coop.gpip_coop(pairs, weights=_slice(w_alg, cl), tol=cfg.tol,
-                                     max_iter=cfg.max_iter,
-                                     select_threshold=cfg.sel_threshold)
-                precoders[cl] = res.precoder
-                extras.append(res)
-        else:
-            w_cells = w_alg if alg.startswith("gpip") else None
-            for l in range(n_cells):
-                precoders[l], extra = evaluation.design_precoders(
-                    alg, csit.serving_estimates(l), _slice(known_cov, (l, l)),
-                    nr_noncoop[l], cfg, _slice(alphas, (l, l)), _slice(w_cells, l),
-                )
-                if extra is not None:
-                    extras.append(extra)
-        report = evaluation.true_sinr(csit.true_h, precoders, noise_ratio_dl)
-        out[alg] = (report.rate, extras or None)
+        with located(f"algorithm {alg}: "):
+            if alg == "zf-dpc":
+                rates = np.zeros((n_cells, n_users))
+                for l in range(n_cells):
+                    nr_cell = float(np.mean(nr_noncoop[l]))
+                    _, _, rate = baselines.zf_dpc_waterfilling(csit.serving_estimates(l),
+                                                               nr_cell)
+                    rates[l, 0] = rate  # per-cell sum bound, stored on slot 0
+                out[alg] = (rates, None)
+                continue
+            w_alg = pf_weights.get(alg) if pf_weights else None
+            precoders = np.zeros((n_cells, n_users, n), dtype=np.complex128)
+            extras = []
+            if alg == "gpip-coop":
+                for cl in clusters:
+                    idx = np.ix_(cl, cl)
+                    pairs = coop.build_coop_pairs(csit.est_h[idx], _slice(known_cov, idx),
+                                                  nr_coop[cl])
+                    res = coop.gpip_coop(pairs, weights=_slice(w_alg, cl), tol=cfg.tol,
+                                         max_iter=cfg.max_iter,
+                                         select_threshold=cfg.sel_threshold)
+                    precoders[cl] = res.precoder
+                    extras.append(res)
+            else:
+                w_cells = w_alg if alg.startswith("gpip") else None
+                for l in range(n_cells):
+                    precoders[l], extra = evaluation.design_precoders(
+                        alg, csit.serving_estimates(l), _slice(known_cov, (l, l)),
+                        nr_noncoop[l], cfg, _slice(alphas, (l, l)), _slice(w_cells, l),
+                    )
+                    if extra is not None:
+                        extras.append(extra)
+            report = evaluation.true_sinr(csit.true_h, precoders, noise_ratio_dl)
+            out[alg] = (report.rate, extras or None)
     return out
 
 
@@ -305,16 +395,20 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     cdf_samples = _cdf_samples(cfg)
     drop_means = {alg: [] for alg in cfg.algorithms}
     use_pf = cfg.weights == "pf"
+    noise_over_pilot = _noise_over_pilot(cfg)
+    perfect = cfg.csit_model == "perfect"
     for d in range(cfg.n_drops):
         corr, _topo, _betas = system_correlations(
             cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d)
         )
+        stats = drop_statistics(corr, clusters, noise_over_pilot, perfect)  # consumes corr
         acc = {alg: np.zeros((cfg.n_cells, cfg.n_users)) for alg in cfg.algorithms}
         pf_avg = {alg: np.full((cfg.n_cells, cfg.n_users), 1e-3) for alg in cfg.algorithms}
         for b in range(cfg.n_blocks):
             rng = trial_rng(cfg.seed, DOMAIN_SYSTEM_BLOCK, d * cfg.n_blocks + b)
             pf_w = {alg: evaluation.pf_weights(t) for alg, t in pf_avg.items()} if use_pf else None
-            results = multicell_block(cfg, corr, clusters, cfg.algorithms, rng, pf_w)
+            with located(f"drop {d}, block {b}, "):
+                results = multicell_block(cfg, stats, clusters, cfg.algorithms, rng, pf_w)
             for alg in cfg.algorithms:
                 rates, extras = results[alg]
                 acc[alg] += rates

@@ -321,9 +321,14 @@ def build_weighted_pair(
     return BlockDiagonal(a_blocks), BlockDiagonal(b_blocks)
 
 
-def kkt_residual(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> float:
-    """|| Abar f - objective * Bbar f || / || Abar f ||, zero at stationarity."""
-    prob = _problem(pairs, single_cell=True)
+def kkt_residual(pairs: list[EffectivePair], weights, f_users: np.ndarray,
+                 problem: _ClusterProblem | None = None) -> float:
+    """|| Abar f - objective * Bbar f || / || Abar f ||, zero at stationarity.
+
+    `problem` is the kernel's problem already built from `pairs`; the
+    solvers pass theirs so the residual does not rebuild it.
+    """
+    prob = _problem(pairs, single_cell=True) if problem is None else problem
     w = _as_weights(weights, (prob.k,))
     return prob.kkt_residual(w, np.asarray(f_users, dtype=np.complex128)[None])
 
@@ -443,7 +448,7 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
     return best_f, best_obj, iterations, converged, traj
 
 
-def _finish(pairs, w, select_threshold, best_f, best_obj, iterations, converged,
+def _finish(pairs, prob, w, select_threshold, best_f, best_obj, iterations, converged,
             traj) -> GpipResult:
     f_users = best_f[0]
     active, powers = extract_schedule(f_users, select_threshold)
@@ -452,7 +457,7 @@ def _finish(pairs, w, select_threshold, best_f, best_obj, iterations, converged,
         objective_log2=best_obj,
         iterations=iterations,
         converged=converged,
-        kkt_residual=kkt_residual(pairs, w, f_users),
+        kkt_residual=kkt_residual(pairs, w, f_users, prob),
         schedule=active,
         per_user_power=powers,
         trajectory=traj,
@@ -481,7 +486,7 @@ def gpip_iterate(
     w = _as_weights(weights, (prob.k,))
     solve_blocks = partial(prob.cholesky_blocks, solve=solve_hermitian)
     out = _power_iteration(prob, w, init, (prob.k, prob.n), tol, max_iter, solve_blocks)
-    return _finish(pairs, w, select_threshold, *out)
+    return _finish(pairs, prob, w, select_threshold, *out)
 
 
 def covfree_block_inverses(
@@ -545,4 +550,4 @@ def gpip_covfree(
         return np.einsum("jnm,jm->jn", inverses, rhs[0])[None]
 
     out = _power_iteration(prob, w, init, (k, n), tol, max_iter, solve_blocks)
-    return _finish(pairs, w, select_threshold, *out)
+    return _finish(pairs, prob, w, select_threshold, *out)

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpip import cli, evaluation, runner
+from gpip import channel, cli, coop, evaluation, runner
 from gpip.config import ExperimentConfig, config_from_dict, load_config
-from gpip.errors import ConfigInvalid
+from gpip.errors import ConfigInvalid, NotPositiveDefinite, RankDeficient
 
 
 def minimal_link(**overrides):
@@ -98,6 +100,17 @@ class TestConfigValidation:
             # no point of the hexagon is that far from its center
             (dict(scenario="system", n_cells=7, inter_site_m=60.0,
                   min_distance_m=40.0), "min_distance_m"),
+            # physical fields outside their meaning, which fail mid-campaign or run
+            # meaninglessly unless rejected up front
+            (dict(csit_model="tdd", tdd_noise_over_pilot=-1.0), "tdd_noise_over_pilot"),
+            (dict(csit_model="additive", csit_error_var=-0.5), "csit_error_var"),
+            (dict(scenario="system", n_cells=1, bandwidth_hz=0.0), "bandwidth_hz"),
+            (dict(scenario="system", n_cells=1, carrier_hz=0.0), "carrier_hz"),
+            (dict(scenario="system", n_cells=1, csit_model="tdd", pilot_len=0), "pilot_len"),
+            (dict(snr_db=[10.0, float("nan")]), "snr_db"),
+            (dict(scenario="system", n_cells=1, weights="pf", pf_smoothing=2.0), "pf_smoothing"),
+            (dict(algorithms=["gpip"], sel_threshold=-0.1), "sel_threshold"),
+            (dict(algorithms=["sus-zf"], sus_alpha=-0.3), "sus_alpha"),
         ],
     )
     def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):
@@ -308,6 +321,116 @@ class TestSystemRunner:
         paths = runner.run_system_level(cfg, tmp_path)
         rows = Path(paths["per_user"]).read_text().strip().split("\n")
         assert len(rows) == 1 + 3
+
+
+def per_link_csit_reference(corr, clusters, noise_over_pilot, rng, perfect):
+    """multicell_csit as a per-link loop that derives every statistic per call."""
+    n_cells, _, n_users, n, _ = corr.shape
+    cluster_of = {l: cl for cl in clusters for l in cl}
+    true_h = np.zeros((n_cells, n_cells, n_users, n), dtype=np.complex128)
+    est_h = np.zeros_like(true_h)
+    err_cov = np.zeros((n_cells, n_cells, n_users, n, n), dtype=np.complex128)
+    known = np.zeros((n_cells, n_cells, n_users), dtype=bool)
+    for l in range(n_cells):
+        members = cluster_of[l]
+        copilot = [lp for lp in range(n_cells) if lp not in members]
+        for k in range(n_users):
+            for j in range(n_cells):
+                if j in members:
+                    if perfect:
+                        h = channel.sample_channel(corr[j, l, k], rng)
+                        true_h[j, l, k], est_h[j, l, k] = h, h
+                    else:
+                        interferers = [corr[j, lp, k] for lp in copilot]
+                        h, hhat, phi = channel.mmse_csit_tdd(
+                            corr[j, l, k], interferers, noise_over_pilot, 1.0, 1.0, rng
+                        )
+                        true_h[j, l, k], est_h[j, l, k], err_cov[j, l, k] = h, hhat, phi
+                    known[j, l, k] = True
+                else:
+                    true_h[j, l, k] = channel.sample_channel(corr[j, l, k], rng)
+    return true_h, est_h, err_cov, known
+
+
+def effective_noise_reference(corr, noise_ratio_dl, clusters=None):
+    """Receiver noise plus the isotropic out-of-cluster interference, per link."""
+    n_cells, _, n_users, n, _ = corr.shape
+    out = np.full((n_cells, n_users), noise_ratio_dl)
+    for l, k in np.ndindex(n_cells, n_users):
+        inside = next((cl for cl in clusters if l in cl), [l]) if clusters else [l]
+        out[l, k] += sum(np.trace(corr[j, l, k]).real for j in range(n_cells)
+                         if j not in inside) / n
+    return out
+
+
+def random_correlations(rng, n_cells, n_users, n):
+    """PSD links of random rank and gains over four decades."""
+    corr = np.empty((n_cells, n_cells, n_users, n, n), dtype=np.complex128)
+    for idx in np.ndindex(n_cells, n_cells, n_users):
+        shape = (n, int(rng.integers(1, n + 1)))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        corr[idx] = 10.0 ** rng.uniform(-2, 2) * (a @ a.conj().T) / n
+    return corr
+
+
+class TestDropStatistics:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 3), st.booleans())
+    def test_draw_equals_per_link_loop(self, seed, n_cells, n_users, n, n_coop, perfect):
+        rng = np.random.default_rng(seed)
+        corr = random_correlations(rng, n_cells, n_users, n)
+        clusters = runner.consecutive_clusters(n_cells, min(n_coop, n_cells))
+        noise = float(rng.uniform(0.01, 1.0))
+        stats = runner.drop_statistics(corr.copy(), clusters, noise, perfect)
+        for outside, cl in ((stats.outside, None), (stats.outside_coop, clusters)):
+            np.testing.assert_allclose(1.0 + outside, effective_noise_reference(corr, 1.0, cl),
+                                       rtol=1e-13)
+        for block in range(2):
+            ref = per_link_csit_reference(corr, clusters, noise,
+                                          np.random.default_rng([seed, block]), perfect)
+            for source in (stats, corr):
+                csit = runner.multicell_csit(source, clusters, noise,
+                                             np.random.default_rng([seed, block]), perfect)
+                for got, want in zip((csit.true_h, csit.est_h, csit.err_cov, csit.known), ref):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_statistics_are_read_only_and_checked_against_their_settings(self):
+        rng = np.random.default_rng(0)
+        corr = random_correlations(rng, 3, 2, 2)
+        stats = runner.drop_statistics(corr, [[0, 1], [2]], 0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            stats.err_cov[0, 0, 0] = 1.0
+        for clusters, noise, perfect in (([[0], [1], [2]], 0.1, False),
+                                         ([[0, 1], [2]], 0.2, False),
+                                         ([[0, 1], [2]], 0.1, True)):
+            with pytest.raises(ValueError, match="DropStatistics built for"):
+                runner.multicell_csit(stats, clusters, noise, rng, perfect)
+
+
+class TestUnitErrors:
+    def test_link_error_names_snr_trial_and_algorithm(self, tmp_path, monkeypatch):
+        def fail(alg, *args, **kwargs):
+            raise NotPositiveDefinite("pivot 0.0 at column 1")
+
+        monkeypatch.setattr(evaluation, "design_precoders", fail)
+        cfg = config_from_dict(minimal_link(algorithms=["gpip"], snr_db=[5.0]))
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^SNR 5\.0 dB, trial 0, algorithm gpip: pivot 0\.0 at column 1$"):
+            runner.run_link_level(cfg, tmp_path)
+
+    def test_system_error_names_drop_block_and_algorithm(self, tmp_path, monkeypatch):
+        def fail(pairs, **kwargs):
+            raise RankDeficient("cluster channel has rank 1")
+
+        monkeypatch.setattr(coop, "gpip_coop", fail)
+        cfg = config_from_dict(minimal_link(
+            scenario="system", n_cells=2, n_coop=2, algorithms=["mrt", "gpip-coop"],
+            n_drops=1, n_blocks=1, csit_model="tdd",
+        ))
+        with pytest.raises(RankDeficient, match=r"^drop 0, block 0, algorithm gpip-coop: "
+                                                r"cluster channel has rank 1$"):
+            runner.run_system_level(cfg, tmp_path)
 
 
 class TestCli:

@@ -223,6 +223,21 @@ class TestGpipCoop:
         assert res.converged
         assert res.kkt_residual < 1e-4
 
+    def test_reuses_its_problem_for_the_residual(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        est, cov = random_cluster(rng, 2, 3, 2, cov_scale=0.1)
+        pairs = coop.build_coop_pairs(est, cov, 0.2)
+        built = []
+        build = coop._problem
+        monkeypatch.setattr(coop, "_problem",
+                            lambda *a, **kw: built.append(1) or build(*a, **kw))
+        res = coop.gpip_coop(pairs, tol=1e-6, max_iter=500)
+        assert len(built) == 1
+        unit = res.precoder / np.linalg.norm(res.precoder)
+        assert res.kkt_residual == pytest.approx(
+            coop.coop_kkt_residual(pairs, None, unit), rel=1e-9, abs=1e-12
+        )
+
     def test_per_iteration_cost_grows_superlinearly_in_cells(self):
         # Coarse wall-clock check. The quadratic-form stage is quadratic in
         # the cluster size while the per-block solves are linear, so at these

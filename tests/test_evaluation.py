@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpip import baselines, evaluation, solver
+from gpip import baselines, channel, evaluation, solver
 from gpip.config import ExperimentConfig
 
 
@@ -139,6 +141,65 @@ class TestErgodicSumSe:
         true_val, _ = evaluation.ergodic_sum_se(cfg, "rzf")
         est_val, _ = evaluation.ergodic_sum_se(cfg, "rzf", metric="estimated")
         assert est_val != true_val
+
+
+def per_user_link_csit_reference(config, corr, rng):
+    """_draw_link_csit as a per-user loop that derives every root per call."""
+    k, n = config.n_users, config.n_antennas
+    true = np.empty((k, n), dtype=np.complex128)
+    est = np.empty((k, n), dtype=np.complex128)
+    cov = np.zeros((k, n, n), dtype=np.complex128)
+    model = config.csit_model
+    for u in range(k):
+        if model == "perfect":
+            h = channel.sample_channel(corr[u], rng)
+            true[u], est[u] = h, h
+        elif model == "additive":
+            h = channel.sample_channel(corr[u], rng)
+            phi = config.csit_error_var * np.eye(n)
+            est[u], cov[u] = channel.additive_error_csit(h, phi, rng)
+            true[u] = h
+        elif model == "tdd":
+            h, hhat, phi = channel.mmse_csit_tdd(
+                corr[u], [], config.uplink_noise_over_pilot(), 1.0, 1.0, rng
+            )
+            true[u], est[u], cov[u] = h, hhat, phi
+        else:
+            h, hhat, phi = channel.fdd_quantized_csit(corr[u], config.fdd_kappa, rng)
+            true[u], est[u], cov[u] = h, hhat, phi
+    return true, est, (None if model == "perfect" else cov)
+
+
+class TestLinkStatistics:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["perfect", "additive", "tdd", "fdd"]),
+           st.integers(1, 4), st.integers(1, 5))
+    def test_draw_equals_per_user_loop(self, seed, model, k, n):
+        rng = np.random.default_rng(seed)
+        cfg = link_config(
+            n_users=k, n_antennas=n, csit_model=model,
+            angular_spread=float(rng.uniform(0.05, 1.5)),
+            csit_error_var=float(rng.uniform(0.0, 1.0)),
+            tdd_noise_over_pilot=float(rng.uniform(0.01, 1.0)),
+            fdd_kappa=float(rng.uniform(0.0, 1.0)),
+        )
+        corr = evaluation._link_correlations(cfg)
+        stats = evaluation.link_statistics(cfg, corr)
+        for trial in range(2):
+            want = per_user_link_csit_reference(cfg, corr, np.random.default_rng([seed, trial]))
+            got = evaluation._draw_link_csit(cfg, stats, np.random.default_rng([seed, trial]))
+            for g, w in zip(got, want):
+                if w is None:
+                    assert g is None
+                else:
+                    np.testing.assert_array_equal(g, w)
+
+    def test_statistics_are_checked_against_the_config(self):
+        cfg = link_config(csit_model="additive")
+        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+        other = link_config(csit_model="additive", csit_error_var=0.2)
+        with pytest.raises(ValueError, match="LinkStatistics built for"):
+            evaluation.link_trial(other, 10.0, ["mrt"], np.random.default_rng(0), stats)
 
 
 class TestPfWeights:

@@ -182,6 +182,29 @@ class TestHermitianSqrt:
         assert np.abs(s @ s.conj().T - m).max() <= 1e-8 * max(1.0, np.abs(m).max())
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 4), st.integers(1, 6))
+    def test_stack_equals_per_matrix_calls(self, seed, b0, b1, n):
+        # members of full rank, of lower rank, all zero, and on scales 1e-20
+        # to 1e20: a stack-wide clip threshold would zero the small ones
+        rng = np.random.default_rng(seed)
+        stack = np.empty((b0, b1, n, n), dtype=np.complex128)
+        for idx in np.ndindex(b0, b1):
+            kind = rng.integers(3)
+            if kind == 2:
+                stack[idx] = 0.0
+            else:
+                rank = n if kind == 0 else int(rng.integers(1, n + 1))
+                stack[idx] = 10.0 ** rng.uniform(-20, 20) * random_psd(rng, n, rank)
+        roots = hermitian_sqrt(stack)
+        assert roots.shape == stack.shape
+        for idx in np.ndindex(b0, b1):
+            np.testing.assert_array_equal(roots[idx], hermitian_sqrt(stack[idx]))
+        # clipped against its own largest eigenvalue, not the stack's
+        tiny = hermitian_sqrt(np.stack([np.eye(n), 1e-30 * np.eye(n)]))[1]
+        np.testing.assert_allclose(tiny, 1e-15 * np.eye(n), rtol=1e-12, atol=0)
+
+
 class TestBlockDiagonal:
     def test_matvec_and_quad_match_dense(self):
         rng = np.random.default_rng(1)

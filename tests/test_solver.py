@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpip import solver
+from gpip import evaluation, solver
 from gpip.errors import DimensionMismatch, NotPositiveDefinite
 from gpip.numerics import cholesky_factor, hermitize, solve_hermitian
 
@@ -288,6 +288,51 @@ class TestGpipIterate:
             )
 
 
+class TestInvariances:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 5),
+           st.floats(-3.0, 3.0))
+    def test_rescaled_channel_knowledge_gives_the_same_precoder(self, seed, k, n, log_s):
+        # (h * s, phi * s^2, noise * s^2) scales every quadratic form by s^2
+        rng = np.random.default_rng(seed)
+        est, cov, nr = random_instance(rng, k, n, cov_scale=0.1)
+        s = 10.0**log_s
+        ref = solver.gpip_iterate(solver.build_effective_pairs(est, cov, nr),
+                                  tol=1e-10, max_iter=2000)
+        res = solver.gpip_iterate(solver.build_effective_pairs(est * s, cov * s**2, nr * s**2),
+                                  tol=1e-10, max_iter=2000)
+        np.testing.assert_allclose(res.precoder, ref.precoder, atol=1e-6)
+        assert res.objective_log2 == pytest.approx(ref.objective_log2, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 5))
+    def test_permuted_users_permute_the_precoder_rows(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        est, cov, _ = random_instance(rng, k, n, cov_scale=0.1)
+        nr = rng.uniform(0.05, 0.5, k)
+        w = rng.uniform(0.5, 2.0, k)
+        perm = rng.permutation(k)
+        ref = solver.gpip_iterate(solver.build_effective_pairs(est, cov, nr), weights=w,
+                                  tol=1e-10, max_iter=2000)
+        res = solver.gpip_iterate(solver.build_effective_pairs(est[perm], cov[perm], nr[perm]),
+                                  weights=w[perm], tol=1e-10, max_iter=2000)
+        np.testing.assert_allclose(res.precoder, ref.precoder[perm], atol=1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8), st.booleans())
+    def test_log2_objective_is_the_sum_of_rate_bounds(self, seed, k, n, with_cov):
+        rng = np.random.default_rng(seed)
+        est, cov, _ = random_instance(rng, k, n, cov_scale=0.2 if with_cov else 0.0)
+        nr = rng.uniform(0.01, 1.0, k)
+        w = rng.uniform(0.1, 3.0, k)
+        f = random_stack(rng, k, n)
+        pairs = solver.build_effective_pairs(est, cov, nr)
+        rates = evaluation.gmi_rate_lb(est, cov, f, nr)
+        assert solver.objective_log2(pairs, w, f) == pytest.approx(
+            float(np.dot(w, rates)), rel=1e-10, abs=1e-12
+        )
+
+
 class TestBlockSolves:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -445,6 +490,28 @@ class TestKktResidual:
         res = solver.gpip_iterate(pairs, tol=1e-6, max_iter=500)
         assert res.converged
         assert res.kkt_residual < 1e-4
+
+    def test_solvers_reuse_their_problem_for_the_residual(self, monkeypatch):
+        # one problem per solve; its residual equals a rebuilt one bit for bit
+        rng = np.random.default_rng(16)
+        est, cov, nr = random_instance(rng, 4, 3, cov_scale=0.1)
+        alphas = np.full(4, 0.1)
+        w = rng.uniform(0.5, 2.0, 4)
+        cases = [
+            (solver.build_effective_pairs(est, cov, nr),
+             lambda p: solver.gpip_iterate(p, weights=w, tol=1e-6)),
+            (solver.build_effective_pairs(est, alphas[:, None, None] * np.eye(3), nr),
+             lambda p: solver.gpip_covfree(est, alphas, nr, weights=w, tol=1e-6)),
+        ]
+        build = solver._problem
+        for pairs, solve in cases:
+            built = []
+            monkeypatch.setattr(solver, "_problem",
+                                lambda *a, **kw: built.append(1) or build(*a, **kw))
+            res = solve(pairs)
+            monkeypatch.setattr(solver, "_problem", build)
+            assert len(built) == 1
+            assert res.kkt_residual == solver.kkt_residual(pairs, w, res.precoder)
 
     def test_generic_point_is_not_stationary(self):
         rng = np.random.default_rng(15)
