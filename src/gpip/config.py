@@ -149,8 +149,8 @@ class ExperimentConfig:
             raise ConfigInvalid("weights: must be 'uniform' or 'pf'")
         if self.tol <= 0 or self.max_iter < 1:
             raise ConfigInvalid("tol/max_iter: tol must be > 0 and max_iter >= 1")
-        if self.angular_spread <= 0:
-            raise ConfigInvalid("angular_spread: must be positive")
+        if not 0 < self.angular_spread < math.inf:
+            raise ConfigInvalid("angular_spread: must be positive and finite")
         return self
 
     # -- derived quantities -------------------------------------------------

@@ -226,20 +226,20 @@ def _draw_link_csit(config, stats: LinkStatistics, rng):
     return true, est, stats.cov
 
 
-def _known_cov(config, cov, n):
-    """Error covariance as the transmitter knows it, per the knowledge setting.
+def _known_cov(knowledge: str, cov, n):
+    """Error covariance as the transmitter knows it, per the `cov_knowledge` setting.
 
     cov is a (..., N, N) stack or None; returns (known covariances, scalar
     levels trace/N for the "scalar" setting, else None).
     """
-    if cov is None or config.cov_knowledge == "none":
+    if cov is None or knowledge == "none":
         return None, None
-    if config.cov_knowledge == "full":
+    if knowledge == "full":
         return cov, None
-    if config.cov_knowledge == "scalar":
+    if knowledge == "scalar":
         alphas = np.real(np.trace(cov, axis1=-2, axis2=-1)) / n
         return alphas[..., None, None] * np.eye(n), alphas
-    raise ConfigInvalid(f"cov_knowledge: unknown setting {config.cov_knowledge!r}")
+    raise ConfigInvalid(f"cov_knowledge: unknown setting {knowledge!r}")
 
 
 def design_precoders(
@@ -304,7 +304,7 @@ def link_trial(
     stats = _as_link_statistics(config, corr)
     noise_ratio = 10.0 ** (-snr_db / 10.0)
     true, est, cov = _draw_link_csit(config, stats, rng)
-    known_cov, alphas = _known_cov(config, cov, config.n_antennas)
+    known_cov, alphas = _known_cov(config.cov_knowledge, cov, config.n_antennas)
     out = {}
     for alg in algorithms:
         with located(f"algorithm {alg}: "):

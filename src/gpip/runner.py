@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +213,21 @@ class DropStatistics:
     outside: np.ndarray  # (L, K)
     outside_coop: np.ndarray  # (L, K)
     settings: tuple
+    _known_covs: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def known_cov(self, cov_knowledge: str) -> tuple:
+        """`evaluation._known_cov` of `err_cov` (None under perfect CSIT) for
+        a `cov_knowledge` setting: derived on first use, then shared by the
+        drop's blocks, read-only."""
+        if cov_knowledge not in self._known_covs:
+            perfect = self.mmse is None
+            known = evaluation._known_cov(cov_knowledge, None if perfect else self.err_cov,
+                                          self.roots.shape[-1])
+            for a in known:
+                if a is not None:
+                    a.flags.writeable = False
+            self._known_covs[cov_knowledge] = known
+        return self._known_covs[cov_knowledge]
 
 
 def _settings(clusters, noise_over_pilot: float, perfect: bool) -> tuple:
@@ -339,8 +354,8 @@ def multicell_block(
     stats = _statistics(corr, clusters, noise_over_pilot, perfect)
     n_cells, _, n_users, n, _ = stats.roots.shape
     csit = multicell_csit(stats, clusters, noise_over_pilot, rng, perfect)
-    # one pass over every link's knowledge; each design below takes its slice
-    known_cov, alphas = evaluation._known_cov(cfg, None if perfect else csit.err_cov, n)
+    # every link's knowledge, once per drop; each design below takes its slice
+    known_cov, alphas = stats.known_cov(cfg.cov_knowledge)
     nr_noncoop = noise_ratio_dl + stats.outside
     nr_coop = noise_ratio_dl + stats.outside_coop
     out = {}

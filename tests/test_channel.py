@@ -19,6 +19,21 @@ def reference_one_ring(pos, wavelength, theta, delta, beta, nodes=200_000):
     return beta * np.einsum("m,mn,mk->nk", w, steer, steer.conj())
 
 
+def fixed_rule_one_ring(geom, params, n_nodes=512):
+    """The one-ring matrix of a fixed n_nodes Gauss-Legendre rule, step for
+    step as `one_ring_correlation` computed it with a fixed 512-node rule."""
+    nodes, gl_weights = np.polynomial.legendre.leggauss(n_nodes)
+    alphas = params.azimuth + params.angular_spread * nodes
+    weights = 0.5 * gl_weights
+    k_wave = 2 * np.pi / geom.wavelength
+    phase = -k_wave * (
+        np.cos(alphas)[:, None] * geom.positions[None, :, 0]
+        + np.sin(alphas)[:, None] * geom.positions[None, :, 1]
+    )
+    steer = np.exp(1j * phase)
+    return hermitize(params.gain * ((weights[:, None] * steer).T @ steer.conj()))
+
+
 class TestArrayGeometry:
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
     def test_adjacent_spacing_is_half_wavelength(self, n):
@@ -29,6 +44,13 @@ class TestArrayGeometry:
     def test_single_antenna(self):
         geom = channel.uniform_circular_array(1)
         assert geom.positions.shape == (1, 2)
+
+    def test_non_physical_geometry_rejected(self):
+        for wavelength in (0.0, -0.15, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^wavelength must be positive and finite$"):
+                channel.ArrayGeometry(np.zeros((2, 2)), wavelength)
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            channel.ArrayGeometry(np.array([[0.0, 0.0], [np.nan, 0.5]]), 1.0)
 
 
 class TestOneRing:
@@ -84,6 +106,52 @@ class TestOneRing:
         assert np.abs(r - r.conj().T).max() < 1e-14
         assert np.linalg.eigvalsh(r).min() >= -1e-9 * beta
         assert abs(np.trace(r).real - n * beta) < 1e-5 * n * beta
+
+
+    @pytest.mark.parametrize("wavelength", [1.0, 0.15])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+    def test_sized_rule_matches_fixed_512_node_rule(self, n, wavelength):
+        geom = channel.uniform_circular_array(n, wavelength)
+        rng = np.random.default_rng(n)
+        for delta in (1e-9, 1e-3, 0.1, np.pi / 6, 0.8, 1.5, 2.5, np.pi):
+            params = channel.OneRingParams(rng.uniform(-np.pi, np.pi), delta, 2.3)
+            r = channel.one_ring_correlation(geom, params)
+            assert np.abs(r - fixed_rule_one_ring(geom, params)).max() <= 1e-13 * params.gain
+
+    def test_geometry_at_the_cap_equals_fixed_512_node_rule_exactly(self):
+        geom = channel.uniform_circular_array(256, 0.15)
+        assert channel._node_count(geom, np.pi) == channel.QUAD_NODES == 512
+        params = channel.OneRingParams(0.3, np.pi, 1.7)
+        r = channel.one_ring_correlation(geom, params)
+        assert np.array_equal(r, fixed_rule_one_ring(geom, params))
+
+    def test_node_count_never_decreases_with_aperture_or_spread(self):
+        spreads = np.concatenate([[1e-9], np.linspace(1e-3, np.pi, 200)])
+        counts = []
+        for n in range(1, 257):
+            geom = channel.uniform_circular_array(n, 0.15)
+            counts.append([channel._node_count(geom, d) for d in spreads])
+        counts = np.array(counts)
+        assert np.all(np.diff(counts, axis=0) >= 0)  # aperture grows with n
+        assert np.all(np.diff(counts, axis=1) >= 0)
+        assert counts.min() > 0 and counts.max() == channel.QUAD_NODES
+        # the aperture is read from the positions, so hand-built arrays are sized too
+        line = [channel._node_count(channel.ArrayGeometry(
+                    np.column_stack([np.arange(8) * d, np.zeros(8)]), 1.0), 0.5)
+                for d in np.linspace(0.0, 30.0, 121)]
+        assert np.all(np.diff(line) >= 0) and line[0] < line[-1] == channel.QUAD_NODES
+
+    def test_aperture_is_the_largest_antenna_distance(self):
+        positions = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [1.0, 1.0]])
+        assert channel.ArrayGeometry(positions, 1.0).aperture == 5.0
+        assert channel.uniform_circular_array(1).aperture == 0.0
+
+    @pytest.mark.parametrize("name", ["azimuth", "angular_spread", "gain"])
+    def test_non_finite_inputs_rejected(self, name):
+        for value in (np.nan, np.inf, -np.inf):
+            fields = dict(azimuth=0.1, angular_spread=0.2, gain=1.0) | {name: value}
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                channel.OneRingParams(**fields)
 
 
 class TestSampleChannel:

@@ -111,6 +111,9 @@ class TestConfigValidation:
             (dict(scenario="system", n_cells=1, weights="pf", pf_smoothing=2.0), "pf_smoothing"),
             (dict(algorithms=["gpip"], sel_threshold=-0.1), "sel_threshold"),
             (dict(algorithms=["sus-zf"], sus_alpha=-0.3), "sus_alpha"),
+            # a non-finite sector has no quadrature node count
+            (dict(angular_spread=float("nan")), "angular_spread"),
+            (dict(scenario="system", n_cells=1, angular_spread=float("inf")), "angular_spread"),
         ],
     )
     def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):
@@ -309,6 +312,25 @@ class TestSystemRunner:
         for alg in cfg.algorithms:
             rates, _ = results[alg]
             assert np.all(np.isfinite(rates)) and rates.shape == (2, 3)
+
+    def test_known_covariances_derived_once_per_drop(self, tmp_path, monkeypatch):
+        calls = []
+        known_cov = evaluation._known_cov
+
+        def counted(*args):
+            calls.append(args[0])
+            return known_cov(*args)
+
+        monkeypatch.setattr(evaluation, "_known_cov", counted)
+        cfg = config_from_dict(
+            minimal_link(
+                scenario="system", n_cells=3, n_coop=3, n_users=2, n_antennas=2,
+                algorithms=["gpip", "gpip-coop", "rrzf"], n_drops=2, n_blocks=3,
+                csit_model="tdd", cov_knowledge="scalar",
+            )
+        )
+        runner.run_system_level(cfg, tmp_path)
+        assert calls == ["scalar", "scalar"]
 
     def test_pf_weights_flow(self, tmp_path):
         cfg = config_from_dict(
