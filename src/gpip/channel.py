@@ -216,9 +216,10 @@ def mmse_statistics(
     n = r.shape[-1]
     total = r.copy()
     for ri in r_interferers:
+        ri = np.asarray(ri, dtype=np.complex128)
         if ri.shape != r.shape:
             raise DimensionMismatch("interferer covariance shape mismatch")
-        total = total + np.asarray(ri, dtype=np.complex128)
+        total = total + ri
     total = hermitize(total) + (noise_var / (pilot_len * pilot_power)) * np.eye(n)
     gain = np.empty_like(r)
     for idx in np.ndindex(r.shape[:-2]):

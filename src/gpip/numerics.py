@@ -1,9 +1,11 @@
 """Dense complex Hermitian linear-algebra kernels.
 
 Everything here is deterministic (no randomized pivoting) and pure: identical
-inputs give bit-identical outputs. Inverses are never materialized for solves;
-only the rank-one update path carries explicit inverses, because its recursion
-needs them.
+inputs give bit-identical outputs. A Hermitian solve is one LAPACK
+factorization (`zpotrf`) and one factored solve (`zpotrs`), with the
+positive-definiteness checks around them. Inverses are never materialized for
+solves; only the rank-one update path carries explicit inverses, because its
+recursion needs them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import DenominatorUnderflow, DimensionMismatch, EigenFailure, NotPositiveDefinite
 
@@ -35,29 +37,27 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 def cholesky_factor(m: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     """Lower-triangular L with L @ L^H = m for Hermitian positive-definite m.
 
-    LAPACK factors the lower triangle. Raises NotPositiveDefinite for a
-    non-finite entry, a failed factorization, or any pivot |L_jj|^2 <=
-    pivot_tol times the largest diagonal entry, which signals a degenerate
-    input: the caller must add a ridge or reject it.
+    LAPACK factors the lower triangle; the upper triangle of L is zero.
+    Raises NotPositiveDefinite for a non-finite entry, a failed factorization,
+    or any pivot |L_jj|^2 <= pivot_tol times the largest diagonal entry, which
+    signals a degenerate input: the caller must add a ridge or reject it.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     # LAPACK never reads the upper triangle, so every entry is checked here
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NotPositiveDefinite("non-finite entry")
-    scale = float(np.max(a.diagonal().real, initial=0.0))
+    scale = float(a.diagonal().real.max(initial=0.0))
     if scale <= 0.0:
         raise NotPositiveDefinite("no positive diagonal entry")
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    low, info = zpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(f"factorization failed at column {info - 1}")
     threshold = pivot_tol * scale
     pivots = np.abs(low.diagonal()) ** 2
-    bad = np.flatnonzero(~(pivots > threshold))
-    if bad.size:
-        j = bad[0]
+    if not pivots.min() > threshold:  # NaN fails too
+        j = np.flatnonzero(~(pivots > threshold))[0]
         raise NotPositiveDefinite(
             f"pivot {pivots[j]:.3e} at column {j} (threshold {threshold:.1e})"
         )
@@ -65,24 +65,30 @@ def cholesky_factor(m: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
 
 
 def solve_hermitian(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m @ x = rhs for Hermitian positive-definite m via Cholesky."""
+    """Solve m @ x = rhs for Hermitian positive-definite m via Cholesky.
+
+    `rhs` is (N,) or (N, R); x has its shape.
+    """
     low = cholesky_factor(m)
-    y = solve_triangular(low, rhs, lower=True, check_finite=False)
-    return solve_triangular(low.conj().T, y, lower=False, check_finite=False)
+    rhs = np.asarray(rhs)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != low.shape[0]:
+        raise DimensionMismatch(f"right-hand side shape {rhs.shape} does not fit {low.shape}")
+    x, _ = zpotrs(low, rhs, lower=1)  # info < 0 only flags an argument the checks above rule out
+    return x
 
 
 def rank1_inverse_update(inv: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
     """Given inv = M^-1, return (M + c * u u^H)^-1 by the Sherman-Morrison identity.
 
     Raises DenominatorUnderflow when 1/c + u^H inv u falls below tolerance in
-    magnitude, which would make the update numerically meaningless.
+    magnitude or is NaN, which would make the update numerically meaningless.
     """
     if c <= 0:
         raise ValueError("update scale c must be positive")
     u = np.asarray(u, dtype=np.complex128)
     v = inv @ u
     denom = 1.0 / c + np.real(u.conj() @ v)
-    if abs(denom) < SM_DENOM_TOL:
+    if not abs(denom) >= SM_DENOM_TOL:  # NaN fails too
         raise DenominatorUnderflow(f"Sherman-Morrison denominator {denom:.3e}")
     return hermitize(inv - np.outer(v, v.conj()) / denom)
 
@@ -95,8 +101,12 @@ def hermitian_sqrt(m: np.ndarray, clip_rel: float = EIG_CLIP_REL) -> np.ndarray:
     clipped to zero, so numerically rank-deficient PSD inputs are handled
     without complex noise. A stack gives each matrix exactly the root a call
     on that matrix alone gives: one call per stack only saves call overhead.
+    Raises EigenFailure for a non-finite entry.
     """
-    a = hermitize(np.asarray(m, dtype=np.complex128))
+    a = np.asarray(m, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise EigenFailure("non-finite entry")
+    a = hermitize(a)
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

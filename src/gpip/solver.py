@@ -26,6 +26,7 @@ from the ridge by O(K log K) rank-one inverse updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -125,7 +126,7 @@ def build_effective_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[E
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
 
 
@@ -152,7 +153,8 @@ class _ClusterProblem:
     cov[j, l, u] its error covariance, and nr[l, u] that user's effective
     noise over transmit power. A single cell is C = 1. Small problems are
     bound by the number of numpy calls per sweep, so everything a sweep
-    reuses (conjugates, cell indices, the identity) is computed here once.
+    reuses (conjugates, cell indices, the own-estimate half of the solves'
+    right-hand sides) is computed here once.
     """
 
     def __init__(self, est, cov, nr):
@@ -168,9 +170,11 @@ class _ClusterProblem:
         self.own = est[self.cells, self.cells]  # (C, K, N): each BS toward its own users
         self.own_conj = self.own.conj()
         self.est_conj = est.conj()
-        self.eye = np.eye(self.n)
         self.g0 = np.einsum("jlkn,jlkm->jlknm", est, self.est_conj) + cov
         self.own_rank1 = np.einsum("jkn,jkm->jknm", self.own, self.own_conj)
+        # [rhs_j | own_j] of every cell, as rows; cholesky_blocks fills the rhs half
+        self.stacked = np.empty((self.c, 2 * self.k, self.n), dtype=np.complex128)
+        self.stacked[:, self.k:] = self.own
 
     def quad_forms(self, f: np.ndarray):
         """f^H A_(l,u) f and f^H B_(l,u) f as (C, K) arrays, for a (C, K, N) stack."""
@@ -178,24 +182,25 @@ class _ClusterProblem:
         # inner[j, l, u, i] = est(BS j -> user (l, u))^H f_(j, i)
         inner = self.est_conj @ f.transpose(0, 2, 1)[:, None]
         power = np.abs(inner) ** 2
-        sig = np.sum(power, axis=(0, 3))
+        sig = power.sum(axis=(0, 3))
         if self.has_cov:
             # sum_i f_i^H cov f_i = <cov, sum_i conj(f_i) f_i^T>
             gram = np.einsum("jin,jim->jnm", f.conj(), f)
             sig = sig + np.real(np.einsum("jlknm,jnm->lk", self.cov, gram))
         qa = sig + self.nr * norm2
-        desired = np.diagonal(power[self.cells, self.cells], axis1=1, axis2=2)  # (C, K)
+        desired = power.diagonal(0, 0, 1).diagonal(0, 0, 1)  # power[j, j, u, u], (C, K)
         return qa, qa - desired
 
-    def coefficients(self, qa, qb, w):
+    def coefficients(self, qa, qb, w, log_w):
         """Log-domain quotient weights, re-centered by the shared max exponent.
 
         Products of C*K quadratic forms overflow doubles well before K hits
         the sizes the solver targets, so both coefficient families are
         accumulated as log sums and exponentiated after subtracting one shared
         maximum, which fixes the common positive scale of Abar and Bbar.
+        `log_w` is log(w), which the kernel takes once per solve.
         """
-        log_w, log_qa, log_qb = np.log(w), np.log(qa), np.log(qb)
+        log_qa, log_qb = np.log(qa), np.log(qb)
         log_c = log_w - log_qa + np.vdot(w, log_qa)
         log_d = log_w - log_qb + np.vdot(w, log_qb)
         shift = max(log_c.max(), log_d.max())
@@ -208,8 +213,9 @@ class _ClusterProblem:
         j; with the d coefficients, block (j, u) of Bbar subtracts
         d[j, u] * own_rank1[j, u] from it.
         """
-        base = np.einsum("lk,jlknm->jnm", coeff, self.g0)
-        return base + np.vdot(coeff, self.nr) * self.eye
+        flat = np.einsum("lk,jlknm->jnm", coeff, self.g0).reshape(self.c, -1)
+        flat[:, :: self.n + 1] += np.vdot(coeff, self.nr)  # the ridge, on each diagonal
+        return flat.reshape(self.c, self.n, self.n)
 
     def cholesky_blocks(self, d, rhs, solve):
         """Bbar^-1 rhs: one `solve` (a Cholesky solver) per cell, then one
@@ -225,7 +231,8 @@ class _ClusterProblem:
         indefinite or degenerate block and raises NotPositiveDefinite.
         """
         k = self.k
-        stacked = np.concatenate([rhs, self.own], axis=1).transpose(0, 2, 1)
+        self.stacked[:, :k] = rhs
+        stacked = self.stacked.transpose(0, 2, 1)
         shared = self.cell_blocks(d)
         sol = np.empty_like(stacked)
         for j in range(self.c):
@@ -233,8 +240,8 @@ class _ClusterProblem:
         # proj[j, u, i] = own[j, u]^H sol[j, :, i]; its two diagonals are
         # e^H y and e^H z of every user
         proj = self.own_conj @ sol
-        ey = np.diagonal(proj[:, :, :k], axis1=1, axis2=2)
-        denom = 1.0 - d * np.diagonal(proj[:, :, k:], axis1=1, axis2=2).real
+        ey = proj[:, :, :k].diagonal(0, 1, 2)
+        denom = 1.0 - d * proj[:, :, k:].diagonal(0, 1, 2).real
         if not (denom.min() > PIVOT_TOL and denom.max() < np.inf):  # NaN fails both
             j, u = np.argwhere(~(np.isfinite(denom) & (denom > PIVOT_TOL)))[0]
             raise NotPositiveDefinite(
@@ -247,7 +254,7 @@ class _ClusterProblem:
     def kkt_residual(self, w, f) -> float:
         """|| Abar f - objective * Bbar f || / || Abar f || at the (C, K, N) stack f."""
         qa, qb = self.quad_forms(f)
-        c, d = self.coefficients(qa, qb, w)
+        c, d = self.coefficients(qa, qb, w, np.log(w))
         lam = 2.0 ** _log2_objective(w, qa, qb)
         af = f @ self.cell_blocks(c).transpose(0, 2, 1)
         bf = f @ self.cell_blocks(d).transpose(0, 2, 1)
@@ -315,7 +322,7 @@ def build_weighted_pair(
     prob = _problem(pairs, single_cell=True)
     w = _as_weights(weights, (prob.k,))
     qa, qb = prob.quad_forms(np.asarray(f_users, dtype=np.complex128)[None])
-    c, d = prob.coefficients(qa, qb, w)
+    c, d = prob.coefficients(qa, qb, w, np.log(w))
     a_blocks = np.broadcast_to(prob.cell_blocks(c), (prob.k, prob.n, prob.n)).copy()
     b_blocks = prob.cell_blocks(d) - d[0, :, None, None] * prob.own_rank1[0]
     return BlockDiagonal(a_blocks), BlockDiagonal(b_blocks)
@@ -427,15 +434,16 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
     qa, qb = prob.quad_forms(f)
     best_f, best_obj = f, _log2_objective(w, qa, qb)
     traj = [best_obj]
+    log_w = np.log(w)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        c, d = prob.coefficients(qa, qb, w)
+        c, d = prob.coefficients(qa, qb, w, log_w)
         rhs = f @ prob.cell_blocks(c).transpose(0, 2, 1)  # row (j, u) is Abar_j f_(j, u)
         f_new = solve_blocks(d, rhs)
-        f_new /= np.sqrt(np.vdot(f_new, f_new).real)
+        f_new /= math.sqrt(np.vdot(f_new, f_new).real)
         diff = f_new - f
-        step = float(np.sqrt(np.vdot(diff, diff).real))
+        step = math.sqrt(np.vdot(diff, diff).real)
         f = f_new
         qa, qb = prob.quad_forms(f)
         obj = _log2_objective(w, qa, qb)

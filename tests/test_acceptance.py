@@ -292,7 +292,7 @@ def test_c08_covariance_free_equivalence():
         for f_users in (solver.mrt_stack(est), fast.precoder):
             prob = solver._CellProblem(est, cov.astype(complex), np.full(k, nr))
             qa, qb = prob.quad_forms(f_users)
-            _, d = prob.coefficients(qa, qb, np.ones(k))
+            _, d = prob.coefficients(qa, qb, np.ones(k), np.zeros(k))  # w and log(w)
             d = d / d.max()
             delta = float(np.sum(d * (alpha + nr)))
             inverses = solver.covfree_block_inverses(est, d, delta)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gpip import channel
-from gpip.errors import BelowMinimumDistance
+from gpip.errors import BelowMinimumDistance, DimensionMismatch
 from gpip.numerics import hermitize
 
 
@@ -247,6 +247,17 @@ class TestTddCsit:
             tol = 1e-9 * np.trace(r).real
             assert np.linalg.eigvalsh(hermitize(phi)).min() >= -tol
             assert np.linalg.eigvalsh(hermitize(r - phi)).min() >= -tol
+
+    def test_statistics_accept_list_interferers(self):
+        geom = channel.uniform_circular_array(4)
+        r = channel.one_ring_correlation(geom, channel.OneRingParams(0.1, 0.4, 1.3))
+        r2 = channel.one_ring_correlation(geom, channel.OneRingParams(1.1, 0.3, 0.6))
+        from_arrays = channel.mmse_statistics(r, [r2], 0.37, 1.0, 1.0)
+        from_lists = channel.mmse_statistics(r, [r2.tolist()], 0.37, 1.0, 1.0)
+        for a, b in zip(from_arrays, from_lists):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(DimensionMismatch):
+            channel.mmse_statistics(r, [np.eye(3).tolist()], 0.37, 1.0, 1.0)
 
     def test_estimate_error_independence(self):
         # cov(est) must be R - phi and the error must be uncorrelated with it

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
-from gpip.errors import DenominatorUnderflow, EigenFailure, NotPositiveDefinite
+from gpip.errors import DenominatorUnderflow, DimensionMismatch, EigenFailure, NotPositiveDefinite
 from gpip.numerics import (
     BlockDiagonal,
     cholesky_factor,
@@ -58,6 +59,23 @@ class TestCholesky:
             with pytest.raises(NotPositiveDefinite):
                 cholesky_factor(bad)
 
+    def test_failed_leading_minor_names_its_column(self):
+        # the leading 3x3 minor is indefinite, so the factorization stops at column 2
+        m = np.eye(5)
+        m[1, 2] = m[2, 1] = 2.0
+        with pytest.raises(NotPositiveDefinite, match="column 2"):
+            cholesky_factor(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32])
+    def test_upper_triangle_is_zero(self, n):
+        low = cholesky_factor(random_pd(np.random.default_rng(n), n))
+        assert np.array_equal(np.triu(low, 1), np.zeros((n, n)))
+        assert np.all(low.diagonal().real > 0)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            cholesky_factor(np.ones((2, 3)))
+
     def test_rejects_tiny_pivot(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky_factor(np.diag([1.0, 1e-13]))
@@ -85,6 +103,38 @@ class TestSolveHermitian:
         rhs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         x = solve_hermitian(m, rhs)
         assert np.linalg.norm(m @ x - rhs) < 1e-8 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_matches_triangular_solves_bit_for_bit(self, n, complex_input):
+        # oracle: forward and back substitution on the factor cholesky_factor
+        # returns. OpenBLAS solves a lone column by a different triangular
+        # kernel, so 1-D right-hand sides are compared with their column of
+        # a two-column oracle.
+        rng = np.random.default_rng(100 + n)
+        m = random_pd(rng, n) if complex_input else random_pd(rng, n).real + n * np.eye(n)
+        low = cholesky_factor(m)
+
+        def oracle(rhs):
+            y = solve_triangular(low, rhs, lower=True, check_finite=False)
+            return solve_triangular(low.conj().T, y, lower=False, check_finite=False)
+
+        def draw(shape):
+            real = rng.standard_normal(shape)
+            return real + 1j * rng.standard_normal(shape) if complex_input else real
+
+        for cols in (2, 5, 3 * n):
+            rhs = draw((n, cols))
+            np.testing.assert_array_equal(solve_hermitian(m, rhs), oracle(rhs))
+        vec = draw(n)
+        np.testing.assert_array_equal(
+            solve_hermitian(m, vec), oracle(np.stack([vec, draw(n)], axis=1))[:, 0]
+        )
+
+    def test_rejects_mismatched_right_hand_side(self):
+        for rhs in (np.ones(3), np.ones((2, 2, 2)), np.ones((3, 2))):
+            with pytest.raises(DimensionMismatch):
+                solve_hermitian(np.eye(2), rhs)
 
     def test_propagates_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
@@ -141,6 +191,11 @@ class TestRank1InverseUpdate:
         with pytest.raises(DenominatorUnderflow):
             rank1_inverse_update(inv, np.array([1.0 + 0j]), 1.0)
 
+    def test_nan_vector_raises_instead_of_a_nan_inverse(self):
+        u = np.array([1.0, np.nan])
+        with pytest.raises(DenominatorUnderflow):
+            rank1_inverse_update(np.eye(2), u, 1.0)
+
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             rank1_inverse_update(np.eye(2), np.ones(2), 0.0)
@@ -172,6 +227,16 @@ class TestHermitianSqrt:
         bad = np.full((3, 3), np.nan)
         with pytest.raises(EigenFailure):
             hermitian_sqrt(bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_raises(self, bad):
+        m = np.eye(3)
+        m[0, 2] = bad
+        with pytest.raises(EigenFailure, match="non-finite entry"):
+            hermitian_sqrt(m)
+        stack = np.stack([np.eye(3), m])
+        with pytest.raises(EigenFailure, match="non-finite entry"):
+            hermitian_sqrt(stack)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 8))
