@@ -82,19 +82,20 @@ def uniform_circular_array(n_antennas: int, wavelength: float = 1.0) -> ArrayGeo
 
 @dataclass(frozen=True)
 class OneRingParams:
-    """Azimuth, angular spread (radians), and large-scale linear power gain."""
+    """Azimuth, angular spread (radians), and large-scale linear power gain;
+    azimuth and gain may be arrays that broadcast to one shape S of links."""
 
-    azimuth: float
+    azimuth: float | np.ndarray
     angular_spread: float
-    gain: float = 1.0
+    gain: float | np.ndarray = 1.0
 
     def __post_init__(self):
         for name in ("azimuth", "angular_spread", "gain"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.angular_spread <= 0:
             raise ValueError("angular_spread must be positive")
-        if self.gain <= 0:
+        if not np.all(np.greater(self.gain, 0)):
             raise ValueError("gain must be positive")
 
 
@@ -122,7 +123,9 @@ def _node_count(geom: ArrayGeometry, angular_spread: float) -> int:
 
 
 def one_ring_correlation(geom: ArrayGeometry, params: OneRingParams) -> np.ndarray:
-    """Antenna correlation matrix of a scatterer ring around the user.
+    """Antenna correlation matrix of a scatterer ring around the user, or the
+    (*S, N, N) stack of them for azimuths and gains of shape S, each bit for
+    bit what a call with that link's scalars gives.
 
     Entry (n, m) is the gain times the average over arrival angles
     alpha in [azimuth - spread, azimuth + spread] of
@@ -135,16 +138,17 @@ def one_ring_correlation(geom: ArrayGeometry, params: OneRingParams) -> np.ndarr
     outer products). It matches the QUAD_NODES rule to about 1e-14 * gain;
     a geometry that reaches the cap gets exactly the QUAD_NODES rule.
     """
+    azimuth, gain = np.broadcast_arrays(params.azimuth, params.gain)
     nodes, gl_weights = _gauss_legendre(_node_count(geom, params.angular_spread))
-    alphas = params.azimuth + params.angular_spread * nodes
+    alphas = azimuth[..., None] + params.angular_spread * nodes  # (*S, nodes)
     weights = 0.5 * gl_weights  # normalizes the sector average to 1
     k_wave = 2 * np.pi / geom.wavelength
     phase = -k_wave * (
-        np.cos(alphas)[:, None] * geom.positions[None, :, 0]
-        + np.sin(alphas)[:, None] * geom.positions[None, :, 1]
+        np.cos(alphas)[..., None] * geom.positions[:, 0]
+        + np.sin(alphas)[..., None] * geom.positions[:, 1]
     )
-    steer = np.exp(1j * phase)  # (nodes, N)
-    r = params.gain * ((weights[:, None] * steer).T @ steer.conj())
+    steer = np.exp(1j * phase)  # (*S, nodes, N)
+    r = gain[..., None, None] * (np.swapaxes(weights[:, None] * steer, -1, -2) @ steer.conj())
     return hermitize(r)
 
 
@@ -167,15 +171,16 @@ def standard_complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarr
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def okumura_hata_pathloss(distance_km: float) -> float:
-    """Urban macro path loss in dB; valid from 40 m outward."""
-    if distance_km < MIN_DISTANCE_KM:
-        raise BelowMinimumDistance(f"distance {distance_km} km < {MIN_DISTANCE_KM} km")
-    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE_DB * np.log10(distance_km)
+def okumura_hata_pathloss(distance_km):
+    """Urban macro path loss in dB of a distance or an array of them; valid from 40 m outward."""
+    d = np.asarray(distance_km, dtype=float)
+    if np.any(d < MIN_DISTANCE_KM):
+        raise BelowMinimumDistance(f"distance {np.nanmin(d)} km < {MIN_DISTANCE_KM} km")
+    return PATHLOSS_INTERCEPT_DB + PATHLOSS_SLOPE_DB * np.log10(d)
 
 
-def gain_from_pathloss(loss_db: float, shadow_db: float = 0.0) -> float:
-    """Linear power gain from a path loss and an optional shadowing term (dB)."""
+def gain_from_pathloss(loss_db, shadow_db=0.0):
+    """Linear power gain from path losses and optional shadowing terms (dB)."""
     return 10.0 ** ((-loss_db + shadow_db) / 10.0)
 
 

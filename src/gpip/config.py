@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -30,6 +31,22 @@ KNOWN_ALGORITHMS = (
 CSIT_MODELS = ("perfect", "additive", "tdd", "fdd")
 COV_KNOWLEDGE = ("full", "scalar", "none")
 NOISE_DENSITY_DBM_HZ = -174.0
+# field types; bool is an int to Python but never a count or a quantity here
+_INTEGER_FIELDS = ("n_antennas", "n_users", "seed", "n_trials", "n_cells", "n_coop",
+                  "n_drops", "n_blocks", "max_iter")
+_NUMBER_FIELDS = ("bs_power_dbm", "bandwidth_hz", "noise_figure_db", "carrier_hz",
+                 "inter_site_m", "min_distance_m", "shadowing_db", "pilot_power_dbm",
+                 "angular_spread", "csit_error_var", "fdd_kappa", "tdd_noise_over_pilot",
+                 "pf_smoothing", "tol", "sel_threshold", "sus_alpha")
+_LIST_FIELDS = ("algorithms", "snr_db")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -74,6 +91,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self) -> "ExperimentConfig":
+        self._check_types()
         if self.scenario not in ("link", "system"):
             raise ConfigInvalid(f"scenario: must be 'link' or 'system', got {self.scenario!r}")
         if self.n_antennas < 1:
@@ -85,8 +103,6 @@ class ExperimentConfig:
         for alg in self.algorithms:
             if alg not in KNOWN_ALGORITHMS:
                 raise ConfigInvalid(f"algorithms: unknown algorithm {alg!r}")
-        if self.seed is None or not isinstance(self.seed, int):
-            raise ConfigInvalid("seed: an integer master seed is required")
         if self.scenario == "link":
             if not self.snr_db:
                 raise ConfigInvalid("snr_db: list must be nonempty")
@@ -152,6 +168,24 @@ class ExperimentConfig:
         if not 0 < self.angular_spread < math.inf:
             raise ConfigInvalid("angular_spread: must be positive and finite")
         return self
+
+    def _check_types(self) -> None:
+        """Reject a field of the wrong JSON type before any comparison reads it."""
+        for name in _INTEGER_FIELDS:
+            if not _is_integer(getattr(self, name)):
+                raise ConfigInvalid(f"{name}: must be an integer")
+        if self.pilot_len is not None and not _is_integer(self.pilot_len):
+            raise ConfigInvalid("pilot_len: must be an integer")
+        for name in _NUMBER_FIELDS:
+            if not _is_number(getattr(self, name)):
+                raise ConfigInvalid(f"{name}: must be a number")
+        for name in _LIST_FIELDS:
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigInvalid(f"{name}: must be a list")
+        if not all(_is_number(s) for s in self.snr_db):
+            raise ConfigInvalid("snr_db: every entry must be a number")
+        if not isinstance(self.output_dir, str):
+            raise ConfigInvalid("output_dir: must be a string")
 
     # -- derived quantities -------------------------------------------------
 

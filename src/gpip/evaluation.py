@@ -124,12 +124,10 @@ def _link_correlations(config) -> np.ndarray:
     spread and unit gain; antennas form a half-wavelength circular array.
     """
     geom = channel.uniform_circular_array(config.n_antennas, wavelength=1.0)
-    corr = np.empty((config.n_users, config.n_antennas, config.n_antennas), dtype=np.complex128)
-    for k in range(config.n_users):
-        theta = 2.0 * np.pi * (k + 1) / config.n_users
-        params = channel.OneRingParams(theta, config.angular_spread, 1.0)
-        corr[k] = channel.one_ring_correlation(geom, params)
-    return corr
+    theta = 2.0 * np.pi * np.arange(1, config.n_users + 1) / config.n_users
+    return channel.one_ring_correlation(
+        geom, channel.OneRingParams(theta, config.angular_spread, 1.0)
+    )
 
 
 @dataclass(frozen=True)
@@ -230,16 +228,14 @@ def _known_cov(knowledge: str, cov, n):
     """Error covariance as the transmitter knows it, per the `cov_knowledge` setting.
 
     cov is a (..., N, N) stack or None; returns (known covariances, scalar
-    levels trace/N for the "scalar" setting, else None).
+    levels trace/N, which `gpip-covfree` uses), both None under "none".
     """
     if cov is None or knowledge == "none":
         return None, None
-    if knowledge == "full":
-        return cov, None
-    if knowledge == "scalar":
-        alphas = np.real(np.trace(cov, axis1=-2, axis2=-1)) / n
-        return alphas[..., None, None] * np.eye(n), alphas
-    raise ConfigInvalid(f"cov_knowledge: unknown setting {knowledge!r}")
+    if knowledge not in ("full", "scalar"):
+        raise ConfigInvalid(f"cov_knowledge: unknown setting {knowledge!r}")
+    alphas = np.real(np.trace(cov, axis1=-2, axis2=-1)) / n
+    return (cov if knowledge == "full" else alphas[..., None, None] * np.eye(n)), alphas
 
 
 def design_precoders(

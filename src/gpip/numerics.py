@@ -34,12 +34,12 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
-def cholesky_factor(m: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def cholesky_factor(m: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L^H = m for Hermitian positive-definite m.
 
     LAPACK factors the lower triangle; the upper triangle of L is zero.
     Raises NotPositiveDefinite for a non-finite entry, a failed factorization,
-    or any pivot |L_jj|^2 <= pivot_tol times the largest diagonal entry, which
+    or any pivot |L_jj|^2 <= PIVOT_TOL times the largest diagonal entry, which
     signals a degenerate input: the caller must add a ridge or reject it.
     """
     a = np.asarray(m, dtype=np.complex128)
@@ -54,7 +54,7 @@ def cholesky_factor(m: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
     low, info = zpotrf(a, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(f"factorization failed at column {info - 1}")
-    threshold = pivot_tol * scale
+    threshold = PIVOT_TOL * scale
     pivots = np.abs(low.diagonal()) ** 2
     if not pivots.min() > threshold:  # NaN fails too
         j = np.flatnonzero(~(pivots > threshold))[0]
@@ -93,11 +93,11 @@ def rank1_inverse_update(inv: np.ndarray, u: np.ndarray, c: float) -> np.ndarray
     return hermitize(inv - np.outer(v, v.conj()) / denom)
 
 
-def hermitian_sqrt(m: np.ndarray, clip_rel: float = EIG_CLIP_REL) -> np.ndarray:
+def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root S with S @ S^H = m, of a matrix or of every
     matrix of a (..., N, N) stack.
 
-    Eigenvalues below clip_rel times the largest of their own matrix are
+    Eigenvalues below EIG_CLIP_REL times the largest of their own matrix are
     clipped to zero, so numerically rank-deficient PSD inputs are handled
     without complex noise. A stack gives each matrix exactly the root a call
     on that matrix alone gives: one call per stack only saves call overhead.
@@ -112,7 +112,7 @@ def hermitian_sqrt(m: np.ndarray, clip_rel: float = EIG_CLIP_REL) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     top = np.maximum(w[..., -1:], 0.0)
-    w = np.where(w < clip_rel * top, 0.0, w)
+    w = np.where(w < EIG_CLIP_REL * top, 0.0, w)
     return (u * np.sqrt(w)[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 

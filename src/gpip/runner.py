@@ -146,7 +146,8 @@ def system_correlations(cfg: ExperimentConfig, rng) -> tuple[np.ndarray, channel
     correlation matrices are returned in noise-normalized units (gain divided
     by noise-power-over-transmit-power), so the downlink noise ratio becomes
     exactly one and matrix conditioning is independent of the absolute
-    physical scales. `betas` stays in raw linear units.
+    physical scales. `betas` stays in raw linear units. Each serving BS's
+    L*K links take one `one_ring_correlation` call.
     """
     topo = channel.drop_users(
         cfg.n_cells, cfg.n_users, cfg.inter_site_m, cfg.min_distance_m, rng
@@ -154,23 +155,15 @@ def system_correlations(cfg: ExperimentConfig, rng) -> tuple[np.ndarray, channel
     geom = channel.uniform_circular_array(cfg.n_antennas, cfg.wavelength_m())
     dist_km = topo.distances_km()
     shadow = rng.normal(0.0, cfg.shadowing_db, size=dist_km.shape)
-    n_cells, _, n_users = dist_km.shape
-    betas = np.empty_like(dist_km)
-    corr = np.empty(
-        (n_cells, n_cells, n_users, cfg.n_antennas, cfg.n_antennas), dtype=np.complex128
-    )
-    norm = cfg.noise_power_mw() / cfg.bs_power_mw()
-    for j in range(n_cells):
-        for l in range(n_cells):
-            for k in range(n_users):
-                loss = channel.okumura_hata_pathloss(dist_km[j, l, k])
-                betas[j, l, k] = channel.gain_from_pathloss(loss, shadow[j, l, k])
-                delta = topo.user_xy[l, k] - topo.cell_xy[j]
-                theta = float(np.arctan2(delta[1], delta[0]))
-                corr[j, l, k] = channel.one_ring_correlation(
-                    geom,
-                    channel.OneRingParams(theta, cfg.angular_spread, betas[j, l, k] / norm),
-                )
+    betas = channel.gain_from_pathloss(channel.okumura_hata_pathloss(dist_km), shadow)
+    delta = topo.user_xy[None, :, :, :] - topo.cell_xy[:, None, None, :]  # (L, L, K, 2)
+    theta = np.arctan2(delta[..., 1], delta[..., 0])
+    gains = betas / (cfg.noise_power_mw() / cfg.bs_power_mw())
+    corr = np.empty(dist_km.shape + (cfg.n_antennas, cfg.n_antennas), dtype=np.complex128)
+    for j in range(cfg.n_cells):
+        corr[j] = channel.one_ring_correlation(
+            geom, channel.OneRingParams(theta[j], cfg.angular_spread, gains[j])
+        )
     return corr, topo, betas
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gpip import channel
+from gpip import channel, runner
+from gpip.config import config_from_dict
 from gpip.errors import BelowMinimumDistance, DimensionMismatch
 from gpip.numerics import hermitize
 
@@ -152,6 +153,84 @@ class TestOneRing:
             fields = dict(azimuth=0.1, angular_spread=0.2, gain=1.0) | {name: value}
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 channel.OneRingParams(**fields)
+
+
+class TestStackedOneRing:
+    @pytest.mark.parametrize(
+        "n,wavelength,spread,shape",
+        [(16, 0.15, np.pi / 6, (3, 5)), (16, 0.15, np.pi / 6, (76,)), (8, 1.0, 0.8, (76,)),
+         (256, 0.15, np.pi, (3, 5))],
+    )
+    def test_stack_equals_per_link_calls(self, n, wavelength, spread, shape):
+        geom = channel.uniform_circular_array(n, wavelength)
+        rng = np.random.default_rng(n)
+        azimuth = rng.uniform(-np.pi, np.pi, shape)
+        gain = 10.0 ** rng.uniform(-3.0, 3.0, shape)
+        stack = channel.one_ring_correlation(geom, channel.OneRingParams(azimuth, spread, gain))
+        assert stack.shape == shape + (n, n)
+        for idx in np.ndindex(shape):
+            one = channel.OneRingParams(float(azimuth[idx]), spread, float(gain[idx]))
+            assert np.array_equal(stack[idx], channel.one_ring_correlation(geom, one))
+        if n == 256:
+            assert channel._node_count(geom, spread) == channel.QUAD_NODES
+            one = channel.OneRingParams(float(azimuth[1, 2]), spread, float(gain[1, 2]))
+            assert np.array_equal(stack[1, 2], fixed_rule_one_ring(geom, one))
+
+    def test_scalar_gain_broadcasts_over_azimuths(self):
+        geom = channel.uniform_circular_array(4)
+        azimuth = np.array([0.1, 1.2, -2.0])
+        stack = channel.one_ring_correlation(geom, channel.OneRingParams(azimuth, 0.3, 1.5))
+        for a, r in zip(azimuth, stack):
+            assert np.array_equal(r, channel.one_ring_correlation(
+                geom, channel.OneRingParams(float(a), 0.3, 1.5)))
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("azimuth", np.nan, "azimuth must be finite"),
+        ("azimuth", -np.inf, "azimuth must be finite"),
+        ("gain", np.inf, "gain must be finite"),
+        ("gain", 0.0, "gain must be positive"),
+        ("gain", -2.0, "gain must be positive"),
+    ])
+    def test_one_bad_entry_rejects_the_stack(self, name, value, message):
+        fields = dict(azimuth=np.linspace(-1.0, 1.0, 6).reshape(2, 3), angular_spread=0.2,
+                      gain=np.full((2, 3), 1.5))
+        fields[name][1, 2] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            channel.OneRingParams(**fields)
+
+
+class TestStackedPathloss:
+    def test_array_equals_scalar_calls(self):
+        d = np.random.default_rng(3).uniform(0.04, 2.0, (4, 5, 3))
+        losses = channel.okumura_hata_pathloss(d)
+        assert losses.shape == d.shape
+        for idx in np.ndindex(d.shape):
+            assert losses[idx] == channel.okumura_hata_pathloss(float(d[idx]))
+
+    def test_any_entry_below_minimum_names_the_smallest(self):
+        d = np.array([[0.5, 0.039], [0.0391, 1.0]])
+        with pytest.raises(BelowMinimumDistance, match=r"^distance 0\.039 km < 0\.04 km$"):
+            channel.okumura_hata_pathloss(d)
+
+    def test_system_correlations_equal_a_per_link_loop(self):
+        cfg = config_from_dict(dict(scenario="system", n_antennas=4, n_users=3, n_cells=7,
+                                    algorithms=["gpip"], seed=0))
+        corr, topo, betas = runner.system_correlations(cfg, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        channel.drop_users(cfg.n_cells, cfg.n_users, cfg.inter_site_m, cfg.min_distance_m, rng)
+        dist_km = topo.distances_km()
+        shadow = rng.normal(0.0, cfg.shadowing_db, size=dist_km.shape)
+        geom = channel.uniform_circular_array(cfg.n_antennas, cfg.wavelength_m())
+        norm = cfg.noise_power_mw() / cfg.bs_power_mw()
+        for j, l, k in np.ndindex(dist_km.shape):
+            loss = channel.okumura_hata_pathloss(dist_km[j, l, k])
+            beta = channel.gain_from_pathloss(loss, shadow[j, l, k])
+            # 10 ** x on an array may round differently from the scalar power
+            assert abs(betas[j, l, k] - beta) <= np.spacing(beta)
+            delta = topo.user_xy[l, k] - topo.cell_xy[j]
+            theta = float(np.arctan2(delta[1], delta[0]))
+            params = channel.OneRingParams(theta, cfg.angular_spread, betas[j, l, k] / norm)
+            assert np.array_equal(corr[j, l, k], channel.one_ring_correlation(geom, params))
 
 
 class TestSampleChannel:

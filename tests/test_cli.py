@@ -130,6 +130,36 @@ class TestConfigValidation:
         assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "patch,message",
+        [
+            (dict(n_antennas=4.0), "n_antennas: must be an integer"),
+            (dict(n_antennas=True), "n_antennas: must be an integer"),
+            (dict(n_users=2.5), "n_users: must be an integer"),
+            (dict(n_trials=1.5), "n_trials: must be an integer"),
+            (dict(max_iter=2.5), "max_iter: must be an integer"),
+            (dict(seed=True), "seed: must be an integer"),
+            (dict(scenario="system", n_cells=1, pilot_len=2.0), "pilot_len: must be an integer"),
+            (dict(snr_db=10), "snr_db: must be a list"),
+            (dict(snr_db=[10, "20"]), "snr_db: every entry must be a number"),
+            (dict(tol="0.01"), "tol: must be a number"),
+            (dict(csit_error_var=False), "csit_error_var: must be a number"),
+            (dict(algorithms="gpip"), "algorithms: must be a list"),
+            (dict(output_dir=5), "output_dir: must be a string"),
+        ],
+    )
+    def test_wrong_field_types_rejected_before_any_output(self, tmp_path, patch, message):
+        data = minimal_link(**patch)
+        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+            config_from_dict(data)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+            runner.run(ExperimentConfig(**data), out)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_runners_reject_the_other_scenario(self, tmp_path):
         link = config_from_dict(minimal_link())
         system = config_from_dict(minimal_link(scenario="system", n_cells=1))

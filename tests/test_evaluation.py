@@ -202,6 +202,33 @@ class TestLinkStatistics:
             evaluation.link_trial(other, 10.0, ["mrt"], np.random.default_rng(0), stats)
 
 
+class TestKnownCovariance:
+    def test_covfree_uses_trace_matched_levels_under_full_knowledge(self):
+        cfg = link_config(n_antennas=4, n_users=3, algorithms=["gpip-covfree"],
+                          csit_model="tdd", tdd_noise_over_pilot=0.3)
+        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+        _, est, cov = evaluation._draw_link_csit(cfg, stats, np.random.default_rng(2))
+        known, alphas = evaluation._known_cov("full", cov, cfg.n_antennas)
+        assert known is cov
+        f, _ = evaluation.design_precoders("gpip-covfree", est, known, 0.2, cfg, alphas)
+        ref = solver.gpip_covfree(est, np.real(np.trace(cov, axis1=1, axis2=2)) / cfg.n_antennas,
+                                  0.2, tol=cfg.tol, max_iter=cfg.max_iter,
+                                  select_threshold=cfg.sel_threshold)
+        assert np.array_equal(f, ref.precoder)
+
+    def test_covfree_rates_depend_on_the_knowledge_setting(self):
+        rates = {}
+        for knowledge in ("full", "scalar", "none"):
+            cfg = link_config(n_antennas=4, n_users=4, algorithms=["gpip-covfree"],
+                              csit_model="additive", csit_error_var=0.3,
+                              cov_knowledge=knowledge)
+            out = evaluation.link_trial(cfg, 10.0, cfg.algorithms, np.random.default_rng(1))
+            rates[knowledge] = out["gpip-covfree"][0]
+        # additive errors are white, so the trace-matched levels are the truth
+        assert np.array_equal(rates["full"], rates["scalar"])
+        assert not np.array_equal(rates["full"], rates["none"])
+
+
 class TestPfWeights:
     def test_equal_rates_give_uniform_weights(self):
         w = evaluation.pf_weights([2.0, 2.0, 2.0])
