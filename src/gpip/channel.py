@@ -30,6 +30,8 @@ PATHLOSS_INTERCEPT_DB = 135.1047
 PATHLOSS_SLOPE_DB = 35.0413
 MIN_DISTANCE_KM = 0.04
 
+_SQRT2 = math.sqrt(2.0)
+
 
 def as_rng(seed) -> np.random.Generator:
     """Accept an int seed, a SeedSequence, or a Generator."""
@@ -153,22 +155,43 @@ def one_ring_correlation(geom: ArrayGeometry, params: OneRingParams) -> np.ndarr
 
 
 def sample_channel(corr: np.ndarray | None, rng, root: np.ndarray | None = None) -> np.ndarray:
-    """Draw h = corr^(1/2) g with g standard circularly-symmetric Gaussian.
+    """Draw h = corr^(1/2) g with g standard circularly-symmetric Gaussian,
+    or the (..., N) stack of draws for a (..., N, N) stack of correlations.
 
     `root` is corr's PSD root when the caller already holds it (campaigns
     take every root of a drop from one batched `hermitian_sqrt`); `corr` is
-    then not read and may be None.
+    then not read and may be None. Like every CSIT function here, a stack
+    draws member by member in C order, so it equals the single-member calls
+    in that order bit for bit and leaves `rng` in the same state.
     """
     rng = as_rng(rng)
     if root is None:
         root = hermitian_sqrt(corr)
-    g = standard_complex_gaussian(rng, root.shape[0])
-    return root @ g
+    g = _member_gaussians(rng, root.shape[:-2], 1, root.shape[-1])
+    return _apply(root, g[..., 0, :])
 
 
 def standard_complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian samples."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _member_gaussians(rng: np.random.Generator, lead: tuple, count: int, n: int) -> np.ndarray:
+    """(*lead, count, n) standard complex Gaussians, drawn member by member:
+    for each member of `lead` in C order, `count` vectors, each as
+    `standard_complex_gaussian(rng, n)` draws it (real parts, then imaginary)."""
+    z = rng.standard_normal((*lead, count, 2, n))
+    g = np.empty((*lead, count, n), dtype=np.complex128)
+    g.real = z[..., 0, :]
+    g.imag = z[..., 1, :]
+    g /= _SQRT2
+    return g
+
+
+def _apply(root: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """root @ g for each member: (..., N, N) or one shared (N, N) root times
+    a (..., N) stack, each member bit for bit its own matrix-vector product."""
+    return (root @ g[..., None])[..., 0]
 
 
 def okumura_hata_pathloss(distance_km):
@@ -250,14 +273,15 @@ def mmse_csit_tdd(
     true channel is their sum, which makes the pair exactly consistent with
     MMSE estimation (the estimate never carries more uncertainty than the
     prior). `stats` is `mmse_statistics` of these inputs when the caller
-    already holds it; only `rng` is then read.
+    already holds it; only `rng` is then read. For a stack of links each
+    member draws its estimate and then its error.
     """
     rng = as_rng(rng)
     if stats is None:
         stats = mmse_statistics(r_serving, r_interferers, noise_var, pilot_len, pilot_power)
-    n = stats.phi.shape[-1]
-    est = stats.est_root @ standard_complex_gaussian(rng, n)
-    err = stats.err_root @ standard_complex_gaussian(rng, n)
+    g = _member_gaussians(rng, stats.phi.shape[:-2], 2, stats.phi.shape[-1])
+    est = _apply(stats.est_root, g[..., 0, :])
+    err = _apply(stats.err_root, g[..., 1, :])
     return est + err, est, stats.phi
 
 
@@ -282,17 +306,17 @@ def fdd_quantized_csit(
     covariance is the kappa^2-scaled correlation matrix (the colored variance
     of the v term), which is the identification the rest of the pipeline
     uses for robustness terms. `root` is S when the caller already holds it.
+    For a (..., N, N) stack each member draws g and then v.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     rng = as_rng(rng)
-    n = corr.shape[0]
     if root is None:
         root = hermitian_sqrt(corr)
-    g = standard_complex_gaussian(rng, n)
-    v = standard_complex_gaussian(rng, n)
-    true_h = root @ g
-    est = root @ (np.sqrt(1.0 - kappa**2) * g + kappa * v)
+    gv = _member_gaussians(rng, root.shape[:-2], 2, root.shape[-1])
+    g, v = gv[..., 0, :], gv[..., 1, :]
+    true_h = _apply(root, g)
+    est = _apply(root, np.sqrt(1.0 - kappa**2) * g + kappa * v)
     phi = (kappa**2) * hermitize(np.asarray(corr, dtype=np.complex128))
     return true_h, est, phi
 
@@ -302,13 +326,16 @@ def additive_error_csit(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate = true channel plus CN(0, error_cov) noise; returns (estimate, error_cov).
 
+    `true_h` may be a (..., N) stack, with one shared (N, N) error covariance
+    or a (..., N, N) stack of them; each member draws its own error.
     `err_root` is error_cov's PSD root when the caller already holds it.
     """
     rng = as_rng(rng)
     true_h = np.asarray(true_h, dtype=np.complex128)
     if err_root is None:
         err_root = hermitian_sqrt(error_cov)
-    err = err_root @ standard_complex_gaussian(rng, true_h.shape[0])
+    g = _member_gaussians(rng, true_h.shape[:-1], 1, true_h.shape[-1])
+    err = _apply(err_root, g[..., 0, :])
     return true_h + err, np.asarray(error_cov, dtype=np.complex128)
 
 

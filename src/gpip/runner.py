@@ -188,21 +188,26 @@ def _outside_power(traces: np.ndarray, n: int, clusters=None) -> np.ndarray:
 class DropStatistics:
     """Everything second-order a drop fixes for all of its fading blocks.
 
-    `roots[j, l, k]` is the PSD root of link (j, l, k)'s correlation;
     `known[j, l, k]` marks the links BS j trains from in-cluster pilots;
     `err_cov` holds their MMSE error covariances (zero on every other link,
-    and everywhere under perfect CSIT), and `mmse` maps each trained link to
-    its `channel.MmseStatistics` (None under perfect CSIT). `outside` and
-    `outside_coop` are the out-of-cell and out-of-cluster interference
-    powers; a block adds its noise ratio to them. `settings` records the
-    clusters, pilot noise and CSIT model the statistics were built for.
+    and everywhere under perfect CSIT). `roots[j, l, k]` is the PSD root of
+    link (j, l, k)'s correlation for every link a block draws from its prior:
+    all of them under perfect CSIT, the untrained ones otherwise (a trained
+    link's entry is NaN). `mmse_roots` holds the trained links' roots of
+    R - phi and of phi (the `est_root` and `err_root` of
+    `channel.MmseStatistics`, whose phi is `err_cov`) as two (T, N, N)
+    stacks in the (cell, user, BS) order the blocks draw them, or None under
+    perfect CSIT. `outside` and `outside_coop` are the out-of-cell and
+    out-of-cluster interference powers; a block adds its noise ratio to
+    them. `settings` records the clusters, pilot noise and CSIT model the
+    statistics were built for.
     Arrays are read-only: one drop's blocks share them.
     """
 
     roots: np.ndarray  # (L, L, K, N, N)
     known: np.ndarray  # (L, L, K) bool
     err_cov: np.ndarray  # (L, L, K, N, N)
-    mmse: dict | None
+    mmse_roots: tuple[np.ndarray, np.ndarray] | None  # (T, N, N) each
     outside: np.ndarray  # (L, K)
     outside_coop: np.ndarray  # (L, K)
     settings: tuple
@@ -213,7 +218,7 @@ class DropStatistics:
         a `cov_knowledge` setting: derived on first use, then shared by the
         drop's blocks, read-only."""
         if cov_knowledge not in self._known_covs:
-            perfect = self.mmse is None
+            perfect = self.mmse_roots is None
             known = evaluation._known_cov(cov_knowledge, None if perfect else self.err_cov,
                                           self.roots.shape[-1])
             for a in known:
@@ -231,13 +236,14 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
                     perfect: bool = False) -> DropStatistics:
     """The DropStatistics of one drop's (L, L, K, N, N) correlation stack.
 
-    `corr` is consumed: serving BS by serving BS, its correlations are
-    replaced by their PSD roots (one batched `hermitian_sqrt` each), so a
-    drop never holds the correlations and the roots at once, and `roots` is
-    `corr`'s buffer. Everything else a BS's statistics need is its own
-    correlations: one `channel.mmse_statistics` call per BS gives its
-    trained links, with the out-of-cluster co-pilot contamination that
-    `multicell_csit` describes. Pass a copy to keep the correlations.
+    `corr` is consumed: serving BS by serving BS, the correlations of the
+    links drawn from their prior are replaced by their PSD roots (one
+    batched `hermitian_sqrt` each), so a drop never holds the correlations
+    and the roots at once, and `roots` is `corr`'s buffer. Everything else a
+    BS's statistics need is its own correlations: one
+    `channel.mmse_statistics` call per BS gives its trained links, with the
+    out-of-cluster co-pilot contamination that `multicell_csit` describes;
+    their correlations are never rooted. Pass a copy to keep the correlations.
     """
     n_cells, _, _, n, _ = corr.shape
     cluster_of = {l: cl for cl in clusters for l in cl}
@@ -247,24 +253,32 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     traces = np.real(np.trace(corr, axis1=3, axis2=4))  # (L, L, K)
     # zeros are only written where a BS trains, so the rest stays unbacked
     err_cov = np.zeros(corr.shape, dtype=np.complex128)
-    mmse = None if perfect else {}
+    mmse_roots = None
+    if not perfect:
+        # slot[j, l, k]: a trained link's index in (cell, user, BS) draw order
+        n_trained = np.count_nonzero(known)
+        slot = np.zeros(known.shape, dtype=np.intp)
+        slot.transpose(1, 2, 0)[known.transpose(1, 2, 0)] = np.arange(n_trained)
+        mmse_roots = tuple(np.empty((n_trained, n, n), dtype=np.complex128) for _ in range(2))
     for j in range(n_cells):
-        if not perfect:
-            cl = cluster_of[j]
-            r = corr[j, cl]  # (C, K, N, N): BS j toward its cluster's users
-            interferers = [np.broadcast_to(corr[j, lp], r.shape)
-                           for lp in range(n_cells) if lp not in cl]
-            stats = channel.mmse_statistics(r, interferers, noise_over_pilot, 1.0, 1.0)
-            err_cov[j, cl] = stats.phi
-            for (b, l), k in itertools.product(enumerate(cl), range(r.shape[1])):
-                mmse[j, l, k] = channel.MmseStatistics(
-                    err_cov[j, l, k], stats.est_root[b, k], stats.err_root[b, k]
-                )
-        corr[j] = hermitian_sqrt(corr[j])
-    for a in (corr, known, err_cov):
+        if perfect:
+            corr[j] = hermitian_sqrt(corr[j])
+            continue
+        cl = cluster_of[j]
+        outside = [lp for lp in range(n_cells) if lp not in cl]
+        r = corr[j, cl]  # (C, K, N, N): BS j toward its cluster's users
+        interferers = [np.broadcast_to(corr[j, lp], r.shape) for lp in outside]
+        stats = channel.mmse_statistics(r, interferers, noise_over_pilot, 1.0, 1.0)
+        err_cov[j, cl] = stats.phi
+        for stack, part in zip(mmse_roots, (stats.est_root, stats.err_root)):
+            stack[slot[j, cl]] = part
+        if outside:
+            corr[j, outside] = hermitian_sqrt(corr[j, outside])
+        corr[j, cl] = np.nan  # trained links are drawn from `mmse_roots`
+    for a in (corr, known, err_cov, *(mmse_roots or ())):
         a.flags.writeable = False
     return DropStatistics(
-        roots=corr, known=known, err_cov=err_cov, mmse=mmse,
+        roots=corr, known=known, err_cov=err_cov, mmse_roots=mmse_roots,
         outside=_outside_power(traces, n), outside_coop=_outside_power(traces, n, clusters),
         settings=_settings(clusters, noise_over_pilot, perfect),
     )
@@ -295,22 +309,35 @@ def multicell_csit(corr, clusters, noise_over_pilot: float, rng,
     `corr` is the drop's (L, L, K, N, N) correlation stack, or the
     `DropStatistics` built from it for the same clusters, pilot noise and
     CSIT model, which leaves only the Gaussian draws to each block. Links are
-    drawn in (cell, user, BS) order.
+    drawn in (cell, user, BS) order: one stacked CSIT call per run of
+    consecutive BSs with the same knowledge of a user, which draws member by
+    member, so the stream is that of one call per link.
     """
     stats = _statistics(corr, clusters, noise_over_pilot, perfect)
     n_cells, _, n_users, n, _ = stats.roots.shape
     true_h = np.zeros((n_cells, n_cells, n_users, n), dtype=np.complex128)
     est_h = np.zeros_like(true_h)
-    for l, k, j in np.ndindex(n_cells, n_users, n_cells):
-        if not stats.known[j, l, k]:
-            true_h[j, l, k] = channel.sample_channel(None, rng, root=stats.roots[j, l, k])
-        elif stats.mmse is None:
-            h = channel.sample_channel(None, rng, root=stats.roots[j, l, k])
-            true_h[j, l, k], est_h[j, l, k] = h, h
-        else:
-            true_h[j, l, k], est_h[j, l, k], _ = channel.mmse_csit_tdd(
-                None, [], noise_over_pilot, 1.0, 1.0, rng, stats=stats.mmse[j, l, k]
-            )
+    t = 0  # the next trained link's index in stats.mmse_roots
+    for l in range(n_cells):
+        known = stats.known[:, l, 0]  # a BS trains on all users of a cell or on none
+        edges = [0, *(np.flatnonzero(known[1:] != known[:-1]) + 1).tolist(), n_cells]
+        runs = [(slice(j0, j1), known[j0], j1 - j0) for j0, j1 in itertools.pairwise(edges)]
+        for k in range(n_users):
+            for bss, trained, m in runs:
+                links = (bss, l, k)
+                if not trained:
+                    true_h[links] = channel.sample_channel(None, rng, root=stats.roots[links])
+                elif stats.mmse_roots is None:
+                    h = channel.sample_channel(None, rng, root=stats.roots[links])
+                    true_h[links], est_h[links] = h, h
+                else:
+                    est_root, err_root = stats.mmse_roots
+                    run = channel.MmseStatistics(stats.err_cov[links], est_root[t:t + m],
+                                                 err_root[t:t + m])
+                    true_h[links], est_h[links], _ = channel.mmse_csit_tdd(
+                        None, [], noise_over_pilot, 1.0, 1.0, rng, stats=run
+                    )
+                    t += m
     return channel.ChannelSet(true_h, est_h, stats.err_cov, stats.known)
 
 

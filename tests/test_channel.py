@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpip import channel, runner
 from gpip.config import config_from_dict
@@ -261,6 +263,117 @@ class TestSampleChannel:
         a = channel.sample_channel(r, 123)
         b = channel.sample_channel(r, 123)
         assert np.array_equal(a, b)
+
+
+def random_psd_stack(rng, lead, n):
+    """A (*lead, N, N) stack of random PSD matrices of random rank."""
+    out = np.empty((*lead, n, n), dtype=np.complex128)
+    for idx in np.ndindex(*lead):
+        shape = (n, int(rng.integers(1, n + 1)))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out[idx] = a @ a.conj().T / n
+    return out
+
+
+# lead shapes of at most two axes and five members
+LEAD_SHAPES = st.sampled_from([(), (1,), (2,), (5,), (1, 1), (1, 3), (2, 2), (5, 1)])
+
+
+class TestStackedCsitDraws:
+    """A stack call of every CSIT function equals its single-member calls in
+    C order, bit for bit, and leaves the generator in the same state."""
+
+    @staticmethod
+    def assert_stack_equals_members(stack_call, member_call, lead, seed):
+        """`stack_call(rng)` and `member_call(idx, rng)` return tuples of
+        arrays; None marks an output that is not stacked."""
+        rng_stack, rng_member = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = stack_call(rng_stack)
+        per_member = [member_call(idx, rng_member) for idx in np.ndindex(*lead)]
+        for i, part in enumerate(got):
+            if part is not None:
+                want = np.array([m[i] for m in per_member]).reshape(np.shape(part))
+                np.testing.assert_array_equal(part, want)
+        assert rng_stack.bit_generator.state == rng_member.bit_generator.state
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), LEAD_SHAPES, st.integers(1, 6))
+    def test_sample_channel(self, seed, lead, n):
+        corr = random_psd_stack(np.random.default_rng(seed), lead, n)
+        root = channel.hermitian_sqrt(corr)
+        self.assert_stack_equals_members(
+            lambda rng: (channel.sample_channel(None, rng, root=root),),
+            lambda idx, rng: (channel.sample_channel(None, rng, root=root[idx]),), lead, seed)
+        self.assert_stack_equals_members(
+            lambda rng: (channel.sample_channel(corr, rng),),
+            lambda idx, rng: (channel.sample_channel(corr[idx], rng),), lead, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), LEAD_SHAPES, st.integers(1, 6), st.integers(0, 2))
+    def test_mmse_csit_tdd(self, seed, lead, n, n_interferers):
+        rng = np.random.default_rng(seed)
+        r = random_psd_stack(rng, lead, n)
+        ints = [random_psd_stack(rng, lead, n) for _ in range(n_interferers)]
+        stats = channel.mmse_statistics(r, ints, 0.3, 1.0, 1.0)
+        self.assert_stack_equals_members(
+            lambda rng: channel.mmse_csit_tdd(None, [], 0.3, 1.0, 1.0, rng, stats=stats),
+            lambda idx, rng: channel.mmse_csit_tdd(
+                None, [], 0.3, 1.0, 1.0, rng,
+                stats=channel.MmseStatistics(*(a[idx] for a in stats))),
+            lead, seed)
+        self.assert_stack_equals_members(
+            lambda rng: channel.mmse_csit_tdd(r, ints, 0.3, 1.0, 1.0, rng),
+            lambda idx, rng: channel.mmse_csit_tdd(r[idx], [ri[idx] for ri in ints],
+                                                   0.3, 1.0, 1.0, rng),
+            lead, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), LEAD_SHAPES, st.integers(1, 6), st.booleans())
+    def test_additive_error_csit(self, seed, lead, n, shared):
+        rng = np.random.default_rng(seed)
+        true_h = rng.standard_normal((*lead, n)) + 1j * rng.standard_normal((*lead, n))
+        cov = random_psd_stack(rng, () if shared else lead, n)
+        err_root = channel.hermitian_sqrt(cov)
+
+        def member(idx, with_root):
+            c, e = (cov, err_root) if shared else (cov[idx], err_root[idx])
+            return lambda rng: channel.additive_error_csit(true_h[idx], c, rng,
+                                                           err_root=e if with_root else None)
+
+        for with_root in (True, False):
+            self.assert_stack_equals_members(
+                lambda rng: (channel.additive_error_csit(
+                    true_h, cov, rng, err_root=err_root if with_root else None)[0], None),
+                lambda idx, rng: member(idx, with_root)(rng), lead, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), LEAD_SHAPES, st.integers(1, 6),
+           st.sampled_from([0.0, 0.3, 1.0]))
+    def test_fdd_quantized_csit(self, seed, lead, n, kappa):
+        corr = random_psd_stack(np.random.default_rng(seed), lead, n)
+        root = channel.hermitian_sqrt(corr)
+        self.assert_stack_equals_members(
+            lambda rng: channel.fdd_quantized_csit(corr, kappa, rng, root=root),
+            lambda idx, rng: channel.fdd_quantized_csit(corr[idx], kappa, rng, root=root[idx]),
+            lead, seed)
+        self.assert_stack_equals_members(
+            lambda rng: channel.fdd_quantized_csit(corr, kappa, rng),
+            lambda idx, rng: channel.fdd_quantized_csit(corr[idx], kappa, rng), lead, seed)
+
+    def test_identical_members_draw_independently(self):
+        # one Gaussian shared by every member would make these rows equal
+        corr = np.broadcast_to(np.diag([1.0, 2.0, 0.5]).astype(complex), (2, 3, 3))
+        root = channel.hermitian_sqrt(corr)
+        h = channel.sample_channel(None, np.random.default_rng(1), root=root)
+        stats = channel.mmse_statistics(corr, [0.5 * corr], 0.1, 1.0, 1.0)
+        true_h, est, _ = channel.mmse_csit_tdd(None, [], 0.1, 1.0, 1.0,
+                                               np.random.default_rng(1), stats=stats)
+        true_f, est_f, _ = channel.fdd_quantized_csit(corr, 0.5, np.random.default_rng(1))
+        est_a, _ = channel.additive_error_csit(np.zeros((2, 3)), corr[0],
+                                               np.random.default_rng(1))
+        for pair in (h, true_h, est, true_f, est_f, est_a):
+            assert pair.shape == (2, 3)
+            assert not np.any(pair[0] == pair[1])
 
 
 class TestPathloss:

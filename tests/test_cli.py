@@ -1,4 +1,8 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +464,53 @@ class TestDropStatistics:
                 runner.multicell_csit(stats, clusters, noise, rng, perfect)
 
 
+class TestStackedBlockDraws:
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_roots_only_for_links_drawn_from_their_prior(self, monkeypatch, perfect):
+        rooted = []
+        sqrt = runner.hermitian_sqrt
+
+        def counted(m):
+            rooted.append(np.asarray(m).reshape(-1, *np.shape(m)[-2:]).copy())
+            return sqrt(m)
+
+        monkeypatch.setattr(runner, "hermitian_sqrt", counted)
+        corr = random_correlations(np.random.default_rng(3), 5, 2, 3)
+        clusters = runner.consecutive_clusters(5, 2)
+        stats = runner.drop_statistics(corr.copy(), clusters, 0.2, perfect)
+        rooted = np.concatenate(rooted)
+        prior = np.ones(stats.known.shape, dtype=bool) if perfect else ~stats.known
+        assert len(rooted) == np.count_nonzero(prior)
+        assert {m.tobytes() for m in rooted} == {m.tobytes() for m in corr[prior]}
+
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_one_csit_call_per_run_of_equal_knowledge(self, monkeypatch, perfect):
+        cfg = config_from_dict(minimal_link(
+            scenario="system", n_cells=7, n_coop=2, n_users=2, n_antennas=2,
+            algorithms=["gpip"], n_drops=1, n_blocks=1, csit_model="tdd",
+        ))
+        corr, _, _ = runner.system_correlations(cfg, np.random.default_rng(0))
+        clusters = runner.consecutive_clusters(7, 2)
+        stats = runner.drop_statistics(corr, clusters, 0.1, perfect)
+        calls = []
+        for name in ("sample_channel", "mmse_csit_tdd"):
+            def counted(*args, _name=name, _fn=getattr(channel, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                calls.append((_name, len(out[0] if isinstance(out, tuple) else out)))
+                return out
+            monkeypatch.setattr(channel, name, counted)
+        runner.multicell_csit(stats, clusters, 0.1, np.random.default_rng(1), perfect)
+
+        cluster_of = {l: cl for cl in clusters for l in cl}
+        expected = []
+        for l, _k in itertools.product(range(7), range(2)):
+            for trained, run in itertools.groupby(range(7), key=lambda j: j in cluster_of[l]):
+                name = "mmse_csit_tdd" if trained and not perfect else "sample_channel"
+                expected.append((name, len(list(run))))
+        assert calls == expected
+        assert len(calls) == 18 * 2  # cells 0, 1, 6 have two runs, cells 2 to 5 three
+
+
 class TestUnitErrors:
     def test_link_error_names_snr_trial_and_algorithm(self, tmp_path, monkeypatch):
         def fail(alg, *args, **kwargs):
@@ -515,6 +566,22 @@ class TestCli:
         code = cli.main(["run", "--config", str(p)])
         assert code == 2
         assert "algorithms" in capsys.readouterr().err
+
+    def test_module_entry_point(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_link(n_trials=2)))
+        out = tmp_path / "out"
+        src = Path(runner.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpip", "run", "--config", str(p), "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert {f.name for f in out.iterdir()} == {
+            "manifest.json", "summary.csv", "per_trial.csv", "per_user.csv", "solver.csv",
+            "cdf_mrt.csv"}
 
     def test_algorithm_filter_must_be_subset(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from gpip import coop, solver
 from gpip.errors import DimensionMismatch
-from gpip.numerics import hermitize
+from gpip.numerics import hermitize, solve_hermitian
 
 
 def random_cluster(rng, c, k, n, cov_scale=0.0, cross_gain=0.3):
@@ -257,6 +259,28 @@ class TestGpipCoop:
             times[c] = (time.perf_counter() - start) / (reps * 10)
         ratio = times[4] / times[1]
         assert 4.0 / 2.0 <= ratio <= 2.0 * 16.0
+
+
+class TestResidualAtTheBestIterate:
+    def test_kept_forms_give_the_recomputed_residual_bit_for_bit(self):
+        # the kernel keeps its best iterate's quadratic forms, and its
+        # coefficients when a later sweep computed them; the residual from
+        # them must be the one a fresh problem computes from scratch
+        kept_coefficients = set()
+        for seed, c, max_iter in itertools.product(range(4), (1, 2), (1, 3, 40)):
+            rng = np.random.default_rng(seed)
+            est, cov = random_cluster(rng, c, 3, 4, cov_scale=0.05)
+            pairs = coop.build_coop_pairs(est, cov, 10.0 ** rng.uniform(-3, 0))
+            prob = solver._problem(pairs)
+            w = rng.uniform(0.5, 2.0, (c, 3))
+            best_f, *_ = solver._power_iteration(
+                prob, w, None, (c, 3, 4), 1e-9, max_iter,
+                partial(prob.cholesky_blocks, solve=solve_hermitian))
+            kept_coefficients.add(prob.best_forms[4] is not None)
+            assert prob.kkt_residual(w, best_f) == solver._problem(pairs).kkt_residual(w, best_f)
+            other = random_coop_stack(rng, c, 3, 4)
+            assert prob.kkt_residual(w, other) == solver._problem(pairs).kkt_residual(w, other)
+        assert kept_coefficients == {False, True}
 
 
 class TestPairLists:
