@@ -407,8 +407,10 @@ def drop_users(
     so min_distance must lie below the hexagon's circumradius.
     """
     rng = as_rng(rng)
+    if not 0 < inter_site < np.inf:
+        raise ValueError(f"inter_site {inter_site} must be positive and finite")
     circum = inter_site / np.sqrt(3.0)
-    if min_distance >= circum:
+    if not min_distance < circum:  # NaN included: no candidate would ever pass
         raise ValueError(
             f"min_distance {min_distance} must be below the circumradius {circum} "
             "of a hexagon with the given inter-site distance"

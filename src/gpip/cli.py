@@ -44,7 +44,6 @@ def main(argv=None) -> int:
             if missing:
                 raise ConfigInvalid(f"algorithms: {missing[0]!r} not in the configured list")
             cfg.algorithms = wanted
-        cfg.validate()
         paths = run(cfg, args.out)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .channel import MIN_DISTANCE_KM
 from .errors import ConfigInvalid
@@ -31,22 +33,60 @@ KNOWN_ALGORITHMS = (
 CSIT_MODELS = ("perfect", "additive", "tdd", "fdd")
 COV_KNOWLEDGE = ("full", "scalar", "none")
 NOISE_DENSITY_DBM_HZ = -174.0
-# field types; bool is an int to Python but never a count or a quantity here
-_INTEGER_FIELDS = ("n_antennas", "n_users", "seed", "n_trials", "n_cells", "n_coop",
-                  "n_drops", "n_blocks", "max_iter")
-_NUMBER_FIELDS = ("bs_power_dbm", "bandwidth_hz", "noise_figure_db", "carrier_hz",
-                 "inter_site_m", "min_distance_m", "shadowing_db", "pilot_power_dbm",
-                 "angular_spread", "csit_error_var", "fdd_kappa", "tdd_noise_over_pilot",
-                 "pf_smoothing", "tol", "sel_threshold", "sus_alpha")
-_LIST_FIELDS = ("algorithms", "snr_db")
+_FLOAT_MAX = sys.float_info.max
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+class Rule(NamedTuple):
+    """What one scalar field accepts.
+
+    `accepts` is `numbers.Integral` for a count, `numbers.Real` for a quantity
+    (never a bool, though Python counts it as an int), or the tuple of allowed
+    choices. A count or quantity must fit a finite float and lie between `low`
+    (excluded when `open_low`) and `high`, so NaN and +-Infinity, which
+    Python's json reads, fail.
+    """
+
+    accepts: type | tuple
+    low: float = -math.inf
+    high: float = math.inf
+    open_low: bool = False
+    nullable: bool = False
+
+    def check(self, name: str, value) -> None:
+        if value is None and self.nullable:
+            return
+        if isinstance(self.accepts, tuple):
+            if value not in self.accepts:
+                raise ConfigInvalid(f"{name}: must be one of {self.accepts}, got {value!r}")
+            return
+        if not isinstance(value, self.accepts) or isinstance(value, bool):
+            noun = "an integer" if self.accepts is numbers.Integral else "a number"
+            raise ConfigInvalid(f"{name}: must be {noun}")
+        above = value > self.low if self.open_low else value >= self.low
+        if not (above and value <= self.high and abs(value) <= _FLOAT_MAX):
+            bounds = f"{'(' if self.open_low else '['}{self.low:g}, {self.high:g}]"
+            raise ConfigInvalid(f"{name}: must be finite and in {bounds}, got {value!r}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+# One rule per scalar field. The fields without one are the lists `algorithms`
+# and `snr_db` and the path `output_dir`; validate() checks those itself.
+FIELD_RULES = {
+    "scenario": Rule(("link", "system")),
+    "csit_model": Rule(CSIT_MODELS),
+    "cov_knowledge": Rule(COV_KNOWLEDGE),
+    "weights": Rule(("uniform", "pf")),
+    **dict.fromkeys(("n_antennas", "n_users", "n_trials", "n_cells", "n_coop", "n_drops",
+                     "n_blocks", "max_iter"), Rule(numbers.Integral, 1)),
+    "seed": Rule(numbers.Integral, 0),
+    "pilot_len": Rule(numbers.Integral, 1, nullable=True),
+    **dict.fromkeys(("bs_power_dbm", "noise_figure_db", "pilot_power_dbm"), Rule(numbers.Real)),
+    **dict.fromkeys(("bandwidth_hz", "carrier_hz", "inter_site_m", "angular_spread", "tol"),
+                    Rule(numbers.Real, 0.0, open_low=True)),
+    **dict.fromkeys(("min_distance_m", "shadowing_db", "csit_error_var", "tdd_noise_over_pilot",
+                     "sel_threshold", "sus_alpha"), Rule(numbers.Real, 0.0)),
+    "fdd_kappa": Rule(numbers.Real, 0.0, 1.0),
+    "pf_smoothing": Rule(numbers.Real, 0.0, 1.0, open_low=True),
+}
 
 
 @dataclass
@@ -91,23 +131,28 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self) -> "ExperimentConfig":
-        self._check_types()
-        if self.scenario not in ("link", "system"):
-            raise ConfigInvalid(f"scenario: must be 'link' or 'system', got {self.scenario!r}")
-        if self.n_antennas < 1:
-            raise ConfigInvalid("n_antennas: must be >= 1")
-        if self.n_users < 1:
-            raise ConfigInvalid("n_users: must be >= 1")
+        """Check every field against its rule, then the rules that tie fields together."""
+        for name, rule in FIELD_RULES.items():
+            rule.check(name, getattr(self, name))
+        for name in ("algorithms", "snr_db"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigInvalid(f"{name}: must be a list")
+        if not all(isinstance(s, numbers.Real) and not isinstance(s, bool) for s in self.snr_db):
+            raise ConfigInvalid("snr_db: every entry must be a number")
+        if not all(abs(s) <= _FLOAT_MAX for s in self.snr_db):
+            raise ConfigInvalid("snr_db: every entry must be finite")
+        if not isinstance(self.output_dir, str):
+            raise ConfigInvalid("output_dir: must be a string")
         if not self.algorithms:
             raise ConfigInvalid("algorithms: list must be nonempty")
-        for alg in self.algorithms:
+        for i, alg in enumerate(self.algorithms):
             if alg not in KNOWN_ALGORITHMS:
                 raise ConfigInvalid(f"algorithms: unknown algorithm {alg!r}")
+            if alg in self.algorithms[:i]:
+                raise ConfigInvalid(f"algorithms: {alg!r} is listed twice")
         if self.scenario == "link":
             if not self.snr_db:
                 raise ConfigInvalid("snr_db: list must be nonempty")
-            if self.n_trials < 1:
-                raise ConfigInvalid("n_trials: must be >= 1")
             if "gpip-coop" in self.algorithms:
                 raise ConfigInvalid("algorithms: 'gpip-coop' needs the system scenario")
             if self.weights == "pf":
@@ -116,12 +161,8 @@ class ExperimentConfig:
                     "and needs the system scenario"
                 )
         else:
-            if self.n_cells < 1:
-                raise ConfigInvalid("n_cells: must be >= 1")
-            if self.n_coop < 1 or self.n_coop > self.n_cells:
+            if self.n_coop > self.n_cells:
                 raise ConfigInvalid("n_coop: must satisfy 1 <= n_coop <= n_cells")
-            if self.n_drops < 1 or self.n_blocks < 1:
-                raise ConfigInvalid("n_drops/n_blocks: must be >= 1")
             if self.csit_model not in ("perfect", "tdd"):
                 raise ConfigInvalid(
                     "csit_model: the system scenario trains over the uplink; use "
@@ -142,50 +183,7 @@ class ExperimentConfig:
                 "algorithms: 'zf' serves every user and needs n_users <= n_antennas, "
                 f"got {self.n_users} users and {self.n_antennas} antennas"
             )
-        # physical quantities: NaN fails every comparison, so it is rejected too
-        if not all(math.isfinite(s) for s in self.snr_db):
-            raise ConfigInvalid("snr_db: every entry must be finite")
-        for name in ("bandwidth_hz", "carrier_hz"):
-            if not getattr(self, name) > 0:
-                raise ConfigInvalid(f"{name}: must be positive")
-        if self.pilot_len is not None and not self.pilot_len > 0:
-            raise ConfigInvalid("pilot_len: must be positive")
-        for name in ("tdd_noise_over_pilot", "csit_error_var", "sel_threshold", "sus_alpha"):
-            if not getattr(self, name) >= 0:
-                raise ConfigInvalid(f"{name}: must be >= 0")
-        if not 0.0 < self.pf_smoothing <= 1.0:
-            raise ConfigInvalid("pf_smoothing: must lie in (0, 1]")
-        if self.csit_model not in CSIT_MODELS:
-            raise ConfigInvalid(f"csit_model: must be one of {CSIT_MODELS}")
-        if self.cov_knowledge not in COV_KNOWLEDGE:
-            raise ConfigInvalid(f"cov_knowledge: must be one of {COV_KNOWLEDGE}")
-        if not 0.0 <= self.fdd_kappa <= 1.0:
-            raise ConfigInvalid("fdd_kappa: must lie in [0, 1]")
-        if self.weights not in ("uniform", "pf"):
-            raise ConfigInvalid("weights: must be 'uniform' or 'pf'")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ConfigInvalid("tol/max_iter: tol must be > 0 and max_iter >= 1")
-        if not 0 < self.angular_spread < math.inf:
-            raise ConfigInvalid("angular_spread: must be positive and finite")
         return self
-
-    def _check_types(self) -> None:
-        """Reject a field of the wrong JSON type before any comparison reads it."""
-        for name in _INTEGER_FIELDS:
-            if not _is_integer(getattr(self, name)):
-                raise ConfigInvalid(f"{name}: must be an integer")
-        if self.pilot_len is not None and not _is_integer(self.pilot_len):
-            raise ConfigInvalid("pilot_len: must be an integer")
-        for name in _NUMBER_FIELDS:
-            if not _is_number(getattr(self, name)):
-                raise ConfigInvalid(f"{name}: must be a number")
-        for name in _LIST_FIELDS:
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ConfigInvalid(f"{name}: must be a list")
-        if not all(_is_number(s) for s in self.snr_db):
-            raise ConfigInvalid("snr_db: every entry must be a number")
-        if not isinstance(self.output_dir, str):
-            raise ConfigInvalid("output_dir: must be a string")
 
     # -- derived quantities -------------------------------------------------
 

@@ -442,7 +442,7 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
     coefficients once a sweep has computed them, are left in
     `prob.best_forms` for the residual.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     f = _initial_stack(prob, init, shape)
     qa, qb = prob.quad_forms(f)

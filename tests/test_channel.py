@@ -564,6 +564,16 @@ class TestTopology:
         with pytest.raises(ValueError, match="circumradius"):
             channel.drop_users(1, 1, 60.0, 40.0, 0)
 
+    def test_nan_minimum_distance_rejected(self):
+        # NaN passes no distance test, so the rejection loop would never place a user
+        with pytest.raises(ValueError, match="circumradius"):
+            channel.drop_users(1, 2, 1000.0, float("nan"), 0)
+
+    @pytest.mark.parametrize("inter_site", [float("nan"), float("inf"), 0.0, -1000.0])
+    def test_non_finite_or_non_positive_inter_site_rejected(self, inter_site):
+        with pytest.raises(ValueError, match="^inter_site .* must be positive and finite$"):
+            channel.drop_users(1, 2, inter_site, 40.0, 0)
+
     def test_deterministic_per_seed(self):
         a = channel.drop_users(4, 6, 1000.0, 40.0, 11)
         b = channel.drop_users(4, 6, 1000.0, 40.0, 11)

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpip import channel, cli, coop, evaluation, runner
-from gpip.config import ExperimentConfig, config_from_dict, load_config
+from gpip.config import FIELD_RULES, ExperimentConfig, config_from_dict, load_config
 from gpip.errors import ConfigInvalid, NotPositiveDefinite, RankDeficient
 
 
@@ -118,6 +120,28 @@ class TestConfigValidation:
             # a non-finite sector has no quadrature node count
             (dict(angular_spread=float("nan")), "angular_spread"),
             (dict(scenario="system", n_cells=1, angular_spread=float("inf")), "angular_spread"),
+            # json reads NaN and Infinity: each hung drop_users, ran every solve to
+            # max_iter or raised mid-campaign after the output directory existed
+            (dict(scenario="system", n_cells=1, min_distance_m=float("nan")), "min_distance_m"),
+            (dict(tol=float("nan")), "tol"),
+            (dict(scenario="system", n_cells=1, inter_site_m=float("nan")), "inter_site_m"),
+            (dict(scenario="system", n_cells=1, inter_site_m=float("inf")), "inter_site_m"),
+            (dict(scenario="system", n_cells=1, shadowing_db=float("nan")), "shadowing_db"),
+            (dict(scenario="system", n_cells=1, noise_figure_db=float("nan")), "noise_figure_db"),
+            (dict(scenario="system", n_cells=1, bs_power_dbm=float("inf")), "bs_power_dbm"),
+            (dict(scenario="system", n_cells=1, carrier_hz=float("inf")), "carrier_hz"),
+            (dict(scenario="system", n_cells=1, csit_model="tdd",
+                  pilot_power_dbm=float("nan")), "pilot_power_dbm"),
+            (dict(csit_model="additive", csit_error_var=float("inf")), "csit_error_var"),
+            (dict(csit_model="tdd", tdd_noise_over_pilot=float("inf")), "tdd_noise_over_pilot"),
+            # json reads integers of any size; beyond a float they overflow
+            (dict(snr_db=[10**400]), "snr_db"),
+            (dict(scenario="system", n_cells=1, bs_power_dbm=10**400), "bs_power_dbm"),
+            # a negative scale or seed fails inside numpy
+            (dict(scenario="system", n_cells=1, shadowing_db=-3.0), "shadowing_db"),
+            (dict(seed=-1), "seed"),
+            # a repeated algorithm doubled its summary rows but not its per-user rows
+            (dict(algorithms=["gpip", "mrt", "gpip"]), "algorithms"),
         ],
     )
     def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):
@@ -163,6 +187,33 @@ class TestConfigValidation:
         p.write_text(json.dumps(data))
         assert cli.main(["run", "--config", str(p), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_every_field_has_a_rule_or_is_structural(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        structural = {"scenario", "algorithms", "snr_db", "output_dir",
+                      "csit_model", "cov_knowledge", "weights"}
+        assert set(FIELD_RULES) <= names
+        assert names - set(FIELD_RULES) <= structural
+
+    def test_repeated_algorithm_message(self):
+        with pytest.raises(ConfigInvalid, match="^algorithms: 'gpip' is listed twice$"):
+            config_from_dict(minimal_link(algorithms=["gpip", "mrt", "gpip"]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        name=st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]),
+        value=st.sampled_from([float("nan"), float("inf"), float("-inf"), -1, 0, 0.5, 1e308,
+                               True, "x", None, []]),
+    )
+    def test_one_odd_field_is_rejected_or_harmless(self, name, value):
+        try:
+            cfg = config_from_dict(minimal_link(**{name: value}))
+        except ConfigInvalid:
+            return
+        resolved = cfg.resolved()
+        entries = [v for x in resolved.values() for v in (x if isinstance(x, list) else [x])]
+        assert all(math.isfinite(v) for v in entries if isinstance(v, (int, float)))
+        assert cfg.seed >= 0
 
     def test_runners_reject_the_other_scenario(self, tmp_path):
         link = config_from_dict(minimal_link())
@@ -582,6 +633,35 @@ class TestCli:
         assert {f.name for f in out.iterdir()} == {
             "manifest.json", "summary.csv", "per_trial.csv", "per_user.csv", "solver.csv",
             "cdf_mrt.csv"}
+
+    @pytest.mark.parametrize("override,field", [
+        (["--seed", "-1"], "seed"),
+        (["--algorithms", "mrt,mrt"], "algorithms"),
+    ])
+    def test_overrides_validated_before_any_output(self, tmp_path, capsys, override, field):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_link(n_trials=2)))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(p), "--out", str(out), *override]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert not out.exists()
+
+    def test_module_entry_point_rejects_nan_minimum_distance(self, tmp_path):
+        # a NaN minimum distance once hung drop_users; the timeout makes a gap a failure
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_link(
+            scenario="system", n_cells=1, n_drops=1, n_blocks=1, min_distance_m=float("nan"))))
+        out = tmp_path / "out"
+        src = Path(runner.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpip", "run", "--config", str(p), "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: min_distance_m:")
+        assert not out.exists()
 
     def test_algorithm_filter_must_be_subset(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpip import evaluation, solver
+from gpip import coop, evaluation, solver
 from gpip.errors import DimensionMismatch, NotPositiveDefinite
 from gpip.numerics import cholesky_factor, hermitize, solve_hermitian
 
@@ -286,6 +286,18 @@ class TestGpipIterate:
             assert solver.objective_lambda(pairs, None, alpha * f) == pytest.approx(
                 lam, rel=1e-11
             )
+
+
+@pytest.mark.parametrize("solve", [
+    lambda est, tol: solver.gpip_iterate(solver.build_effective_pairs(est, None, 0.1), tol=tol),
+    lambda est, tol: solver.gpip_covfree(est, 0.1, 0.1, tol=tol),
+    lambda est, tol: coop.gpip_coop(coop.build_coop_pairs(est[None, None], None, 0.1), tol=tol),
+], ids=["gpip_iterate", "gpip_covfree", "gpip_coop"])
+def test_nan_tol_rejected(solve):
+    # NaN fails every comparison, so a `tol <= 0` guard let it run to max_iter
+    est = random_instance(np.random.default_rng(3), 3, 4)[0]
+    with pytest.raises(ValueError, match="^tol must be positive$"):
+        solve(est, float("nan"))
 
 
 class TestInvariances:
