@@ -253,7 +253,7 @@ def mmse_statistics(
     for idx in np.ndindex(r.shape[:-2]):
         gain[idx] = solve_hermitian(total[idx], r[idx])
     phi = hermitize(r - r @ gain)
-    return MmseStatistics(phi, hermitian_sqrt(hermitize(r - phi)), hermitian_sqrt(phi))
+    return MmseStatistics(phi, hermitian_sqrt(r - phi), hermitian_sqrt(phi))
 
 
 def mmse_csit_tdd(

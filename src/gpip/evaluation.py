@@ -138,8 +138,8 @@ class LinkStatistics:
     `cov` is the error covariance stack every trial reports (None under
     perfect CSIT); `err_root` is the root of the additive model's error
     covariance and `mmse` the stacked `channel.MmseStatistics` of the tdd
-    model (None otherwise). `settings` records the config values the
-    statistics depend on. Arrays are read-only: every trial shares them.
+    model (None otherwise). `csit_model` and `fdd_kappa` are the config
+    values the draws read. Arrays are read-only: every trial shares them.
     """
 
     corr: np.ndarray
@@ -147,12 +147,8 @@ class LinkStatistics:
     cov: np.ndarray | None
     err_root: np.ndarray | None
     mmse: channel.MmseStatistics | None
-    settings: tuple
-
-
-def _link_settings(config) -> tuple:
-    return (config.csit_model, config.csit_error_var, config.uplink_noise_over_pilot(),
-            config.fdd_kappa)
+    csit_model: str
+    fdd_kappa: float
 
 
 def link_statistics(config, corr) -> LinkStatistics:
@@ -177,33 +173,20 @@ def link_statistics(config, corr) -> LinkStatistics:
     for a in (corr, roots, cov, err_root, *(mmse or ())):
         if a is not None:
             a.flags.writeable = False
-    return LinkStatistics(corr, roots, cov, err_root, mmse, _link_settings(config))
+    return LinkStatistics(corr, roots, cov, err_root, mmse, model, config.fdd_kappa)
 
 
-def _as_link_statistics(config, corr) -> LinkStatistics:
-    """`corr`'s LinkStatistics: built from (K, N, N) correlations, or checked
-    against `config` when `corr` already is one."""
-    if not isinstance(corr, LinkStatistics):
-        return link_statistics(config, corr)
-    if corr.settings != _link_settings(config):
-        raise ValueError(
-            f"LinkStatistics built for (csit_model, csit_error_var, noise_over_pilot, "
-            f"fdd_kappa) = {corr.settings}, used with {_link_settings(config)}"
-        )
-    return corr
-
-
-def _draw_link_csit(config, stats: LinkStatistics, rng):
+def _draw_link_csit(stats: LinkStatistics, rng):
     """(true (K,N), est (K,N), cov (K,N,N) or None) for one fading block.
 
     Users are drawn in order, each through its CSIT model's channel
     function with the campaign's precomputed roots; `cov` is the shared,
     read-only `stats.cov`.
     """
-    k, n = config.n_users, config.n_antennas
+    k, n = stats.roots.shape[:2]
     true = np.empty((k, n), dtype=np.complex128)
     est = np.empty((k, n), dtype=np.complex128)
-    model = config.csit_model
+    model = stats.csit_model
     for u in range(k):
         if model == "perfect":
             h = channel.sample_channel(stats.corr[u], rng, root=stats.roots[u])
@@ -214,12 +197,12 @@ def _draw_link_csit(config, stats: LinkStatistics, rng):
             true[u] = h
         elif model == "tdd":
             true[u], est[u], _ = channel.mmse_csit_tdd(
-                stats.corr[u], [], config.uplink_noise_over_pilot(), 1.0, 1.0, rng,
+                None, [], None, 1.0, 1.0, rng,
                 stats=channel.MmseStatistics(*(a[u] for a in stats.mmse)),
             )
         else:
             true[u], est[u], _ = channel.fdd_quantized_csit(
-                stats.corr[u], config.fdd_kappa, rng, root=stats.roots[u]
+                stats.corr[u], stats.fdd_kappa, rng, root=stats.roots[u]
             )
     return true, est, stats.cov
 
@@ -283,7 +266,7 @@ def design_precoders(
 
 
 def link_trial(
-    config, snr_db: float, algorithms, rng, corr=None, metric: str = "true"
+    config, snr_db: float, algorithms, rng, stats: LinkStatistics, metric: str = "true"
 ) -> dict:
     """One fading block: draw channels once, run every algorithm on them.
 
@@ -291,15 +274,11 @@ def link_trial(
     cross-algorithm comparisons paired. `metric` selects what the rates
     measure: "true" evaluates the designed precoders on the actual channels
     (what users receive), "estimated" reports the transmitter-side lower
-    bounds computed from its own imperfect knowledge. `corr` is the (K, N, N)
-    correlation stack or the `LinkStatistics` built from it for `config`;
-    campaigns pass the latter, built once.
+    bounds computed from its own imperfect knowledge. `stats` is the
+    campaign's `LinkStatistics`, built once with `link_statistics`.
     """
-    if corr is None:
-        corr = _link_correlations(config)
-    stats = _as_link_statistics(config, corr)
     noise_ratio = 10.0 ** (-snr_db / 10.0)
-    true, est, cov = _draw_link_csit(config, stats, rng)
+    true, est, cov = _draw_link_csit(stats, rng)
     known_cov, alphas = _known_cov(config.cov_knowledge, cov, config.n_antennas)
     out = {}
     for alg in algorithms:

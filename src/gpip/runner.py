@@ -167,12 +167,6 @@ def system_correlations(cfg: ExperimentConfig, rng) -> tuple[np.ndarray, channel
     return corr, topo, betas
 
 
-def _noise_over_pilot(cfg: ExperimentConfig) -> float:
-    """Uplink noise over pilot energy in the noise-normalized units of
-    `system_correlations` (training runs at physical powers)."""
-    return cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
-
-
 def _outside_power(traces: np.ndarray, n: int, clusters=None) -> np.ndarray:
     """(L, K) isotropic expectation of the interference from the BSs outside
     each user's cell or (optional) cluster, over transmit power, from the
@@ -199,8 +193,8 @@ class DropStatistics:
     stacks in the (cell, user, BS) order the blocks draw them, or None under
     perfect CSIT. `outside` and `outside_coop` are the out-of-cell and
     out-of-cluster interference powers; a block adds its noise ratio to
-    them. `settings` records the clusters, pilot noise and CSIT model the
-    statistics were built for.
+    them. `clusters` holds the cooperation clusters the pilots were assigned
+    for, as lists of cell indices.
     Arrays are read-only: one drop's blocks share them.
     """
 
@@ -210,7 +204,7 @@ class DropStatistics:
     mmse_roots: tuple[np.ndarray, np.ndarray] | None  # (T, N, N) each
     outside: np.ndarray  # (L, K)
     outside_coop: np.ndarray  # (L, K)
-    settings: tuple
+    clusters: tuple
     _known_covs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def known_cov(self, cov_knowledge: str) -> tuple:
@@ -226,10 +220,6 @@ class DropStatistics:
                     a.flags.writeable = False
             self._known_covs[cov_knowledge] = known
         return self._known_covs[cov_knowledge]
-
-
-def _settings(clusters, noise_over_pilot: float, perfect: bool) -> tuple:
-    return tuple(tuple(cl) for cl in clusters), float(noise_over_pilot), bool(perfect)
 
 
 def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
@@ -280,40 +270,23 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     return DropStatistics(
         roots=corr, known=known, err_cov=err_cov, mmse_roots=mmse_roots,
         outside=_outside_power(traces, n), outside_coop=_outside_power(traces, n, clusters),
-        settings=_settings(clusters, noise_over_pilot, perfect),
+        clusters=tuple(list(cl) for cl in clusters),
     )
 
 
-def _statistics(corr, clusters, noise_over_pilot: float, perfect: bool) -> DropStatistics:
-    """`corr`'s DropStatistics: built from a correlation stack, or checked
-    against these settings when `corr` already is one."""
-    if not isinstance(corr, DropStatistics):
-        return drop_statistics(np.array(corr, dtype=np.complex128), clusters,
-                               noise_over_pilot, perfect)
-    if corr.settings != _settings(clusters, noise_over_pilot, perfect):
-        raise ValueError(
-            f"DropStatistics built for (clusters, noise_over_pilot, perfect) = "
-            f"{corr.settings}, used with {_settings(clusters, noise_over_pilot, perfect)}"
-        )
-    return corr
-
-
-def multicell_csit(corr, clusters, noise_over_pilot: float, rng,
-                   perfect: bool = False) -> channel.ChannelSet:
+def multicell_csit(stats: DropStatistics, rng) -> channel.ChannelSet:
     """Joint (true, estimate, error-cov) draw for every link of one block.
 
     BSs estimate links to every user of their own cluster from uplink pilots
     that are orthogonal inside the cluster and reused outside it, so the
     contaminating covariances for user (l, k) are the same-index users of all
     out-of-cluster cells. Links without pilots are drawn from their prior.
-    `corr` is the drop's (L, L, K, N, N) correlation stack, or the
-    `DropStatistics` built from it for the same clusters, pilot noise and
-    CSIT model, which leaves only the Gaussian draws to each block. Links are
-    drawn in (cell, user, BS) order: one stacked CSIT call per run of
-    consecutive BSs with the same knowledge of a user, which draws member by
-    member, so the stream is that of one call per link.
+    `stats` is the drop's `DropStatistics`, which leaves only the Gaussian
+    draws to each block. Links are drawn in (cell, user, BS) order: one
+    stacked CSIT call per run of consecutive BSs with the same knowledge of
+    a user, which draws member by member, so the stream is that of one call
+    per link.
     """
-    stats = _statistics(corr, clusters, noise_over_pilot, perfect)
     n_cells, _, n_users, n, _ = stats.roots.shape
     true_h = np.zeros((n_cells, n_cells, n_users, n), dtype=np.complex128)
     est_h = np.zeros_like(true_h)
@@ -335,7 +308,7 @@ def multicell_csit(corr, clusters, noise_over_pilot: float, rng,
                     run = channel.MmseStatistics(stats.err_cov[links], est_root[t:t + m],
                                                  err_root[t:t + m])
                     true_h[links], est_h[links], _ = channel.mmse_csit_tdd(
-                        None, [], noise_over_pilot, 1.0, 1.0, rng, stats=run
+                        None, [], None, 1.0, 1.0, rng, stats=run
                     )
                     t += m
     return channel.ChannelSet(true_h, est_h, stats.err_cov, stats.known)
@@ -348,32 +321,25 @@ def _slice(a, idx):
 
 def multicell_block(
     cfg: ExperimentConfig,
-    corr: np.ndarray,
-    clusters,
+    stats: DropStatistics,
     algorithms,
     rng,
     pf_weights=None,
     noise_ratio_dl: float = 1.0,
-    noise_over_pilot: float | None = None,
 ) -> dict:
     """Run every algorithm on one fading block of a multi-cell drop.
 
-    `corr` and the two noise parameters must share one unit convention; the
-    system runner passes noise-normalized correlations with noise_ratio_dl=1.
-    `corr` may also be the drop's `DropStatistics` (see `multicell_csit`);
-    the system runner builds them once per drop.
+    `stats` is the drop's `DropStatistics` (see `multicell_csit`), built
+    once per drop in the units of `noise_ratio_dl`; the system runner passes
+    noise-normalized correlations with noise_ratio_dl=1.
     All algorithms see the same CSIT draw (paired comparison). `pf_weights`
     optionally maps an algorithm name to its (L, K) weight array; weights
     only affect the joint-design algorithms. Returns
     {algorithm: (rates (L, K), solver_extras)} with rates evaluated on the
     true channels under all cells' simultaneous transmissions.
     """
-    perfect = cfg.csit_model == "perfect"
-    if noise_over_pilot is None:
-        noise_over_pilot = _noise_over_pilot(cfg)
-    stats = _statistics(corr, clusters, noise_over_pilot, perfect)
     n_cells, _, n_users, n, _ = stats.roots.shape
-    csit = multicell_csit(stats, clusters, noise_over_pilot, rng, perfect)
+    csit = multicell_csit(stats, rng)
     # every link's knowledge, once per drop; each design below takes its slice
     known_cov, alphas = stats.known_cov(cfg.cov_knowledge)
     nr_noncoop = noise_ratio_dl + stats.outside
@@ -394,7 +360,7 @@ def multicell_block(
             precoders = np.zeros((n_cells, n_users, n), dtype=np.complex128)
             extras = []
             if alg == "gpip-coop":
-                for cl in clusters:
+                for cl in stats.clusters:
                     idx = np.ix_(cl, cl)
                     pairs = coop.build_coop_pairs(csit.est_h[idx], _slice(known_cov, idx),
                                                   nr_coop[cl])
@@ -430,7 +396,9 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     cdf_samples = _cdf_samples(cfg)
     drop_means = {alg: [] for alg in cfg.algorithms}
     use_pf = cfg.weights == "pf"
-    noise_over_pilot = _noise_over_pilot(cfg)
+    # uplink noise over pilot energy in the noise-normalized units of
+    # `system_correlations` (training runs at physical powers)
+    noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
     perfect = cfg.csit_model == "perfect"
     for d in range(cfg.n_drops):
         corr, _topo, _betas = system_correlations(
@@ -443,7 +411,7 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
             rng = trial_rng(cfg.seed, DOMAIN_SYSTEM_BLOCK, d * cfg.n_blocks + b)
             pf_w = {alg: evaluation.pf_weights(t) for alg, t in pf_avg.items()} if use_pf else None
             with located(f"drop {d}, block {b}, "):
-                results = multicell_block(cfg, stats, clusters, cfg.algorithms, rng, pf_w)
+                results = multicell_block(cfg, stats, cfg.algorithms, rng, pf_w)
             for alg in cfg.algorithms:
                 rates, extras = results[alg]
                 acc[alg] += rates

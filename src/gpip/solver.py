@@ -91,6 +91,8 @@ def _as_cluster_arrays(estimates, error_covs, noise_ratio):
         if cov.shape != (c, c, k, n, n):
             raise DimensionMismatch(f"error covariances must be (C, C, K, N, N), got {cov.shape}")
     nr = np.broadcast_to(np.asarray(noise_ratio, dtype=float), (c, k))
+    if np.any(nr <= 0):  # NaN passes here and fails the finiteness check
+        raise ValueError("noise ratios must be positive")
     return est, cov, nr
 
 
@@ -175,8 +177,6 @@ class _ClusterProblem:
         # [rhs_j | own_j] of every cell, as rows; cholesky_blocks fills the rhs half
         self.stacked = np.empty((self.c, 2 * self.k, self.n), dtype=np.complex128)
         self.stacked[:, self.k:] = self.own
-        # (w, f, qa, qb, c or None, d or None) of the kernel's best iterate
-        self.best_forms = None
 
     def quad_forms(self, f: np.ndarray):
         """f^H A_(l,u) f and f^H B_(l,u) f as (C, K) arrays, for a (C, K, N) stack."""
@@ -254,19 +254,9 @@ class _ClusterProblem:
         return x.transpose(0, 2, 1)
 
     def kkt_residual(self, w, f) -> float:
-        """|| Abar f - objective * Bbar f || / || Abar f || at the (C, K, N) stack f.
-
-        At the kernel's best iterate (equal w and f) the quadratic forms and
-        coefficients it kept are reused; they are what this would compute.
-        """
-        kept = self.best_forms
-        if kept is not None and np.array_equal(kept[0], w) and np.array_equal(kept[1], f):
-            qa, qb, c, d = kept[2:]
-        else:
-            qa, qb = self.quad_forms(f)
-            c = None
-        if c is None:
-            c, d = self.coefficients(qa, qb, w, np.log(w))
+        """|| Abar f - objective * Bbar f || / || Abar f || at the (C, K, N) stack f."""
+        qa, qb = self.quad_forms(f)
+        c, d = self.coefficients(qa, qb, w, np.log(w))
         lam = 2.0 ** _log2_objective(w, qa, qb)
         af = f @ self.cell_blocks(c).transpose(0, 2, 1)
         bf = f @ self.cell_blocks(d).transpose(0, 2, 1)
@@ -438,24 +428,19 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
     stacks, so `tol` is scale-free. Returns (best stack, its log2 objective,
     sweeps, converged, objective per iterate); the best iterate seen,
     including the start, is the one returned, so the result never falls below
-    its initialization. The best iterate's quadratic forms, and its
-    coefficients once a sweep has computed them, are left in
-    `prob.best_forms` for the residual.
+    its initialization.
     """
     if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
     f = _initial_stack(prob, init, shape)
     qa, qb = prob.quad_forms(f)
     best_f, best_obj = f, _log2_objective(w, qa, qb)
-    best_forms = [qa, qb, None, None]  # and its c, d once a sweep computes them
     traj = [best_obj]
     log_w = np.log(w)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         c, d = prob.coefficients(qa, qb, w, log_w)
-        if f is best_f:
-            best_forms[2:] = c, d
         rhs = f @ prob.cell_blocks(c).transpose(0, 2, 1)  # row (j, u) is Abar_j f_(j, u)
         f_new = solve_blocks(d, rhs)
         f_new /= math.sqrt(np.vdot(f_new, f_new).real)
@@ -467,11 +452,9 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
         traj.append(obj)
         if obj > best_obj:
             best_obj, best_f = obj, f
-            best_forms = [qa, qb, None, None]
         if step <= tol:
             converged = True
             break
-    prob.best_forms = (w, best_f, *best_forms)
     return best_f, best_obj, iterations, converged, traj
 
 
@@ -559,14 +542,19 @@ def gpip_covfree(
 ) -> GpipResult:
     """gpip_iterate for scalar error covariances, with recursive block inverses.
 
-    `error_scales` holds the per-user scalar error variances alpha_k (the
-    error covariance is alpha_k * I). Iteration semantics are identical to
+    `error_scales` holds the non-negative scalar error variances alpha_k,
+    one shared or one per user (the error covariance is alpha_k * I). Iteration semantics are identical to
     gpip_iterate; only the block inversion path differs, so the two agree to
     solver tolerance on the same inputs.
     """
     est = np.asarray(estimates, dtype=np.complex128)
     k, n = est.shape
-    alphas = np.broadcast_to(np.asarray(error_scales, dtype=float), (k,))
+    alphas = np.asarray(error_scales, dtype=float)
+    if alphas.shape not in ((), (k,)):
+        raise DimensionMismatch(f"error_scales must be a scalar or ({k},), got {alphas.shape}")
+    if np.any(alphas < 0):
+        raise ValueError("error scales must be non-negative")
+    alphas = np.broadcast_to(alphas, (k,))
     pairs = build_effective_pairs(est, alphas[:, None, None] * np.eye(n), noise_ratio)
     prob = _problem(pairs, single_cell=True)
     w = _as_weights(weights, (k,))

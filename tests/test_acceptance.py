@@ -50,12 +50,12 @@ def _link_cfg(**overrides):
 
 def _mc_sums(cfg, snr, algorithms, n_trials):
     """Paired Monte Carlo sum rates: same channel draws for every algorithm."""
-    corr = evaluation._link_correlations(cfg)
+    stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
     sums = {a: np.empty(n_trials) for a in algorithms}
     extras = {a: [] for a in algorithms}
     for t in range(n_trials):
         rng = trial_rng(cfg.seed, 0, t)
-        out = link_trial(cfg, snr, algorithms, rng, corr)
+        out = link_trial(cfg, snr, algorithms, rng, stats)
         for a in algorithms:
             sums[a][t] = out[a][0].sum()
             if out[a][1] is not None:
@@ -324,9 +324,9 @@ def test_c09_convergence_speed():
     for i in range(100):
         k = ks[i % 3]
         cfg = _link_cfg(n_antennas=16, n_users=k, tol=0.1, seed=MASTER_SEED + i)
-        corr = evaluation._link_correlations(cfg)
+        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
         rng = trial_rng(cfg.seed, 0, i)
-        out = link_trial(cfg, 10.0, ["gpip"], rng, corr)
+        out = link_trial(cfg, 10.0, ["gpip"], rng, stats)
         iters = out["gpip"][1].iterations
         iters_by_k[k].append(iters)
         pooled.append(iters)
@@ -372,13 +372,13 @@ def test_c10_cooperative_dominance_and_degeneration():
     worst_degen = 0.0
     for d in range(200):
         corr = _toy_two_cell_corr(40_000 + d)
+        joint = runner.drop_statistics(corr.copy(), [[0, 1]], pilot_noise)
+        per_cell = runner.drop_statistics(corr.copy(), [[0], [1]], pilot_noise)
         res = runner.multicell_block(
-            cfg, corr, [[0, 1]], ["gpip-coop"], trial_rng(cfg.seed, 5, d),
-            noise_ratio_dl=nr_dl, noise_over_pilot=pilot_noise,
+            cfg, joint, ["gpip-coop"], trial_rng(cfg.seed, 5, d), noise_ratio_dl=nr_dl,
         )
         res_nc = runner.multicell_block(
-            cfg, corr, [[0], [1]], ["gpip"], trial_rng(cfg.seed, 6, d),
-            noise_ratio_dl=nr_dl, noise_over_pilot=pilot_noise,
+            cfg, per_cell, ["gpip"], trial_rng(cfg.seed, 6, d), noise_ratio_dl=nr_dl,
         )
         coop_sums.append(res["gpip-coop"][0].sum())
         noncoop_sums.append(res_nc["gpip"][0].sum())
@@ -386,8 +386,8 @@ def test_c10_cooperative_dominance_and_degeneration():
             # degeneration: single-cell clusters must make the cooperative
             # path collapse onto the per-cell solver exactly
             both = runner.multicell_block(
-                cfg, corr, [[0], [1]], ["gpip", "gpip-coop"], trial_rng(cfg.seed, 7, d),
-                noise_ratio_dl=nr_dl, noise_over_pilot=pilot_noise,
+                cfg, per_cell, ["gpip", "gpip-coop"], trial_rng(cfg.seed, 7, d),
+                noise_ratio_dl=nr_dl,
             )
             worst_degen = max(
                 worst_degen, float(np.abs(both["gpip"][0] - both["gpip-coop"][0]).max())

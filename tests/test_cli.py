@@ -308,17 +308,15 @@ class TestSystemRunner:
         corr, _, _ = runner.system_correlations(
             cfg, evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_DROP, 0)
         )
+        stats = system_drop_statistics(cfg, corr, [[0]])
         rng = evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
-        results = runner.multicell_block(cfg, corr, [[0]], ["gpip"], rng)
+        results = runner.multicell_block(cfg, stats, ["gpip"], rng)
         rates, _ = results["gpip"]
 
         # rebuild by hand in the same noise-normalized units
         rng2 = evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
         nr = 1.0
-        pilot_noise = (
-            cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
-        )
-        csit = runner.multicell_csit(corr, [[0]], pilot_noise, rng2)
+        csit = runner.multicell_csit(stats, rng2)
         from gpip import solver as slv
 
         pairs = slv.build_effective_pairs(
@@ -339,9 +337,9 @@ class TestSystemRunner:
         corr, _, _ = runner.system_correlations(
             cfg, evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_DROP, 0)
         )
-        clusters = runner.consecutive_clusters(2, 1)
+        stats = system_drop_statistics(cfg, corr, runner.consecutive_clusters(2, 1))
         rng = evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
-        results = runner.multicell_block(cfg, corr, clusters, ["gpip", "gpip-coop"], rng)
+        results = runner.multicell_block(cfg, stats, ["gpip", "gpip-coop"], rng)
         np.testing.assert_allclose(
             results["gpip"][0], results["gpip-coop"][0], atol=1e-10
         )
@@ -390,10 +388,9 @@ class TestSystemRunner:
         corr, _, _ = runner.system_correlations(
             cfg, evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_DROP, 0)
         )
+        stats = system_drop_statistics(cfg, corr, [[0], [1]])
         rng = evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
-        results = runner.multicell_block(
-            cfg, corr, [[0], [1]], cfg.algorithms, rng
-        )
+        results = runner.multicell_block(cfg, stats, cfg.algorithms, rng)
         for alg in cfg.algorithms:
             rates, _ = results[alg]
             assert np.all(np.isfinite(rates)) and rates.shape == (2, 3)
@@ -428,6 +425,13 @@ class TestSystemRunner:
         paths = runner.run_system_level(cfg, tmp_path)
         rows = Path(paths["per_user"]).read_text().strip().split("\n")
         assert len(rows) == 1 + 3
+
+
+def system_drop_statistics(cfg, corr, clusters):
+    """The system runner's DropStatistics of a copy of `corr`."""
+    noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
+    return runner.drop_statistics(corr.copy(), clusters, noise_over_pilot,
+                                  cfg.csit_model == "perfect")
 
 
 def per_link_csit_reference(corr, clusters, noise_over_pilot, rng, perfect):
@@ -496,23 +500,15 @@ class TestDropStatistics:
         for block in range(2):
             ref = per_link_csit_reference(corr, clusters, noise,
                                           np.random.default_rng([seed, block]), perfect)
-            for source in (stats, corr):
-                csit = runner.multicell_csit(source, clusters, noise,
-                                             np.random.default_rng([seed, block]), perfect)
-                for got, want in zip((csit.true_h, csit.est_h, csit.err_cov, csit.known), ref):
-                    np.testing.assert_array_equal(got, want)
+            csit = runner.multicell_csit(stats, np.random.default_rng([seed, block]))
+            for got, want in zip((csit.true_h, csit.est_h, csit.err_cov, csit.known), ref):
+                np.testing.assert_array_equal(got, want)
 
-    def test_statistics_are_read_only_and_checked_against_their_settings(self):
-        rng = np.random.default_rng(0)
-        corr = random_correlations(rng, 3, 2, 2)
+    def test_statistics_are_read_only(self):
+        corr = random_correlations(np.random.default_rng(0), 3, 2, 2)
         stats = runner.drop_statistics(corr, [[0, 1], [2]], 0.1)
         with pytest.raises(ValueError, match="read-only"):
             stats.err_cov[0, 0, 0] = 1.0
-        for clusters, noise, perfect in (([[0], [1], [2]], 0.1, False),
-                                         ([[0, 1], [2]], 0.2, False),
-                                         ([[0, 1], [2]], 0.1, True)):
-            with pytest.raises(ValueError, match="DropStatistics built for"):
-                runner.multicell_csit(stats, clusters, noise, rng, perfect)
 
 
 class TestStackedBlockDraws:
@@ -550,7 +546,7 @@ class TestStackedBlockDraws:
                 calls.append((_name, len(out[0] if isinstance(out, tuple) else out)))
                 return out
             monkeypatch.setattr(channel, name, counted)
-        runner.multicell_csit(stats, clusters, 0.1, np.random.default_rng(1), perfect)
+        runner.multicell_csit(stats, np.random.default_rng(1))
 
         cluster_of = {l: cl for cl in clusters for l in cl}
         expected = []

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import time
 from functools import partial
 
@@ -174,6 +173,13 @@ class TestGpipCoop:
         with pytest.raises(ValueError, match="estimates must be finite"):
             coop.gpip_coop(coop.build_coop_pairs(est, cov, 0.2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nr", [0.0, -0.1])
+    def test_rejects_non_positive_noise_ratios(self, nr):
+        est, cov = random_cluster(np.random.default_rng(12), 2, 2, 3)
+        with pytest.raises(ValueError, match="noise ratios must be positive"):
+            coop.gpip_coop(coop.build_coop_pairs(est, cov, nr))
+
     def test_all_zero_estimates_name_the_estimates(self):
         pairs = coop.build_coop_pairs(np.zeros((2, 2, 2, 3)), None, 0.2)
         with pytest.raises(ValueError, match="estimates are all zero"):
@@ -261,26 +267,18 @@ class TestGpipCoop:
         assert 4.0 / 2.0 <= ratio <= 2.0 * 16.0
 
 
-class TestResidualAtTheBestIterate:
-    def test_kept_forms_give_the_recomputed_residual_bit_for_bit(self):
-        # the kernel keeps its best iterate's quadratic forms, and its
-        # coefficients when a later sweep computed them; the residual from
-        # them must be the one a fresh problem computes from scratch
-        kept_coefficients = set()
-        for seed, c, max_iter in itertools.product(range(4), (1, 2), (1, 3, 40)):
-            rng = np.random.default_rng(seed)
-            est, cov = random_cluster(rng, c, 3, 4, cov_scale=0.05)
-            pairs = coop.build_coop_pairs(est, cov, 10.0 ** rng.uniform(-3, 0))
-            prob = solver._problem(pairs)
-            w = rng.uniform(0.5, 2.0, (c, 3))
-            best_f, *_ = solver._power_iteration(
-                prob, w, None, (c, 3, 4), 1e-9, max_iter,
-                partial(prob.cholesky_blocks, solve=solve_hermitian))
-            kept_coefficients.add(prob.best_forms[4] is not None)
-            assert prob.kkt_residual(w, best_f) == solver._problem(pairs).kkt_residual(w, best_f)
-            other = random_coop_stack(rng, c, 3, 4)
-            assert prob.kkt_residual(w, other) == solver._problem(pairs).kkt_residual(w, other)
-        assert kept_coefficients == {False, True}
+class TestPowerIteration:
+    def test_rebinds_no_attribute_of_its_problem(self):
+        # the residual recomputes what it needs, so the kernel leaves its
+        # problem as it found it
+        rng = np.random.default_rng(0)
+        est, cov = random_cluster(rng, 2, 3, 4, cov_scale=0.05)
+        prob = solver._problem(coop.build_coop_pairs(est, cov, 0.1))
+        before = dict(vars(prob))
+        solver._power_iteration(prob, rng.uniform(0.5, 2.0, (2, 3)), None, (2, 3, 4), 1e-9,
+                                40, partial(prob.cholesky_blocks, solve=solve_hermitian))
+        assert vars(prob).keys() == before.keys()
+        assert all(vars(prob)[name] is value for name, value in before.items())
 
 
 class TestPairLists:

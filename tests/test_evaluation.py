@@ -187,19 +187,12 @@ class TestLinkStatistics:
         stats = evaluation.link_statistics(cfg, corr)
         for trial in range(2):
             want = per_user_link_csit_reference(cfg, corr, np.random.default_rng([seed, trial]))
-            got = evaluation._draw_link_csit(cfg, stats, np.random.default_rng([seed, trial]))
+            got = evaluation._draw_link_csit(stats, np.random.default_rng([seed, trial]))
             for g, w in zip(got, want):
                 if w is None:
                     assert g is None
                 else:
                     np.testing.assert_array_equal(g, w)
-
-    def test_statistics_are_checked_against_the_config(self):
-        cfg = link_config(csit_model="additive")
-        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
-        other = link_config(csit_model="additive", csit_error_var=0.2)
-        with pytest.raises(ValueError, match="LinkStatistics built for"):
-            evaluation.link_trial(other, 10.0, ["mrt"], np.random.default_rng(0), stats)
 
 
 class TestKnownCovariance:
@@ -207,7 +200,7 @@ class TestKnownCovariance:
         cfg = link_config(n_antennas=4, n_users=3, algorithms=["gpip-covfree"],
                           csit_model="tdd", tdd_noise_over_pilot=0.3)
         stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
-        _, est, cov = evaluation._draw_link_csit(cfg, stats, np.random.default_rng(2))
+        _, est, cov = evaluation._draw_link_csit(stats, np.random.default_rng(2))
         known, alphas = evaluation._known_cov("full", cov, cfg.n_antennas)
         assert known is cov
         f, _ = evaluation.design_precoders("gpip-covfree", est, known, 0.2, cfg, alphas)
@@ -222,7 +215,8 @@ class TestKnownCovariance:
             cfg = link_config(n_antennas=4, n_users=4, algorithms=["gpip-covfree"],
                               csit_model="additive", csit_error_var=0.3,
                               cov_knowledge=knowledge)
-            out = evaluation.link_trial(cfg, 10.0, cfg.algorithms, np.random.default_rng(1))
+            stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+            out = evaluation.link_trial(cfg, 10.0, cfg.algorithms, np.random.default_rng(1), stats)
             rates[knowledge] = out["gpip-covfree"][0]
         # additive errors are white, so the trace-matched levels are the truth
         assert np.array_equal(rates["full"], rates["scalar"])

@@ -255,6 +255,12 @@ class TestGpipIterate:
         with pytest.raises(ValueError, match="estimates must be finite"):
             solver.gpip_iterate(solver.build_effective_pairs(bad, None, 0.1))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nr", [0.0, -0.1])
+    def test_rejects_non_positive_noise_ratios(self, nr):
+        with pytest.raises(ValueError, match="noise ratios must be positive"):
+            solver.gpip_iterate(solver.build_effective_pairs(EX_CHANNELS, None, nr))
+
     def test_all_zero_estimates_name_the_estimates(self):
         pairs = solver.build_effective_pairs(np.zeros((3, 2)), None, 0.1)
         with pytest.raises(ValueError, match="estimates are all zero"):
@@ -374,7 +380,9 @@ class TestBlockSolves:
         # the full-rank shared block minus one of its K rank-one terms
         rng = np.random.default_rng(4)
         est, _, _ = random_instance(rng, 4, 4)
-        pairs = solver.build_effective_pairs(est, None, 0.0)
+        # the builders reject a zero noise ratio, so the pairs are made directly
+        pairs = [dataclasses.replace(p, noise_ratio=0.0)
+                 for p in solver.build_effective_pairs(est, None, 1.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefinite):
@@ -455,6 +463,16 @@ class TestCovarianceFree:
         bad[2, 1] = np.inf
         with pytest.raises(ValueError, match="estimates must be finite"):
             solver.gpip_covfree(bad, 0.1, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_non_positive_noise_and_negative_or_misshaped_scales(self):
+        for alpha, nr in ((0.0, 0.0), (0.1, -0.05)):
+            with pytest.raises(ValueError, match="noise ratios must be positive"):
+                solver.gpip_covfree(EX_CHANNELS, alpha, nr)
+        with pytest.raises(ValueError, match="error scales must be non-negative"):
+            solver.gpip_covfree(EX_CHANNELS, -0.1, 0.1)
+        with pytest.raises(DimensionMismatch, match=r"error_scales must be a scalar or \(3,\)"):
+            solver.gpip_covfree(EX_CHANNELS, np.full(2, 0.1), 0.1)
 
     def test_all_zero_estimates_name_the_estimates(self):
         with pytest.raises(ValueError, match="estimates are all zero"):
