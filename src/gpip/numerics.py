@@ -5,11 +5,15 @@ inputs give bit-identical outputs. A Hermitian solve is one LAPACK
 factorization (`zpotrf`) and one factored solve (`zpotrs`), with the
 positive-definiteness checks around them. Inverses are never materialized for
 solves; only the rank-one update path carries explicit inverses, because its
-recursion needs them.
+recursion needs them. A rank-one update forms one scaled outer product in a
+fresh buffer and subtracts it from (or adds it to) the old inverse in that
+buffer, one pass over the result: a Hermitian input stays Hermitian to
+rounding, so no re-symmetrizing pass follows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,19 +82,27 @@ def solve_hermitian(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def rank1_inverse_update(inv: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
-    """Given inv = M^-1, return (M + c * u u^H)^-1 by the Sherman-Morrison identity.
+    """Given Hermitian inv = M^-1, return (M + c * u u^H)^-1 by the
+    Sherman-Morrison identity.
 
-    Raises DenominatorUnderflow when 1/c + u^H inv u falls below tolerance in
-    magnitude or is NaN, which would make the update numerically meaningless.
+    With v = inv u and denom = 1/c + u^H v, the result is inv - v v^H / denom,
+    formed as one outer product of w = v / sqrt(|denom|) subtracted from (or,
+    for denom < 0, added to) inv. w w^H is Hermitian by construction, so the
+    result is Hermitian to rounding and is not re-symmetrized.
+    Raises ValueError unless c is positive and finite, and
+    DenominatorUnderflow when denom falls below tolerance in magnitude or is
+    NaN, which would make the update numerically meaningless.
     """
-    if c <= 0:
-        raise ValueError("update scale c must be positive")
+    if not (c > 0 and math.isfinite(c)):  # NaN fails both
+        raise ValueError(f"update scale c must be positive and finite, got {c}")
     u = np.asarray(u, dtype=np.complex128)
     v = inv @ u
     denom = 1.0 / c + np.real(u.conj() @ v)
     if not abs(denom) >= SM_DENOM_TOL:  # NaN fails too
         raise DenominatorUnderflow(f"Sherman-Morrison denominator {denom:.3e}")
-    return hermitize(inv - np.outer(v, v.conj()) / denom)
+    w = v / math.sqrt(abs(denom))
+    out = np.multiply.outer(w, w.conj())
+    return np.subtract(inv, out, out=out) if denom > 0 else np.add(inv, out, out=out)
 
 
 def hermitian_sqrt(m: np.ndarray) -> np.ndarray:

@@ -90,7 +90,12 @@ def _as_cluster_arrays(estimates, error_covs, noise_ratio):
         cov = np.asarray(error_covs, dtype=np.complex128)
         if cov.shape != (c, c, k, n, n):
             raise DimensionMismatch(f"error covariances must be (C, C, K, N, N), got {cov.shape}")
-    nr = np.broadcast_to(np.asarray(noise_ratio, dtype=float), (c, k))
+    nr = np.asarray(noise_ratio, dtype=float)
+    try:
+        nr = np.broadcast_to(nr, (c, k))
+    except ValueError:
+        raise DimensionMismatch(
+            f"noise ratios must broadcast to (C, K) = {(c, k)}, got {nr.shape}") from None
     if np.any(nr <= 0):  # NaN passes here and fails the finiteness check
         raise ValueError("noise ratios must be positive")
     return est, cov, nr
@@ -548,6 +553,8 @@ def gpip_covfree(
     solver tolerance on the same inputs.
     """
     est = np.asarray(estimates, dtype=np.complex128)
+    if est.ndim != 2:
+        raise DimensionMismatch(f"estimates must be (K, N), got {est.shape}")
     k, n = est.shape
     alphas = np.asarray(error_scales, dtype=float)
     if alphas.shape not in ((), (k,)):

@@ -83,6 +83,11 @@ class TestBuildCoopPair:
             expected = abs(est[p.cell, p.cell, p.user].conj() @ f[p.cell, p.user]) ** 2
             assert gap == pytest.approx(expected, abs=1e-12)
 
+    def test_misshaped_noise_ratios_name_the_expected_shape(self):
+        expected = r"noise ratios must broadcast to \(C, K\) = \(1, 2\), got \(3,\)"
+        with pytest.raises(DimensionMismatch, match=expected):
+            coop.build_coop_pairs(np.ones((1, 1, 2, 2)), None, np.ones(3))
+
     def test_quadratic_forms_match_direct_sums(self):
         rng = np.random.default_rng(2)
         est, cov = random_cluster(rng, 2, 2, 2, cov_scale=0.2)
@@ -251,18 +256,23 @@ class TestGpipCoop:
         # the cluster size while the per-block solves are linear, so at these
         # sizes the observed ratio sits between the linear and quadratic laws;
         # assert it stays inside that envelope with a 2x cushion either way.
+        # The sizes are timed in interleaved rounds and each keeps its fastest
+        # round, so a burst of host contention during one loop does not set
+        # the ratio.
         rng = np.random.default_rng(11)
         k, n = 4, 16
-        times = {}
+        pairs, times = {}, {}
         for c in (1, 4):
             est, _ = random_cluster(rng, c, k, n)
-            pairs = coop.build_coop_pairs(est, None, 0.2)
-            coop.gpip_coop(pairs, tol=1e-300, max_iter=3)  # warm up
-            reps = 30 if c == 1 else 8
-            start = time.perf_counter()
-            for _ in range(reps):
-                coop.gpip_coop(pairs, tol=1e-300, max_iter=10)
-            times[c] = (time.perf_counter() - start) / (reps * 10)
+            pairs[c] = coop.build_coop_pairs(est, None, 0.2)
+            coop.gpip_coop(pairs[c], tol=1e-300, max_iter=3)  # warm up
+            times[c] = float("inf")
+        for _round in range(5):
+            for c, reps in ((1, 30), (4, 8)):
+                start = time.perf_counter()
+                for _ in range(reps):
+                    coop.gpip_coop(pairs[c], tol=1e-300, max_iter=10)
+                times[c] = min(times[c], (time.perf_counter() - start) / (reps * 10))
         ratio = times[4] / times[1]
         assert 4.0 / 2.0 <= ratio <= 2.0 * 16.0
 

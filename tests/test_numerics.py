@@ -13,6 +13,7 @@ from gpip.numerics import (
     rank1_inverse_update,
     solve_hermitian,
 )
+from gpip.solver import covfree_block_inverses
 
 
 def random_pd(rng, n, ridge=0.5):
@@ -197,8 +198,57 @@ class TestRank1InverseUpdate:
             rank1_inverse_update(np.eye(2), u, 1.0)
 
     def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            rank1_inverse_update(np.eye(2), np.ones(2), 0.0)
+        for c in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                rank1_inverse_update(np.eye(2), np.ones(2), c)
+
+
+def sherman_morrison_oracle(inv, u, c):
+    """The update as a whole-matrix divide followed by a re-symmetrizing pass."""
+    v = inv @ u
+    denom = 1.0 / c + np.real(u.conj() @ v)
+    return hermitize(inv - np.outer(v, v.conj()) / denom)
+
+
+def hermitian_gap(m):
+    """Largest |m - m^H| relative to the largest entry of m."""
+    return np.abs(m - m.conj().T).max() / np.abs(m).max()
+
+
+class TestRank1UpdateAccuracy:
+    """The single outer-product update against the re-symmetrized formula."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chain_over_seven_decades_of_scale(self, seed):
+        rng = np.random.default_rng(seed)
+        n, updates = 32, 64
+        shape = (updates, n)
+        us = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        cs = 10.0 ** rng.uniform(-6.0, 1.0, size=updates)
+        inv = np.eye(n, dtype=complex)
+        ref = inv.copy()
+        m = inv.copy()
+        for u, c in zip(us, cs):
+            inv = rank1_inverse_update(inv, u, float(c))
+            ref = sherman_morrison_oracle(ref, u, float(c))
+            m += c * np.outer(u, u.conj())
+        assert hermitian_gap(inv) <= 1e-14
+        assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
+        direct = np.linalg.inv(m)
+        assert np.abs(inv - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_negative_denominator_adds_the_outer_product(self):
+        inv, u = np.array([[-2.0 + 0j]]), np.array([1.0 + 0j])
+        out = rank1_inverse_update(inv, u, 1.0)
+        np.testing.assert_allclose(out, [[2.0]], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out, sherman_morrison_oracle(inv, u, 1.0), rtol=0, atol=1e-15)
+
+    def test_covfree_block_inverses_are_hermitian(self):
+        rng = np.random.default_rng(7)
+        k = n = 32
+        est = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
+        blocks = covfree_block_inverses(est, rng.uniform(0.2, 1.5, size=k), 0.1)
+        assert max(hermitian_gap(b) for b in blocks) <= 1e-14
 
 
 class TestHermitianSqrt:

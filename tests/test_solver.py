@@ -478,6 +478,15 @@ class TestCovarianceFree:
         with pytest.raises(ValueError, match="estimates are all zero"):
             solver.gpip_covfree(np.zeros((3, 2)), 0.1, 0.1)
 
+    def test_three_dimensional_estimates_name_the_expected_shape(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"estimates must be \(K, N\), got \(2, 2, 2\)"):
+            solver.gpip_covfree(np.ones((2, 2, 2)), 0.1, 0.1)
+
+    def test_one_dimensional_estimates_name_the_expected_shape(self):
+        with pytest.raises(DimensionMismatch, match=r"estimates must be \(K, N\), got \(3,\)"):
+            solver.gpip_covfree(np.ones(3), 0.1, 0.1)
+
 
 class TestSchedule:
     def test_worked_example_schedule(self):
