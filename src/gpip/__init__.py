@@ -17,7 +17,6 @@ from .baselines import (
 )
 from .channel import (
     ArrayGeometry,
-    ChannelSet,
     OneRingParams,
     Topology,
     additive_error_csit,

@@ -14,7 +14,7 @@ user k. Multi-cell true channels live in an (L, L, K, N) array indexed as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -154,19 +154,17 @@ def one_ring_correlation(geom: ArrayGeometry, params: OneRingParams) -> np.ndarr
     return hermitize(r)
 
 
-def sample_channel(corr: np.ndarray | None, rng, root: np.ndarray | None = None) -> np.ndarray:
-    """Draw h = corr^(1/2) g with g standard circularly-symmetric Gaussian,
-    or the (..., N) stack of draws for a (..., N, N) stack of correlations.
+def sample_channel(root: np.ndarray, rng) -> np.ndarray:
+    """Draw h = root g with g standard circularly-symmetric Gaussian, or the
+    (..., N) stack of draws for a (..., N, N) stack of PSD roots.
 
-    `root` is corr's PSD root when the caller already holds it (campaigns
-    take every root of a drop from one batched `hermitian_sqrt`); `corr` is
-    then not read and may be None. Like every CSIT function here, a stack
-    draws member by member in C order, so it equals the single-member calls
-    in that order bit for bit and leaves `rng` in the same state.
+    `root` is the correlation's PSD root (`hermitian_sqrt`); campaigns take
+    every root of a drop from one batched call. Like every CSIT function
+    here, a stack draws member by member in C order, so it equals the
+    single-member calls in that order bit for bit and leaves `rng` in the
+    same state.
     """
     rng = as_rng(rng)
-    if root is None:
-        root = hermitian_sqrt(corr)
     g = _member_gaussians(rng, root.shape[:-2], 1, root.shape[-1])
     return _apply(root, g[..., 0, :])
 
@@ -256,33 +254,22 @@ def mmse_statistics(
     return MmseStatistics(phi, hermitian_sqrt(r - phi), hermitian_sqrt(phi))
 
 
-def mmse_csit_tdd(
-    r_serving: np.ndarray | None,
-    r_interferers: list[np.ndarray],
-    noise_var: float,
-    pilot_len: float,
-    pilot_power: float,
-    rng,
-    stats: MmseStatistics | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mmse_csit_tdd(est_root: np.ndarray, err_root: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Uplink-pilot MMSE estimation with co-pilot contamination.
 
-    Returns (true_h, estimate, error_cov), with the error covariance phi of
-    `mmse_statistics`. The estimate and the error are drawn jointly and
-    independently from CN(0, R - phi) and CN(0, phi), estimate first; the
-    true channel is their sum, which makes the pair exactly consistent with
-    MMSE estimation (the estimate never carries more uncertainty than the
-    prior). `stats` is `mmse_statistics` of these inputs when the caller
-    already holds it; only `rng` is then read. For a stack of links each
+    Returns (true_h, estimate) for the roots `est_root` of R - phi and
+    `err_root` of phi that `mmse_statistics` gives. The estimate and the
+    error are drawn jointly and independently from CN(0, R - phi) and
+    CN(0, phi), estimate first; the true channel is their sum, which makes
+    the pair exactly consistent with MMSE estimation (the estimate never
+    carries more uncertainty than the prior). For a stack of links each
     member draws its estimate and then its error.
     """
     rng = as_rng(rng)
-    if stats is None:
-        stats = mmse_statistics(r_serving, r_interferers, noise_var, pilot_len, pilot_power)
-    g = _member_gaussians(rng, stats.phi.shape[:-2], 2, stats.phi.shape[-1])
-    est = _apply(stats.est_root, g[..., 0, :])
-    err = _apply(stats.err_root, g[..., 1, :])
-    return est + err, est, stats.phi
+    g = _member_gaussians(rng, est_root.shape[:-2], 2, est_root.shape[-1])
+    est = _apply(est_root, g[..., 0, :])
+    err = _apply(err_root, g[..., 1, :])
+    return est + err, est
 
 
 def covfree_error_scale(beta_serving: float, beta_all: np.ndarray, noise_over_pilot: float) -> float:
@@ -294,49 +281,35 @@ def covfree_error_scale(beta_serving: float, beta_all: np.ndarray, noise_over_pi
     return beta_serving * (1.0 - beta_serving / (float(np.sum(beta_all)) + noise_over_pilot))
 
 
-def fdd_quantized_csit(
-    corr: np.ndarray, kappa: float, rng, root: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fdd_quantized_csit(root: np.ndarray, kappa: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Quantized-feedback CSIT of tunable quality kappa in [0, 1].
 
-    Returns (true_h, estimate, error_cov). With S the PSD square root of the
+    Returns (true_h, estimate). With `root` the PSD square root S of the
     correlation matrix, the true channel is S g and the estimate is
     S (sqrt(1 - kappa^2) g + kappa v) for independent standard Gaussians
-    g, v: kappa = 0 is perfect, kappa = 1 is useless. The reported error
-    covariance is the kappa^2-scaled correlation matrix (the colored variance
-    of the v term), which is the identification the rest of the pipeline
-    uses for robustness terms. `root` is S when the caller already holds it.
+    g, v: kappa = 0 is perfect, kappa = 1 is useless. The error covariance
+    the rest of the pipeline identifies with this model is the
+    kappa^2-scaled correlation matrix (the colored variance of the v term).
     For a (..., N, N) stack each member draws g and then v.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     rng = as_rng(rng)
-    if root is None:
-        root = hermitian_sqrt(corr)
     gv = _member_gaussians(rng, root.shape[:-2], 2, root.shape[-1])
     g, v = gv[..., 0, :], gv[..., 1, :]
-    true_h = _apply(root, g)
-    est = _apply(root, np.sqrt(1.0 - kappa**2) * g + kappa * v)
-    phi = (kappa**2) * hermitize(np.asarray(corr, dtype=np.complex128))
-    return true_h, est, phi
+    return _apply(root, g), _apply(root, np.sqrt(1.0 - kappa**2) * g + kappa * v)
 
 
-def additive_error_csit(
-    true_h: np.ndarray, error_cov: np.ndarray, rng, err_root: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate = true channel plus CN(0, error_cov) noise; returns (estimate, error_cov).
+def additive_error_csit(true_h: np.ndarray, err_root: np.ndarray, rng) -> np.ndarray:
+    """The estimate true_h + e with e drawn from CN(0, err_root err_root^H).
 
-    `true_h` may be a (..., N) stack, with one shared (N, N) error covariance
-    or a (..., N, N) stack of them; each member draws its own error.
-    `err_root` is error_cov's PSD root when the caller already holds it.
+    `true_h` may be a (..., N) stack, with one shared (N, N) error-covariance
+    root or a (..., N, N) stack of them; each member draws its own error.
     """
     rng = as_rng(rng)
     true_h = np.asarray(true_h, dtype=np.complex128)
-    if err_root is None:
-        err_root = hermitian_sqrt(error_cov)
     g = _member_gaussians(rng, true_h.shape[:-1], 1, true_h.shape[-1])
-    err = _apply(err_root, g[..., 0, :])
-    return true_h + err, np.asarray(error_cov, dtype=np.complex128)
+    return true_h + _apply(err_root, g[..., 0, :])
 
 
 # ---------------------------------------------------------------------------
@@ -432,69 +405,3 @@ def drop_users(
             users[l, placed : placed + take] = cand[:take]
             placed += take
     return Topology(centers, users, inter_site, min_distance)
-
-
-# ---------------------------------------------------------------------------
-# Channel-set container
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ChannelSet:
-    """All links of one coherence block.
-
-    true_h[j, l, k] is the channel from BS j to user k of cell l. Estimates
-    and error covariances are populated only where `known[j, l, k]` is True
-    (a BS can only estimate links it received pilots on); elsewhere they are
-    zero-filled placeholders.
-    """
-
-    true_h: np.ndarray  # (L, L, K, N) complex
-    est_h: np.ndarray  # (L, L, K, N) complex
-    err_cov: np.ndarray  # (L, L, K, N, N) complex
-    known: np.ndarray = field(default=None)  # (L, L, K) bool
-
-    def __post_init__(self):
-        if self.known is None:
-            self.known = np.ones(self.true_h.shape[:3], dtype=bool)
-
-    @property
-    def n_cells(self) -> int:
-        return self.true_h.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.true_h.shape[2]
-
-    @property
-    def n_antennas(self) -> int:
-        return self.true_h.shape[3]
-
-    def serving_estimates(self, cell: int) -> np.ndarray:
-        """(K, N) estimates BS `cell` holds for its own users."""
-        return self.est_h[cell, cell]
-
-    def serving_err_cov(self, cell: int) -> np.ndarray:
-        return self.err_cov[cell, cell]
-
-
-def dump_channels_csv(channels: ChannelSet, path) -> None:
-    """Write every link as one CSV row of interleaved re/im antenna entries."""
-    n = channels.n_antennas
-    header = ["bs", "cell", "user", "kind"] + [
-        f"{p}{i}" for i in range(n) for p in ("re", "im")
-    ]
-    lines = [",".join(header)]
-    for kind, arr in (("true", channels.true_h), ("estimate", channels.est_h)):
-        for j in range(channels.n_cells):
-            for l in range(channels.n_cells):
-                for k in range(channels.n_users):
-                    if kind == "estimate" and not channels.known[j, l, k]:
-                        continue
-                    vec = arr[j, l, k]
-                    vals = []
-                    for i in range(n):
-                        vals.extend((repr(vec[i].real), repr(vec[i].imag)))
-                    lines.append(",".join([str(j), str(l), str(k), kind] + vals))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -34,6 +34,10 @@ CSIT_MODELS = ("perfect", "additive", "tdd", "fdd")
 COV_KNOWLEDGE = ("full", "scalar", "none")
 NOISE_DENSITY_DBM_HZ = -174.0
 _FLOAT_MAX = sys.float_info.max
+# Decibel values (SNRs, powers in dBm, the noise figure) lie within +-DB_LIMIT
+# and the bandwidth within [1 Hz, 1 THz]: a linear value far outside these
+# overflows, or vanishes and is divided by, in the power and noise arithmetic.
+DB_LIMIT = 100.0
 
 
 class Rule(NamedTuple):
@@ -79,8 +83,10 @@ FIELD_RULES = {
                      "n_blocks", "max_iter"), Rule(numbers.Integral, 1)),
     "seed": Rule(numbers.Integral, 0),
     "pilot_len": Rule(numbers.Integral, 1, nullable=True),
-    **dict.fromkeys(("bs_power_dbm", "noise_figure_db", "pilot_power_dbm"), Rule(numbers.Real)),
-    **dict.fromkeys(("bandwidth_hz", "carrier_hz", "inter_site_m", "angular_spread", "tol"),
+    **dict.fromkeys(("bs_power_dbm", "noise_figure_db", "pilot_power_dbm"),
+                    Rule(numbers.Real, -DB_LIMIT, DB_LIMIT)),
+    "bandwidth_hz": Rule(numbers.Real, 1.0, 1e12),
+    **dict.fromkeys(("carrier_hz", "inter_site_m", "angular_spread", "tol"),
                     Rule(numbers.Real, 0.0, open_low=True)),
     **dict.fromkeys(("min_distance_m", "shadowing_db", "csit_error_var", "tdd_noise_over_pilot",
                      "sel_threshold", "sus_alpha"), Rule(numbers.Real, 0.0)),
@@ -139,8 +145,9 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{name}: must be a list")
         if not all(isinstance(s, numbers.Real) and not isinstance(s, bool) for s in self.snr_db):
             raise ConfigInvalid("snr_db: every entry must be a number")
-        if not all(abs(s) <= _FLOAT_MAX for s in self.snr_db):
-            raise ConfigInvalid("snr_db: every entry must be finite")
+        if not all(abs(s) <= DB_LIMIT for s in self.snr_db):
+            raise ConfigInvalid(f"snr_db: every entry must be finite and in "
+                                f"[{-DB_LIMIT:g}, {DB_LIMIT:g}]")
         if not isinstance(self.output_dir, str):
             raise ConfigInvalid("output_dir: must be a string")
         if not self.algorithms:

@@ -36,6 +36,7 @@ from .solver import (
     _log2_objective,
     _power_iteration,
     _problem,
+    _stop_reason,
     extract_schedule,
 )
 
@@ -107,6 +108,7 @@ class CoopResult:
         for l in range(c):
             row.append(repr(float(self.per_cell_norm[l])))
             row.extend(repr(float(p)) for p in self.per_user_power[l])
+        row.append(_stop_reason(self.converged))
         return row
 
     @staticmethod
@@ -115,6 +117,7 @@ class CoopResult:
         for l in range(n_cells):
             header.append(f"cell{l}_norm")
             header.extend(f"cell{l}_power_{k}" for k in range(n_users))
+        header.append("stop_reason")
         return header
 
 

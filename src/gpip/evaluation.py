@@ -134,15 +134,14 @@ def _link_correlations(config) -> np.ndarray:
 class LinkStatistics:
     """What a link campaign's CSIT model fixes for all of its trials.
 
-    `corr` holds the (K, N, N) correlations and `roots` their PSD roots.
-    `cov` is the error covariance stack every trial reports (None under
-    perfect CSIT); `err_root` is the root of the additive model's error
-    covariance and `mmse` the stacked `channel.MmseStatistics` of the tdd
-    model (None otherwise). `csit_model` and `fdd_kappa` are the config
-    values the draws read. Arrays are read-only: every trial shares them.
+    `roots` holds the PSD roots of the (K, N, N) correlations. `cov` is the
+    error covariance stack every trial reports (None under perfect CSIT);
+    `err_root` is the root of the additive model's error covariance and
+    `mmse` the stacked `channel.MmseStatistics` of the tdd model (None
+    otherwise). `csit_model` and `fdd_kappa` are the config values the draws
+    read. Arrays are read-only: every trial shares them.
     """
 
-    corr: np.ndarray
     roots: np.ndarray
     cov: np.ndarray | None
     err_root: np.ndarray | None
@@ -153,7 +152,7 @@ class LinkStatistics:
 
 def link_statistics(config, corr) -> LinkStatistics:
     """The LinkStatistics of `config`'s CSIT model on the (K, N, N) correlations."""
-    corr = np.array(corr, dtype=np.complex128)
+    corr = np.asarray(corr, dtype=np.complex128)
     model, n = config.csit_model, config.n_antennas
     if model not in CSIT_MODELS:
         raise ConfigInvalid(f"csit_model: unknown model {model!r}")
@@ -170,18 +169,17 @@ def link_statistics(config, corr) -> LinkStatistics:
     elif model == "fdd":
         cov = (config.fdd_kappa**2) * hermitize(corr)
     roots = hermitian_sqrt(corr)
-    for a in (corr, roots, cov, err_root, *(mmse or ())):
+    for a in (roots, cov, err_root, *(mmse or ())):
         if a is not None:
             a.flags.writeable = False
-    return LinkStatistics(corr, roots, cov, err_root, mmse, model, config.fdd_kappa)
+    return LinkStatistics(roots, cov, err_root, mmse, model, config.fdd_kappa)
 
 
 def _draw_link_csit(stats: LinkStatistics, rng):
-    """(true (K,N), est (K,N), cov (K,N,N) or None) for one fading block.
+    """(true (K,N), est (K,N)) for one fading block.
 
     Users are drawn in order, each through its CSIT model's channel
-    function with the campaign's precomputed roots; `cov` is the shared,
-    read-only `stats.cov`.
+    function with the campaign's precomputed roots.
     """
     k, n = stats.roots.shape[:2]
     true = np.empty((k, n), dtype=np.complex128)
@@ -189,22 +187,16 @@ def _draw_link_csit(stats: LinkStatistics, rng):
     model = stats.csit_model
     for u in range(k):
         if model == "perfect":
-            h = channel.sample_channel(stats.corr[u], rng, root=stats.roots[u])
-            true[u], est[u] = h, h
+            true[u] = est[u] = channel.sample_channel(stats.roots[u], rng)
         elif model == "additive":
-            h = channel.sample_channel(stats.corr[u], rng, root=stats.roots[u])
-            est[u], _ = channel.additive_error_csit(h, stats.cov[u], rng, err_root=stats.err_root)
-            true[u] = h
+            true[u] = channel.sample_channel(stats.roots[u], rng)
+            est[u] = channel.additive_error_csit(true[u], stats.err_root, rng)
         elif model == "tdd":
-            true[u], est[u], _ = channel.mmse_csit_tdd(
-                None, [], None, 1.0, 1.0, rng,
-                stats=channel.MmseStatistics(*(a[u] for a in stats.mmse)),
-            )
+            true[u], est[u] = channel.mmse_csit_tdd(stats.mmse.est_root[u],
+                                                    stats.mmse.err_root[u], rng)
         else:
-            true[u], est[u], _ = channel.fdd_quantized_csit(
-                stats.corr[u], stats.fdd_kappa, rng, root=stats.roots[u]
-            )
-    return true, est, stats.cov
+            true[u], est[u] = channel.fdd_quantized_csit(stats.roots[u], stats.fdd_kappa, rng)
+    return true, est
 
 
 def _known_cov(knowledge: str, cov, n):
@@ -278,8 +270,8 @@ def link_trial(
     campaign's `LinkStatistics`, built once with `link_statistics`.
     """
     noise_ratio = 10.0 ** (-snr_db / 10.0)
-    true, est, cov = _draw_link_csit(stats, rng)
-    known_cov, alphas = _known_cov(config.cov_knowledge, cov, config.n_antennas)
+    true, est = _draw_link_csit(stats, rng)
+    known_cov, alphas = _known_cov(config.cov_knowledge, stats.cov, config.n_antennas)
     out = {}
     for alg in algorithms:
         with located(f"algorithm {alg}: "):

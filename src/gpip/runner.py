@@ -274,9 +274,11 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     )
 
 
-def multicell_csit(stats: DropStatistics, rng) -> channel.ChannelSet:
-    """Joint (true, estimate, error-cov) draw for every link of one block.
+def multicell_csit(stats: DropStatistics, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Joint (true, estimate) draw for every link of one block.
 
+    Both are (L, L, K, N) arrays indexed [bs, user_cell, user]; an estimate
+    is zero on every link its BS has no pilots for (`stats.known`).
     BSs estimate links to every user of their own cluster from uplink pilots
     that are orthogonal inside the cluster and reused outside it, so the
     contaminating covariances for user (l, k) are the same-index users of all
@@ -299,19 +301,16 @@ def multicell_csit(stats: DropStatistics, rng) -> channel.ChannelSet:
             for bss, trained, m in runs:
                 links = (bss, l, k)
                 if not trained:
-                    true_h[links] = channel.sample_channel(None, rng, root=stats.roots[links])
+                    true_h[links] = channel.sample_channel(stats.roots[links], rng)
                 elif stats.mmse_roots is None:
-                    h = channel.sample_channel(None, rng, root=stats.roots[links])
-                    true_h[links], est_h[links] = h, h
+                    true_h[links] = est_h[links] = channel.sample_channel(stats.roots[links], rng)
                 else:
                     est_root, err_root = stats.mmse_roots
-                    run = channel.MmseStatistics(stats.err_cov[links], est_root[t:t + m],
-                                                 err_root[t:t + m])
-                    true_h[links], est_h[links], _ = channel.mmse_csit_tdd(
-                        None, [], None, 1.0, 1.0, rng, stats=run
+                    true_h[links], est_h[links] = channel.mmse_csit_tdd(
+                        est_root[t:t + m], err_root[t:t + m], rng
                     )
                     t += m
-    return channel.ChannelSet(true_h, est_h, stats.err_cov, stats.known)
+    return true_h, est_h
 
 
 def _slice(a, idx):
@@ -339,7 +338,7 @@ def multicell_block(
     true channels under all cells' simultaneous transmissions.
     """
     n_cells, _, n_users, n, _ = stats.roots.shape
-    csit = multicell_csit(stats, rng)
+    true_h, est_h = multicell_csit(stats, rng)
     # every link's knowledge, once per drop; each design below takes its slice
     known_cov, alphas = stats.known_cov(cfg.cov_knowledge)
     nr_noncoop = noise_ratio_dl + stats.outside
@@ -351,8 +350,7 @@ def multicell_block(
                 rates = np.zeros((n_cells, n_users))
                 for l in range(n_cells):
                     nr_cell = float(np.mean(nr_noncoop[l]))
-                    _, _, rate = baselines.zf_dpc_waterfilling(csit.serving_estimates(l),
-                                                               nr_cell)
+                    _, _, rate = baselines.zf_dpc_waterfilling(est_h[l, l], nr_cell)
                     rates[l, 0] = rate  # per-cell sum bound, stored on slot 0
                 out[alg] = (rates, None)
                 continue
@@ -362,7 +360,7 @@ def multicell_block(
             if alg == "gpip-coop":
                 for cl in stats.clusters:
                     idx = np.ix_(cl, cl)
-                    pairs = coop.build_coop_pairs(csit.est_h[idx], _slice(known_cov, idx),
+                    pairs = coop.build_coop_pairs(est_h[idx], _slice(known_cov, idx),
                                                   nr_coop[cl])
                     res = coop.gpip_coop(pairs, weights=_slice(w_alg, cl), tol=cfg.tol,
                                          max_iter=cfg.max_iter,
@@ -373,12 +371,12 @@ def multicell_block(
                 w_cells = w_alg if alg.startswith("gpip") else None
                 for l in range(n_cells):
                     precoders[l], extra = evaluation.design_precoders(
-                        alg, csit.serving_estimates(l), _slice(known_cov, (l, l)),
+                        alg, est_h[l, l], _slice(known_cov, (l, l)),
                         nr_noncoop[l], cfg, _slice(alphas, (l, l)), _slice(w_cells, l),
                     )
                     if extra is not None:
                         extras.append(extra)
-            report = evaluation.true_sinr(csit.true_h, precoders, noise_ratio_dl)
+            report = evaluation.true_sinr(true_h, precoders, noise_ratio_dl)
             out[alg] = (report.rate, extras or None)
     return out
 

@@ -374,6 +374,12 @@ _CSV_BASE = ("seed", "N", "K", "SNR_dB", "iterations", "objective_log2",
                    "kkt_residual", "active_count")
 
 
+def _stop_reason(converged: bool) -> str:
+    """The last column of every solver CSV row: how the solve stopped, "tol"
+    when successive iterates came within the tolerance, else "max_iter"."""
+    return "tol" if converged else "max_iter"
+
+
 @dataclass
 class GpipResult:
     """Converged (or best-found) solution of the fixed-point iteration."""
@@ -392,11 +398,12 @@ class GpipResult:
         row = [seed, n, k, snr_db, self.iterations, repr(self.objective_log2),
                repr(self.kkt_residual), len(self.schedule)]
         row.extend(repr(float(p)) for p in self.per_user_power)
+        row.append(_stop_reason(self.converged))
         return row
 
     @staticmethod
     def csv_header(n_users: int) -> list[str]:
-        return [*_CSV_BASE, *(f"power_{k}" for k in range(n_users))]
+        return [*_CSV_BASE, *(f"power_{k}" for k in range(n_users)), "stop_reason"]
 
 
 def _initial_stack(prob: _ClusterProblem, init, shape: tuple) -> np.ndarray:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpip import channel, runner
+from gpip import channel, evaluation, runner
 from gpip.config import config_from_dict
 from gpip.errors import BelowMinimumDistance, DimensionMismatch
-from gpip.numerics import hermitize
+from gpip.numerics import hermitian_sqrt, hermitize
 
 
 def reference_one_ring(pos, wavelength, theta, delta, beta, nodes=200_000):
@@ -237,7 +237,7 @@ class TestStackedPathloss:
 
 class TestSampleChannel:
     def test_zero_covariance_gives_zero(self):
-        h = channel.sample_channel(np.zeros((3, 3)), 0)
+        h = channel.sample_channel(hermitian_sqrt(np.zeros((3, 3))), 0)
         np.testing.assert_allclose(h, 0)
 
     def test_empirical_covariance_identity(self):
@@ -254,14 +254,14 @@ class TestSampleChannel:
         v = np.array([1.0, 1j, -0.5]) / np.linalg.norm([1.0, 1j, -0.5])
         r = np.outer(v, v.conj())
         for seed in range(5):
-            h = channel.sample_channel(r, seed)
+            h = channel.sample_channel(hermitian_sqrt(r), seed)
             residual = h - (v.conj() @ h) * v
             assert np.linalg.norm(residual) < 1e-8
 
     def test_deterministic_per_seed(self):
         r = np.diag([1.0, 2.0])
-        a = channel.sample_channel(r, 123)
-        b = channel.sample_channel(r, 123)
+        a = channel.sample_channel(hermitian_sqrt(r), 123)
+        b = channel.sample_channel(hermitian_sqrt(r), 123)
         assert np.array_equal(a, b)
 
 
@@ -285,28 +285,22 @@ class TestStackedCsitDraws:
 
     @staticmethod
     def assert_stack_equals_members(stack_call, member_call, lead, seed):
-        """`stack_call(rng)` and `member_call(idx, rng)` return tuples of
-        arrays; None marks an output that is not stacked."""
+        """`stack_call(rng)` and `member_call(idx, rng)` return tuples of arrays."""
         rng_stack, rng_member = np.random.default_rng(seed), np.random.default_rng(seed)
         got = stack_call(rng_stack)
         per_member = [member_call(idx, rng_member) for idx in np.ndindex(*lead)]
         for i, part in enumerate(got):
-            if part is not None:
-                want = np.array([m[i] for m in per_member]).reshape(np.shape(part))
-                np.testing.assert_array_equal(part, want)
+            want = np.array([m[i] for m in per_member]).reshape(np.shape(part))
+            np.testing.assert_array_equal(part, want)
         assert rng_stack.bit_generator.state == rng_member.bit_generator.state
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), LEAD_SHAPES, st.integers(1, 6))
     def test_sample_channel(self, seed, lead, n):
-        corr = random_psd_stack(np.random.default_rng(seed), lead, n)
-        root = channel.hermitian_sqrt(corr)
+        root = hermitian_sqrt(random_psd_stack(np.random.default_rng(seed), lead, n))
         self.assert_stack_equals_members(
-            lambda rng: (channel.sample_channel(None, rng, root=root),),
-            lambda idx, rng: (channel.sample_channel(None, rng, root=root[idx]),), lead, seed)
-        self.assert_stack_equals_members(
-            lambda rng: (channel.sample_channel(corr, rng),),
-            lambda idx, rng: (channel.sample_channel(corr[idx], rng),), lead, seed)
+            lambda rng: (channel.sample_channel(root, rng),),
+            lambda idx, rng: (channel.sample_channel(root[idx], rng),), lead, seed)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), LEAD_SHAPES, st.integers(1, 6), st.integers(0, 2))
@@ -316,15 +310,8 @@ class TestStackedCsitDraws:
         ints = [random_psd_stack(rng, lead, n) for _ in range(n_interferers)]
         stats = channel.mmse_statistics(r, ints, 0.3, 1.0, 1.0)
         self.assert_stack_equals_members(
-            lambda rng: channel.mmse_csit_tdd(None, [], 0.3, 1.0, 1.0, rng, stats=stats),
-            lambda idx, rng: channel.mmse_csit_tdd(
-                None, [], 0.3, 1.0, 1.0, rng,
-                stats=channel.MmseStatistics(*(a[idx] for a in stats))),
-            lead, seed)
-        self.assert_stack_equals_members(
-            lambda rng: channel.mmse_csit_tdd(r, ints, 0.3, 1.0, 1.0, rng),
-            lambda idx, rng: channel.mmse_csit_tdd(r[idx], [ri[idx] for ri in ints],
-                                                   0.3, 1.0, 1.0, rng),
+            lambda rng: channel.mmse_csit_tdd(stats.est_root, stats.err_root, rng),
+            lambda idx, rng: channel.mmse_csit_tdd(stats.est_root[idx], stats.err_root[idx], rng),
             lead, seed)
 
     @settings(max_examples=25, deadline=None)
@@ -332,45 +319,31 @@ class TestStackedCsitDraws:
     def test_additive_error_csit(self, seed, lead, n, shared):
         rng = np.random.default_rng(seed)
         true_h = rng.standard_normal((*lead, n)) + 1j * rng.standard_normal((*lead, n))
-        cov = random_psd_stack(rng, () if shared else lead, n)
-        err_root = channel.hermitian_sqrt(cov)
-
-        def member(idx, with_root):
-            c, e = (cov, err_root) if shared else (cov[idx], err_root[idx])
-            return lambda rng: channel.additive_error_csit(true_h[idx], c, rng,
-                                                           err_root=e if with_root else None)
-
-        for with_root in (True, False):
-            self.assert_stack_equals_members(
-                lambda rng: (channel.additive_error_csit(
-                    true_h, cov, rng, err_root=err_root if with_root else None)[0], None),
-                lambda idx, rng: member(idx, with_root)(rng), lead, seed)
+        err_root = hermitian_sqrt(random_psd_stack(rng, () if shared else lead, n))
+        self.assert_stack_equals_members(
+            lambda rng: (channel.additive_error_csit(true_h, err_root, rng),),
+            lambda idx, rng: (channel.additive_error_csit(
+                true_h[idx], err_root if shared else err_root[idx], rng),), lead, seed)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), LEAD_SHAPES, st.integers(1, 6),
            st.sampled_from([0.0, 0.3, 1.0]))
     def test_fdd_quantized_csit(self, seed, lead, n, kappa):
-        corr = random_psd_stack(np.random.default_rng(seed), lead, n)
-        root = channel.hermitian_sqrt(corr)
+        root = hermitian_sqrt(random_psd_stack(np.random.default_rng(seed), lead, n))
         self.assert_stack_equals_members(
-            lambda rng: channel.fdd_quantized_csit(corr, kappa, rng, root=root),
-            lambda idx, rng: channel.fdd_quantized_csit(corr[idx], kappa, rng, root=root[idx]),
-            lead, seed)
-        self.assert_stack_equals_members(
-            lambda rng: channel.fdd_quantized_csit(corr, kappa, rng),
-            lambda idx, rng: channel.fdd_quantized_csit(corr[idx], kappa, rng), lead, seed)
+            lambda rng: channel.fdd_quantized_csit(root, kappa, rng),
+            lambda idx, rng: channel.fdd_quantized_csit(root[idx], kappa, rng), lead, seed)
 
     def test_identical_members_draw_independently(self):
         # one Gaussian shared by every member would make these rows equal
         corr = np.broadcast_to(np.diag([1.0, 2.0, 0.5]).astype(complex), (2, 3, 3))
-        root = channel.hermitian_sqrt(corr)
-        h = channel.sample_channel(None, np.random.default_rng(1), root=root)
+        root = hermitian_sqrt(corr)
+        h = channel.sample_channel(root, np.random.default_rng(1))
         stats = channel.mmse_statistics(corr, [0.5 * corr], 0.1, 1.0, 1.0)
-        true_h, est, _ = channel.mmse_csit_tdd(None, [], 0.1, 1.0, 1.0,
-                                               np.random.default_rng(1), stats=stats)
-        true_f, est_f, _ = channel.fdd_quantized_csit(corr, 0.5, np.random.default_rng(1))
-        est_a, _ = channel.additive_error_csit(np.zeros((2, 3)), corr[0],
-                                               np.random.default_rng(1))
+        true_h, est = channel.mmse_csit_tdd(stats.est_root, stats.err_root,
+                                            np.random.default_rng(1))
+        true_f, est_f = channel.fdd_quantized_csit(root, 0.5, np.random.default_rng(1))
+        est_a = channel.additive_error_csit(np.zeros((2, 3)), root[0], np.random.default_rng(1))
         for pair in (h, true_h, est, true_f, est_f, est_a):
             assert pair.shape == (2, 3)
             assert not np.any(pair[0] == pair[1])
@@ -394,26 +367,23 @@ class TestPathloss:
 
 class TestTddCsit:
     def test_vanishing_noise_gives_perfect_csit(self):
-        rng = np.random.default_rng(0)
         geom = channel.uniform_circular_array(4)
         r = channel.one_ring_correlation(geom, channel.OneRingParams(0.2, 0.5, 1.0))
-        _, _, phi = channel.mmse_csit_tdd(r, [], 1.0, 1e6, 1e6, rng)
+        phi = channel.mmse_statistics(r, [], 1.0, 1e6, 1e6).phi
         assert np.abs(phi).max() < 1e-6 * np.trace(r).real
 
     def test_identity_algebra(self):
-        rng = np.random.default_rng(1)
         n = 3
-        _, _, phi = channel.mmse_csit_tdd(np.eye(n), [np.eye(n)], 1.0, 1.0, 1.0, rng)
+        phi = channel.mmse_statistics(np.eye(n), [np.eye(n)], 1.0, 1.0, 1.0).phi
         np.testing.assert_allclose(phi, (2.0 / 3.0) * np.eye(n), atol=1e-12)
 
     def test_matches_independent_closed_form(self):
         # oracle: same closed form evaluated through an explicit matrix inverse
-        rng = np.random.default_rng(5)
         geom = channel.uniform_circular_array(4)
         r = channel.one_ring_correlation(geom, channel.OneRingParams(0.1, 0.4, 1.3))
         r2 = channel.one_ring_correlation(geom, channel.OneRingParams(1.1, 0.3, 0.6))
         noise_term = 0.37
-        _, _, phi = channel.mmse_csit_tdd(r, [r2], noise_term, 1.0, 1.0, rng)
+        phi = channel.mmse_statistics(r, [r2], noise_term, 1.0, 1.0).phi
         expected = r - r @ np.linalg.inv(r + r2 + noise_term * np.eye(4)) @ r
         assert np.abs(phi - expected).max() < 1e-8
 
@@ -435,7 +405,7 @@ class TestTddCsit:
                 )
                 for _ in range(n_int)
             ]
-            _, _, phi = channel.mmse_csit_tdd(r, ints, rng.uniform(0.01, 1.0), 1.0, 1.0, rng)
+            phi = channel.mmse_statistics(r, ints, rng.uniform(0.01, 1.0), 1.0, 1.0).phi
             tol = 1e-9 * np.trace(r).real
             assert np.linalg.eigvalsh(hermitize(phi)).min() >= -tol
             assert np.linalg.eigvalsh(hermitize(r - phi)).min() >= -tol
@@ -458,8 +428,10 @@ class TestTddCsit:
         trials = 60_000
         ests = np.empty((trials, 2), dtype=complex)
         errs = np.empty((trials, 2), dtype=complex)
+        stats = channel.mmse_statistics(r, [], 0.5, 1.0, 1.0)
+        phi = stats.phi
         for t in range(trials):
-            h, hhat, phi = channel.mmse_csit_tdd(r, [], 0.5, 1.0, 1.0, rng)
+            h, hhat = channel.mmse_csit_tdd(stats.est_root, stats.err_root, rng)
             ests[t] = hhat
             errs[t] = h - hhat
         est_cov = ests.conj().T @ ests / trials
@@ -474,11 +446,10 @@ class TestCovfreeErrorScale:
     def test_matches_tdd_error_power_for_white_covariances(self):
         # with white priors the scalar estimate equals the exact per-antenna
         # error power of the uplink-trained model
-        rng = np.random.default_rng(0)
         n = 4
         beta, beta_int, noise = 1.3, 0.4, 0.2
         r = beta * np.eye(n)
-        _, _, phi = channel.mmse_csit_tdd(r, [beta_int * np.eye(n)], noise, 1.0, 1.0, rng)
+        phi = channel.mmse_statistics(r, [beta_int * np.eye(n)], noise, 1.0, 1.0).phi
         alpha = channel.covfree_error_scale(beta, np.array([beta, beta_int]), noise)
         assert np.trace(phi).real / n == pytest.approx(alpha, rel=1e-12)
 
@@ -486,16 +457,15 @@ class TestCovfreeErrorScale:
 class TestFddCsit:
     def test_perfect_quality_endpoint(self):
         r = np.diag([2.0, 1.0])
-        h, hhat, phi = channel.fdd_quantized_csit(r, 0.0, 7)
+        h, hhat = channel.fdd_quantized_csit(hermitian_sqrt(r), 0.0, 7)
         np.testing.assert_allclose(h, hhat)
-        np.testing.assert_allclose(phi, 0, atol=1e-15)
 
     def test_zero_quality_endpoint_decorrelates(self):
         rng = np.random.default_rng(21)
         trials = 40_000
         cross = 0.0
         for _ in range(trials):
-            h, hhat, _ = channel.fdd_quantized_csit(np.eye(1), 1.0, rng)
+            h, hhat = channel.fdd_quantized_csit(np.eye(1), 1.0, rng)
             cross += (h.conj() * hhat).real[0]
         assert abs(cross / trials) < 0.05
 
@@ -504,20 +474,23 @@ class TestFddCsit:
         n, trials = 2, 60_000
         acc = np.zeros((n, n), dtype=complex)
         for _ in range(trials):
-            _, hhat, _ = channel.fdd_quantized_csit(np.eye(n), 0.5, rng)
+            _, hhat = channel.fdd_quantized_csit(np.eye(n), 0.5, rng)
             acc += np.outer(hhat, hhat.conj())
         assert np.abs(acc / trials - np.eye(n)).max() < 0.05
 
     def test_reported_cov_is_kappa_sq_scaled(self):
+        # the error covariance a link campaign reports for the fdd model
         r = np.diag([3.0, 1.0])
-        _, _, phi = channel.fdd_quantized_csit(r, 0.5, 0)
+        cfg = config_from_dict(dict(scenario="link", n_antennas=2, n_users=1, algorithms=["mrt"],
+                                    seed=0, csit_model="fdd", fdd_kappa=0.5))
+        phi = evaluation.link_statistics(cfg, r[None]).cov[0]
         np.testing.assert_allclose(phi, 0.25 * r)
 
 
 class TestAdditiveCsit:
     def test_zero_cov_returns_exact(self):
         h = np.array([1.0 + 1j, -2.0])
-        hhat, phi = channel.additive_error_csit(h, np.zeros((2, 2)), 0)
+        hhat = channel.additive_error_csit(h, hermitian_sqrt(np.zeros((2, 2))), 0)
         np.testing.assert_allclose(hhat, h)
 
     def test_empirical_error_covariance(self):
@@ -526,7 +499,7 @@ class TestAdditiveCsit:
         h = np.zeros(n, dtype=complex)
         errs = np.empty((trials, n), dtype=complex)
         for t in range(trials):
-            hhat, _ = channel.additive_error_csit(h, 0.1 * np.eye(n), rng)
+            hhat = channel.additive_error_csit(h, hermitian_sqrt(0.1 * np.eye(n)), rng)
             errs[t] = hhat
         emp = errs.conj().T @ errs / trials
         assert np.abs(emp - 0.1 * np.eye(n)).max() < 0.05 * 0.1 + 0.005
@@ -535,7 +508,7 @@ class TestAdditiveCsit:
         rng = np.random.default_rng(4)
         h = np.array([0.0 + 0j, 0.0 + 0j])
         for _ in range(20):
-            hhat, _ = channel.additive_error_csit(h, np.diag([0.1, 0.0]), rng)
+            hhat = channel.additive_error_csit(h, hermitian_sqrt(np.diag([0.1, 0.0])), rng)
             assert hhat[1] == 0
 
 
@@ -578,16 +551,3 @@ class TestTopology:
         a = channel.drop_users(4, 6, 1000.0, 40.0, 11)
         b = channel.drop_users(4, 6, 1000.0, 40.0, 11)
         assert np.array_equal(a.user_xy, b.user_xy)
-
-
-class TestChannelDump:
-    def test_csv_roundtrip_shape(self, tmp_path):
-        rng = np.random.default_rng(0)
-        n, l, k = 2, 2, 2
-        true = channel.standard_complex_gaussian(rng, l, l, k, n)
-        cs = channel.ChannelSet(true, true.copy(), np.zeros((l, l, k, n, n), dtype=complex))
-        path = tmp_path / "dump.csv"
-        channel.dump_channels_csv(cs, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("bs,cell,user,kind")
-        assert len(lines) == 1 + 2 * l * l * k

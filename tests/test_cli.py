@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import json
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from gpip import channel, cli, coop, evaluation, runner
 from gpip.config import FIELD_RULES, ExperimentConfig, config_from_dict, load_config
 from gpip.errors import ConfigInvalid, NotPositiveDefinite, RankDeficient
+from gpip.numerics import hermitian_sqrt
 
 
 def minimal_link(**overrides):
@@ -29,6 +31,10 @@ def minimal_link(**overrides):
     )
     data.update(overrides)
     return data
+
+
+# a two-cell uplink-trained system, N=2 and K=1, for the decibel-field probes
+SYSTEM_TDD = dict(scenario="system", n_cells=2, n_users=1, csit_model="tdd", algorithms=["gpip"])
 
 
 class TestConfigValidation:
@@ -142,6 +148,15 @@ class TestConfigValidation:
             (dict(seed=-1), "seed"),
             # a repeated algorithm doubled its summary rows but not its per-user rows
             (dict(algorithms=["gpip", "mrt", "gpip"]), "algorithms"),
+            # finite decibel values whose linear value overflows or vanishes: each
+            # crashed mid-campaign after the output directory existed
+            (dict(algorithms=["gpip"], snr_db=[-4000]), "snr_db"),
+            (dict(algorithms=["gpip"], snr_db=[4000]), "snr_db"),
+            (dict(SYSTEM_TDD, bs_power_dbm=4000), "bs_power_dbm"),
+            (dict(SYSTEM_TDD, noise_figure_db=4000), "noise_figure_db"),
+            (dict(SYSTEM_TDD, bs_power_dbm=-4000), "bs_power_dbm"),
+            (dict(SYSTEM_TDD, pilot_power_dbm=-4000), "pilot_power_dbm"),
+            (dict(SYSTEM_TDD, bandwidth_hz=1e300), "bandwidth_hz"),
         ],
     )
     def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):
@@ -281,6 +296,26 @@ class TestLinkRunner:
         vals = np.array([list(map(float, r.split(","))) for r in cdf[1:]])
         assert np.all(np.diff(vals[:, 0]) >= 0)
 
+    @pytest.mark.parametrize("snr,error_var,max_iter,reason", [
+        # error-free CSIT at high SNR oscillates instead of converging
+        (60.0, 0.0, 5, "max_iter"),
+        (10.0, 0.1, 100, "tol"),
+    ])
+    def test_solver_rows_report_how_each_solve_stopped(self, tmp_path, snr, error_var,
+                                                       max_iter, reason):
+        cfg = config_from_dict(minimal_link(
+            n_antennas=4, n_users=4, algorithms=["gpip", "mrt"], snr_db=[snr],
+            csit_model="additive", csit_error_var=error_var, max_iter=max_iter,
+        ))
+        paths = runner.run_link_level(cfg, tmp_path)
+        with open(paths["solver"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[-1] == "stop_reason"
+        assert len(rows) == cfg.n_trials
+        assert all(r["algorithm"] == "gpip" and r["stop_reason"] == reason for r in rows)
+        if reason == "max_iter":
+            assert all(int(r["iterations"]) == max_iter for r in rows)
+
     def test_zf_dpc_is_a_bound_without_per_user_artifacts(self, tmp_path):
         cfg = config_from_dict(minimal_link(algorithms=["gpip", "zf-dpc"], n_trials=3))
         paths = runner.run_link_level(cfg, tmp_path)
@@ -316,14 +351,12 @@ class TestSystemRunner:
         # rebuild by hand in the same noise-normalized units
         rng2 = evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
         nr = 1.0
-        csit = runner.multicell_csit(stats, rng2)
+        true_h, est_h = runner.multicell_csit(stats, rng2)
         from gpip import solver as slv
 
-        pairs = slv.build_effective_pairs(
-            csit.serving_estimates(0), csit.serving_err_cov(0), nr
-        )
+        pairs = slv.build_effective_pairs(est_h[0, 0], stats.err_cov[0, 0], nr)
         res = slv.gpip_iterate(pairs, tol=cfg.tol, max_iter=cfg.max_iter)
-        report = evaluation.true_sinr(csit.true_h, res.precoder[None], nr)
+        report = evaluation.true_sinr(true_h, res.precoder[None], nr)
         np.testing.assert_allclose(rates, report.rate, atol=1e-12)
 
     def test_coop_degeneration_single_cluster_of_one(self, tmp_path):
@@ -449,17 +482,17 @@ def per_link_csit_reference(corr, clusters, noise_over_pilot, rng, perfect):
             for j in range(n_cells):
                 if j in members:
                     if perfect:
-                        h = channel.sample_channel(corr[j, l, k], rng)
+                        h = channel.sample_channel(hermitian_sqrt(corr[j, l, k]), rng)
                         true_h[j, l, k], est_h[j, l, k] = h, h
                     else:
                         interferers = [corr[j, lp, k] for lp in copilot]
-                        h, hhat, phi = channel.mmse_csit_tdd(
-                            corr[j, l, k], interferers, noise_over_pilot, 1.0, 1.0, rng
-                        )
-                        true_h[j, l, k], est_h[j, l, k], err_cov[j, l, k] = h, hhat, phi
+                        stats = channel.mmse_statistics(corr[j, l, k], interferers,
+                                                        noise_over_pilot, 1.0, 1.0)
+                        h, hhat = channel.mmse_csit_tdd(stats.est_root, stats.err_root, rng)
+                        true_h[j, l, k], est_h[j, l, k], err_cov[j, l, k] = h, hhat, stats.phi
                     known[j, l, k] = True
                 else:
-                    true_h[j, l, k] = channel.sample_channel(corr[j, l, k], rng)
+                    true_h[j, l, k] = channel.sample_channel(hermitian_sqrt(corr[j, l, k]), rng)
     return true_h, est_h, err_cov, known
 
 
@@ -500,8 +533,8 @@ class TestDropStatistics:
         for block in range(2):
             ref = per_link_csit_reference(corr, clusters, noise,
                                           np.random.default_rng([seed, block]), perfect)
-            csit = runner.multicell_csit(stats, np.random.default_rng([seed, block]))
-            for got, want in zip((csit.true_h, csit.est_h, csit.err_cov, csit.known), ref):
+            drawn = runner.multicell_csit(stats, np.random.default_rng([seed, block]))
+            for got, want in zip((*drawn, stats.err_cov, stats.known), ref):
                 np.testing.assert_array_equal(got, want)
 
     def test_statistics_are_read_only(self):

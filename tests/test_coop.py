@@ -342,6 +342,6 @@ class TestPairLists:
         assert header == [
             "seed", "N", "K", "SNR_dB", "iterations", "objective_log2", "kkt_residual",
             "active_count", "cell0_norm", "cell0_power_0", "cell0_power_1", "cell0_power_2",
-            "cell1_norm", "cell1_power_0", "cell1_power_1", "cell1_power_2",
+            "cell1_norm", "cell1_power_0", "cell1_power_1", "cell1_power_2", "stop_reason",
         ]
         assert len(res.csv_row(seed=7, snr_db=10.0)) == len(header)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gpip import baselines, channel, evaluation, solver
 from gpip.config import ExperimentConfig
+from gpip.numerics import hermitian_sqrt, hermitize
 
 
 def link_config(**overrides):
@@ -144,7 +145,8 @@ class TestErgodicSumSe:
 
 
 def per_user_link_csit_reference(config, corr, rng):
-    """_draw_link_csit as a per-user loop that derives every root per call."""
+    """_draw_link_csit and the error covariances of LinkStatistics as a
+    per-user loop that derives every root per call."""
     k, n = config.n_users, config.n_antennas
     true = np.empty((k, n), dtype=np.complex128)
     est = np.empty((k, n), dtype=np.complex128)
@@ -152,21 +154,22 @@ def per_user_link_csit_reference(config, corr, rng):
     model = config.csit_model
     for u in range(k):
         if model == "perfect":
-            h = channel.sample_channel(corr[u], rng)
+            h = channel.sample_channel(hermitian_sqrt(corr[u]), rng)
             true[u], est[u] = h, h
         elif model == "additive":
-            h = channel.sample_channel(corr[u], rng)
-            phi = config.csit_error_var * np.eye(n)
-            est[u], cov[u] = channel.additive_error_csit(h, phi, rng)
+            h = channel.sample_channel(hermitian_sqrt(corr[u]), rng)
+            cov[u] = config.csit_error_var * np.eye(n)
+            est[u] = channel.additive_error_csit(h, hermitian_sqrt(cov[u]), rng)
             true[u] = h
         elif model == "tdd":
-            h, hhat, phi = channel.mmse_csit_tdd(
-                corr[u], [], config.uplink_noise_over_pilot(), 1.0, 1.0, rng
-            )
-            true[u], est[u], cov[u] = h, hhat, phi
+            stats = channel.mmse_statistics(corr[u], [], config.uplink_noise_over_pilot(),
+                                            1.0, 1.0)
+            true[u], est[u] = channel.mmse_csit_tdd(stats.est_root, stats.err_root, rng)
+            cov[u] = stats.phi
         else:
-            h, hhat, phi = channel.fdd_quantized_csit(corr[u], config.fdd_kappa, rng)
-            true[u], est[u], cov[u] = h, hhat, phi
+            true[u], est[u] = channel.fdd_quantized_csit(hermitian_sqrt(corr[u]),
+                                                         config.fdd_kappa, rng)
+            cov[u] = config.fdd_kappa**2 * hermitize(corr[u])
     return true, est, (None if model == "perfect" else cov)
 
 
@@ -188,7 +191,7 @@ class TestLinkStatistics:
         for trial in range(2):
             want = per_user_link_csit_reference(cfg, corr, np.random.default_rng([seed, trial]))
             got = evaluation._draw_link_csit(stats, np.random.default_rng([seed, trial]))
-            for g, w in zip(got, want):
+            for g, w in zip((*got, stats.cov), want):
                 if w is None:
                     assert g is None
                 else:
@@ -200,7 +203,8 @@ class TestKnownCovariance:
         cfg = link_config(n_antennas=4, n_users=3, algorithms=["gpip-covfree"],
                           csit_model="tdd", tdd_noise_over_pilot=0.3)
         stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
-        _, est, cov = evaluation._draw_link_csit(stats, np.random.default_rng(2))
+        _, est = evaluation._draw_link_csit(stats, np.random.default_rng(2))
+        cov = stats.cov
         known, alphas = evaluation._known_cov("full", cov, cfg.n_antennas)
         assert known is cov
         f, _ = evaluation.design_precoders("gpip-covfree", est, known, 0.2, cfg, alphas)

@@ -569,6 +569,8 @@ class TestResultSerialization:
         assert len(header) == len(row)
         assert header[:4] == ["seed", "N", "K", "SNR_dB"]
         assert row[:4] == [7, 2, 3, 10.0]
+        assert header[-1] == "stop_reason"
+        assert row[-1] == ("tol" if res.converged else "max_iter")
 
 
 class TestPairLists:
