@@ -225,19 +225,18 @@ class MmseStatistics(NamedTuple):
 def mmse_statistics(
     r_serving: np.ndarray,
     r_interferers: list[np.ndarray],
-    noise_var: float,
-    pilot_len: float,
-    pilot_power: float,
+    noise_over_pilot: float,
 ) -> MmseStatistics:
     """The second-order statistics of `mmse_csit_tdd`, for one link or a stack.
 
-    phi = R - R (R + sum_j R_j + noise_var/(pilot_len*pilot_power) I)^-1 R,
-    with the sum over the interfering co-pilot covariances. `r_serving` and
-    every interferer are (N, N) or share one (..., N, N) shape; each matrix
-    of a stack gets exactly what a call on it alone gives.
+    phi = R - R (R + sum_j R_j + noise_over_pilot I)^-1 R, with the sum over
+    the interfering co-pilot covariances and `noise_over_pilot` the uplink
+    noise variance over the pilot energy (pilot length times pilot power).
+    `r_serving` and every interferer are (N, N) or share one (..., N, N)
+    shape; each matrix of a stack gets exactly what a call on it alone gives.
     """
-    if pilot_len * pilot_power <= 0:
-        raise ValueError("pilot_len * pilot_power must be positive")
+    if not noise_over_pilot >= 0:
+        raise ValueError(f"noise_over_pilot must be non-negative, got {noise_over_pilot!r}")
     r = hermitize(np.asarray(r_serving, dtype=np.complex128))
     n = r.shape[-1]
     total = r.copy()
@@ -246,7 +245,7 @@ def mmse_statistics(
         if ri.shape != r.shape:
             raise DimensionMismatch("interferer covariance shape mismatch")
         total = total + ri
-    total = hermitize(total) + (noise_var / (pilot_len * pilot_power)) * np.eye(n)
+    total = hermitize(total) + noise_over_pilot * np.eye(n)
     gain = np.empty_like(r)
     for idx in np.ndindex(r.shape[:-2]):
         gain[idx] = solve_hermitian(total[idx], r[idx])

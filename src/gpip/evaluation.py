@@ -134,18 +134,18 @@ def _link_correlations(config) -> np.ndarray:
 class LinkStatistics:
     """What a link campaign's CSIT model fixes for all of its trials.
 
-    `roots` holds the PSD roots of the (K, N, N) correlations. `cov` is the
-    error covariance stack every trial reports (None under perfect CSIT);
-    `err_root` is the root of the additive model's error covariance and
-    `mmse` the stacked `channel.MmseStatistics` of the tdd model (None
-    otherwise). `csit_model` and `fdd_kappa` are the config values the draws
-    read. Arrays are read-only: every trial shares them.
+    `roots` holds the (K, N, N) PSD roots each user's draw starts from: of
+    the correlations, or under tdd of the MMSE estimate covariances R - phi.
+    `cov` is the error covariance stack every trial reports (None under
+    perfect CSIT); `err_root` is the root of the additive model's error
+    covariance or the (K, N, N) roots of the tdd model's (None otherwise).
+    `csit_model` and `fdd_kappa` are the config values the draws read.
+    Arrays are read-only: every trial shares them.
     """
 
     roots: np.ndarray
     cov: np.ndarray | None
     err_root: np.ndarray | None
-    mmse: channel.MmseStatistics | None
     csit_model: str
     fdd_kappa: float
 
@@ -156,23 +156,23 @@ def link_statistics(config, corr) -> LinkStatistics:
     model, n = config.csit_model, config.n_antennas
     if model not in CSIT_MODELS:
         raise ConfigInvalid(f"csit_model: unknown model {model!r}")
-    cov = err_root = mmse = None
+    cov = err_root = None
+    if model == "tdd":
+        # single-cell uplink training: no co-pilot cells, quality set by
+        # the configured noise-to-pilot-energy ratio
+        cov, roots, err_root = channel.mmse_statistics(corr, [], config.uplink_noise_over_pilot())
+    else:
+        roots = hermitian_sqrt(corr)
     if model == "additive":
         phi = config.csit_error_var * np.eye(n)
         err_root = hermitian_sqrt(phi)
         cov = np.repeat(np.asarray(phi, dtype=np.complex128)[None], corr.shape[0], axis=0)
-    elif model == "tdd":
-        # single-cell uplink training: no co-pilot cells, quality set by
-        # the configured noise-to-pilot-energy ratio
-        mmse = channel.mmse_statistics(corr, [], config.uplink_noise_over_pilot(), 1.0, 1.0)
-        cov = mmse.phi
     elif model == "fdd":
         cov = (config.fdd_kappa**2) * hermitize(corr)
-    roots = hermitian_sqrt(corr)
-    for a in (roots, cov, err_root, *(mmse or ())):
+    for a in (roots, cov, err_root):
         if a is not None:
             a.flags.writeable = False
-    return LinkStatistics(roots, cov, err_root, mmse, model, config.fdd_kappa)
+    return LinkStatistics(roots, cov, err_root, model, config.fdd_kappa)
 
 
 def _draw_link_csit(stats: LinkStatistics, rng):
@@ -192,8 +192,7 @@ def _draw_link_csit(stats: LinkStatistics, rng):
             true[u] = channel.sample_channel(stats.roots[u], rng)
             est[u] = channel.additive_error_csit(true[u], stats.err_root, rng)
         elif model == "tdd":
-            true[u], est[u] = channel.mmse_csit_tdd(stats.mmse.est_root[u],
-                                                    stats.mmse.err_root[u], rng)
+            true[u], est[u] = channel.mmse_csit_tdd(stats.roots[u], stats.err_root[u], rng)
         else:
             true[u], est[u] = channel.fdd_quantized_csit(stats.roots[u], stats.fdd_kappa, rng)
     return true, est

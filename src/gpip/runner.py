@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, channel, coop, evaluation, solver
 from .config import ExperimentConfig, write_manifest
-from .errors import ConfigInvalid, located
+from .errors import ConfigInvalid, RankDeficient, located
 from .evaluation import (
     DOMAIN_LINK_TRIAL,
     DOMAIN_SYSTEM_BLOCK,
@@ -182,26 +182,26 @@ def _outside_power(traces: np.ndarray, n: int, clusters=None) -> np.ndarray:
 class DropStatistics:
     """Everything second-order a drop fixes for all of its fading blocks.
 
-    `known[j, l, k]` marks the links BS j trains from in-cluster pilots;
-    `err_cov` holds their MMSE error covariances (zero on every other link,
-    and everywhere under perfect CSIT). `roots[j, l, k]` is the PSD root of
-    link (j, l, k)'s correlation for every link a block draws from its prior:
-    all of them under perfect CSIT, the untrained ones otherwise (a trained
-    link's entry is NaN). `mmse_roots` holds the trained links' roots of
-    R - phi and of phi (the `est_root` and `err_root` of
-    `channel.MmseStatistics`, whose phi is `err_cov`) as two (T, N, N)
-    stacks in the (cell, user, BS) order the blocks draw them, or None under
-    perfect CSIT. `outside` and `outside_coop` are the out-of-cell and
-    out-of-cluster interference powers; a block adds its noise ratio to
-    them. `clusters` holds the cooperation clusters the pilots were assigned
-    for, as lists of cell indices.
-    Arrays are read-only: one drop's blocks share them.
+    `known[j, l, k]` marks the links BS j trains from in-cluster pilots.
+    `roots[j, l, k]` is the PSD root link (j, l, k)'s draw starts from: the
+    root of the MMSE estimate covariance R - phi on a trained link under
+    tdd, the root of R on every other link. `err_cov` and `err_roots` hold
+    each BS's MMSE error covariances phi and their roots, indexed [BS j,
+    position of the user's cell in j's cluster, user], as
+    `channel.mmse_statistics` gives them for j's cluster (zero past a short
+    cluster's end); `err_cov` is zero and `err_roots` None under perfect
+    CSIT. `position[l]` is cell l's index in its cluster. `outside` and
+    `outside_coop` are the out-of-cell and out-of-cluster interference
+    powers; a block adds its noise ratio to them. `clusters` holds the
+    cooperation clusters the pilots were assigned for, as lists of cell
+    indices. Arrays are read-only: one drop's blocks share them.
     """
 
     roots: np.ndarray  # (L, L, K, N, N)
     known: np.ndarray  # (L, L, K) bool
-    err_cov: np.ndarray  # (L, L, K, N, N)
-    mmse_roots: tuple[np.ndarray, np.ndarray] | None  # (T, N, N) each
+    err_cov: np.ndarray  # (L, C, K, N, N)
+    err_roots: np.ndarray | None  # (L, C, K, N, N)
+    position: np.ndarray  # (L,)
     outside: np.ndarray  # (L, K)
     outside_coop: np.ndarray  # (L, K)
     clusters: tuple
@@ -212,7 +212,7 @@ class DropStatistics:
         a `cov_knowledge` setting: derived on first use, then shared by the
         drop's blocks, read-only."""
         if cov_knowledge not in self._known_covs:
-            perfect = self.mmse_roots is None
+            perfect = self.err_roots is None
             known = evaluation._known_cov(cov_knowledge, None if perfect else self.err_cov,
                                           self.roots.shape[-1])
             for a in known:
@@ -226,49 +226,47 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
                     perfect: bool = False) -> DropStatistics:
     """The DropStatistics of one drop's (L, L, K, N, N) correlation stack.
 
-    `corr` is consumed: serving BS by serving BS, the correlations of the
-    links drawn from their prior are replaced by their PSD roots (one
-    batched `hermitian_sqrt` each), so a drop never holds the correlations
-    and the roots at once, and `roots` is `corr`'s buffer. Everything else a
-    BS's statistics need is its own correlations: one
-    `channel.mmse_statistics` call per BS gives its trained links, with the
-    out-of-cluster co-pilot contamination that `multicell_csit` describes;
-    their correlations are never rooted. Pass a copy to keep the correlations.
+    `corr` is consumed and becomes `roots`: serving BS by serving BS, the
+    correlations of the links drawn from their prior are replaced by their
+    PSD roots (one batched `hermitian_sqrt` each) and, under tdd, those of
+    the trained links by their estimate roots, so a drop never holds the
+    correlations and the roots at once. One `channel.mmse_statistics` call
+    per BS gives its trained links, with the out-of-cluster co-pilot
+    contamination that `multicell_csit` describes; their correlations are
+    never rooted. Pass a copy to keep the correlations. Raises RankDeficient
+    naming the cell when training leaves a BS no knowledge of its own users.
     """
     n_cells, _, _, n, _ = corr.shape
-    cluster_of = {l: cl for cl in clusters for l in cl}
+    position = np.empty(n_cells, dtype=np.intp)
     known = np.zeros(corr.shape[:3], dtype=bool)
     for cl in clusters:
+        position[cl] = np.arange(len(cl))
         known[np.ix_(cl, cl)] = True
     traces = np.real(np.trace(corr, axis1=3, axis2=4))  # (L, L, K)
-    # zeros are only written where a BS trains, so the rest stays unbacked
-    err_cov = np.zeros(corr.shape, dtype=np.complex128)
-    mmse_roots = None
-    if not perfect:
-        # slot[j, l, k]: a trained link's index in (cell, user, BS) draw order
-        n_trained = np.count_nonzero(known)
-        slot = np.zeros(known.shape, dtype=np.intp)
-        slot.transpose(1, 2, 0)[known.transpose(1, 2, 0)] = np.arange(n_trained)
-        mmse_roots = tuple(np.empty((n_trained, n, n), dtype=np.complex128) for _ in range(2))
-    for j in range(n_cells):
-        if perfect:
-            corr[j] = hermitian_sqrt(corr[j])
-            continue
-        cl = cluster_of[j]
-        outside = [lp for lp in range(n_cells) if lp not in cl]
-        r = corr[j, cl]  # (C, K, N, N): BS j toward its cluster's users
-        interferers = [np.broadcast_to(corr[j, lp], r.shape) for lp in outside]
-        stats = channel.mmse_statistics(r, interferers, noise_over_pilot, 1.0, 1.0)
-        err_cov[j, cl] = stats.phi
-        for stack, part in zip(mmse_roots, (stats.est_root, stats.err_root)):
-            stack[slot[j, cl]] = part
-        if outside:
-            corr[j, outside] = hermitian_sqrt(corr[j, outside])
-        corr[j, cl] = np.nan  # trained links are drawn from `mmse_roots`
-    for a in (corr, known, err_cov, *(mmse_roots or ())):
-        a.flags.writeable = False
+    size = max(len(cl) for cl in clusters)
+    err_cov = np.zeros((n_cells, size, *corr.shape[2:]), dtype=np.complex128)
+    err_roots = None if perfect else np.zeros_like(err_cov)
+    for cl in clusters:
+        for j in cl:
+            if perfect:
+                corr[j] = hermitian_sqrt(corr[j])
+                continue
+            outside = [lp for lp in range(n_cells) if lp not in cl]
+            r = corr[j, cl]  # (C, K, N, N): BS j toward its cluster's users
+            interferers = [np.broadcast_to(corr[j, lp], r.shape) for lp in outside]
+            stats = channel.mmse_statistics(r, interferers, noise_over_pilot)
+            if not stats.est_root[position[j]].any():
+                raise RankDeficient(f"cell {j}: uplink training leaves every own-cell "
+                                    f"estimate zero (noise over pilot {noise_over_pilot:g})")
+            err_cov[j, :len(cl)], err_roots[j, :len(cl)] = stats.phi, stats.err_root
+            corr[j, cl] = stats.est_root
+            if outside:
+                corr[j, outside] = hermitian_sqrt(corr[j, outside])
+    for a in (corr, known, err_cov, err_roots, position):
+        if a is not None:
+            a.flags.writeable = False
     return DropStatistics(
-        roots=corr, known=known, err_cov=err_cov, mmse_roots=mmse_roots,
+        roots=corr, known=known, err_cov=err_cov, err_roots=err_roots, position=position,
         outside=_outside_power(traces, n), outside_coop=_outside_power(traces, n, clusters),
         clusters=tuple(list(cl) for cl in clusters),
     )
@@ -292,24 +290,21 @@ def multicell_csit(stats: DropStatistics, rng) -> tuple[np.ndarray, np.ndarray]:
     n_cells, _, n_users, n, _ = stats.roots.shape
     true_h = np.zeros((n_cells, n_cells, n_users, n), dtype=np.complex128)
     est_h = np.zeros_like(true_h)
-    t = 0  # the next trained link's index in stats.mmse_roots
     for l in range(n_cells):
         known = stats.known[:, l, 0]  # a BS trains on all users of a cell or on none
         edges = [0, *(np.flatnonzero(known[1:] != known[:-1]) + 1).tolist(), n_cells]
-        runs = [(slice(j0, j1), known[j0], j1 - j0) for j0, j1 in itertools.pairwise(edges)]
+        runs = [(slice(j0, j1), known[j0]) for j0, j1 in itertools.pairwise(edges)]
         for k in range(n_users):
-            for bss, trained, m in runs:
+            for bss, trained in runs:
                 links = (bss, l, k)
                 if not trained:
                     true_h[links] = channel.sample_channel(stats.roots[links], rng)
-                elif stats.mmse_roots is None:
+                elif stats.err_roots is None:
                     true_h[links] = est_h[links] = channel.sample_channel(stats.roots[links], rng)
                 else:
-                    est_root, err_root = stats.mmse_roots
                     true_h[links], est_h[links] = channel.mmse_csit_tdd(
-                        est_root[t:t + m], err_root[t:t + m], rng
+                        stats.roots[links], stats.err_roots[bss, stats.position[l], k], rng
                     )
-                    t += m
     return true_h, est_h
 
 
@@ -359,8 +354,8 @@ def multicell_block(
             extras = []
             if alg == "gpip-coop":
                 for cl in stats.clusters:
-                    idx = np.ix_(cl, cl)
-                    pairs = coop.build_coop_pairs(est_h[idx], _slice(known_cov, idx),
+                    pairs = coop.build_coop_pairs(est_h[np.ix_(cl, cl)],
+                                                  _slice(known_cov, (cl, slice(len(cl)))),
                                                   nr_coop[cl])
                     res = coop.gpip_coop(pairs, weights=_slice(w_alg, cl), tol=cfg.tol,
                                          max_iter=cfg.max_iter,
@@ -369,10 +364,10 @@ def multicell_block(
                     extras.append(res)
             else:
                 w_cells = w_alg if alg.startswith("gpip") else None
-                for l in range(n_cells):
+                for l, p in enumerate(stats.position):
                     precoders[l], extra = evaluation.design_precoders(
-                        alg, est_h[l, l], _slice(known_cov, (l, l)),
-                        nr_noncoop[l], cfg, _slice(alphas, (l, l)), _slice(w_cells, l),
+                        alg, est_h[l, l], _slice(known_cov, (l, p)),
+                        nr_noncoop[l], cfg, _slice(alphas, (l, p)), _slice(w_cells, l),
                     )
                     if extra is not None:
                         extras.append(extra)
@@ -399,10 +394,11 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
     perfect = cfg.csit_model == "perfect"
     for d in range(cfg.n_drops):
-        corr, _topo, _betas = system_correlations(
-            cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d)
-        )
-        stats = drop_statistics(corr, clusters, noise_over_pilot, perfect)  # consumes corr
+        with located(f"drop {d}, "):
+            corr, _topo, _betas = system_correlations(
+                cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d)
+            )
+            stats = drop_statistics(corr, clusters, noise_over_pilot, perfect)  # consumes corr
         acc = {alg: np.zeros((cfg.n_cells, cfg.n_users)) for alg in cfg.algorithms}
         pf_avg = {alg: np.full((cfg.n_cells, cfg.n_users), 1e-3) for alg in cfg.algorithms}
         for b in range(cfg.n_blocks):

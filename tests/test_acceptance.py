@@ -434,7 +434,7 @@ def test_c11_channel_model_checks():
             )
             for _ in range(int(rng.integers(0, 3)))
         ]
-        phi = channel.mmse_statistics(rr, ints, float(rng.uniform(0.01, 1.0)), 1.0, 1.0).phi
+        phi = channel.mmse_statistics(rr, ints, float(rng.uniform(0.01, 1.0))).phi
         tol = 1e-9 * float(np.trace(rr).real)
         worst_phi = max(worst_phi, -float(np.linalg.eigvalsh(hermitize(phi)).min()) - tol)
         worst_gap = max(worst_gap, -float(np.linalg.eigvalsh(hermitize(rr - phi)).min()) - tol)

@@ -308,7 +308,7 @@ class TestStackedCsitDraws:
         rng = np.random.default_rng(seed)
         r = random_psd_stack(rng, lead, n)
         ints = [random_psd_stack(rng, lead, n) for _ in range(n_interferers)]
-        stats = channel.mmse_statistics(r, ints, 0.3, 1.0, 1.0)
+        stats = channel.mmse_statistics(r, ints, 0.3)
         self.assert_stack_equals_members(
             lambda rng: channel.mmse_csit_tdd(stats.est_root, stats.err_root, rng),
             lambda idx, rng: channel.mmse_csit_tdd(stats.est_root[idx], stats.err_root[idx], rng),
@@ -339,7 +339,7 @@ class TestStackedCsitDraws:
         corr = np.broadcast_to(np.diag([1.0, 2.0, 0.5]).astype(complex), (2, 3, 3))
         root = hermitian_sqrt(corr)
         h = channel.sample_channel(root, np.random.default_rng(1))
-        stats = channel.mmse_statistics(corr, [0.5 * corr], 0.1, 1.0, 1.0)
+        stats = channel.mmse_statistics(corr, [0.5 * corr], 0.1)
         true_h, est = channel.mmse_csit_tdd(stats.est_root, stats.err_root,
                                             np.random.default_rng(1))
         true_f, est_f = channel.fdd_quantized_csit(root, 0.5, np.random.default_rng(1))
@@ -369,12 +369,17 @@ class TestTddCsit:
     def test_vanishing_noise_gives_perfect_csit(self):
         geom = channel.uniform_circular_array(4)
         r = channel.one_ring_correlation(geom, channel.OneRingParams(0.2, 0.5, 1.0))
-        phi = channel.mmse_statistics(r, [], 1.0, 1e6, 1e6).phi
+        phi = channel.mmse_statistics(r, [], 1e-12).phi
         assert np.abs(phi).max() < 1e-6 * np.trace(r).real
+
+    @pytest.mark.parametrize("ratio", [-1e-3, float("nan")])
+    def test_negative_or_nan_noise_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="^noise_over_pilot must be non-negative"):
+            channel.mmse_statistics(np.eye(2), [], ratio)
 
     def test_identity_algebra(self):
         n = 3
-        phi = channel.mmse_statistics(np.eye(n), [np.eye(n)], 1.0, 1.0, 1.0).phi
+        phi = channel.mmse_statistics(np.eye(n), [np.eye(n)], 1.0).phi
         np.testing.assert_allclose(phi, (2.0 / 3.0) * np.eye(n), atol=1e-12)
 
     def test_matches_independent_closed_form(self):
@@ -383,7 +388,7 @@ class TestTddCsit:
         r = channel.one_ring_correlation(geom, channel.OneRingParams(0.1, 0.4, 1.3))
         r2 = channel.one_ring_correlation(geom, channel.OneRingParams(1.1, 0.3, 0.6))
         noise_term = 0.37
-        phi = channel.mmse_statistics(r, [r2], noise_term, 1.0, 1.0).phi
+        phi = channel.mmse_statistics(r, [r2], noise_term).phi
         expected = r - r @ np.linalg.inv(r + r2 + noise_term * np.eye(4)) @ r
         assert np.abs(phi - expected).max() < 1e-8
 
@@ -405,7 +410,7 @@ class TestTddCsit:
                 )
                 for _ in range(n_int)
             ]
-            phi = channel.mmse_statistics(r, ints, rng.uniform(0.01, 1.0), 1.0, 1.0).phi
+            phi = channel.mmse_statistics(r, ints, rng.uniform(0.01, 1.0)).phi
             tol = 1e-9 * np.trace(r).real
             assert np.linalg.eigvalsh(hermitize(phi)).min() >= -tol
             assert np.linalg.eigvalsh(hermitize(r - phi)).min() >= -tol
@@ -414,12 +419,12 @@ class TestTddCsit:
         geom = channel.uniform_circular_array(4)
         r = channel.one_ring_correlation(geom, channel.OneRingParams(0.1, 0.4, 1.3))
         r2 = channel.one_ring_correlation(geom, channel.OneRingParams(1.1, 0.3, 0.6))
-        from_arrays = channel.mmse_statistics(r, [r2], 0.37, 1.0, 1.0)
-        from_lists = channel.mmse_statistics(r, [r2.tolist()], 0.37, 1.0, 1.0)
+        from_arrays = channel.mmse_statistics(r, [r2], 0.37)
+        from_lists = channel.mmse_statistics(r, [r2.tolist()], 0.37)
         for a, b in zip(from_arrays, from_lists):
             np.testing.assert_array_equal(a, b)
         with pytest.raises(DimensionMismatch):
-            channel.mmse_statistics(r, [np.eye(3).tolist()], 0.37, 1.0, 1.0)
+            channel.mmse_statistics(r, [np.eye(3).tolist()], 0.37)
 
     def test_estimate_error_independence(self):
         # cov(est) must be R - phi and the error must be uncorrelated with it
@@ -428,7 +433,7 @@ class TestTddCsit:
         trials = 60_000
         ests = np.empty((trials, 2), dtype=complex)
         errs = np.empty((trials, 2), dtype=complex)
-        stats = channel.mmse_statistics(r, [], 0.5, 1.0, 1.0)
+        stats = channel.mmse_statistics(r, [], 0.5)
         phi = stats.phi
         for t in range(trials):
             h, hhat = channel.mmse_csit_tdd(stats.est_root, stats.err_root, rng)
@@ -449,7 +454,7 @@ class TestCovfreeErrorScale:
         n = 4
         beta, beta_int, noise = 1.3, 0.4, 0.2
         r = beta * np.eye(n)
-        phi = channel.mmse_statistics(r, [beta_int * np.eye(n)], noise, 1.0, 1.0).phi
+        phi = channel.mmse_statistics(r, [beta_int * np.eye(n)], noise).phi
         alpha = channel.covfree_error_scale(beta, np.array([beta, beta_int]), noise)
         assert np.trace(phi).real / n == pytest.approx(alpha, rel=1e-12)
 

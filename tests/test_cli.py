@@ -157,6 +157,10 @@ class TestConfigValidation:
             (dict(SYSTEM_TDD, bs_power_dbm=-4000), "bs_power_dbm"),
             (dict(SYSTEM_TDD, pilot_power_dbm=-4000), "pilot_power_dbm"),
             (dict(SYSTEM_TDD, bandwidth_hz=1e300), "bandwidth_hz"),
+            # training this noisy left every estimate zero: gpip raised a misleading
+            # error mid-campaign, mrt and rzf wrote NaN rates
+            (dict(csit_model="tdd", algorithms=["gpip", "mrt", "rzf"],
+                  tdd_noise_over_pilot=1e300), "tdd_noise_over_pilot"),
         ],
     )
     def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):
@@ -487,7 +491,7 @@ def per_link_csit_reference(corr, clusters, noise_over_pilot, rng, perfect):
                     else:
                         interferers = [corr[j, lp, k] for lp in copilot]
                         stats = channel.mmse_statistics(corr[j, l, k], interferers,
-                                                        noise_over_pilot, 1.0, 1.0)
+                                                        noise_over_pilot)
                         h, hhat = channel.mmse_csit_tdd(stats.est_root, stats.err_root, rng)
                         true_h[j, l, k], est_h[j, l, k], err_cov[j, l, k] = h, hhat, stats.phi
                     known[j, l, k] = True
@@ -534,14 +538,29 @@ class TestDropStatistics:
             ref = per_link_csit_reference(corr, clusters, noise,
                                           np.random.default_rng([seed, block]), perfect)
             drawn = runner.multicell_csit(stats, np.random.default_rng([seed, block]))
-            for got, want in zip((*drawn, stats.err_cov, stats.known), ref):
+            got_err_cov = np.zeros_like(corr)
+            for cl in clusters:
+                # [BS, position in its cluster] back to [BS, user cell]
+                got_err_cov[np.ix_(cl, cl)] = stats.err_cov[cl, :len(cl)]
+                assert not stats.err_cov[cl, len(cl):].any()
+            for got, want in zip((*drawn, got_err_cov, stats.known), ref):
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_layout(self, perfect):
+        corr = random_correlations(np.random.default_rng(1), 5, 2, 3)
+        stats = runner.drop_statistics(corr, runner.consecutive_clusters(5, 2), 0.2, perfect)
+        assert np.all(np.isfinite(stats.roots))
+        assert stats.err_cov.shape == (5, 2, 2, 3, 3)
+        assert (stats.err_roots is None) == perfect
+        assert stats.position.tolist() == [0, 1, 0, 1, 0]
 
     def test_statistics_are_read_only(self):
         corr = random_correlations(np.random.default_rng(0), 3, 2, 2)
         stats = runner.drop_statistics(corr, [[0, 1], [2]], 0.1)
-        with pytest.raises(ValueError, match="read-only"):
-            stats.err_cov[0, 0, 0] = 1.0
+        for a in (stats.roots, stats.err_cov, stats.err_roots):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0] = 1.0
 
 
 class TestStackedBlockDraws:
@@ -614,6 +633,18 @@ class TestUnitErrors:
         with pytest.raises(RankDeficient, match=r"^drop 0, block 0, algorithm gpip-coop: "
                                                 r"cluster channel has rank 1$"):
             runner.run_system_level(cfg, tmp_path)
+
+    @pytest.mark.parametrize("algorithm", ["gpip", "mrt", "rrzf"])
+    def test_training_without_knowledge_fails_before_any_artifact(self, tmp_path, algorithm):
+        # pilots this far below the noise leave every estimate exactly zero: gpip
+        # raised a misleading init error, mrt and rrzf wrote a NaN summary
+        cfg = config_from_dict(minimal_link(
+            **dict(SYSTEM_TDD, algorithms=[algorithm]), pilot_power_dbm=-100.0,
+            noise_figure_db=100.0, n_drops=1, n_blocks=1,
+        ))
+        with pytest.raises(RankDeficient, match=r"^drop 0, cell \d+: "):
+            runner.run_system_level(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:

@@ -162,8 +162,7 @@ def per_user_link_csit_reference(config, corr, rng):
             est[u] = channel.additive_error_csit(h, hermitian_sqrt(cov[u]), rng)
             true[u] = h
         elif model == "tdd":
-            stats = channel.mmse_statistics(corr[u], [], config.uplink_noise_over_pilot(),
-                                            1.0, 1.0)
+            stats = channel.mmse_statistics(corr[u], [], config.uplink_noise_over_pilot())
             true[u], est[u] = channel.mmse_csit_tdd(stats.est_root, stats.err_root, rng)
             cov[u] = stats.phi
         else:
