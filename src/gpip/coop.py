@@ -25,6 +25,7 @@ import numpy as np
 from .numerics import solve_hermitian
 from .solver import (
     _CSV_BASE,
+    _CSV_TAIL,
     DEFAULT_MAX_ITER,
     DEFAULT_SELECT_THRESHOLD,
     DEFAULT_TOL,
@@ -34,6 +35,7 @@ from .solver import (
     _as_weights,
     _lift,
     _log2_objective,
+    _objective_decreases,
     _power_iteration,
     _problem,
     _stop_reason,
@@ -101,6 +103,11 @@ class CoopResult:
     per_cell_norm: np.ndarray  # (C,)
     trajectory: list[float] = field(default_factory=list)
 
+    @property
+    def objective_decreases(self) -> int:
+        """Sweeps whose objective fell below the previous iterate's."""
+        return _objective_decreases(self.trajectory)
+
     def csv_row(self, seed, snr_db) -> list:
         c, k, n = self.precoder.shape
         row = [seed, n, k, snr_db, self.iterations, repr(self.objective_log2),
@@ -108,7 +115,7 @@ class CoopResult:
         for l in range(c):
             row.append(repr(float(self.per_cell_norm[l])))
             row.extend(repr(float(p)) for p in self.per_user_power[l])
-        row.append(_stop_reason(self.converged))
+        row.extend((self.objective_decreases, _stop_reason(self.converged)))
         return row
 
     @staticmethod
@@ -117,7 +124,7 @@ class CoopResult:
         for l in range(n_cells):
             header.append(f"cell{l}_norm")
             header.extend(f"cell{l}_power_{k}" for k in range(n_users))
-        header.append("stop_reason")
+        header.extend(_CSV_TAIL)
         return header
 
 

@@ -22,10 +22,18 @@ Cholesky factorization of size N per cell plus O(C*K*N^2) for the rank-one
 corrections, never a dense factorization. The covariance-free path, for scalar
 error covariances, hands the kernel explicit block inverses instead, built
 from the ridge by O(K log K) rank-one inverse updates.
+
+Error covariances take one of three forms, read off once per problem: zero
+(perfect knowledge), scalar (every covariance exactly alpha * I, which the
+additive CSIT model, scalar covariance knowledge and the covariance-free path
+all produce) and full. A scalar covariance stays a scalar: its term in a
+quadratic form is alpha times a BS's transmit power and in a shared block
+alpha on the diagonal, so no (N, N) covariance is contracted per sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -153,6 +161,21 @@ def _log2_objective(w, qa, qb) -> float:
     return float(np.vdot(w, np.log2(qa / qb)))
 
 
+def _cov_form(cov: np.ndarray) -> str:
+    """Which of three forms a (..., N, N) error-covariance stack takes: "zero"
+    when every entry is 0, "scalar" when every matrix is exactly alpha * I
+    with real alpha (off-diagonals exactly 0, diagonal entries exactly equal),
+    else "full"."""
+    if not np.any(cov):
+        return "zero"
+    diag = cov.diagonal(0, -2, -1)
+    alpha = diag[..., :1]
+    if np.any(alpha.imag) or np.any(diag != alpha):
+        return "full"
+    # with equal diagonals, every nonzero entry must sit on a diagonal
+    return "scalar" if np.count_nonzero(cov) == np.count_nonzero(diag) else "full"
+
+
 class _ClusterProblem:
     """Per-cluster quantities shared by every iteration of the kernel.
 
@@ -162,6 +185,16 @@ class _ClusterProblem:
     bound by the number of numpy calls per sweep, so everything a sweep
     reuses (conjugates, cell indices, the own-estimate half of the solves'
     right-hand sides) is computed here once.
+
+    The error covariances take one of three forms, fixed here (`cov_form`):
+    "zero" (perfect knowledge) and "full" keep the covariances in the
+    per-link blocks `g0` = outer product + covariance; "scalar", where every
+    covariance is exactly alpha[j, l, u] * I, keeps only the (C, C, K) levels
+    `alpha`, so a sweep adds alpha times each BS's transmit power to the
+    quadratic forms and alpha to the diagonal of the shared blocks, and forms
+    the outer-product sums as one matrix product per cell. Zero covariances
+    keep the per-link route, so perfect-knowledge results do not move by a
+    rounding bit.
     """
 
     def __init__(self, est, cov, nr):
@@ -170,14 +203,22 @@ class _ClusterProblem:
         _require_finite("noise ratios", nr)
         self.c, _, self.k, self.n = est.shape
         self.est = est  # (C, C, K, N)
-        self.cov = cov  # (C, C, K, N, N)
         self.nr = nr  # (C, K)
-        self.has_cov = bool(np.any(cov))
+        self.cov_form = _cov_form(cov)
         self.cells = np.arange(self.c)
         self.own = est[self.cells, self.cells]  # (C, K, N): each BS toward its own users
         self.own_conj = self.own.conj()
         self.est_conj = est.conj()
-        self.g0 = np.einsum("jlkn,jlkm->jlknm", est, self.est_conj) + cov
+        if self.cov_form == "scalar":
+            self.alpha = cov[..., 0, 0].real  # (C, C, K)
+            # each BS's estimates as (C*K, N) rows, and alpha + ridge per row
+            self.rows = est.reshape(self.c, -1, self.n)
+            self.rows_conj = self.est_conj.reshape(self.c, -1, self.n)
+            self.alpha_rows = self.alpha.reshape(self.c, -1)
+            self.diag_rows = (self.alpha + nr).reshape(self.c, -1)
+        else:
+            self.cov = cov  # (C, C, K, N, N)
+            self.g0 = np.einsum("jlkn,jlkm->jlknm", est, self.est_conj) + cov
         self.own_rank1 = np.einsum("jkn,jkm->jknm", self.own, self.own_conj)
         # [rhs_j | own_j] of every cell, as rows; cholesky_blocks fills the rhs half
         self.stacked = np.empty((self.c, 2 * self.k, self.n), dtype=np.complex128)
@@ -190,7 +231,11 @@ class _ClusterProblem:
         inner = self.est_conj @ f.transpose(0, 2, 1)[:, None]
         power = np.abs(inner) ** 2
         sig = power.sum(axis=(0, 3))
-        if self.has_cov:
+        if self.cov_form == "scalar":
+            # sum_(j, i) f_(j, i)^H (alpha_j I) f_(j, i) = sum_j alpha_j ||f_j||^2
+            cell_power = np.einsum("jin,jin->j", f.conj(), f).real
+            sig = sig + (cell_power @ self.alpha_rows).reshape(self.c, self.k)
+        elif self.cov_form == "full":
             # sum_i f_i^H cov f_i = <cov, sum_i conj(f_i) f_i^T>
             gram = np.einsum("jin,jim->jnm", f.conj(), f)
             sig = sig + np.real(np.einsum("jlknm,jnm->lk", self.cov, gram))
@@ -220,8 +265,14 @@ class _ClusterProblem:
         j; with the d coefficients, block (j, u) of Bbar subtracts
         d[j, u] * own_rank1[j, u] from it.
         """
-        flat = np.einsum("lk,jlknm->jnm", coeff, self.g0).reshape(self.c, -1)
-        flat[:, :: self.n + 1] += np.vdot(coeff, self.nr)  # the ridge, on each diagonal
+        if self.cov_form == "scalar":
+            # (N x CK) diag(coeff) (CK x N) per cell, then alpha + ridge on the diagonal
+            scaled = self.rows * coeff.reshape(1, -1, 1)
+            flat = (scaled.transpose(0, 2, 1) @ self.rows_conj).reshape(self.c, -1)
+            flat[:, :: self.n + 1] += (self.diag_rows @ coeff.reshape(-1))[:, None]
+        else:
+            flat = np.einsum("lk,jlknm->jnm", coeff, self.g0).reshape(self.c, -1)
+            flat[:, :: self.n + 1] += np.vdot(coeff, self.nr)  # the ridge, on each diagonal
         return flat.reshape(self.c, self.n, self.n)
 
     def cholesky_blocks(self, d, rhs, solve):
@@ -372,12 +423,19 @@ def extract_schedule(
 # leading columns of every solver CSV row, single-cell and cooperative
 _CSV_BASE = ("seed", "N", "K", "SNR_dB", "iterations", "objective_log2",
                    "kkt_residual", "active_count")
+# trailing columns of every solver CSV row; stop_reason stays last
+_CSV_TAIL = ("objective_decreases", "stop_reason")
 
 
 def _stop_reason(converged: bool) -> str:
     """The last column of every solver CSV row: how the solve stopped, "tol"
     when successive iterates came within the tolerance, else "max_iter"."""
     return "tol" if converged else "max_iter"
+
+
+def _objective_decreases(trajectory) -> int:
+    """The number of sweeps whose objective fell below the previous iterate's."""
+    return sum(after < before for before, after in itertools.pairwise(trajectory))
 
 
 @dataclass
@@ -393,17 +451,22 @@ class GpipResult:
     per_user_power: np.ndarray
     trajectory: list[float] = field(default_factory=list)  # objective_log2 per iterate
 
+    @property
+    def objective_decreases(self) -> int:
+        """Sweeps whose objective fell below the previous iterate's."""
+        return _objective_decreases(self.trajectory)
+
     def csv_row(self, seed, snr_db) -> list:
         k, n = self.precoder.shape
         row = [seed, n, k, snr_db, self.iterations, repr(self.objective_log2),
                repr(self.kkt_residual), len(self.schedule)]
         row.extend(repr(float(p)) for p in self.per_user_power)
-        row.append(_stop_reason(self.converged))
+        row.extend((self.objective_decreases, _stop_reason(self.converged)))
         return row
 
     @staticmethod
     def csv_header(n_users: int) -> list[str]:
-        return [*_CSV_BASE, *(f"power_{k}" for k in range(n_users)), "stop_reason"]
+        return [*_CSV_BASE, *(f"power_{k}" for k in range(n_users)), *_CSV_TAIL]
 
 
 def _initial_stack(prob: _ClusterProblem, init, shape: tuple) -> np.ndarray:
@@ -576,7 +639,7 @@ def gpip_covfree(
     def solve_blocks(d, rhs):
         delta = float(np.sum(d * (alphas + prob.nr)))
         inverses = covfree_block_inverses(est, d[0], delta)
-        return np.einsum("jnm,jm->jn", inverses, rhs[0])[None]
+        return (inverses @ rhs[0][:, :, None]).transpose(2, 0, 1)
 
     out = _power_iteration(prob, w, init, (k, n), tol, max_iter, solve_blocks)
     return _finish(pairs, prob, w, select_threshold, *out)

@@ -31,6 +31,14 @@ def random_cluster(rng, c, k, n, cov_scale=0.0, cross_gain=0.3):
     return est, cov
 
 
+def scalar_cluster_covs(rng, c, k, n, scale):
+    """alpha[j, l, u] * I, BS-specific, alpha uniform in [0, scale) with one of
+    them exactly 0."""
+    alpha = rng.uniform(0.0, scale, (c, c, k))
+    alpha.flat[rng.integers(alpha.size)] = 0.0
+    return alpha[..., None, None] * np.eye(n)
+
+
 def random_coop_stack(rng, c, k, n):
     f = rng.standard_normal((c, k, n)) + 1j * rng.standard_normal((c, k, n))
     return f / np.linalg.norm(f)
@@ -89,17 +97,25 @@ class TestBuildCoopPair:
             coop.build_coop_pairs(np.ones((1, 1, 2, 2)), None, np.ones(3))
 
     def test_quadratic_forms_match_direct_sums(self):
+        # the lifted pairs and the kernel's quadratic forms, for error
+        # covariances of each of the kernel's three forms
         rng = np.random.default_rng(2)
-        est, cov = random_cluster(rng, 2, 2, 2, cov_scale=0.2)
         nr = 0.25
-        pairs = coop.build_coop_pairs(est, cov, nr)
-        for _ in range(20):
-            f = random_coop_stack(rng, 2, 2, 2)
-            qa, qb = direct_coop_forms(est, cov, nr, f)
-            fv = f.reshape(-1)
-            for p in pairs:
-                assert p.a.quad(fv) == pytest.approx(qa[p.cell, p.user], abs=1e-10)
-                assert p.b.quad(fv) == pytest.approx(qb[p.cell, p.user], abs=1e-10)
+        for kind in ("zero", "scalar", "full"):
+            est, cov = random_cluster(rng, 2, 2, 2, cov_scale=0.2 if kind == "full" else 0.0)
+            if kind == "scalar":
+                cov = scalar_cluster_covs(rng, 2, 2, 2, 0.2)
+            pairs = coop.build_coop_pairs(est, cov, nr)
+            prob = solver._problem(pairs)
+            assert prob.cov_form == kind
+            for _ in range(20):
+                f = random_coop_stack(rng, 2, 2, 2)
+                qa, qb = direct_coop_forms(est, cov, nr, f)
+                np.testing.assert_allclose(prob.quad_forms(f), (qa, qb), rtol=0, atol=1e-10)
+                fv = f.reshape(-1)
+                for p in pairs:
+                    assert p.a.quad(fv) == pytest.approx(qa[p.cell, p.user], abs=1e-10)
+                    assert p.b.quad(fv) == pytest.approx(qb[p.cell, p.user], abs=1e-10)
 
 
 class TestLambdaCoop:
@@ -342,6 +358,7 @@ class TestPairLists:
         assert header == [
             "seed", "N", "K", "SNR_dB", "iterations", "objective_log2", "kkt_residual",
             "active_count", "cell0_norm", "cell0_power_0", "cell0_power_1", "cell0_power_2",
-            "cell1_norm", "cell1_power_0", "cell1_power_1", "cell1_power_2", "stop_reason",
+            "cell1_norm", "cell1_power_0", "cell1_power_1", "cell1_power_2",
+            "objective_decreases", "stop_reason",
         ]
         assert len(res.csv_row(seed=7, snr_db=10.0)) == len(header)

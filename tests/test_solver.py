@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,25 @@ def random_instance(rng, k, n, cov_scale=0.0, noise_ratio=0.1):
     else:
         cov = None
     return est, cov, noise_ratio
+
+
+def scalar_covs(rng, k, n, scale):
+    """Per-user alpha_k * I with alpha_k uniform in [0, scale), one of them
+    exactly 0 when K > 1."""
+    alpha = rng.uniform(0.0, scale, k)
+    if k > 1:
+        alpha[rng.integers(k)] = 0.0
+    return alpha[:, None, None] * np.eye(n)
+
+
+def random_kind_instance(rng, k, n, kind, cov_scale, noise_ratio=0.1):
+    """random_instance with error covariances of one of the kernel's three
+    forms: "zero" (None), "scalar" (scalar_covs) or "full"."""
+    est, cov, nr = random_instance(rng, k, n, cov_scale if kind == "full" else 0.0, noise_ratio)
+    return est, scalar_covs(rng, k, n, cov_scale) if kind == "scalar" else cov, nr
+
+
+COV_KINDS = ("zero", "scalar", "full")
 
 
 def random_stack(rng, k, n):
@@ -337,10 +357,11 @@ class TestInvariances:
         np.testing.assert_allclose(res.precoder, ref.precoder[perm], atol=1e-6)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8), st.booleans())
-    def test_log2_objective_is_the_sum_of_rate_bounds(self, seed, k, n, with_cov):
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8),
+           st.sampled_from(COV_KINDS))
+    def test_log2_objective_is_the_sum_of_rate_bounds(self, seed, k, n, cov_kind):
         rng = np.random.default_rng(seed)
-        est, cov, _ = random_instance(rng, k, n, cov_scale=0.2 if with_cov else 0.0)
+        est, cov, _ = random_kind_instance(rng, k, n, cov_kind, 0.2)
         nr = rng.uniform(0.01, 1.0, k)
         w = rng.uniform(0.1, 3.0, k)
         f = random_stack(rng, k, n)
@@ -357,14 +378,12 @@ class TestBlockSolves:
         st.integers(0, 10_000),
         st.integers(1, 8),
         st.integers(1, 8),
-        st.booleans(),
+        st.sampled_from(COV_KINDS),
         st.sampled_from([0.0, 30.0, 60.0]),
     )
-    def test_one_sweep_matches_per_block_cholesky(self, seed, k, n, with_cov, snr_db):
+    def test_one_sweep_matches_per_block_cholesky(self, seed, k, n, cov_kind, snr_db):
         rng = np.random.default_rng(seed)
-        est, cov, nr = random_instance(
-            rng, k, n, cov_scale=0.1 if with_cov else 0.0, noise_ratio=10 ** (-snr_db / 10)
-        )
+        est, cov, nr = random_kind_instance(rng, k, n, cov_kind, 0.1, 10 ** (-snr_db / 10))
         pairs = solver.build_effective_pairs(est, cov, nr)
         w = rng.uniform(0.2, 2.0, size=k)
         f = random_stack(rng, k, n)
@@ -387,6 +406,75 @@ class TestBlockSolves:
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefinite):
                 solver.gpip_iterate(pairs)
+
+
+class FullRouteProblem(solver._ClusterProblem):
+    """Oracle for the scalar route: the same problem with its covariances
+    contracted as a dense (C, C, K, N, N) stack, as the full route does."""
+
+    def __init__(self, est, cov, nr):
+        super().__init__(est, cov, nr)
+        self.dense_cov = cov
+        self.dense_g0 = np.einsum("jlkn,jlkm->jlknm", est, est.conj()) + cov
+
+    def quad_forms(self, f):
+        inner = self.est_conj @ f.transpose(0, 2, 1)[:, None]
+        power = np.abs(inner) ** 2
+        gram = np.einsum("jin,jim->jnm", f.conj(), f)
+        leak = np.real(np.einsum("jlknm,jnm->lk", self.dense_cov, gram))
+        qa = power.sum(axis=(0, 3)) + leak + self.nr * np.vdot(f, f).real
+        return qa, qa - power.diagonal(0, 0, 1).diagonal(0, 0, 1)
+
+    def cell_blocks(self, coeff):
+        blocks = np.einsum("lk,jlknm->jnm", coeff, self.dense_g0)
+        return blocks + np.vdot(coeff, self.nr) * np.eye(self.n)
+
+
+class TestCovarianceForms:
+    @staticmethod
+    def form(cov):
+        pairs = solver.build_effective_pairs(EX_CHANNELS, cov, 0.1)
+        return solver._problem(pairs, single_cell=True)
+
+    def test_alpha_times_identity_takes_the_scalar_route(self):
+        eye = np.eye(2)
+        prob = self.form(np.stack([0.2 * eye, 0.0 * eye, 0.05 * eye]))
+        assert prob.cov_form == "scalar"
+        np.testing.assert_array_equal(prob.alpha, [[[0.2, 0.0, 0.05]]])
+        assert not hasattr(prob, "cov") and not hasattr(prob, "g0")
+
+    def test_anything_but_real_alpha_times_identity_takes_the_full_route(self):
+        base = np.broadcast_to(0.2 * np.eye(2, dtype=complex), (3, 2, 2))
+        off_diagonal, unequal, complex_diagonal = base.copy(), base.copy(), base.copy()
+        off_diagonal[1, 0, 1] = 1e-3
+        unequal[2, 1, 1] += 1e-12
+        complex_diagonal[0] = (0.2 + 0.01j) * np.eye(2)
+        for cov in (off_diagonal, unequal, complex_diagonal):
+            assert self.form(cov).cov_form == "full"
+
+    def test_perfect_knowledge_keeps_the_per_link_route(self):
+        rng = np.random.default_rng(12)
+        prob = self.form(None)
+        assert prob.cov_form == "zero"
+        coeff = rng.uniform(0.1, 2.0, (1, 3))
+        expected = np.einsum("lk,jlknm->jnm", coeff, prob.g0)
+        expected[:, [0, 1], [0, 1]] += np.vdot(coeff, prob.nr)
+        np.testing.assert_array_equal(prob.cell_blocks(coeff), expected)
+
+    def test_scalar_route_matches_the_full_route_oracle(self):
+        rng = np.random.default_rng(32)
+        k = n = 32
+        est = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
+        cov = np.broadcast_to(0.1 * np.eye(n, dtype=complex), (k, n, n))
+        res = solver.gpip_iterate(solver.build_effective_pairs(est, cov, 0.1))
+        oracle = FullRouteProblem(est[None, None], cov[None, None], np.full((1, k), 0.1))
+        best_f, best_obj, iterations, _, traj = solver._power_iteration(
+            oracle, np.ones(k), None, (k, n), solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER,
+            partial(oracle.cholesky_blocks, solve=solve_hermitian),
+        )
+        assert res.iterations == iterations
+        np.testing.assert_allclose(res.trajectory, traj, rtol=1e-12)
+        assert np.linalg.norm(res.precoder - best_f[0]) <= 1e-12 * np.linalg.norm(best_f[0])
 
 
 class TestCovarianceFree:
@@ -569,8 +657,26 @@ class TestResultSerialization:
         assert len(header) == len(row)
         assert header[:4] == ["seed", "N", "K", "SNR_dB"]
         assert row[:4] == [7, 2, 3, 10.0]
-        assert header[-1] == "stop_reason"
-        assert row[-1] == ("tol" if res.converged else "max_iter")
+        assert header[-2:] == ["objective_decreases", "stop_reason"]
+        assert row[-2:] == [res.objective_decreases, "tol" if res.converged else "max_iter"]
+
+
+class TestObjectiveDecreases:
+    # N = K = 8 under perfect knowledge: the iteration settles at 20 dB and
+    # oscillates between two states at 60 dB
+    @pytest.mark.parametrize("snr_db, monotone", [(20.0, True), (60.0, False)])
+    def test_counts_the_sweeps_whose_objective_fell(self, snr_db, monotone):
+        rng = np.random.default_rng(1)
+        est = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / np.sqrt(2)
+        res = solver.gpip_iterate(solver.build_effective_pairs(est, None, 10 ** (-snr_db / 10)))
+        traj = res.trajectory
+        fell = sum(traj[i + 1] < traj[i] for i in range(len(traj) - 1))
+        assert res.objective_decreases == fell
+        assert (fell == 0) == monotone
+        assert res.converged == monotone
+        cres = coop.gpip_coop(coop.build_coop_pairs(est[None, None], None, 10 ** (-snr_db / 10)))
+        assert cres.objective_decreases == fell
+        assert cres.csv_row(0, snr_db)[-2] == fell
 
 
 class TestPairLists:
