@@ -9,6 +9,12 @@ Conventions: a channel or precoder "vector" is a length-N complex array;
 per-user collections are arrays of shape (K, N) with row k belonging to
 user k. Multi-cell true channels live in an (L, L, K, N) array indexed as
 [serving_or_interfering_bs, user_cell, user, antenna].
+
+The fading draws (`sample_channel`, `additive_error_csit`, `mmse_csit_tdd`,
+`fdd_quantized_csit`) take only stored PSD roots; the three CSIT models
+return (true_h, estimate). Each takes a (..., N, N) stack of roots and
+draws it member by member, so one call covers a link trial's users or a
+run of a system block's links.
 """
 
 from __future__ import annotations
@@ -299,16 +305,18 @@ def fdd_quantized_csit(root: np.ndarray, kappa: float, rng) -> tuple[np.ndarray,
     return _apply(root, g), _apply(root, np.sqrt(1.0 - kappa**2) * g + kappa * v)
 
 
-def additive_error_csit(true_h: np.ndarray, err_root: np.ndarray, rng) -> np.ndarray:
-    """The estimate true_h + e with e drawn from CN(0, err_root err_root^H).
+def additive_error_csit(root: np.ndarray, err_root: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Additive-error CSIT: the true channel and an estimate off by white noise.
 
-    `true_h` may be a (..., N) stack, with one shared (N, N) error-covariance
-    root or a (..., N, N) stack of them; each member draws its own error.
+    Returns (true_h, estimate): true_h = root g as `sample_channel` draws it,
+    and estimate = true_h + err_root e for an independent standard Gaussian e.
+    `root` may be a (..., N, N) stack, with one shared (N, N) error-covariance
+    root or a matching stack of them; each member draws g and then e.
     """
     rng = as_rng(rng)
-    true_h = np.asarray(true_h, dtype=np.complex128)
-    g = _member_gaussians(rng, true_h.shape[:-1], 1, true_h.shape[-1])
-    return true_h + _apply(err_root, g[..., 0, :])
+    ge = _member_gaussians(rng, root.shape[:-2], 2, root.shape[-1])
+    h = _apply(root, ge[..., 0, :])
+    return h, h + _apply(err_root, ge[..., 1, :])
 
 
 # ---------------------------------------------------------------------------

@@ -24,21 +24,18 @@ import numpy as np
 
 from .numerics import solve_hermitian
 from .solver import (
-    _CSV_BASE,
-    _CSV_TAIL,
     DEFAULT_MAX_ITER,
     DEFAULT_SELECT_THRESHOLD,
     DEFAULT_TOL,
     EffectivePair,
+    GpipResult,
     _ClusterProblem,
     _as_cluster_arrays,
     _as_weights,
     _lift,
     _log2_objective,
-    _objective_decreases,
     _power_iteration,
     _problem,
-    _stop_reason,
     extract_schedule,
 )
 
@@ -90,42 +87,35 @@ def coop_kkt_residual(pairs: list[EffectivePair], weights, f_cells: np.ndarray,
 
 
 @dataclass
-class CoopResult:
-    """Cluster-wide solution; precoder[l, k] is BS l's beam for its user k."""
+class CoopResult(GpipResult):
+    """Cluster-wide solution; precoder[l, k] is BS l's beam for its user k.
 
-    precoder: np.ndarray  # (C, K, N); max per-cell norm equals 1 after rescaling
-    objective_log2: float
-    iterations: int
-    converged: bool
-    kkt_residual: float
-    schedule: list[tuple[int, int]]
-    per_user_power: np.ndarray  # (C, K), fractions of each BS's power budget
-    per_cell_norm: np.ndarray  # (C,)
-    trajectory: list[float] = field(default_factory=list)
+    The precoder is (C, K, N) with the largest per-cell norm equal to 1,
+    `schedule` holds (cell, user) pairs and `per_user_power` is (C, K), in
+    fractions of each BS's power budget.
+    """
 
-    @property
-    def objective_decreases(self) -> int:
-        """Sweeps whose objective fell below the previous iterate's."""
-        return _objective_decreases(self.trajectory)
+    per_cell_norm: np.ndarray = field(kw_only=True)  # (C,)
 
-    def csv_row(self, seed, snr_db) -> list:
-        c, k, n = self.precoder.shape
-        row = [seed, n, k, snr_db, self.iterations, repr(self.objective_log2),
-               repr(self.kkt_residual), len(self.schedule)]
-        for l in range(c):
-            row.append(repr(float(self.per_cell_norm[l])))
-            row.extend(repr(float(p)) for p in self.per_user_power[l])
-        row.extend((self.objective_decreases, _stop_reason(self.converged)))
-        return row
+    def csv_row(self, seed, snr_db, n_cells: int | None = None) -> list:
+        """The row under `csv_header(n_cells, K)`; n_cells defaults to this
+        cluster's size, and a cell past the cluster's end gets empty fields."""
+        c, k, _ = self.precoder.shape
+        cols = []
+        for l in range(c if n_cells is None else n_cells):
+            if l < c:
+                cols.append(repr(float(self.per_cell_norm[l])))
+                cols.extend(repr(float(p)) for p in self.per_user_power[l])
+            else:
+                cols.extend([""] * (k + 1))
+        return self._csv_row(seed, snr_db, cols)
 
     @staticmethod
     def csv_header(n_cells: int, n_users: int) -> list[str]:
-        header = list(_CSV_BASE)
-        for l in range(n_cells):
-            header.append(f"cell{l}_norm")
-            header.extend(f"cell{l}_power_{k}" for k in range(n_users))
-        header.extend(_CSV_TAIL)
-        return header
+        return GpipResult._csv_header([
+            col for l in range(n_cells)
+            for col in (f"cell{l}_norm", *(f"cell{l}_power_{k}" for k in range(n_users)))
+        ])
 
 
 def gpip_coop(

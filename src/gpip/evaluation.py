@@ -4,7 +4,8 @@ True-channel SINRs measure what users actually receive from the designed
 precoders; the estimate-based lower-bound rates are what a transmitter can
 promise from its imperfect knowledge. Both live here, together with the
 seeded single-cell Monte Carlo engine, proportional-fairness weighting, and
-empirical CDFs.
+empirical CDFs. A link trial draws all of its users' CSIT in one stacked
+call of its model's channel function.
 """
 
 from __future__ import annotations
@@ -178,24 +179,18 @@ def link_statistics(config, corr) -> LinkStatistics:
 def _draw_link_csit(stats: LinkStatistics, rng):
     """(true (K,N), est (K,N)) for one fading block.
 
-    Users are drawn in order, each through its CSIT model's channel
-    function with the campaign's precomputed roots.
+    One stacked call of the CSIT model's channel function on the campaign's
+    (K, N, N) roots; it draws user by user, in order.
     """
-    k, n = stats.roots.shape[:2]
-    true = np.empty((k, n), dtype=np.complex128)
-    est = np.empty((k, n), dtype=np.complex128)
     model = stats.csit_model
-    for u in range(k):
-        if model == "perfect":
-            true[u] = est[u] = channel.sample_channel(stats.roots[u], rng)
-        elif model == "additive":
-            true[u] = channel.sample_channel(stats.roots[u], rng)
-            est[u] = channel.additive_error_csit(true[u], stats.err_root, rng)
-        elif model == "tdd":
-            true[u], est[u] = channel.mmse_csit_tdd(stats.roots[u], stats.err_root[u], rng)
-        else:
-            true[u], est[u] = channel.fdd_quantized_csit(stats.roots[u], stats.fdd_kappa, rng)
-    return true, est
+    if model == "perfect":
+        true = channel.sample_channel(stats.roots, rng)
+        return true, true.copy()
+    if model == "additive":
+        return channel.additive_error_csit(stats.roots, stats.err_root, rng)
+    if model == "tdd":
+        return channel.mmse_csit_tdd(stats.roots, stats.err_root, rng)
+    return channel.fdd_quantized_csit(stats.roots, stats.fdd_kappa, rng)
 
 
 def _known_cov(knowledge: str, cov, n):

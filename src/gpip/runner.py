@@ -414,8 +414,10 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
                         pf_avg[alg], rates, cfg.pf_smoothing
                     )
                 for extra in extras or []:
-                    row = [alg, d, b] + extra.csv_row(cfg.seed, snr_db)
-                    (coop_rows if isinstance(extra, coop.CoopResult) else solver_rows).append(row)
+                    if isinstance(extra, coop.CoopResult):
+                        coop_rows.append([alg, d, b] + extra.csv_row(cfg.seed, snr_db, cfg.n_coop))
+                    else:
+                        solver_rows.append([alg, d, b] + extra.csv_row(cfg.seed, snr_db))
         block_avg = {alg: a / cfg.n_blocks for alg, a in acc.items()}
         for alg in cfg.algorithms:
             drop_means[alg].append(float(block_avg[alg].sum(axis=1).mean()))

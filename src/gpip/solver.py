@@ -98,7 +98,7 @@ def _as_cluster_arrays(estimates, error_covs, noise_ratio):
         cov = np.asarray(error_covs, dtype=np.complex128)
         if cov.shape != (c, c, k, n, n):
             raise DimensionMismatch(f"error covariances must be (C, C, K, N, N), got {cov.shape}")
-    nr = np.asarray(noise_ratio, dtype=float)
+    nr = _as_real("noise ratios", noise_ratio)
     try:
         nr = np.broadcast_to(nr, (c, k))
     except ValueError:
@@ -140,6 +140,14 @@ def build_effective_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[E
     return [_lift(est, cov, nr, 0, u) for u in range(est.shape[2])]
 
 
+def _as_real(name: str, values) -> np.ndarray:
+    """`values` as floats; a nonzero imaginary part raises instead of being cast away."""
+    a = np.asarray(values)
+    if np.iscomplexobj(a) and np.any(a.imag):
+        raise ValueError(f"{name} must be real")
+    return np.asarray(a.real, dtype=float)
+
+
 def _require_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
@@ -148,7 +156,7 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
 def _as_weights(weights, shape: tuple) -> np.ndarray:
     if weights is None:
         return np.ones(shape)
-    w = np.asarray(weights, dtype=float)
+    w = _as_real("weights", weights)
     if w.shape != shape:
         raise DimensionMismatch(f"weights must have shape {shape}")
     _require_finite("weights", w)
@@ -420,24 +428,6 @@ def extract_schedule(
     return active, total_power * norms**2
 
 
-# leading columns of every solver CSV row, single-cell and cooperative
-_CSV_BASE = ("seed", "N", "K", "SNR_dB", "iterations", "objective_log2",
-                   "kkt_residual", "active_count")
-# trailing columns of every solver CSV row; stop_reason stays last
-_CSV_TAIL = ("objective_decreases", "stop_reason")
-
-
-def _stop_reason(converged: bool) -> str:
-    """The last column of every solver CSV row: how the solve stopped, "tol"
-    when successive iterates came within the tolerance, else "max_iter"."""
-    return "tol" if converged else "max_iter"
-
-
-def _objective_decreases(trajectory) -> int:
-    """The number of sweeps whose objective fell below the previous iterate's."""
-    return sum(after < before for before, after in itertools.pairwise(trajectory))
-
-
 @dataclass
 class GpipResult:
     """Converged (or best-found) solution of the fixed-point iteration."""
@@ -454,19 +444,28 @@ class GpipResult:
     @property
     def objective_decreases(self) -> int:
         """Sweeps whose objective fell below the previous iterate's."""
-        return _objective_decreases(self.trajectory)
+        return sum(after < before for before, after in itertools.pairwise(self.trajectory))
 
     def csv_row(self, seed, snr_db) -> list:
-        k, n = self.precoder.shape
-        row = [seed, n, k, snr_db, self.iterations, repr(self.objective_log2),
-               repr(self.kkt_residual), len(self.schedule)]
-        row.extend(repr(float(p)) for p in self.per_user_power)
-        row.extend((self.objective_decreases, _stop_reason(self.converged)))
-        return row
+        return self._csv_row(seed, snr_db, [repr(float(p)) for p in self.per_user_power])
 
     @staticmethod
     def csv_header(n_users: int) -> list[str]:
-        return [*_CSV_BASE, *(f"power_{k}" for k in range(n_users)), *_CSV_TAIL]
+        return GpipResult._csv_header([f"power_{k}" for k in range(n_users)])
+
+    def _csv_row(self, seed, snr_db, power_fields: list) -> list:
+        """A solver CSV row around the result's power fields; the last column,
+        stop_reason, is "tol" when successive iterates came within the
+        tolerance, else "max_iter"."""
+        k, n = self.precoder.shape[-2:]
+        return [seed, n, k, snr_db, self.iterations, repr(self.objective_log2),
+                repr(self.kkt_residual), len(self.schedule), *power_fields,
+                self.objective_decreases, "tol" if self.converged else "max_iter"]
+
+    @staticmethod
+    def _csv_header(power_columns: list[str]) -> list[str]:
+        return ["seed", "N", "K", "SNR_dB", "iterations", "objective_log2", "kkt_residual",
+                "active_count", *power_columns, "objective_decreases", "stop_reason"]
 
 
 def _initial_stack(prob: _ClusterProblem, init, shape: tuple) -> np.ndarray:
@@ -626,7 +625,7 @@ def gpip_covfree(
     if est.ndim != 2:
         raise DimensionMismatch(f"estimates must be (K, N), got {est.shape}")
     k, n = est.shape
-    alphas = np.asarray(error_scales, dtype=float)
+    alphas = _as_real("error scales", error_scales)
     if alphas.shape not in ((), (k,)):
         raise DimensionMismatch(f"error_scales must be a scalar or ({k},), got {alphas.shape}")
     if np.any(alphas < 0):

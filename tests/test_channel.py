@@ -318,12 +318,12 @@ class TestStackedCsitDraws:
     @given(st.integers(0, 2**32 - 1), LEAD_SHAPES, st.integers(1, 6), st.booleans())
     def test_additive_error_csit(self, seed, lead, n, shared):
         rng = np.random.default_rng(seed)
-        true_h = rng.standard_normal((*lead, n)) + 1j * rng.standard_normal((*lead, n))
+        root = hermitian_sqrt(random_psd_stack(rng, lead, n))
         err_root = hermitian_sqrt(random_psd_stack(rng, () if shared else lead, n))
         self.assert_stack_equals_members(
-            lambda rng: (channel.additive_error_csit(true_h, err_root, rng),),
-            lambda idx, rng: (channel.additive_error_csit(
-                true_h[idx], err_root if shared else err_root[idx], rng),), lead, seed)
+            lambda rng: channel.additive_error_csit(root, err_root, rng),
+            lambda idx, rng: channel.additive_error_csit(
+                root[idx], err_root if shared else err_root[idx], rng), lead, seed)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), LEAD_SHAPES, st.integers(1, 6),
@@ -343,8 +343,8 @@ class TestStackedCsitDraws:
         true_h, est = channel.mmse_csit_tdd(stats.est_root, stats.err_root,
                                             np.random.default_rng(1))
         true_f, est_f = channel.fdd_quantized_csit(root, 0.5, np.random.default_rng(1))
-        est_a = channel.additive_error_csit(np.zeros((2, 3)), root[0], np.random.default_rng(1))
-        for pair in (h, true_h, est, true_f, est_f, est_a):
+        true_a, est_a = channel.additive_error_csit(root, root[0], np.random.default_rng(1))
+        for pair in (h, true_h, est, true_f, est_f, true_a, est_a, est_a - true_a):
             assert pair.shape == (2, 3)
             assert not np.any(pair[0] == pair[1])
 
@@ -494,27 +494,27 @@ class TestFddCsit:
 
 class TestAdditiveCsit:
     def test_zero_cov_returns_exact(self):
-        h = np.array([1.0 + 1j, -2.0])
-        hhat = channel.additive_error_csit(h, hermitian_sqrt(np.zeros((2, 2))), 0)
+        root = hermitian_sqrt(np.diag([1.0, 2.0]).astype(complex))
+        h, hhat = channel.additive_error_csit(root, hermitian_sqrt(np.zeros((2, 2))), 0)
         np.testing.assert_allclose(hhat, h)
 
     def test_empirical_error_covariance(self):
         rng = np.random.default_rng(17)
         n, trials = 2, 100_000
-        h = np.zeros(n, dtype=complex)
+        root = hermitian_sqrt(np.eye(n, dtype=complex))
         errs = np.empty((trials, n), dtype=complex)
         for t in range(trials):
-            hhat = channel.additive_error_csit(h, hermitian_sqrt(0.1 * np.eye(n)), rng)
-            errs[t] = hhat
+            h, hhat = channel.additive_error_csit(root, hermitian_sqrt(0.1 * np.eye(n)), rng)
+            errs[t] = hhat - h
         emp = errs.conj().T @ errs / trials
         assert np.abs(emp - 0.1 * np.eye(n)).max() < 0.05 * 0.1 + 0.005
 
     def test_null_direction_untouched(self):
         rng = np.random.default_rng(4)
-        h = np.array([0.0 + 0j, 0.0 + 0j])
+        root = hermitian_sqrt(np.eye(2, dtype=complex))
         for _ in range(20):
-            hhat = channel.additive_error_csit(h, hermitian_sqrt(np.diag([0.1, 0.0])), rng)
-            assert hhat[1] == 0
+            h, hhat = channel.additive_error_csit(root, hermitian_sqrt(np.diag([0.1, 0.0])), rng)
+            assert hhat[1] == h[1]
 
 
 class TestTopology:

@@ -395,6 +395,26 @@ class TestSystemRunner:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_short_cluster_rows_are_as_wide_as_the_header(self, tmp_path):
+        # three cells in clusters of two leave cell 2 in a cluster of one
+        cfg = config_from_dict(minimal_link(
+            scenario="system", n_cells=3, n_coop=2, n_users=2, n_antennas=2,
+            algorithms=["gpip-coop"], n_drops=1, n_blocks=2, csit_model="tdd",
+        ))
+        runner.run_system_level(cfg, tmp_path)
+        with open(tmp_path / "solver_coop.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 4
+        assert all(len(row) == len(header) for row in rows)
+        with open(tmp_path / "solver_coop.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
+        for rec in records:
+            assert rec["stop_reason"] in ("tol", "max_iter")
+            assert int(rec["objective_decreases"]) >= 0
+        short = [rec for rec in records if rec["cell1_norm"] == ""]
+        assert len(short) == 2
+        assert all(rec[f"cell1_power_{k}"] == "" for rec in short for k in range(2))
+
     @pytest.mark.parametrize("algorithms", [["gpip", "zf-dpc", "mrt"],
                                             ["gpip-coop", "zf-dpc", "rrzf"]])
     def test_system_artifact_set(self, tmp_path, algorithms):

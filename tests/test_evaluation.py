@@ -159,7 +159,7 @@ def per_user_link_csit_reference(config, corr, rng):
         elif model == "additive":
             h = channel.sample_channel(hermitian_sqrt(corr[u]), rng)
             cov[u] = config.csit_error_var * np.eye(n)
-            est[u] = channel.additive_error_csit(h, hermitian_sqrt(cov[u]), rng)
+            est[u] = h + channel.sample_channel(hermitian_sqrt(cov[u]), rng)
             true[u] = h
         elif model == "tdd":
             stats = channel.mmse_statistics(corr[u], [], config.uplink_noise_over_pilot())
@@ -188,13 +188,35 @@ class TestLinkStatistics:
         corr = evaluation._link_correlations(cfg)
         stats = evaluation.link_statistics(cfg, corr)
         for trial in range(2):
-            want = per_user_link_csit_reference(cfg, corr, np.random.default_rng([seed, trial]))
-            got = evaluation._draw_link_csit(stats, np.random.default_rng([seed, trial]))
+            rng_want = np.random.default_rng([seed, trial])
+            rng_got = np.random.default_rng([seed, trial])
+            want = per_user_link_csit_reference(cfg, corr, rng_want)
+            got = evaluation._draw_link_csit(stats, rng_got)
             for g, w in zip((*got, stats.cov), want):
                 if w is None:
                     assert g is None
                 else:
                     np.testing.assert_array_equal(g, w)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("model, name", [
+        ("perfect", "sample_channel"), ("additive", "additive_error_csit"),
+        ("tdd", "mmse_csit_tdd"), ("fdd", "fdd_quantized_csit"),
+    ])
+    def test_one_csit_call_per_trial(self, monkeypatch, model, name):
+        cfg = link_config(n_users=4, n_antennas=3, csit_model=model, csit_error_var=0.1)
+        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+        calls = []
+        for fn in ("sample_channel", "additive_error_csit", "mmse_csit_tdd", "fdd_quantized_csit"):
+            def counted(*args, _name=fn, _fn=getattr(channel, fn), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(channel, fn, counted)
+        for trial in range(3):
+            true, est = evaluation._draw_link_csit(stats, np.random.default_rng(trial))
+            assert true.shape == est.shape == (4, 3)
+            assert not np.shares_memory(true, est)
+        assert calls == [name] * 3
 
 
 class TestKnownCovariance:

@@ -326,6 +326,26 @@ def test_nan_tol_rejected(solve):
         solve(est, float("nan"))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [
+    lambda est, nr, w: solver.gpip_iterate(solver.build_effective_pairs(est, None, nr), weights=w),
+    lambda est, nr, w: solver.gpip_covfree(est, 0.1, nr, weights=w),
+    lambda est, nr, w: coop.gpip_coop(coop.build_coop_pairs(est[None, None], None, nr),
+                                      weights=None if w is None else w[None]),
+], ids=["gpip_iterate", "gpip_covfree", "gpip_coop"])
+def test_complex_scalars_rejected(solve):
+    # a float cast would drop the imaginary part with only a ComplexWarning
+    est = random_instance(np.random.default_rng(3), 3, 4)[0]
+    with pytest.raises(ValueError, match="^noise ratios must be real$"):
+        solve(est, np.array([0.1 + 1j, 0.1, 0.1]), None)
+    with pytest.raises(ValueError, match="^weights must be real$"):
+        solve(est, 0.1, np.array([1.0, 1.0 + 0.5j, 1.0]))
+    # a zero imaginary part is a real value
+    want = solve(est, 0.1, np.ones(3))
+    got = solve(est, np.complex128(0.1), np.ones(3, dtype=complex))
+    np.testing.assert_array_equal(got.precoder, want.precoder)
+
+
 class TestInvariances:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 5),
@@ -559,6 +579,8 @@ class TestCovarianceFree:
                 solver.gpip_covfree(EX_CHANNELS, alpha, nr)
         with pytest.raises(ValueError, match="error scales must be non-negative"):
             solver.gpip_covfree(EX_CHANNELS, -0.1, 0.1)
+        with pytest.raises(ValueError, match="^error scales must be real$"):
+            solver.gpip_covfree(EX_CHANNELS, [0.1 + 1j, 0.1, 0.1], 0.1)
         with pytest.raises(DimensionMismatch, match=r"error_scales must be a scalar or \(3,\)"):
             solver.gpip_covfree(EX_CHANNELS, np.full(2, 0.1), 0.1)
 
