@@ -8,7 +8,9 @@ class GpipError(Exception):
 
 
 class NotPositiveDefinite(GpipError):
-    """A Cholesky pivot fell at or below the positive-definiteness tolerance."""
+    """A Cholesky pivot fell at or below the positive-definiteness tolerance,
+    or a Bbar solve broke down: a rank-one correction's denominator left
+    (PIVOT_TOL, inf), or the solve returned a stack of non-finite or zero norm."""
 
 
 class DenominatorUnderflow(GpipError):

@@ -20,8 +20,10 @@ structure is exploited throughout: within cell j, Abar has one shared diagonal b
 another shared matrix minus one rank-one term, so one iteration costs one
 Cholesky factorization of size N per cell plus O(C*K*N^2) for the rank-one
 corrections, never a dense factorization. The covariance-free path, for scalar
-error covariances, hands the kernel explicit block inverses instead, built
-from the ridge by O(K log K) rank-one inverse updates.
+error covariances, builds its problem straight from its (K, N) estimates and
+error scales, with no pair objects, and hands the kernel explicit block
+inverses instead, built from the ridge by O(K log K) rank-one inverse updates.
+Every single-cell solve finishes from its problem, not from a pair list.
 
 Error covariances take one of three forms, read off once per problem: zero
 (perfect knowledge), scalar (every covariance exactly alpha * I, which the
@@ -328,17 +330,6 @@ class _ClusterProblem:
         return float(np.linalg.norm(af - lam * bf) / np.linalg.norm(af))
 
 
-class _CellProblem(_ClusterProblem):
-    """The C = 1 problem seen through a (K, N) stack and (K,) quadratic forms."""
-
-    def __init__(self, est, cov, nr):
-        super().__init__(est[None, None], cov[None, None], np.asarray(nr, dtype=float)[None])
-
-    def quad_forms(self, f_users: np.ndarray):
-        qa, qb = super().quad_forms(f_users[None])
-        return qa[0], qb[0]
-
-
 def _problem(pairs: list[EffectivePair], single_cell: bool = False) -> _ClusterProblem:
     """The kernel's problem, with the pairs stacked in (cell, user) order.
 
@@ -394,22 +385,17 @@ def build_weighted_pair(
     return BlockDiagonal(a_blocks), BlockDiagonal(b_blocks)
 
 
-def kkt_residual(pairs: list[EffectivePair], weights, f_users: np.ndarray,
+def kkt_residual(pairs: list[EffectivePair] | None, weights, f_users: np.ndarray,
                  problem: _ClusterProblem | None = None) -> float:
     """|| Abar f - objective * Bbar f || / || Abar f ||, zero at stationarity.
 
-    `problem` is the kernel's problem already built from `pairs`; the
-    solvers pass theirs so the residual does not rebuild it.
+    `problem` is the kernel's problem already built, from `pairs` or from
+    arrays; the solvers pass theirs so the residual does not rebuild it, and
+    `pairs` may then be None.
     """
     prob = _problem(pairs, single_cell=True) if problem is None else problem
     w = _as_weights(weights, (prob.k,))
     return prob.kkt_residual(w, np.asarray(f_users, dtype=np.complex128)[None])
-
-
-def mrt_stack(estimates: np.ndarray) -> np.ndarray:
-    """Matched-filter initial stack: the estimates themselves, jointly normalized."""
-    est = np.asarray(estimates, dtype=np.complex128)
-    return est / np.linalg.norm(est)
 
 
 def extract_schedule(
@@ -517,7 +503,11 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
         c, d = prob.coefficients(qa, qb, w, log_w)
         rhs = f @ prob.cell_blocks(c).transpose(0, 2, 1)  # row (j, u) is Abar_j f_(j, u)
         f_new = solve_blocks(d, rhs)
-        f_new /= math.sqrt(np.vdot(f_new, f_new).real)
+        norm2 = np.vdot(f_new, f_new).real
+        if not 0 < norm2 < np.inf:  # NaN fails too; finite entries can overflow it
+            raise NotPositiveDefinite(f"sweep {iterations}: the Bbar solve returned a stack "
+                                      f"of {'zero' if norm2 == 0 else 'non-finite'} norm")
+        f_new /= math.sqrt(norm2)
         diff = f_new - f
         step = math.sqrt(np.vdot(diff, diff).real)
         f = f_new
@@ -532,7 +522,7 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
     return best_f, best_obj, iterations, converged, traj
 
 
-def _finish(pairs, prob, w, select_threshold, best_f, best_obj, iterations, converged,
+def _finish(prob, w, select_threshold, best_f, best_obj, iterations, converged,
             traj) -> GpipResult:
     f_users = best_f[0]
     active, powers = extract_schedule(f_users, select_threshold)
@@ -541,7 +531,7 @@ def _finish(pairs, prob, w, select_threshold, best_f, best_obj, iterations, conv
         objective_log2=best_obj,
         iterations=iterations,
         converged=converged,
-        kkt_residual=kkt_residual(pairs, w, f_users, prob),
+        kkt_residual=kkt_residual(None, w, f_users, prob),
         schedule=active,
         per_user_power=powers,
         trajectory=traj,
@@ -570,7 +560,7 @@ def gpip_iterate(
     w = _as_weights(weights, (prob.k,))
     solve_blocks = partial(prob.cholesky_blocks, solve=solve_hermitian)
     out = _power_iteration(prob, w, init, (prob.k, prob.n), tol, max_iter, solve_blocks)
-    return _finish(pairs, prob, w, select_threshold, *out)
+    return _finish(prob, w, select_threshold, *out)
 
 
 def covfree_block_inverses(
@@ -616,10 +606,12 @@ def gpip_covfree(
 ) -> GpipResult:
     """gpip_iterate for scalar error covariances, with recursive block inverses.
 
-    `error_scales` holds the non-negative scalar error variances alpha_k,
-    one shared or one per user (the error covariance is alpha_k * I). Iteration semantics are identical to
-    gpip_iterate; only the block inversion path differs, so the two agree to
-    solver tolerance on the same inputs.
+    `error_scales` holds the finite, non-negative scalar error variances
+    alpha_k, one shared or one per user (the error covariance is
+    alpha_k * I). The problem is built straight from these arrays, with no
+    pair objects. Iteration semantics are identical to gpip_iterate; only the
+    block inversion path differs, so the two agree to solver tolerance on the
+    same inputs.
     """
     est = np.asarray(estimates, dtype=np.complex128)
     if est.ndim != 2:
@@ -628,11 +620,11 @@ def gpip_covfree(
     alphas = _as_real("error scales", error_scales)
     if alphas.shape not in ((), (k,)):
         raise DimensionMismatch(f"error_scales must be a scalar or ({k},), got {alphas.shape}")
+    _require_finite("error scales", alphas)
     if np.any(alphas < 0):
         raise ValueError("error scales must be non-negative")
     alphas = np.broadcast_to(alphas, (k,))
-    pairs = build_effective_pairs(est, alphas[:, None, None] * np.eye(n), noise_ratio)
-    prob = _problem(pairs, single_cell=True)
+    prob = _ClusterProblem(*_as_lifted_cell(est, alphas[:, None, None] * np.eye(n), noise_ratio))
     w = _as_weights(weights, (k,))
 
     def solve_blocks(d, rhs):
@@ -641,4 +633,4 @@ def gpip_covfree(
         return (inverses @ rhs[0][:, :, None]).transpose(2, 0, 1)
 
     out = _power_iteration(prob, w, init, (k, n), tol, max_iter, solve_blocks)
-    return _finish(pairs, prob, w, select_threshold, *out)
+    return _finish(prob, w, select_threshold, *out)

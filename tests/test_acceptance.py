@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from gpip import channel, cli, evaluation, runner, solver
+from gpip import baselines, channel, cli, evaluation, runner, solver
 from gpip.config import ExperimentConfig
 from gpip.evaluation import link_trial, monte_carlo_mean, trial_rng
 from gpip.numerics import hermitize, solve_hermitian
@@ -289,11 +289,11 @@ def test_c08_covariance_free_equivalence():
         # iterates. The quotient coefficients are only defined up to a common
         # positive scale; fix it at max(d) = 1 so the blocks are O(1) and the
         # absolute tolerance is meaningful.
-        for f_users in (solver.mrt_stack(est), fast.precoder):
-            prob = solver._CellProblem(est, cov.astype(complex), np.full(k, nr))
-            qa, qb = prob.quad_forms(f_users)
+        prob = solver._problem(pairs, single_cell=True)
+        for f_users in (baselines.mrt(est), fast.precoder):
+            qa, qb = prob.quad_forms(f_users[None])
             _, d = prob.coefficients(qa, qb, np.ones(k), np.zeros(k))  # w and log(w)
-            d = d / d.max()
+            d = d[0] / d.max()
             delta = float(np.sum(d * (alpha + nr)))
             inverses = solver.covfree_block_inverses(est, d, delta)
             for j in range(k):

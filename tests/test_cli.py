@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gpip import channel, cli, coop, evaluation, runner
 from gpip.config import FIELD_RULES, ExperimentConfig, config_from_dict, load_config
-from gpip.errors import ConfigInvalid, NotPositiveDefinite, RankDeficient
+from gpip.errors import ConfigInvalid, GpipError, NotPositiveDefinite, RankDeficient
 from gpip.numerics import hermitian_sqrt
 
 
@@ -653,6 +653,23 @@ class TestUnitErrors:
         with pytest.raises(RankDeficient, match=r"^drop 0, block 0, algorithm gpip-coop: "
                                                 r"cluster channel has rank 1$"):
             runner.run_system_level(cfg, tmp_path)
+
+    def test_broken_down_solve_names_its_unit(self, tmp_path):
+        # perfect knowledge at 100 dB with N = K = 32: a Bbar solve can return a
+        # stack whose norm overflows, which must not surface as a division warning
+        cfg = config_from_dict(minimal_link(
+            n_antennas=32, n_users=32, algorithms=["gpip", "gpip-covfree"], snr_db=[100],
+            n_trials=1,
+        ))
+        try:
+            paths = runner.run_link_level(cfg, tmp_path)
+        except GpipError as exc:
+            assert str(exc).startswith("SNR 100 dB, trial 0, algorithm ")
+        else:
+            for path in paths.values():
+                if path.suffix == ".csv":
+                    rows = csv.reader(path.read_text().splitlines())
+                    assert not {c.lower() for row in rows for c in row} & {"nan", "inf", "-inf"}
 
     @pytest.mark.parametrize("algorithm", ["gpip", "mrt", "rrzf"])
     def test_training_without_knowledge_fails_before_any_artifact(self, tmp_path, algorithm):

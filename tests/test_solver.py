@@ -427,6 +427,22 @@ class TestBlockSolves:
             with pytest.raises(NotPositiveDefinite):
                 solver.gpip_iterate(pairs)
 
+    @pytest.mark.parametrize("fill, what", [(np.nan, "non-finite"), (1e300, "non-finite"),
+                                            (0.0, "zero")])
+    def test_broken_down_solve_names_its_sweep(self, fill, what):
+        rng = np.random.default_rng(5)
+        est, cov, nr = random_instance(rng, 3, 2)
+        prob = solver._problem(solver.build_effective_pairs(est, cov, nr), single_cell=True)
+
+        def broken(d, rhs):
+            return np.full_like(rhs, fill)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite,
+                               match=f"^sweep 1: the Bbar solve returned a stack of {what} norm$"):
+                solver._power_iteration(prob, np.ones(3), None, (3, 2), 0.01, 10, broken)
+
 
 class FullRouteProblem(solver._ClusterProblem):
     """Oracle for the scalar route: the same problem with its covariances
@@ -448,6 +464,27 @@ class FullRouteProblem(solver._ClusterProblem):
     def cell_blocks(self, coeff):
         blocks = np.einsum("lk,jlknm->jnm", coeff, self.dense_g0)
         return blocks + np.vdot(coeff, self.nr) * np.eye(self.n)
+
+
+def _cov_stack(*alphas, entry=None):
+    """alpha * I blocks of size 3, with `entry` = (block, row, col, value) set."""
+    cov = np.stack([a * np.eye(3, dtype=complex) for a in alphas])
+    if entry is not None:
+        cov[entry[:3]] = entry[3]
+    return cov
+
+
+@pytest.mark.parametrize("cov, form", [
+    (np.zeros((2, 4, 3, 3), dtype=complex), "zero"),
+    (_cov_stack(0.3, 0.05, 2.0), "scalar"),
+    (_cov_stack(0.0, 0.1, 0.0), "scalar"),
+    (_cov_stack(0.1 + 0.1j, 0.1), "full"),
+    (_cov_stack(0.1, 0.1, entry=(1, 0, 2, 1e-300)), "full"),
+    (_cov_stack(0.1, 0.1, entry=(0, 2, 2, 0.2)), "full"),
+], ids=["all-zero", "unequal-real-alphas", "zero-and-alpha-blocks", "complex-alpha",
+        "tiny-off-diagonal", "unequal-diagonal"])
+def test_cov_form(cov, form):
+    assert solver._cov_form(cov) == form
 
 
 class TestCovarianceForms:
@@ -584,6 +621,12 @@ class TestCovarianceFree:
         with pytest.raises(DimensionMismatch, match=r"error_scales must be a scalar or \(3,\)"):
             solver.gpip_covfree(EX_CHANNELS, np.full(2, 0.1), 0.1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alphas", [np.nan, np.inf, [0.1, np.nan, 0.1]])
+    def test_rejects_non_finite_error_scales(self, alphas):
+        with pytest.raises(ValueError, match="^error scales must be finite$"):
+            solver.gpip_covfree(EX_CHANNELS, alphas, 0.1)
+
     def test_all_zero_estimates_name_the_estimates(self):
         with pytest.raises(ValueError, match="estimates are all zero"):
             solver.gpip_covfree(np.zeros((3, 2)), 0.1, 0.1)
@@ -652,13 +695,18 @@ class TestKktResidual:
             (solver.build_effective_pairs(est, alphas[:, None, None] * np.eye(3), nr),
              lambda p: solver.gpip_covfree(est, alphas, nr, weights=w, tol=1e-6)),
         ]
-        build = solver._problem
+        built = []
+
+        class Counted(solver._ClusterProblem):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
         for pairs, solve in cases:
-            built = []
-            monkeypatch.setattr(solver, "_problem",
-                                lambda *a, **kw: built.append(1) or build(*a, **kw))
-            res = solve(pairs)
-            monkeypatch.setattr(solver, "_problem", build)
+            built.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(solver, "_ClusterProblem", Counted)
+                res = solve(pairs)
             assert len(built) == 1
             assert res.kkt_residual == solver.kkt_residual(pairs, w, res.precoder)
 
