@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -230,7 +230,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigInvalid(f"{unknown[0]}: unknown configuration key")
-    missing = [k for k in ("scenario", "n_antennas", "n_users", "algorithms", "seed") if k not in data]
+    missing = [f.name for f in fields(ExperimentConfig)
+               if f.default is MISSING and f.default_factory is MISSING and f.name not in data]
     if missing:
         raise ConfigInvalid(f"{missing[0]}: required key is missing")
     cfg = ExperimentConfig(**data)
@@ -238,11 +239,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"{path}: not valid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"{path}: cannot read ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid(f"{path}: top level must be an object")
     return config_from_dict(data)

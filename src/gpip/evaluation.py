@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, channel, solver
-from .config import CSIT_MODELS
+from .config import COV_KNOWLEDGE, CSIT_MODELS
 from .errors import ConfigInvalid, DimensionMismatch, located
 from .numerics import hermitian_sqrt, hermitize
 
@@ -140,6 +140,8 @@ class LinkStatistics:
     `cov` is the error covariance stack every trial reports (None under
     perfect CSIT); `err_root` is the root of the additive model's error
     covariance or the (K, N, N) roots of the tdd model's (None otherwise).
+    `known_cov` and `alphas` are `_known_cov` of `cov` under the campaign's
+    `cov_knowledge`: what the transmitter knows of its error.
     `csit_model` and `fdd_kappa` are the config values the draws read.
     Arrays are read-only: every trial shares them.
     """
@@ -147,12 +149,14 @@ class LinkStatistics:
     roots: np.ndarray
     cov: np.ndarray | None
     err_root: np.ndarray | None
+    known_cov: np.ndarray | None
+    alphas: np.ndarray | None
     csit_model: str
     fdd_kappa: float
 
 
 def link_statistics(config, corr) -> LinkStatistics:
-    """The LinkStatistics of `config`'s CSIT model on the (K, N, N) correlations."""
+    """The LinkStatistics of `config` on the (K, N, N) correlations."""
     corr = np.asarray(corr, dtype=np.complex128)
     model, n = config.csit_model, config.n_antennas
     if model not in CSIT_MODELS:
@@ -170,10 +174,11 @@ def link_statistics(config, corr) -> LinkStatistics:
         cov = np.repeat(np.asarray(phi, dtype=np.complex128)[None], corr.shape[0], axis=0)
     elif model == "fdd":
         cov = (config.fdd_kappa**2) * hermitize(corr)
-    for a in (roots, cov, err_root):
+    known_cov, alphas = _known_cov(config.cov_knowledge, cov)
+    for a in (roots, cov, err_root, known_cov, alphas):
         if a is not None:
             a.flags.writeable = False
-    return LinkStatistics(roots, cov, err_root, model, config.fdd_kappa)
+    return LinkStatistics(roots, cov, err_root, known_cov, alphas, model, config.fdd_kappa)
 
 
 def _draw_link_csit(stats: LinkStatistics, rng):
@@ -193,16 +198,18 @@ def _draw_link_csit(stats: LinkStatistics, rng):
     return channel.fdd_quantized_csit(stats.roots, stats.fdd_kappa, rng)
 
 
-def _known_cov(knowledge: str, cov, n):
+def _known_cov(knowledge: str, cov):
     """Error covariance as the transmitter knows it, per the `cov_knowledge` setting.
 
     cov is a (..., N, N) stack or None; returns (known covariances, scalar
     levels trace/N, which `gpip-covfree` uses), both None under "none".
+    Under "full" the known covariances are `cov` itself.
     """
+    if knowledge not in COV_KNOWLEDGE:
+        raise ConfigInvalid(f"cov_knowledge: unknown setting {knowledge!r}")
     if cov is None or knowledge == "none":
         return None, None
-    if knowledge not in ("full", "scalar"):
-        raise ConfigInvalid(f"cov_knowledge: unknown setting {knowledge!r}")
+    n = cov.shape[-1]
     alphas = np.real(np.trace(cov, axis1=-2, axis2=-1)) / n
     return (cov if knowledge == "full" else alphas[..., None, None] * np.eye(n)), alphas
 
@@ -260,12 +267,11 @@ def link_trial(
     cross-algorithm comparisons paired. `metric` selects what the rates
     measure: "true" evaluates the designed precoders on the actual channels
     (what users receive), "estimated" reports the transmitter-side lower
-    bounds computed from its own imperfect knowledge. `stats` is the
-    campaign's `LinkStatistics`, built once with `link_statistics`.
+    bounds computed from its own imperfect knowledge, `stats.known_cov`.
+    `stats` is the campaign's `LinkStatistics`, built once with `link_statistics`.
     """
     noise_ratio = 10.0 ** (-snr_db / 10.0)
     true, est = _draw_link_csit(stats, rng)
-    known_cov, alphas = _known_cov(config.cov_knowledge, stats.cov, config.n_antennas)
     out = {}
     for alg in algorithms:
         with located(f"algorithm {alg}: "):
@@ -273,9 +279,10 @@ def link_trial(
                 _, _, rate = baselines.zf_dpc_waterfilling(est, noise_ratio)
                 out[alg] = (np.array([rate]), None)
                 continue
-            f, extras = design_precoders(alg, est, known_cov, noise_ratio, config, alphas)
+            f, extras = design_precoders(alg, est, stats.known_cov, noise_ratio, config,
+                                         stats.alphas)
         if metric == "estimated":
-            rates = gmi_rate_lb(est, known_cov, f, noise_ratio)
+            rates = gmi_rate_lb(est, stats.known_cov, f, noise_ratio)
         else:
             rates = true_sinr(true[None, None], f[None], noise_ratio).rate[0]
         out[alg] = (rates, extras)

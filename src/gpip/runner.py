@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,10 @@ def _campaign_dir(cfg: ExperimentConfig, scenario: str, out_dir) -> Path:
     if cfg.scenario != scenario:
         raise ConfigInvalid(f"scenario: run_{scenario}_level needs scenario='{scenario}'")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"output_dir: cannot create {out} ({exc})") from exc
     return out
 
 
@@ -192,9 +195,11 @@ class DropStatistics:
     cluster's end); `err_cov` is zero and `err_roots` None under perfect
     CSIT. `position[l]` is cell l's index in its cluster. `outside` and
     `outside_coop` are the out-of-cell and out-of-cluster interference
-    powers; a block adds its noise ratio to them. `clusters` holds the
-    cooperation clusters the pilots were assigned for, as lists of cell
-    indices. Arrays are read-only: one drop's blocks share them.
+    powers; a block adds its noise ratio to them. `known_cov` and `alphas`
+    are `evaluation._known_cov` of `err_cov` (None under perfect CSIT) under
+    the campaign's `cov_knowledge`. `clusters` holds the cooperation
+    clusters the pilots were assigned for, as lists of cell indices. Arrays
+    are read-only: one drop's blocks share them.
     """
 
     roots: np.ndarray  # (L, L, K, N, N)
@@ -204,26 +209,13 @@ class DropStatistics:
     position: np.ndarray  # (L,)
     outside: np.ndarray  # (L, K)
     outside_coop: np.ndarray  # (L, K)
+    known_cov: np.ndarray | None  # (L, C, K, N, N)
+    alphas: np.ndarray | None  # (L, C, K)
     clusters: tuple
-    _known_covs: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def known_cov(self, cov_knowledge: str) -> tuple:
-        """`evaluation._known_cov` of `err_cov` (None under perfect CSIT) for
-        a `cov_knowledge` setting: derived on first use, then shared by the
-        drop's blocks, read-only."""
-        if cov_knowledge not in self._known_covs:
-            perfect = self.err_roots is None
-            known = evaluation._known_cov(cov_knowledge, None if perfect else self.err_cov,
-                                          self.roots.shape[-1])
-            for a in known:
-                if a is not None:
-                    a.flags.writeable = False
-            self._known_covs[cov_knowledge] = known
-        return self._known_covs[cov_knowledge]
 
 
 def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
-                    perfect: bool = False) -> DropStatistics:
+                    perfect: bool = False, cov_knowledge: str = "full") -> DropStatistics:
     """The DropStatistics of one drop's (L, L, K, N, N) correlation stack.
 
     `corr` is consumed and becomes `roots`: serving BS by serving BS, the
@@ -233,8 +225,9 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     correlations and the roots at once. One `channel.mmse_statistics` call
     per BS gives its trained links, with the out-of-cluster co-pilot
     contamination that `multicell_csit` describes; their correlations are
-    never rooted. Pass a copy to keep the correlations. Raises RankDeficient
-    naming the cell when training leaves a BS no knowledge of its own users.
+    never rooted. Pass a copy to keep the correlations. `cov_knowledge` is
+    applied once, here. Raises RankDeficient naming the cell when training
+    leaves a BS no knowledge of its own users.
     """
     n_cells, _, _, n, _ = corr.shape
     position = np.empty(n_cells, dtype=np.intp)
@@ -262,13 +255,14 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
             corr[j, cl] = stats.est_root
             if outside:
                 corr[j, outside] = hermitian_sqrt(corr[j, outside])
-    for a in (corr, known, err_cov, err_roots, position):
+    known_cov, alphas = evaluation._known_cov(cov_knowledge, None if perfect else err_cov)
+    for a in (corr, known, err_cov, err_roots, position, known_cov, alphas):
         if a is not None:
             a.flags.writeable = False
     return DropStatistics(
         roots=corr, known=known, err_cov=err_cov, err_roots=err_roots, position=position,
         outside=_outside_power(traces, n), outside_coop=_outside_power(traces, n, clusters),
-        clusters=tuple(list(cl) for cl in clusters),
+        known_cov=known_cov, alphas=alphas, clusters=tuple(list(cl) for cl in clusters),
     )
 
 
@@ -334,8 +328,6 @@ def multicell_block(
     """
     n_cells, _, n_users, n, _ = stats.roots.shape
     true_h, est_h = multicell_csit(stats, rng)
-    # every link's knowledge, once per drop; each design below takes its slice
-    known_cov, alphas = stats.known_cov(cfg.cov_knowledge)
     nr_noncoop = noise_ratio_dl + stats.outside
     nr_coop = noise_ratio_dl + stats.outside_coop
     out = {}
@@ -355,7 +347,7 @@ def multicell_block(
             if alg == "gpip-coop":
                 for cl in stats.clusters:
                     pairs = coop.build_coop_pairs(est_h[np.ix_(cl, cl)],
-                                                  _slice(known_cov, (cl, slice(len(cl)))),
+                                                  _slice(stats.known_cov, (cl, slice(len(cl)))),
                                                   nr_coop[cl])
                     res = coop.gpip_coop(pairs, weights=_slice(w_alg, cl), tol=cfg.tol,
                                          max_iter=cfg.max_iter,
@@ -366,8 +358,8 @@ def multicell_block(
                 w_cells = w_alg if alg.startswith("gpip") else None
                 for l, p in enumerate(stats.position):
                     precoders[l], extra = evaluation.design_precoders(
-                        alg, est_h[l, l], _slice(known_cov, (l, p)),
-                        nr_noncoop[l], cfg, _slice(alphas, (l, p)), _slice(w_cells, l),
+                        alg, est_h[l, l], _slice(stats.known_cov, (l, p)), nr_noncoop[l], cfg,
+                        _slice(stats.alphas, (l, p)), _slice(w_cells, l),
                     )
                     if extra is not None:
                         extras.append(extra)
@@ -392,13 +384,11 @@ def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     # uplink noise over pilot energy in the noise-normalized units of
     # `system_correlations` (training runs at physical powers)
     noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
-    perfect = cfg.csit_model == "perfect"
     for d in range(cfg.n_drops):
         with located(f"drop {d}, "):
-            corr, _topo, _betas = system_correlations(
-                cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d)
-            )
-            stats = drop_statistics(corr, clusters, noise_over_pilot, perfect)  # consumes corr
+            corr, _, _ = system_correlations(cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d))
+            stats = drop_statistics(corr, clusters, noise_over_pilot,  # consumes corr
+                                    cfg.csit_model == "perfect", cfg.cov_knowledge)
         acc = {alg: np.zeros((cfg.n_cells, cfg.n_users)) for alg in cfg.algorithms}
         pf_avg = {alg: np.full((cfg.n_cells, cfg.n_users), 1e-3) for alg in cfg.algorithms}
         for b in range(cfg.n_blocks):

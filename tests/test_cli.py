@@ -65,12 +65,12 @@ class TestConfigValidation:
             config_from_dict(minimal_link(**patch))
         assert field in str(err.value)
 
-    def test_seed_required(self):
+    @pytest.mark.parametrize("key", ["scenario", "n_antennas", "n_users", "algorithms", "seed"])
+    def test_required_key(self, key):
         data = minimal_link()
-        del data["seed"]
-        with pytest.raises(ConfigInvalid) as err:
+        del data[key]
+        with pytest.raises(ConfigInvalid, match=f"^{key}: required key is missing$"):
             config_from_dict(data)
-        assert "seed" in str(err.value)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid) as err:
@@ -452,6 +452,21 @@ class TestSystemRunner:
             rates, _ = results[alg]
             assert np.all(np.isfinite(rates)) and rates.shape == (2, 3)
 
+    @pytest.mark.parametrize("knowledge", ["full", "scalar", "none"])
+    def test_every_knowledge_setting_runs_and_reruns_byte_identical(self, tmp_path, knowledge):
+        cfg_data = minimal_link(
+            scenario="system", n_cells=3, n_coop=2, n_users=2, n_antennas=2,
+            algorithms=["gpip", "gpip-covfree", "gpip-coop", "rrzf"], n_drops=1, n_blocks=2,
+            csit_model="tdd", cov_knowledge=knowledge,
+        )
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        runner.run_system_level(config_from_dict(cfg_data), out1)
+        runner.run_system_level(config_from_dict(cfg_data), out2)
+        names = sorted(p.name for p in out1.iterdir())
+        assert "solver_coop.csv" in names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_known_covariances_derived_once_per_drop(self, tmp_path, monkeypatch):
         calls = []
         known_cov = evaluation._known_cov
@@ -581,6 +596,26 @@ class TestDropStatistics:
         for a in (stats.roots, stats.err_cov, stats.err_roots):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("knowledge", ["full", "scalar", "none"])
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_knowledge_is_fixed_when_built(self, knowledge, perfect):
+        corr = random_correlations(np.random.default_rng(0), 3, 2, 2)
+        stats = runner.drop_statistics(corr, [[0, 1], [2]], 0.1, perfect, knowledge)
+        want = evaluation._known_cov(knowledge, None if perfect else stats.err_cov)
+        if want[0] is None:
+            assert stats.known_cov is None and stats.alphas is None
+            return
+        if knowledge == "full":
+            assert stats.known_cov is stats.err_cov
+        for got, ref in zip((stats.known_cov, stats.alphas), want):
+            np.testing.assert_array_equal(got, ref)
+            assert not got.flags.writeable
+
+    def test_unknown_knowledge_fails_when_built(self):
+        corr = random_correlations(np.random.default_rng(0), 2, 1, 2)
+        with pytest.raises(ConfigInvalid, match="^cov_knowledge: "):
+            runner.drop_statistics(corr, [[0], [1]], 0.1, cov_knowledge="vibes")
 
 
 class TestStackedBlockDraws:
@@ -759,6 +794,25 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error: min_distance_m:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "undecodable":
+            path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: cannot read (")
+
+    def test_output_path_naming_a_file_is_a_config_error(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_link(n_trials=2)))
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert cli.main(["run", "--config", str(p), "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("config error: output_dir: ")
+        assert taken.read_text() == "not a directory\n"
 
     def test_algorithm_filter_must_be_subset(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpip import baselines, channel, evaluation, solver
+from gpip import baselines, channel, evaluation, runner, solver
 from gpip.config import ExperimentConfig
+from gpip.errors import ConfigInvalid
 from gpip.numerics import hermitian_sqrt, hermitize
 
 
@@ -226,7 +227,7 @@ class TestKnownCovariance:
         stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
         _, est = evaluation._draw_link_csit(stats, np.random.default_rng(2))
         cov = stats.cov
-        known, alphas = evaluation._known_cov("full", cov, cfg.n_antennas)
+        known, alphas = evaluation._known_cov("full", cov)
         assert known is cov
         f, _ = evaluation.design_precoders("gpip-covfree", est, known, 0.2, cfg, alphas)
         ref = solver.gpip_covfree(est, np.real(np.trace(cov, axis1=1, axis2=2)) / cfg.n_antennas,
@@ -246,6 +247,40 @@ class TestKnownCovariance:
         # additive errors are white, so the trace-matched levels are the truth
         assert np.array_equal(rates["full"], rates["scalar"])
         assert not np.array_equal(rates["full"], rates["none"])
+
+    def test_link_campaign_derives_its_knowledge_once(self, tmp_path, monkeypatch):
+        calls = []
+        known_cov = evaluation._known_cov
+
+        def counted(*args):
+            calls.append(args[0])
+            return known_cov(*args)
+
+        monkeypatch.setattr(evaluation, "_known_cov", counted)
+        cfg = link_config(n_antennas=3, n_users=2, algorithms=["gpip", "gpip-covfree", "rrzf"],
+                          csit_model="tdd", cov_knowledge="scalar", snr_db=[0.0, 10.0],
+                          n_trials=3)
+        runner.run_link_level(cfg, tmp_path)
+        assert calls == ["scalar"]
+
+    @pytest.mark.parametrize("model", ["perfect", "additive"])
+    def test_unknown_knowledge_fails_when_the_statistics_are_built(self, model):
+        cfg = link_config(csit_model=model)
+        cfg.cov_knowledge = "vibes"
+        with pytest.raises(ConfigInvalid, match="^cov_knowledge: unknown setting 'vibes'$"):
+            evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+
+    @pytest.mark.parametrize("knowledge", ["full", "scalar", "none"])
+    def test_knowledge_is_read_only_and_full_knowledge_shares_the_covariances(self, knowledge):
+        cfg = link_config(csit_model="fdd", cov_knowledge=knowledge)
+        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+        if knowledge == "none":
+            assert stats.known_cov is None and stats.alphas is None
+            return
+        assert (stats.known_cov is stats.cov) == (knowledge == "full")
+        for a in (stats.known_cov, stats.alphas):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 class TestPfWeights:
