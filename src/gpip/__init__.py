@@ -29,12 +29,9 @@ from .channel import (
 )
 from .config import ExperimentConfig, load_config
 from .coop import (
-    CoopEffectivePair,
     CoopResult,
-    build_coop_pair,
     build_coop_pairs,
     gpip_coop,
-    lambda_coop,
     lambda_coop_log2,
 )
 from .errors import (
@@ -67,14 +64,12 @@ from .runner import run, run_link_level, run_system_level
 from .solver import (
     EffectivePair,
     GpipResult,
-    build_effective_pair,
     build_effective_pairs,
     build_weighted_pair,
     extract_schedule,
     gpip_covfree,
     gpip_iterate,
     kkt_residual,
-    objective_lambda,
     objective_log2,
 )
 

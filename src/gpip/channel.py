@@ -277,15 +277,6 @@ def mmse_csit_tdd(est_root: np.ndarray, err_root: np.ndarray, rng) -> tuple[np.n
     return est + err, est
 
 
-def covfree_error_scale(beta_serving: float, beta_all: np.ndarray, noise_over_pilot: float) -> float:
-    """Scalar error variance used when covariance matrices are unknown.
-
-    alpha = beta * (1 - beta / (sum_j beta_j + noise_over_pilot)), the
-    white-covariance analogue of the MMSE error power.
-    """
-    return beta_serving * (1.0 - beta_serving / (float(np.sum(beta_all)) + noise_over_pilot))
-
-
 def fdd_quantized_csit(root: np.ndarray, kappa: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Quantized-feedback CSIT of tunable quality kappa in [0, 1].
 
@@ -361,8 +352,6 @@ class Topology:
 
     cell_xy: np.ndarray  # (L, 2)
     user_xy: np.ndarray  # (L, K, 2)
-    inter_site: float
-    min_distance: float
 
     @property
     def n_cells(self) -> int:
@@ -411,4 +400,4 @@ def drop_users(
             take = min(n_users - placed, cand.shape[0])
             users[l, placed : placed + take] = cand[:take]
             placed += take
-    return Topology(centers, users, inter_site, min_distance)
+    return Topology(centers, users)

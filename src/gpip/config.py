@@ -85,8 +85,8 @@ FIELD_RULES = {
     "pilot_len": Rule(numbers.Integral, 1, nullable=True),
     **dict.fromkeys(("bs_power_dbm", "noise_figure_db", "pilot_power_dbm"),
                     Rule(numbers.Real, -DB_LIMIT, DB_LIMIT)),
-    "bandwidth_hz": Rule(numbers.Real, 1.0, 1e12),
-    **dict.fromkeys(("carrier_hz", "inter_site_m", "angular_spread", "tol"),
+    **dict.fromkeys(("bandwidth_hz", "carrier_hz"), Rule(numbers.Real, 1.0, 1e12)),
+    **dict.fromkeys(("inter_site_m", "angular_spread", "tol"),
                     Rule(numbers.Real, 0.0, open_low=True)),
     **dict.fromkeys(("min_distance_m", "shadowing_db", "csit_error_var", "sel_threshold",
                      "sus_alpha"), Rule(numbers.Real, 0.0)),
@@ -173,6 +173,9 @@ class ExperimentConfig:
         else:
             if self.n_coop > self.n_cells:
                 raise ConfigInvalid("n_coop: must satisfy 1 <= n_coop <= n_cells")
+            if self.pilot_len is not None and self.pilot_len < self.n_coop * self.n_users:
+                raise ConfigInvalid(f"pilot_len: orthogonal in-cluster pilots need at least "
+                                    f"n_coop * n_users = {self.n_coop * self.n_users} symbols")
             if self.csit_model not in ("perfect", "tdd"):
                 raise ConfigInvalid(
                     "csit_model: the system scenario trains over the uplink; use "

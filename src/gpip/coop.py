@@ -11,8 +11,9 @@ enforces the binding per-BS power constraint (the largest per-cell norm is
 scaled to one, so every cell's power is feasible and at least one is tight).
 
 Quotient (l, k) belongs to user k of cell l. Its lifted pair is
-`solver.EffectivePair`, the one pair type of the package (`CoopEffectivePair`
-names the same class); the builders here fill it from cluster-wide knowledge.
+`solver.EffectivePair`, the one pair type of the package; `build_coop_pairs`
+fills it for every user of the cluster from cluster-wide knowledge, and the
+objective is exposed as its base-2 log, `lambda_coop_log2`.
 """
 
 from __future__ import annotations
@@ -39,24 +40,14 @@ from .solver import (
     extract_schedule,
 )
 
-# a cooperative quotient is the general lifted pair; a single cell is C = 1
-CoopEffectivePair = EffectivePair
-
-
-def build_coop_pair(
-    estimates: np.ndarray, error_covs, cell: int, user: int, noise_ratio: float
-) -> EffectivePair:
-    """Lift one user's quotient from cluster-wide knowledge.
+def build_coop_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[EffectivePair]:
+    """All C*K quotients of the cluster, lifted from cluster-wide knowledge.
 
     `estimates` has shape (C, C, K, N): entry [j, l, k] is BS j's estimate of
     its channel toward user k of cell l. `error_covs` matches with trailing
-    (N, N), or is None for perfect knowledge.
+    (N, N), or is None for perfect knowledge. The pairs are ordered by
+    (cell, user), so user k of cell l is entry l * K + k.
     """
-    return _lift(*_as_cluster_arrays(estimates, error_covs, noise_ratio), cell, user)
-
-
-def build_coop_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[EffectivePair]:
-    """All C*K quotients of the cluster, ordered by (cell, user)."""
     est, cov, nr = _as_cluster_arrays(estimates, error_covs, noise_ratio)
     c, _, k, _ = est.shape
     return [_lift(est, cov, nr, l, u) for l in range(c) for u in range(k)]
@@ -68,10 +59,6 @@ def lambda_coop_log2(pairs: list[EffectivePair], weights, f_cells: np.ndarray) -
     w = _as_weights(weights, (prob.c, prob.k))
     qa, qb = prob.quad_forms(np.asarray(f_cells, dtype=np.complex128))
     return _log2_objective(w, qa, qb)
-
-
-def lambda_coop(pairs: list[EffectivePair], weights, f_cells: np.ndarray) -> float:
-    return float(2.0 ** lambda_coop_log2(pairs, weights, f_cells))
 
 
 def coop_kkt_residual(pairs: list[EffectivePair], weights, f_cells: np.ndarray,

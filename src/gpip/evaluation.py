@@ -224,6 +224,8 @@ def design_precoders(
     unscheduled users). `extras` carries solver diagnostics when available.
     noise_ratio may be per-user; the joint-design algorithms use it as given,
     while the one-shot baselines take its mean (they admit one noise level).
+    `weights` reach the joint designs only, gpip and gpip-covfree; every
+    baseline ignores them.
     """
     nr_scalar = float(np.mean(noise_ratio))
     if algorithm == "gpip":

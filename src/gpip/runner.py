@@ -322,7 +322,8 @@ def multicell_block(
     noise-normalized correlations with noise_ratio_dl=1.
     All algorithms see the same CSIT draw (paired comparison). `pf_weights`
     optionally maps an algorithm name to its (L, K) weight array; weights
-    only affect the joint-design algorithms. Returns
+    reach the joint designs only (gpip-coop here, gpip and gpip-covfree
+    through `evaluation.design_precoders`). Returns
     {algorithm: (rates (L, K), solver_extras)} with rates evaluated on the
     true channels under all cells' simultaneous transmissions.
     """
@@ -355,11 +356,10 @@ def multicell_block(
                     precoders[cl] = res.precoder
                     extras.append(res)
             else:
-                w_cells = w_alg if alg.startswith("gpip") else None
                 for l, p in enumerate(stats.position):
                     precoders[l], extra = evaluation.design_precoders(
                         alg, est_h[l, l], _slice(stats.known_cov, (l, p)), nr_noncoop[l], cfg,
-                        _slice(stats.alphas, (l, p)), _slice(w_cells, l),
+                        _slice(stats.alphas, (l, p)), _slice(w_alg, l),
                     )
                     if extra is not None:
                         extras.append(extra)

@@ -12,10 +12,12 @@ A stationary point satisfies the self-consistent pencil equation
 Abar(f) f = objective(f) * Bbar(f) f, and the solver finds one by power
 iteration: f <- normalize(Bbar(f)^-1 Abar(f) f). Selection, powers, and beam
 directions are all read off the per-user segments of the converged stack.
+The objective is exposed as its base-2 log, `objective_log2`: the product
+itself overflows doubles for large K.
 
 The lifted pair, its validation and the iteration are each written once,
 for a cluster of C cooperating base stations (see `coop`) and its (C, K, N)
-stack; the single-cell builders and solvers here are the case C = 1. Block
+stack; `build_effective_pairs` and the solvers here are the case C = 1. Block
 structure is exploited throughout: within cell j, Abar has one shared diagonal block and every block of Bbar is
 another shared matrix minus one rank-one term, so one iteration costs one
 Cholesky factorization of size N per cell plus O(C*K*N^2) for the rank-one
@@ -123,21 +125,13 @@ def _as_lifted_cell(estimates, error_covs, noise_ratio):
 def _lift(est, cov, nr, cell: int, user: int) -> EffectivePair:
     """The pair of user (cell, user) from checked cluster arrays."""
     c, _, k, _ = est.shape
-    if not (0 <= cell < c and 0 <= user < k):
-        raise DimensionMismatch(f"(cell, user) index ({cell}, {user}) out of range")
     return EffectivePair(cell, user, c, k, est[:, cell, user], cov[:, cell, user],
                          float(nr[cell, user]))
 
 
-def build_effective_pair(
-    estimates: np.ndarray, error_covs, user: int, noise_ratio
-) -> EffectivePair:
-    """Lift user `user`'s quotient from the cell's estimates and error covariances."""
-    return _lift(*_as_lifted_cell(estimates, error_covs, noise_ratio), 0, user)
-
-
 def build_effective_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[EffectivePair]:
-    """One EffectivePair per user of the cell."""
+    """One EffectivePair per user of the cell, entry u for user u; `error_covs`
+    is (K, N, N), or None for perfect knowledge."""
     est, cov, nr = _as_lifted_cell(estimates, error_covs, noise_ratio)
     return [_lift(est, cov, nr, 0, u) for u in range(est.shape[2])]
 
@@ -361,11 +355,6 @@ def objective_log2(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> 
     w = _as_weights(weights, (prob.k,))
     qa, qb = prob.quad_forms(np.asarray(f_users, dtype=np.complex128)[None])
     return _log2_objective(w, qa, qb)
-
-
-def objective_lambda(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> float:
-    """The Rayleigh-quotient product itself (may overflow for very large K)."""
-    return float(2.0 ** objective_log2(pairs, weights, f_users))
 
 
 def build_weighted_pair(

@@ -447,15 +447,15 @@ class TestTddCsit:
         assert np.abs(cross).max() < 0.05
 
 
-class TestCovfreeErrorScale:
+class TestMmseStatisticsWhitePriors:
     def test_matches_tdd_error_power_for_white_covariances(self):
-        # with white priors the scalar estimate equals the exact per-antenna
-        # error power of the uplink-trained model
+        # with white priors the per-antenna error power of the uplink-trained
+        # model has the closed form beta (1 - beta / (beta + beta_int + noise))
         n = 4
         beta, beta_int, noise = 1.3, 0.4, 0.2
         r = beta * np.eye(n)
         phi = channel.mmse_statistics(r, [beta_int * np.eye(n)], noise).phi
-        alpha = channel.covfree_error_scale(beta, np.array([beta, beta_int]), noise)
+        alpha = beta * (1.0 - beta / (beta + beta_int + noise))
         assert np.trace(phi).real / n == pytest.approx(alpha, rel=1e-12)
 
 

@@ -161,6 +161,13 @@ class TestConfigValidation:
             # error mid-campaign, mrt and rzf wrote NaN rates
             (dict(csit_model="tdd", algorithms=["gpip", "mrt", "rzf"],
                   tdd_noise_over_pilot=1e300), "tdd_noise_over_pilot"),
+            # fewer symbols than n_coop * n_users: the in-cluster pilots the CSIT
+            # model assumes orthogonal cannot be, yet the campaign ran to the end
+            (dict(scenario="system", n_cells=4, n_coop=2, n_users=2, csit_model="tdd",
+                  pilot_len=1), "pilot_len"),
+            # a positive carrier this low overflowed the wavelength into an untyped
+            # ValueError after the output directory existed
+            (dict(scenario="system", n_cells=1, carrier_hz=1e-300), "carrier_hz"),
         ],
     )
     def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):

@@ -75,8 +75,8 @@ class TestBuildCoopPair:
         rng = np.random.default_rng(0)
         est, cov = random_cluster(rng, 1, 3, 2, cov_scale=0.2)
         for u in range(3):
-            cpair = coop.build_coop_pair(est, cov, 0, u, 0.4)
-            pair = solver.build_effective_pair(est[0, 0], cov[0, 0], u, 0.4)
+            cpair = coop.build_coop_pairs(est, cov, 0.4)[u]
+            pair = solver.build_effective_pairs(est[0, 0], cov[0, 0], 0.4)[u]
             np.testing.assert_allclose(cpair.a.dense(), pair.a.dense(), atol=1e-14)
             np.testing.assert_allclose(cpair.b.dense(), pair.b.dense(), atol=1e-14)
 
@@ -124,9 +124,11 @@ class TestLambdaCoop:
         est, cov = random_cluster(rng, 2, 2, 2, cov_scale=0.1)
         pairs = coop.build_coop_pairs(est, cov, 0.2)
         f = random_coop_stack(rng, 2, 2, 2)
-        lam = coop.lambda_coop(pairs, None, f)
+        lam = 2.0 ** coop.lambda_coop_log2(pairs, None, f)
         for alpha in (0.5, 2.0, 1j):
-            assert coop.lambda_coop(pairs, None, alpha * f) == pytest.approx(lam, rel=1e-12)
+            assert 2.0 ** coop.lambda_coop_log2(pairs, None, alpha * f) == pytest.approx(
+                lam, rel=1e-12
+            )
 
     def test_single_cell_equals_plain_objective(self):
         rng = np.random.default_rng(4)
@@ -308,9 +310,6 @@ class TestPowerIteration:
 
 
 class TestPairLists:
-    def test_cooperative_pair_is_the_single_pair_type(self):
-        assert coop.CoopEffectivePair is solver.EffectivePair
-
     @pytest.mark.parametrize("c", [1, 2])
     def test_shuffled_pairs_give_identical_results(self, c):
         rng = np.random.default_rng(40 + c)
@@ -342,8 +341,6 @@ class TestPairLists:
                 coop.lambda_coop_log2(bad, None, f)
             with pytest.raises(DimensionMismatch):
                 coop.coop_kkt_residual(bad, None, f)
-        with pytest.raises(DimensionMismatch):
-            coop.build_coop_pair(est, cov, 2, 0, 0.2)
 
     def test_cluster_pairs_are_rejected_by_single_cell_solvers(self):
         est, cov = random_cluster(np.random.default_rng(44), 2, 3, 2)
