@@ -90,9 +90,11 @@ FIELD_RULES = {
                     Rule(numbers.Real, 0.0, open_low=True)),
     **dict.fromkeys(("min_distance_m", "shadowing_db", "csit_error_var", "sel_threshold",
                      "sus_alpha"), Rule(numbers.Real, 0.0)),
-    # within DB_LIMIT in linear units, like the decibel fields: far beyond it
-    # training leaves every estimate zero
-    "tdd_noise_over_pilot": Rule(numbers.Real, 0.0, 10.0 ** (DB_LIMIT / 10.0)),
+    # within DB_LIMIT in linear units, like the decibel fields: far above it
+    # training leaves every estimate zero, far below it the error covariances
+    # round to indefinite
+    "tdd_noise_over_pilot": Rule(numbers.Real, 10.0 ** (-DB_LIMIT / 10.0),
+                                 10.0 ** (DB_LIMIT / 10.0)),
     "fdd_kappa": Rule(numbers.Real, 0.0, 1.0),
     "pf_smoothing": Rule(numbers.Real, 0.0, 1.0, open_low=True),
 }

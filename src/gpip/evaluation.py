@@ -137,20 +137,20 @@ class LinkStatistics:
 
     `roots` holds the (K, N, N) PSD roots each user's draw starts from: of
     the correlations, or under tdd of the MMSE estimate covariances R - phi.
-    `cov` is the error covariance stack every trial reports (None under
-    perfect CSIT); `err_root` is the root of the additive model's error
+    `cov` is the (K, N, N) error covariance stack every trial reports (zero
+    under perfect CSIT); `err_root` is the root of the additive model's error
     covariance or the (K, N, N) roots of the tdd model's (None otherwise).
     `known_cov` and `alphas` are `_known_cov` of `cov` under the campaign's
-    `cov_knowledge`: what the transmitter knows of its error.
-    `csit_model` and `fdd_kappa` are the config values the draws read.
-    Arrays are read-only: every trial shares them.
+    `cov_knowledge`: what the transmitter knows of its error, zero under
+    perfect CSIT or "none". `csit_model` and `fdd_kappa` are the config
+    values the draws read. Arrays are read-only: every trial shares them.
     """
 
     roots: np.ndarray
-    cov: np.ndarray | None
+    cov: np.ndarray
     err_root: np.ndarray | None
-    known_cov: np.ndarray | None
-    alphas: np.ndarray | None
+    known_cov: np.ndarray
+    alphas: np.ndarray
     csit_model: str
     fdd_kappa: float
 
@@ -161,7 +161,7 @@ def link_statistics(config, corr) -> LinkStatistics:
     model, n = config.csit_model, config.n_antennas
     if model not in CSIT_MODELS:
         raise ConfigInvalid(f"csit_model: unknown model {model!r}")
-    cov = err_root = None
+    err_root = None
     if model == "tdd":
         # single-cell uplink training: no co-pilot cells, quality set by
         # the configured noise-to-pilot-energy ratio
@@ -174,6 +174,8 @@ def link_statistics(config, corr) -> LinkStatistics:
         cov = np.repeat(np.asarray(phi, dtype=np.complex128)[None], corr.shape[0], axis=0)
     elif model == "fdd":
         cov = (config.fdd_kappa**2) * hermitize(corr)
+    elif model == "perfect":
+        cov = np.zeros_like(corr)
     known_cov, alphas = _known_cov(config.cov_knowledge, cov)
     for a in (roots, cov, err_root, known_cov, alphas):
         if a is not None:
@@ -198,28 +200,31 @@ def _draw_link_csit(stats: LinkStatistics, rng):
     return channel.fdd_quantized_csit(stats.roots, stats.fdd_kappa, rng)
 
 
-def _known_cov(knowledge: str, cov):
+def _known_cov(knowledge: str, cov: np.ndarray):
     """Error covariance as the transmitter knows it, per the `cov_knowledge` setting.
 
-    cov is a (..., N, N) stack or None; returns (known covariances, scalar
-    levels trace/N, which `gpip-covfree` uses), both None under "none".
-    Under "full" the known covariances are `cov` itself.
+    cov is a (..., N, N) stack, zero under perfect CSIT; returns (known
+    covariances, scalar levels tr/N, which `gpip-covfree` uses), both zero
+    under "none". Under "full" the known covariances are `cov` itself. The
+    levels are clipped at zero: a trace formed by a subtraction, as the MMSE
+    error's R - R (R + Q)^-1 R is, can round slightly negative.
     """
     if knowledge not in COV_KNOWLEDGE:
         raise ConfigInvalid(f"cov_knowledge: unknown setting {knowledge!r}")
-    if cov is None or knowledge == "none":
-        return None, None
+    if knowledge == "none":
+        return np.zeros_like(cov), np.zeros(cov.shape[:-2])
     n = cov.shape[-1]
-    alphas = np.real(np.trace(cov, axis1=-2, axis2=-1)) / n
+    alphas = np.maximum(np.real(np.trace(cov, axis1=-2, axis2=-1)) / n, 0.0)
     return (cov if knowledge == "full" else alphas[..., None, None] * np.eye(n)), alphas
 
 
 def design_precoders(
-    algorithm: str, est: np.ndarray, known_cov, noise_ratio, config, alphas=None,
-    weights=None,
+    algorithm: str, est: np.ndarray, known_cov, noise_ratio, config, alphas, weights=None,
 ):
     """Run one algorithm on one block's knowledge; returns (precoder, extras).
 
+    `known_cov` (K, N, N) and `alphas` (K,) are what the transmitter knows
+    of its error, as `_known_cov` gives them (zero when it knows nothing).
     The precoder is a (K, N) row stack with unit total power (zero rows for
     unscheduled users). `extras` carries solver diagnostics when available.
     noise_ratio may be per-user; the joint-design algorithms use it as given,
@@ -236,8 +241,6 @@ def design_precoders(
         )
         return res.precoder, res
     if algorithm == "gpip-covfree":
-        if alphas is None:
-            alphas = np.zeros(est.shape[0])
         res = solver.gpip_covfree(
             est, alphas, noise_ratio, weights=weights, tol=config.tol,
             max_iter=config.max_iter, select_threshold=config.sel_threshold,
@@ -291,27 +294,23 @@ def link_trial(
     return out
 
 
-def ergodic_sum_se(
-    config, algorithm: str, snr_db: float | None = None,
-    n_trials: int | None = None, seed: int | None = None, metric: str = "true",
-) -> tuple[float, float]:
+def ergodic_sum_se(config, algorithm: str, metric: str = "true") -> tuple[float, float]:
     """Monte Carlo mean sum spectral efficiency with a 95% half-width.
 
-    Deterministic per (config, seed): trial t uses the substream
-    (seed, link-domain, t), so results do not depend on execution order.
-    The default metric averages true-channel rates; metric="estimated"
-    averages the transmitter's own rate bounds instead.
+    Runs `config.n_trials` trials at the operating point `config.snr_db[0]`.
+    Deterministic per config: trial t uses the substream
+    (config.seed, link-domain, t), so results do not depend on execution
+    order. The default metric averages true-channel rates;
+    metric="estimated" averages the transmitter's own rate bounds instead.
     """
-    snr = config.snr_db[0] if snr_db is None else snr_db
-    trials = config.n_trials if n_trials is None else n_trials
-    master = config.seed if seed is None else seed
-    if trials < 1:
+    if config.n_trials < 1:
         raise ConfigInvalid("n_trials: must be >= 1")
     stats = link_statistics(config, _link_correlations(config))
-    sums = np.empty(trials)
-    for t in range(trials):
-        rng = trial_rng(master, DOMAIN_LINK_TRIAL, t)
-        rates, _ = link_trial(config, snr, [algorithm], rng, stats, metric=metric)[algorithm]
+    sums = np.empty(config.n_trials)
+    for t in range(config.n_trials):
+        rng = trial_rng(config.seed, DOMAIN_LINK_TRIAL, t)
+        rates, _ = link_trial(config, config.snr_db[0], [algorithm], rng, stats,
+                              metric=metric)[algorithm]
         sums[t] = rates.sum()
     return monte_carlo_mean(sums)
 

@@ -193,13 +193,15 @@ class DropStatistics:
     position of the user's cell in j's cluster, user], as
     `channel.mmse_statistics` gives them for j's cluster (zero past a short
     cluster's end); `err_cov` is zero and `err_roots` None under perfect
-    CSIT. `position[l]` is cell l's index in its cluster. `outside` and
-    `outside_coop` are the out-of-cell and out-of-cluster interference
-    powers; a block adds its noise ratio to them. `known_cov` and `alphas`
-    are `evaluation._known_cov` of `err_cov` (None under perfect CSIT) under
-    the campaign's `cov_knowledge`. `clusters` holds the cooperation
-    clusters the pilots were assigned for, as lists of cell indices. Arrays
-    are read-only: one drop's blocks share them.
+    CSIT. `position[l]` is cell l's index in its cluster. `noise_ratio` is
+    the downlink noise over transmit power the correlations are expressed
+    in; `nr_cell` and `nr_coop` add to it the out-of-cell and out-of-cluster
+    interference powers, giving every user's effective noise ratio for the
+    per-cell and the cooperative designs. `known_cov` and `alphas` are
+    `evaluation._known_cov` of `err_cov` under the campaign's
+    `cov_knowledge`: zero under perfect CSIT or "none". `clusters` holds the
+    cooperation clusters the pilots were assigned for, as lists of cell
+    indices. Arrays are read-only: one drop's blocks share them.
     """
 
     roots: np.ndarray  # (L, L, K, N, N)
@@ -207,16 +209,20 @@ class DropStatistics:
     err_cov: np.ndarray  # (L, C, K, N, N)
     err_roots: np.ndarray | None  # (L, C, K, N, N)
     position: np.ndarray  # (L,)
-    outside: np.ndarray  # (L, K)
-    outside_coop: np.ndarray  # (L, K)
-    known_cov: np.ndarray | None  # (L, C, K, N, N)
-    alphas: np.ndarray | None  # (L, C, K)
+    noise_ratio: float
+    nr_cell: np.ndarray  # (L, K)
+    nr_coop: np.ndarray  # (L, K)
+    known_cov: np.ndarray  # (L, C, K, N, N)
+    alphas: np.ndarray  # (L, C, K)
     clusters: tuple
 
 
 def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
-                    perfect: bool = False, cov_knowledge: str = "full") -> DropStatistics:
-    """The DropStatistics of one drop's (L, L, K, N, N) correlation stack.
+                    perfect: bool = False, cov_knowledge: str = "full",
+                    noise_ratio: float = 1.0) -> DropStatistics:
+    """The DropStatistics of one drop's (L, L, K, N, N) correlation stack,
+    expressed in units of the downlink noise ratio `noise_ratio` (one for
+    the noise-normalized correlations of `system_correlations`).
 
     `corr` is consumed and becomes `roots`: serving BS by serving BS, the
     correlations of the links drawn from their prior are replaced by their
@@ -227,7 +233,8 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     contamination that `multicell_csit` describes; their correlations are
     never rooted. Pass a copy to keep the correlations. `cov_knowledge` is
     applied once, here. Raises RankDeficient naming the cell when training
-    leaves a BS no knowledge of its own users.
+    leaves a BS no knowledge of its own users, and a failed MMSE solve names
+    its cell too.
     """
     n_cells, _, _, n, _ = corr.shape
     position = np.empty(n_cells, dtype=np.intp)
@@ -247,7 +254,8 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
             outside = [lp for lp in range(n_cells) if lp not in cl]
             r = corr[j, cl]  # (C, K, N, N): BS j toward its cluster's users
             interferers = [np.broadcast_to(corr[j, lp], r.shape) for lp in outside]
-            stats = channel.mmse_statistics(r, interferers, noise_over_pilot)
+            with located(f"cell {j}: "):
+                stats = channel.mmse_statistics(r, interferers, noise_over_pilot)
             if not stats.est_root[position[j]].any():
                 raise RankDeficient(f"cell {j}: uplink training leaves every own-cell "
                                     f"estimate zero (noise over pilot {noise_over_pilot:g})")
@@ -255,13 +263,15 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
             corr[j, cl] = stats.est_root
             if outside:
                 corr[j, outside] = hermitian_sqrt(corr[j, outside])
-    known_cov, alphas = evaluation._known_cov(cov_knowledge, None if perfect else err_cov)
-    for a in (corr, known, err_cov, err_roots, position, known_cov, alphas):
+    known_cov, alphas = evaluation._known_cov(cov_knowledge, err_cov)
+    nr_cell = noise_ratio + _outside_power(traces, n)
+    nr_coop = noise_ratio + _outside_power(traces, n, clusters)
+    for a in (corr, known, err_cov, err_roots, position, nr_cell, nr_coop, known_cov, alphas):
         if a is not None:
             a.flags.writeable = False
     return DropStatistics(
         roots=corr, known=known, err_cov=err_cov, err_roots=err_roots, position=position,
-        outside=_outside_power(traces, n), outside_coop=_outside_power(traces, n, clusters),
+        noise_ratio=noise_ratio, nr_cell=nr_cell, nr_coop=nr_coop,
         known_cov=known_cov, alphas=alphas, clusters=tuple(list(cl) for cl in clusters),
     )
 
@@ -302,55 +312,41 @@ def multicell_csit(stats: DropStatistics, rng) -> tuple[np.ndarray, np.ndarray]:
     return true_h, est_h
 
 
-def _slice(a, idx):
-    """a[idx], passing None through."""
-    return None if a is None else a[idx]
-
-
-def multicell_block(
-    cfg: ExperimentConfig,
-    stats: DropStatistics,
-    algorithms,
-    rng,
-    pf_weights=None,
-    noise_ratio_dl: float = 1.0,
-) -> dict:
+def multicell_block(cfg: ExperimentConfig, stats: DropStatistics, algorithms, rng,
+                    pf_weights=None) -> dict:
     """Run every algorithm on one fading block of a multi-cell drop.
 
     `stats` is the drop's `DropStatistics` (see `multicell_csit`), built
-    once per drop in the units of `noise_ratio_dl`; the system runner passes
-    noise-normalized correlations with noise_ratio_dl=1.
+    once per drop; the block reads its effective noise ratios and its
+    downlink noise ratio from there.
     All algorithms see the same CSIT draw (paired comparison). `pf_weights`
-    optionally maps an algorithm name to its (L, K) weight array; weights
-    reach the joint designs only (gpip-coop here, gpip and gpip-covfree
-    through `evaluation.design_precoders`). Returns
-    {algorithm: (rates (L, K), solver_extras)} with rates evaluated on the
-    true channels under all cells' simultaneous transmissions.
+    optionally maps an algorithm name to its (L, K) weight array, else
+    every user weighs one; weights reach the joint designs only (gpip-coop
+    here, gpip and gpip-covfree through `evaluation.design_precoders`).
+    Returns {algorithm: (rates (L, K), solver_extras)} with rates evaluated
+    on the true channels under all cells' simultaneous transmissions.
     """
     n_cells, _, n_users, n, _ = stats.roots.shape
     true_h, est_h = multicell_csit(stats, rng)
-    nr_noncoop = noise_ratio_dl + stats.outside
-    nr_coop = noise_ratio_dl + stats.outside_coop
     out = {}
     for alg in algorithms:
         with located(f"algorithm {alg}: "):
             if alg == "zf-dpc":
                 rates = np.zeros((n_cells, n_users))
                 for l in range(n_cells):
-                    nr_cell = float(np.mean(nr_noncoop[l]))
-                    _, _, rate = baselines.zf_dpc_waterfilling(est_h[l, l], nr_cell)
+                    nr = float(np.mean(stats.nr_cell[l]))
+                    _, _, rate = baselines.zf_dpc_waterfilling(est_h[l, l], nr)
                     rates[l, 0] = rate  # per-cell sum bound, stored on slot 0
                 out[alg] = (rates, None)
                 continue
-            w_alg = pf_weights.get(alg) if pf_weights else None
+            w_alg = pf_weights[alg] if pf_weights else np.ones((n_cells, n_users))
             precoders = np.zeros((n_cells, n_users, n), dtype=np.complex128)
             extras = []
             if alg == "gpip-coop":
                 for cl in stats.clusters:
                     pairs = coop.build_coop_pairs(est_h[np.ix_(cl, cl)],
-                                                  _slice(stats.known_cov, (cl, slice(len(cl)))),
-                                                  nr_coop[cl])
-                    res = coop.gpip_coop(pairs, weights=_slice(w_alg, cl), tol=cfg.tol,
+                                                  stats.known_cov[cl, :len(cl)], stats.nr_coop[cl])
+                    res = coop.gpip_coop(pairs, weights=w_alg[cl], tol=cfg.tol,
                                          max_iter=cfg.max_iter,
                                          select_threshold=cfg.sel_threshold)
                     precoders[cl] = res.precoder
@@ -358,12 +354,12 @@ def multicell_block(
             else:
                 for l, p in enumerate(stats.position):
                     precoders[l], extra = evaluation.design_precoders(
-                        alg, est_h[l, l], _slice(stats.known_cov, (l, p)), nr_noncoop[l], cfg,
-                        _slice(stats.alphas, (l, p)), _slice(w_alg, l),
+                        alg, est_h[l, l], stats.known_cov[l, p], stats.nr_cell[l], cfg,
+                        stats.alphas[l, p], w_alg[l],
                     )
                     if extra is not None:
                         extras.append(extra)
-            report = evaluation.true_sinr(true_h, precoders, noise_ratio_dl)
+            report = evaluation.true_sinr(true_h, precoders, stats.noise_ratio)
             out[alg] = (report.rate, extras or None)
     return out
 

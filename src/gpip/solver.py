@@ -444,8 +444,8 @@ class GpipResult:
 
 
 def _initial_stack(prob: _ClusterProblem, init, shape: tuple) -> np.ndarray:
-    """The unit-norm (C, K, N) start: `init`, in the caller's `shape` or flat,
-    or by default each BS's estimates of its own users (matched filter)."""
+    """The unit-norm (C, K, N) start: `init`, in the caller's `shape`, or by
+    default each BS's estimates of its own users (matched filter)."""
     if init is None:
         f = prob.own
         if not np.any(f):
@@ -455,9 +455,8 @@ def _initial_stack(prob: _ClusterProblem, init, shape: tuple) -> np.ndarray:
             )
     else:
         f = np.asarray(init, dtype=np.complex128)
-        size = prob.c * prob.k * prob.n
-        if f.shape not in (shape, (size,)):
-            raise DimensionMismatch(f"init must be {shape} or ({size},), got {f.shape}")
+        if f.shape != shape:
+            raise DimensionMismatch(f"init must be {shape}, got {f.shape}")
         _require_finite("init", f)
         f = f.reshape(prob.c, prob.k, prob.n)
     norm = np.linalg.norm(f)

@@ -372,14 +372,11 @@ def test_c10_cooperative_dominance_and_degeneration():
     worst_degen = 0.0
     for d in range(200):
         corr = _toy_two_cell_corr(40_000 + d)
-        joint = runner.drop_statistics(corr.copy(), [[0, 1]], pilot_noise)
-        per_cell = runner.drop_statistics(corr.copy(), [[0], [1]], pilot_noise)
-        res = runner.multicell_block(
-            cfg, joint, ["gpip-coop"], trial_rng(cfg.seed, 5, d), noise_ratio_dl=nr_dl,
-        )
-        res_nc = runner.multicell_block(
-            cfg, per_cell, ["gpip"], trial_rng(cfg.seed, 6, d), noise_ratio_dl=nr_dl,
-        )
+        joint = runner.drop_statistics(corr.copy(), [[0, 1]], pilot_noise, noise_ratio=nr_dl)
+        per_cell = runner.drop_statistics(corr.copy(), [[0], [1]], pilot_noise,
+                                          noise_ratio=nr_dl)
+        res = runner.multicell_block(cfg, joint, ["gpip-coop"], trial_rng(cfg.seed, 5, d))
+        res_nc = runner.multicell_block(cfg, per_cell, ["gpip"], trial_rng(cfg.seed, 6, d))
         coop_sums.append(res["gpip-coop"][0].sum())
         noncoop_sums.append(res_nc["gpip"][0].sum())
         if d < 20:
@@ -387,7 +384,6 @@ def test_c10_cooperative_dominance_and_degeneration():
             # path collapse onto the per-cell solver exactly
             both = runner.multicell_block(
                 cfg, per_cell, ["gpip", "gpip-coop"], trial_rng(cfg.seed, 7, d),
-                noise_ratio_dl=nr_dl,
             )
             worst_degen = max(
                 worst_degen, float(np.abs(both["gpip"][0] - both["gpip-coop"][0]).max())

@@ -168,6 +168,12 @@ class TestConfigValidation:
             # a positive carrier this low overflowed the wavelength into an untyped
             # ValueError after the output directory existed
             (dict(scenario="system", n_cells=1, carrier_hz=1e-300), "carrier_hz"),
+            # training this clean rounded the error covariances indefinite: link
+            # statistics or gpip-covfree raised after the output directory existed
+            (dict(csit_model="tdd", algorithms=["gpip", "gpip-covfree"],
+                  tdd_noise_over_pilot=0.0), "tdd_noise_over_pilot"),
+            (dict(csit_model="tdd", algorithms=["gpip", "gpip-covfree"],
+                  tdd_noise_over_pilot=1e-11), "tdd_noise_over_pilot"),
         ],
     )
     def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):
@@ -340,6 +346,21 @@ class TestLinkRunner:
             rows = Path(paths[name]).read_text().strip().split("\n")[1:]
             assert rows and all(r.startswith("gpip,") for r in rows), name
 
+    @pytest.mark.parametrize("spread", [1e-6, 3.0])
+    def test_cleanest_allowed_training_runs(self, tmp_path, spread):
+        # the low end of tdd_noise_over_pilot, under a narrow and a wide
+        # sector, for every algorithm a link campaign can run on tdd CSIT
+        cfg = config_from_dict(minimal_link(
+            n_antennas=4, n_users=3, csit_model="tdd", angular_spread=spread,
+            tdd_noise_over_pilot=FIELD_RULES["tdd_noise_over_pilot"].low, snr_db=[0.0, 30.0],
+            algorithms=["gpip", "gpip-covfree", "rzf", "rrzf", "mrt", "sus-zf", "zf-dpc"],
+        ))
+        assert cfg.tdd_noise_over_pilot == 1e-10
+        paths = runner.run_link_level(cfg, tmp_path)
+        rows = list(csv.DictReader(Path(paths["summary"]).read_text().splitlines()))
+        assert len(rows) == 14
+        assert all(math.isfinite(float(row["mean_sum_se"])) for row in rows)
+
 
 class TestSystemRunner:
     def test_single_cell_system_uses_link_machinery(self, tmp_path):
@@ -474,6 +495,21 @@ class TestSystemRunner:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    @pytest.mark.parametrize("knowledge", ["full", "scalar"])
+    def test_covfree_runs_with_pilots_far_above_the_noise(self, tmp_path, knowledge):
+        # an MMSE error trace formed by a subtraction rounds slightly negative
+        # here; gpip-covfree raised an untyped ValueError after the output
+        # directory existed
+        cfg = config_from_dict(dict(
+            scenario="system", n_antennas=4, n_users=4, n_cells=3, n_coop=3,
+            algorithms=["gpip-covfree"], csit_model="tdd", pilot_power_dbm=100,
+            shadowing_db=40.0, n_drops=1, n_blocks=1, seed=36, cov_knowledge=knowledge,
+        ))
+        paths = runner.run_system_level(cfg, tmp_path)
+        assert set(paths) == {"manifest", "summary", "per_drop", "per_user", "solver",
+                              "cdf_gpip-covfree"}
+        assert {p.name for p in tmp_path.iterdir()} == {Path(p).name for p in paths.values()}
+
     def test_known_covariances_derived_once_per_drop(self, tmp_path, monkeypatch):
         calls = []
         known_cov = evaluation._known_cov
@@ -573,9 +609,8 @@ class TestDropStatistics:
         clusters = runner.consecutive_clusters(n_cells, min(n_coop, n_cells))
         noise = float(rng.uniform(0.01, 1.0))
         stats = runner.drop_statistics(corr.copy(), clusters, noise, perfect)
-        for outside, cl in ((stats.outside, None), (stats.outside_coop, clusters)):
-            np.testing.assert_allclose(1.0 + outside, effective_noise_reference(corr, 1.0, cl),
-                                       rtol=1e-13)
+        for nr, cl in ((stats.nr_cell, None), (stats.nr_coop, clusters)):
+            np.testing.assert_allclose(nr, effective_noise_reference(corr, 1.0, cl), rtol=1e-13)
         for block in range(2):
             ref = per_link_csit_reference(corr, clusters, noise,
                                           np.random.default_rng([seed, block]), perfect)
@@ -600,19 +635,18 @@ class TestDropStatistics:
     def test_statistics_are_read_only(self):
         corr = random_correlations(np.random.default_rng(0), 3, 2, 2)
         stats = runner.drop_statistics(corr, [[0, 1], [2]], 0.1)
-        for a in (stats.roots, stats.err_cov, stats.err_roots):
+        for a in (stats.roots, stats.err_cov, stats.err_roots, stats.nr_cell, stats.nr_coop):
             with pytest.raises(ValueError, match="read-only"):
-                a[0, 0, 0] = 1.0
+                a[0, 0] = 1.0
 
     @pytest.mark.parametrize("knowledge", ["full", "scalar", "none"])
     @pytest.mark.parametrize("perfect", [False, True])
     def test_knowledge_is_fixed_when_built(self, knowledge, perfect):
         corr = random_correlations(np.random.default_rng(0), 3, 2, 2)
         stats = runner.drop_statistics(corr, [[0, 1], [2]], 0.1, perfect, knowledge)
-        want = evaluation._known_cov(knowledge, None if perfect else stats.err_cov)
-        if want[0] is None:
-            assert stats.known_cov is None and stats.alphas is None
-            return
+        want = evaluation._known_cov(knowledge, stats.err_cov)
+        if perfect or knowledge == "none":
+            assert not stats.known_cov.any() and not stats.alphas.any()
         if knowledge == "full":
             assert stats.known_cov is stats.err_cov
         for got, ref in zip((stats.known_cov, stats.alphas), want):
@@ -712,6 +746,18 @@ class TestUnitErrors:
                 if path.suffix == ".csv":
                     rows = csv.reader(path.read_text().splitlines())
                     assert not {c.lower() for row in rows for c in row} & {"nan", "inf", "-inf"}
+
+    def test_failed_drop_setup_names_its_cell(self, tmp_path):
+        # pilots 100 dB above the noise under 40 dB shadowing: a BS's MMSE
+        # solve meets a pivot below threshold, which named only the drop
+        cfg = config_from_dict(dict(
+            scenario="system", n_antennas=3, n_users=4, n_cells=3, n_coop=3,
+            algorithms=["mrt"], csit_model="tdd", pilot_power_dbm=100, shadowing_db=40.0,
+            angular_spread=1e-6, n_drops=1, n_blocks=1, seed=838,
+        ))
+        with pytest.raises(NotPositiveDefinite, match=r"^drop 0, cell \d+: "):
+            runner.run_system_level(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("algorithm", ["gpip", "mrt", "rrzf"])
     def test_training_without_knowledge_fails_before_any_artifact(self, tmp_path, algorithm):
