@@ -64,6 +64,7 @@ from .runner import run, run_link_level, run_system_level
 from .solver import (
     EffectivePair,
     GpipResult,
+    LiftedPairs,
     build_effective_pairs,
     build_weighted_pair,
     extract_schedule,

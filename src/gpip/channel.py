@@ -373,16 +373,18 @@ def drop_users(
     """Uniform user positions inside each cell's hexagon, seeded.
 
     Users are rejected until they are at least min_distance from every BS,
-    so min_distance must lie below the hexagon's circumradius.
+    so min_distance may be at most the hexagon's inradius, half the inter-site
+    distance: beyond it only the corners remain, and they vanish toward the circumradius.
     """
     rng = as_rng(rng)
     if not 0 < inter_site < np.inf:
         raise ValueError(f"inter_site {inter_site} must be positive and finite")
     circum = inter_site / np.sqrt(3.0)
-    if not min_distance < circum:  # NaN included: no candidate would ever pass
+    if not min_distance <= inter_site / 2.0:  # NaN included: no candidate would ever pass
         raise ValueError(
-            f"min_distance {min_distance} must be below the circumradius {circum} "
-            "of a hexagon with the given inter-site distance"
+            f"min_distance {min_distance} must be at most half the inter-site distance "
+            f"{inter_site}: toward the circumradius {circum} almost no point of the "
+            "hexagon is that far from every BS"
         )
     centers = hex_cell_centers(n_cells, inter_site)
     half_width = inter_site / 2.0

@@ -188,10 +188,10 @@ class ExperimentConfig:
                     f"min_distance_m: must be >= {MIN_DISTANCE_KM * 1000.0:g} m, "
                     "the path-loss model's range"
                 )
-            if self.min_distance_m >= self.inter_site_m / math.sqrt(3.0):
+            if self.min_distance_m > self.inter_site_m / 2.0:
                 raise ConfigInvalid(
-                    "min_distance_m: must be below the hexagon circumradius "
-                    f"inter_site_m / sqrt(3) = {self.inter_site_m / math.sqrt(3.0):g} m"
+                    "min_distance_m: must be at most the hexagon inradius "
+                    f"inter_site_m / 2 = {self.inter_site_m / 2.0:g} m"
                 )
         if "zf" in self.algorithms and self.n_users > self.n_antennas:
             raise ConfigInvalid(

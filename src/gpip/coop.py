@@ -4,16 +4,16 @@ The cluster shares (imperfect) channel knowledge but not user data: each BS
 still transmits only to its own users, and cooperation consists of designing
 all C stacked precoders jointly so cross-cell interference is shaped rather
 than ignored. The objective lifts to a product of C*K Rayleigh quotients of
-the concatenated stack f (length C*N*K). This module lifts the cluster's
-pairs into that problem and runs the power-iteration kernel of `solver` on
-it, under the relaxed sum-power constraint, followed by one rescaling that
-enforces the binding per-BS power constraint (the largest per-cell norm is
-scaled to one, so every cell's power is feasible and at least one is tight).
+the concatenated stack f (length C*N*K). This module runs the power-iteration
+kernel of `solver` on the problem its `LiftedPairs` carry, under the relaxed
+sum-power constraint, followed by one rescaling that enforces the binding
+per-BS power constraint (the largest per-cell norm is scaled to one, so every
+cell's power is feasible and at least one is tight).
 
 Quotient (l, k) belongs to user k of cell l. Its lifted pair is
-`solver.EffectivePair`, the one pair type of the package; `build_coop_pairs`
-fills it for every user of the cluster from cluster-wide knowledge, and the
-objective is exposed as its base-2 log, `lambda_coop_log2`.
+`solver.EffectivePair`, the one pair type of the package, and entry l*K + k
+of the `LiftedPairs` that `build_coop_pairs` returns from cluster-wide
+knowledge; the objective is exposed as its base-2 log, `lambda_coop_log2`.
 """
 
 from __future__ import annotations
@@ -28,19 +28,18 @@ from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_SELECT_THRESHOLD,
     DEFAULT_TOL,
-    EffectivePair,
     GpipResult,
-    _ClusterProblem,
+    LiftedPairs,
     _as_cluster_arrays,
     _as_weights,
-    _lift,
     _log2_objective,
     _power_iteration,
     _problem,
     extract_schedule,
 )
 
-def build_coop_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[EffectivePair]:
+
+def build_coop_pairs(estimates, error_covs=None, noise_ratio=1.0) -> LiftedPairs:
     """All C*K quotients of the cluster, lifted from cluster-wide knowledge.
 
     `estimates` has shape (C, C, K, N): entry [j, l, k] is BS j's estimate of
@@ -48,12 +47,10 @@ def build_coop_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[Effect
     (N, N), or is None for perfect knowledge. The pairs are ordered by
     (cell, user), so user k of cell l is entry l * K + k.
     """
-    est, cov, nr = _as_cluster_arrays(estimates, error_covs, noise_ratio)
-    c, _, k, _ = est.shape
-    return [_lift(est, cov, nr, l, u) for l in range(c) for u in range(k)]
+    return LiftedPairs(*_as_cluster_arrays(estimates, error_covs, noise_ratio))
 
 
-def lambda_coop_log2(pairs: list[EffectivePair], weights, f_cells: np.ndarray) -> float:
+def lambda_coop_log2(pairs: LiftedPairs, weights, f_cells: np.ndarray) -> float:
     """log2 of the cooperative quotient product (weighted cluster rate bound)."""
     prob = _problem(pairs)
     w = _as_weights(weights, (prob.c, prob.k))
@@ -61,14 +58,10 @@ def lambda_coop_log2(pairs: list[EffectivePair], weights, f_cells: np.ndarray) -
     return _log2_objective(w, qa, qb)
 
 
-def coop_kkt_residual(pairs: list[EffectivePair], weights, f_cells: np.ndarray,
-                      problem: _ClusterProblem | None = None) -> float:
-    """Pencil residual of the cooperative stationarity condition.
-
-    `problem` is the kernel's problem already built from `pairs`; `gpip_coop`
-    passes its own so the residual does not rebuild it.
-    """
-    prob = _problem(pairs) if problem is None else problem
+def coop_kkt_residual(pairs: LiftedPairs, weights, f_cells: np.ndarray) -> float:
+    """Pencil residual of the cooperative stationarity condition, on the
+    problem `pairs` carry (so after `gpip_coop` on them nothing is rebuilt)."""
+    prob = _problem(pairs)
     w = _as_weights(weights, (prob.c, prob.k))
     return prob.kkt_residual(w, np.asarray(f_cells, dtype=np.complex128))
 
@@ -106,7 +99,7 @@ class CoopResult(GpipResult):
 
 
 def gpip_coop(
-    pairs: list[EffectivePair],
+    pairs: LiftedPairs,
     weights=None,
     init: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
@@ -128,7 +121,7 @@ def gpip_coop(
     best_f, best_obj, iterations, converged, traj = _power_iteration(
         prob, w, init, (prob.c, prob.k, prob.n), tol, max_iter, solve_blocks
     )
-    residual = coop_kkt_residual(pairs, w, best_f, prob)
+    residual = coop_kkt_residual(pairs, w, best_f)
     scaled = best_f / np.linalg.norm(best_f.reshape(prob.c, -1), axis=1).max()
     cell_norms = np.linalg.norm(scaled.reshape(prob.c, -1), axis=1)
     active, _ = extract_schedule(scaled.reshape(-1, prob.n), select_threshold)

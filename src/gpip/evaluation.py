@@ -272,9 +272,11 @@ def link_trial(
     cross-algorithm comparisons paired. `metric` selects what the rates
     measure: "true" evaluates the designed precoders on the actual channels
     (what users receive), "estimated" reports the transmitter-side lower
-    bounds computed from its own imperfect knowledge, `stats.known_cov`.
-    `stats` is the campaign's `LinkStatistics`, built once with `link_statistics`.
+    bounds computed from its own imperfect knowledge, `stats.known_cov`, and
+    any other value raises. `stats` is the campaign's `LinkStatistics`.
     """
+    if metric not in ("true", "estimated"):
+        raise ValueError(f"metric must be 'true' or 'estimated', got {metric!r}")
     noise_ratio = 10.0 ** (-snr_db / 10.0)
     true, est = _draw_link_csit(stats, rng)
     out = {}
@@ -316,10 +318,12 @@ def ergodic_sum_se(config, algorithm: str, metric: str = "true") -> tuple[float,
 
 
 def monte_carlo_mean(samples: np.ndarray) -> tuple[float, float]:
-    """(mean, 1.96 * stderr) normal-approximation confidence half-width."""
+    """(mean, 1.96 * stderr) of one or more samples; one sample's half-width is inf."""
     s = np.asarray(samples, dtype=float)
-    if s.size <= 1:
-        return float(s.mean()), float("inf") if s.size else float("nan")
+    if s.size == 0:
+        raise ValueError("need at least one sample")
+    if s.size == 1:
+        return float(s.mean()), float("inf")
     half = 1.96 * s.std(ddof=1) / np.sqrt(s.size)
     return float(s.mean()), float(half)
 

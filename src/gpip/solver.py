@@ -17,15 +17,14 @@ itself overflows doubles for large K.
 
 The lifted pair, its validation and the iteration are each written once,
 for a cluster of C cooperating base stations (see `coop`) and its (C, K, N)
-stack; `build_effective_pairs` and the solvers here are the case C = 1. Block
-structure is exploited throughout: within cell j, Abar has one shared diagonal block and every block of Bbar is
-another shared matrix minus one rank-one term, so one iteration costs one
-Cholesky factorization of size N per cell plus O(C*K*N^2) for the rank-one
-corrections, never a dense factorization. The covariance-free path, for scalar
-error covariances, builds its problem straight from its (K, N) estimates and
-error scales, with no pair objects, and hands the kernel explicit block
-inverses instead, built from the ridge by O(K log K) rank-one inverse updates.
-Every single-cell solve finishes from its problem, not from a pair list.
+stack; `build_effective_pairs` and the solvers here are the case C = 1. The
+builders return a `LiftedPairs`, the cluster's checked arrays read as a pair
+sequence, and every solve reads its problem, built once, from those arrays.
+Within cell j, Abar has one shared diagonal block and every block of Bbar is
+another shared matrix minus one rank-one term, so a sweep costs one Cholesky
+factorization of size N per cell plus O(C*K*N^2), never a dense one. The
+covariance-free path hands the kernel explicit block inverses instead, built
+from the ridge by O(K log K) rank-one inverse updates.
 
 Error covariances take one of three forms, read off once per problem: zero
 (perfect knowledge), scalar (every covariance exactly alpha * I, which the
@@ -39,8 +38,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -90,50 +90,66 @@ class EffectivePair:
 
 
 def _as_cluster_arrays(estimates, error_covs, noise_ratio):
-    """Checked (C, C, K, N) estimates, (C, C, K, N, N) error covariances (zero
-    for None) and (C, K) noise ratios; [j, l, u] is BS j toward user u of cell l."""
-    est = np.asarray(estimates, dtype=np.complex128)
+    """Checked, read-only C-order copies of the (C, C, K, N) estimates, the (C, C, K, N, N)
+    error covariances (zero for None) and the (C, K) noise ratios; [j, l, u] is BS j toward
+    user u of cell l. The kernel's rounding depends on the memory layout, hence the copies."""
+    est = np.array(estimates, dtype=np.complex128, order="C")
     if est.ndim != 4 or est.shape[0] != est.shape[1]:
         raise DimensionMismatch(f"estimates must be (C, C, K, N), got {est.shape}")
+    if 0 in est.shape:
+        raise DimensionMismatch(f"need at least one cell, user and antenna, got {est.shape}")
     c, _, k, n = est.shape
     if error_covs is None:
         cov = np.zeros((c, c, k, n, n), dtype=np.complex128)
     else:
-        cov = np.asarray(error_covs, dtype=np.complex128)
+        cov = np.array(error_covs, dtype=np.complex128, order="C")
         if cov.shape != (c, c, k, n, n):
             raise DimensionMismatch(f"error covariances must be (C, C, K, N, N), got {cov.shape}")
     nr = _as_real("noise ratios", noise_ratio)
     try:
-        nr = np.broadcast_to(nr, (c, k))
+        nr = np.broadcast_to(nr, (c, k)).copy()
     except ValueError:
         raise DimensionMismatch(
             f"noise ratios must broadcast to (C, K) = {(c, k)}, got {nr.shape}") from None
     if np.any(nr <= 0):  # NaN passes here and fails the finiteness check
         raise ValueError("noise ratios must be positive")
+    for arr in (est, cov, nr):
+        arr.flags.writeable = False
     return est, cov, nr
 
 
-def _as_lifted_cell(estimates, error_covs, noise_ratio):
-    """One cell's (K, N) estimates and (K, N, N) covariances as a cluster of one."""
-    est = np.asarray(estimates, dtype=np.complex128)
+@dataclass(frozen=True, eq=False)
+class LiftedPairs(Sequence):
+    """A cluster's pairs as views of `_as_cluster_arrays`' output: entry l * K + u,
+    user u of cell l, is lifted when indexed, and `problem` is the kernel's problem,
+    built on first use. Only the builders make one."""
+
+    est: np.ndarray  # (C, C, K, N)
+    cov: np.ndarray  # (C, C, K, N, N)
+    nr: np.ndarray  # (C, K)
+
+    def __len__(self) -> int:
+        return self.nr.size
+
+    def __getitem__(self, i: int) -> EffectivePair:
+        c, _, k, _ = self.est.shape
+        l, u = divmod(range(len(self))[i], k)
+        return EffectivePair(l, u, c, k, self.est[:, l, u], self.cov[:, l, u],
+                             float(self.nr[l, u]))
+
+    @cached_property
+    def problem(self) -> _ClusterProblem:
+        return _ClusterProblem(self.est, self.cov, self.nr)
+
+
+def build_effective_pairs(estimates, error_covs=None, noise_ratio=1.0) -> LiftedPairs:
+    """The pairs of one cell's users, entry u for user u; `estimates` is
+    (K, N) and `error_covs` (K, N, N), or None for perfect knowledge."""
+    est = np.asarray(estimates)
     if est.ndim != 2:
         raise DimensionMismatch(f"estimates must be (K, N), got {est.shape}")
-    cov = None if error_covs is None else np.asarray(error_covs, dtype=np.complex128)[None, None]
-    return _as_cluster_arrays(est[None, None], cov, noise_ratio)
-
-
-def _lift(est, cov, nr, cell: int, user: int) -> EffectivePair:
-    """The pair of user (cell, user) from checked cluster arrays."""
-    c, _, k, _ = est.shape
-    return EffectivePair(cell, user, c, k, est[:, cell, user], cov[:, cell, user],
-                         float(nr[cell, user]))
-
-
-def build_effective_pairs(estimates, error_covs=None, noise_ratio=1.0) -> list[EffectivePair]:
-    """One EffectivePair per user of the cell, entry u for user u; `error_covs`
-    is (K, N, N), or None for perfect knowledge."""
-    est, cov, nr = _as_lifted_cell(estimates, error_covs, noise_ratio)
-    return [_lift(est, cov, nr, 0, u) for u in range(est.shape[2])]
+    cov = None if error_covs is None else np.asarray(error_covs)[None, None]
+    return LiftedPairs(*_as_cluster_arrays(est[None, None], cov, noise_ratio))
 
 
 def _as_real(name: str, values) -> np.ndarray:
@@ -324,32 +340,17 @@ class _ClusterProblem:
         return float(np.linalg.norm(af - lam * bf) / np.linalg.norm(af))
 
 
-def _problem(pairs: list[EffectivePair], single_cell: bool = False) -> _ClusterProblem:
-    """The kernel's problem, with the pairs stacked in (cell, user) order.
-
-    The pairs must cover every (cell, user) of one C x K cluster exactly
-    once, in any order; `single_cell` also requires C = 1.
-    """
-    if not pairs:
-        raise DimensionMismatch("need at least one quotient pair")
-    c, k = pairs[0].n_cells, pairs[0].n_users
+def _problem(pairs: LiftedPairs, single_cell: bool = False) -> _ClusterProblem:
+    """The kernel's problem of `pairs`; `single_cell` also requires C = 1."""
+    if not isinstance(pairs, LiftedPairs):
+        raise TypeError("pairs must come from build_effective_pairs or build_coop_pairs")
+    c = pairs.est.shape[0]
     if single_cell and c != 1:
         raise DimensionMismatch(f"single-cell solvers need pairs of one cell, got {c} cells")
-    ordered = sorted(pairs, key=lambda p: (p.cell, p.user))
-    if [(p.cell, p.user, p.n_cells, p.n_users) for p in ordered] != [
-        (l, u, c, k) for l in range(c) for u in range(k)
-    ]:
-        raise DimensionMismatch("pairs must cover every (cell, user) of a cluster exactly once")
-    n = ordered[0].estimates.shape[1]
-    # pair (l, u) holds [:, l, u] of the cluster arrays; copied to C order,
-    # because the kernel's rounding depends on the memory layout
-    est = np.array([p.estimates for p in ordered]).swapaxes(0, 1).copy().reshape(c, c, k, n)
-    cov = np.array([p.error_covs for p in ordered]).swapaxes(0, 1).copy().reshape(c, c, k, n, n)
-    nr = np.array([p.noise_ratio for p in ordered]).reshape(c, k)
-    return _ClusterProblem(est, cov, nr)
+    return pairs.problem
 
 
-def objective_log2(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> float:
+def objective_log2(pairs: LiftedPairs, weights, f_users: np.ndarray) -> float:
     """log2 of the Rayleigh-quotient product; equals the weighted rate bound sum."""
     prob = _problem(pairs, single_cell=True)
     w = _as_weights(weights, (prob.k,))
@@ -358,7 +359,7 @@ def objective_log2(pairs: list[EffectivePair], weights, f_users: np.ndarray) -> 
 
 
 def build_weighted_pair(
-    pairs: list[EffectivePair], weights, f_users: np.ndarray
+    pairs: LiftedPairs, weights, f_users: np.ndarray
 ) -> tuple[BlockDiagonal, BlockDiagonal]:
     """The linearized pencil (Abar(f), Bbar(f)) at the given stack.
 
@@ -374,15 +375,10 @@ def build_weighted_pair(
     return BlockDiagonal(a_blocks), BlockDiagonal(b_blocks)
 
 
-def kkt_residual(pairs: list[EffectivePair] | None, weights, f_users: np.ndarray,
-                 problem: _ClusterProblem | None = None) -> float:
-    """|| Abar f - objective * Bbar f || / || Abar f ||, zero at stationarity.
-
-    `problem` is the kernel's problem already built, from `pairs` or from
-    arrays; the solvers pass theirs so the residual does not rebuild it, and
-    `pairs` may then be None.
-    """
-    prob = _problem(pairs, single_cell=True) if problem is None else problem
+def kkt_residual(pairs: LiftedPairs, weights, f_users: np.ndarray) -> float:
+    """|| Abar f - objective * Bbar f || / || Abar f ||, zero at stationarity, on
+    the problem `pairs` carry (so after a solve on them nothing is rebuilt)."""
+    prob = _problem(pairs, single_cell=True)
     w = _as_weights(weights, (prob.k,))
     return prob.kkt_residual(w, np.asarray(f_users, dtype=np.complex128)[None])
 
@@ -510,7 +506,7 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
     return best_f, best_obj, iterations, converged, traj
 
 
-def _finish(prob, w, select_threshold, best_f, best_obj, iterations, converged,
+def _finish(pairs, w, select_threshold, best_f, best_obj, iterations, converged,
             traj) -> GpipResult:
     f_users = best_f[0]
     active, powers = extract_schedule(f_users, select_threshold)
@@ -519,7 +515,7 @@ def _finish(prob, w, select_threshold, best_f, best_obj, iterations, converged,
         objective_log2=best_obj,
         iterations=iterations,
         converged=converged,
-        kkt_residual=kkt_residual(None, w, f_users, prob),
+        kkt_residual=kkt_residual(pairs, w, f_users),
         schedule=active,
         per_user_power=powers,
         trajectory=traj,
@@ -527,7 +523,7 @@ def _finish(prob, w, select_threshold, best_f, best_obj, iterations, converged,
 
 
 def gpip_iterate(
-    pairs: list[EffectivePair],
+    pairs: LiftedPairs,
     weights=None,
     init: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
@@ -548,7 +544,7 @@ def gpip_iterate(
     w = _as_weights(weights, (prob.k,))
     solve_blocks = partial(prob.cholesky_blocks, solve=solve_hermitian)
     out = _power_iteration(prob, w, init, (prob.k, prob.n), tol, max_iter, solve_blocks)
-    return _finish(prob, w, select_threshold, *out)
+    return _finish(pairs, w, select_threshold, *out)
 
 
 def covfree_block_inverses(
@@ -596,10 +592,10 @@ def gpip_covfree(
 
     `error_scales` holds the finite, non-negative scalar error variances
     alpha_k, one shared or one per user (the error covariance is
-    alpha_k * I). The problem is built straight from these arrays, with no
-    pair objects. Iteration semantics are identical to gpip_iterate; only the
-    block inversion path differs, so the two agree to solver tolerance on the
-    same inputs.
+    alpha_k * I). It solves on the problem of the pairs `build_effective_pairs`
+    lifts from these arrays. Iteration semantics are identical to gpip_iterate;
+    only the block inversion path differs, so the two agree to solver tolerance
+    on the same inputs.
     """
     est = np.asarray(estimates, dtype=np.complex128)
     if est.ndim != 2:
@@ -612,13 +608,13 @@ def gpip_covfree(
     if np.any(alphas < 0):
         raise ValueError("error scales must be non-negative")
     alphas = np.broadcast_to(alphas, (k,))
-    prob = _ClusterProblem(*_as_lifted_cell(est, alphas[:, None, None] * np.eye(n), noise_ratio))
+    pairs = build_effective_pairs(est, alphas[:, None, None] * np.eye(n), noise_ratio)
     w = _as_weights(weights, (k,))
 
     def solve_blocks(d, rhs):
-        delta = float(np.sum(d * (alphas + prob.nr)))
+        delta = float(np.sum(d * (alphas + pairs.nr)))
         inverses = covfree_block_inverses(est, d[0], delta)
         return (inverses @ rhs[0][:, :, None]).transpose(2, 0, 1)
 
-    out = _power_iteration(prob, w, init, (k, n), tol, max_iter, solve_blocks)
-    return _finish(prob, w, select_threshold, *out)
+    out = _power_iteration(pairs.problem, w, init, (k, n), tol, max_iter, solve_blocks)
+    return _finish(pairs, w, select_threshold, *out)

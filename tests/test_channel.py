@@ -542,6 +542,15 @@ class TestTopology:
         with pytest.raises(ValueError, match="circumradius"):
             channel.drop_users(1, 1, 60.0, 40.0, 0)
 
+    def test_minimum_distance_bounded_by_the_inradius(self):
+        # toward the circumradius almost no candidate passes, and a 19-cell drop
+        # at 577.3 m did not finish; the inradius, half the inter-site
+        # distance, is the largest distance allowed
+        topo = channel.drop_users(19, 4, 1000.0, 500.0, 0)
+        assert (topo.distances_km() * 1000.0).min() >= 500.0
+        with pytest.raises(ValueError, match="circumradius"):
+            channel.drop_users(19, 4, 1000.0, 500.001, 0)
+
     def test_nan_minimum_distance_rejected(self):
         # NaN passes no distance test, so the rejection loop would never place a user
         with pytest.raises(ValueError, match="circumradius"):

@@ -174,6 +174,8 @@ class TestConfigValidation:
                   tdd_noise_over_pilot=0.0), "tdd_noise_over_pilot"),
             (dict(csit_model="tdd", algorithms=["gpip", "gpip-covfree"],
                   tdd_noise_over_pilot=1e-11), "tdd_noise_over_pilot"),
+            # so near the circumradius a drop almost never placed a user: it hung
+            (dict(scenario="system", n_cells=7, min_distance_m=577.3), "min_distance_m"),
         ],
     )
     def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):

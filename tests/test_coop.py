@@ -259,9 +259,13 @@ class TestGpipCoop:
         est, cov = random_cluster(rng, 2, 3, 2, cov_scale=0.1)
         pairs = coop.build_coop_pairs(est, cov, 0.2)
         built = []
-        build = coop._problem
-        monkeypatch.setattr(coop, "_problem",
-                            lambda *a, **kw: built.append(1) or build(*a, **kw))
+
+        class Counted(solver._ClusterProblem):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver, "_ClusterProblem", Counted)
         res = coop.gpip_coop(pairs, tol=1e-6, max_iter=500)
         assert len(built) == 1
         unit = res.precoder / np.linalg.norm(res.precoder)
@@ -310,37 +314,30 @@ class TestPowerIteration:
 
 
 class TestPairLists:
-    @pytest.mark.parametrize("c", [1, 2])
-    def test_shuffled_pairs_give_identical_results(self, c):
-        rng = np.random.default_rng(40 + c)
-        est, cov = random_cluster(rng, c, 3, 2, cov_scale=0.1)
-        pairs = coop.build_coop_pairs(est, cov, 0.2)
-        ref = coop.gpip_coop(pairs, tol=1e-6, max_iter=200)
-        for _ in range(3):
-            perm = rng.permutation(len(pairs))
-            res = coop.gpip_coop([pairs[i] for i in perm], tol=1e-6, max_iter=200)
-            np.testing.assert_array_equal(res.precoder, ref.precoder)
-            assert res.iterations == ref.iterations
-            assert res.trajectory == ref.trajectory
-
     def test_duplicate_missing_or_out_of_range_pairs_are_rejected(self):
+        # a hand-assembled list is no input, whatever pairs it holds; an
+        # empty cluster fails in the builder
         rng = np.random.default_rng(43)
         est, cov = random_cluster(rng, 2, 2, 3)
-        pairs = coop.build_coop_pairs(est, cov, 0.2)
+        pairs = list(coop.build_coop_pairs(est, cov, 0.2))
         f = random_coop_stack(rng, 2, 2, 3)
         for bad in (
+            pairs,
             [],
             pairs[:-1] + [pairs[0]],
             pairs[:-1],
             pairs[:-1] + [dataclasses.replace(pairs[-1], cell=2)],
             pairs[:-1] + [dataclasses.replace(pairs[-1], user=2)],
         ):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(TypeError):
                 coop.gpip_coop(bad)
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(TypeError):
                 coop.lambda_coop_log2(bad, None, f)
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(TypeError):
                 coop.coop_kkt_residual(bad, None, f)
+        for shape in ((0, 0, 2, 3), (2, 2, 0, 3), (2, 2, 2, 0)):
+            with pytest.raises(DimensionMismatch):
+                coop.build_coop_pairs(np.zeros(shape), None, 0.2)
 
     def test_cluster_pairs_are_rejected_by_single_cell_solvers(self):
         est, cov = random_cluster(np.random.default_rng(44), 2, 3, 2)
@@ -359,3 +356,59 @@ class TestPairLists:
             "objective_decreases", "stop_reason",
         ]
         assert len(res.csv_row(seed=7, snr_db=10.0)) == len(header)
+
+
+class TestLiftedPairs:
+    def test_length_order_and_indexing(self):
+        est, cov = random_cluster(np.random.default_rng(60), 2, 3, 2, cov_scale=0.1)
+        pairs = coop.build_coop_pairs(est, cov, 0.2)
+        assert len(pairs) == 6
+        assert [(p.cell, p.user, p.n_cells, p.n_users) for p in pairs] == [
+            (l, u, 2, 3) for l in range(2) for u in range(3)]
+        assert (pairs[-1].cell, pairs[-1].user) == (1, 2)
+        assert (pairs[-6].cell, pairs[-6].user) == (0, 0)
+        for i in (6, -7):
+            with pytest.raises(IndexError):
+                pairs[i]
+
+    def test_lifted_pairs_equal_pairs_built_from_the_same_slices(self):
+        est, cov = random_cluster(np.random.default_rng(61), 2, 2, 3, cov_scale=0.1)
+        nr = np.array([[0.2, 0.3], [0.4, 0.5]])
+        for i, p in enumerate(coop.build_coop_pairs(est, cov, nr)):
+            l, u = divmod(i, 2)
+            ref = solver.EffectivePair(l, u, 2, 2, est[:, l, u], cov[:, l, u], nr[l, u])
+            np.testing.assert_array_equal(p.a.dense(), ref.a.dense())
+            np.testing.assert_array_equal(p.b.dense(), ref.b.dense())
+
+    def test_two_solves_share_one_problem(self, monkeypatch):
+        est, cov = random_cluster(np.random.default_rng(62), 2, 3, 2, cov_scale=0.1)
+        pairs = coop.build_coop_pairs(est, cov, 0.2)
+        built = []
+
+        class Counted(solver._ClusterProblem):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver, "_ClusterProblem", Counted)
+        first = coop.gpip_coop(pairs, tol=1e-6)
+        second = coop.gpip_coop(pairs, tol=1e-6)
+        assert len(built) == 1
+        np.testing.assert_array_equal(first.precoder, second.precoder)
+        assert first.trajectory == second.trajectory
+        assert first.kkt_residual == second.kkt_residual
+
+    def test_arrays_are_read_only_copies(self):
+        est, cov = random_cluster(np.random.default_rng(63), 2, 3, 2, cov_scale=0.1)
+        nr = np.full((2, 3), 0.2)
+        ref = coop.gpip_coop(coop.build_coop_pairs(est, cov, nr))
+        pairs = coop.build_coop_pairs(est, cov, nr)
+        est[:] = 0.0
+        cov[:] = 0.0
+        nr[:] = 5.0
+        res = coop.gpip_coop(pairs)
+        np.testing.assert_array_equal(res.precoder, ref.precoder)
+        for arr in (pairs.est, pairs.cov, pairs.nr):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0

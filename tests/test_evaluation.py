@@ -143,6 +143,11 @@ class TestErgodicSumSe:
         est_val, _ = evaluation.ergodic_sum_se(cfg, "rzf", metric="estimated")
         assert est_val != true_val
 
+    def test_unknown_metric_rejected(self):
+        # any other value used to measure true rates without a word
+        with pytest.raises(ValueError, match="^metric must be 'true' or 'estimated', got 'estimate'$"):
+            evaluation.ergodic_sum_se(link_config(n_trials=2), "rzf", metric="estimate")
+
 
 def per_user_link_csit_reference(config, corr, rng):
     """_draw_link_csit and the error covariances of LinkStatistics as a
@@ -300,6 +305,13 @@ class TestPfWeights:
     def test_smoothing_update(self):
         t = evaluation.update_pf_averages([1.0, 1.0], [3.0, 0.0], 0.1)
         np.testing.assert_allclose(t, [1.2, 0.9])
+
+
+class TestMonteCarloMean:
+    def test_no_sample_rejected(self):
+        # the mean of no sample was NaN, with a RuntimeWarning
+        with pytest.raises(ValueError, match="^need at least one sample$"):
+            evaluation.monte_carlo_mean([])
 
 
 class TestRateCdf:
