@@ -153,6 +153,9 @@ class ExperimentConfig:
         if not all(abs(s) <= DB_LIMIT for s in self.snr_db):
             raise ConfigInvalid(f"snr_db: every entry must be finite and in "
                                 f"[{-DB_LIMIT:g}, {DB_LIMIT:g}]")
+        for i, snr in enumerate(self.snr_db):
+            if snr in self.snr_db[:i]:
+                raise ConfigInvalid(f"snr_db: {snr} is listed twice")
         if not isinstance(self.output_dir, str):
             raise ConfigInvalid("output_dir: must be a string")
         if not self.algorithms:

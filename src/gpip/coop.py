@@ -78,16 +78,14 @@ class CoopResult(GpipResult):
     per_cell_norm: np.ndarray = field(kw_only=True)  # (C,)
 
     def csv_row(self, seed, snr_db, n_cells: int | None = None) -> list:
-        """The row under `csv_header(n_cells, K)`; n_cells defaults to this
-        cluster's size, and a cell past the cluster's end gets empty fields."""
+        """The row under `csv_header(n_cells, K)`, of Python numbers and
+        strings only; n_cells defaults to this cluster's size, and a cell past
+        the cluster's end gets empty fields."""
         c, k, _ = self.precoder.shape
+        norms, powers = self.per_cell_norm.tolist(), self.per_user_power.tolist()
         cols = []
         for l in range(c if n_cells is None else n_cells):
-            if l < c:
-                cols.append(repr(float(self.per_cell_norm[l])))
-                cols.extend(repr(float(p)) for p in self.per_user_power[l])
-            else:
-                cols.extend([""] * (k + 1))
+            cols += [norms[l], *powers[l]] if l < c else [""] * (k + 1)
         return self._csv_row(seed, snr_db, cols)
 
     @staticmethod

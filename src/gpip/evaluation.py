@@ -311,8 +311,9 @@ def ergodic_sum_se(config, algorithm: str, metric: str = "true") -> tuple[float,
     sums = np.empty(config.n_trials)
     for t in range(config.n_trials):
         rng = trial_rng(config.seed, DOMAIN_LINK_TRIAL, t)
-        rates, _ = link_trial(config, config.snr_db[0], [algorithm], rng, stats,
-                              metric=metric)[algorithm]
+        with located(f"SNR {config.snr_db[0]} dB, trial {t}, "):
+            rates, _ = link_trial(config, config.snr_db[0], [algorithm], rng, stats,
+                                  metric=metric)[algorithm]
         sums[t] = rates.sum()
     return monte_carlo_mean(sums)
 

@@ -6,9 +6,11 @@ path-loss and shadowing models, build uplink-trained CSIT with pilot reuse
 outside each cooperation cluster, run the selected algorithms per fading
 block, and aggregate true-channel rates.
 
-Every artifact is deterministic for a given resolved configuration: trial
-substreams are derived from (seed, domain, index), iteration order is fixed,
-and floats are written with repr (shortest round-trip form).
+A campaign maps its units (`link_unit`: an SNR and trial; `system_drop`: a
+drop and its blocks) to table rows and folds them in unit order; the summary
+and CDFs are computed from those rows. Units draw from their own substreams
+(seed, domain, index), so artifacts are deterministic per resolved config,
+and rows hold Python numbers only, which `csv` writes in shortest repr form.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _campaign_dir(cfg: ExperimentConfig, scenario: str, out_dir) -> Path:
     """Validate `cfg` for `scenario`, then create and return its output directory."""
     cfg.validate()
@@ -58,76 +56,79 @@ def _campaign_dir(cfg: ExperimentConfig, scenario: str, out_dir) -> Path:
     return out
 
 
-def _cdf_samples(cfg: ExperimentConfig) -> dict:
-    """Empty per-user rate samples for every precoding algorithm.
-
-    zf-dpc is a per-cell sum-rate bound, not a precoder: it has no per-user
-    rates and no solver diagnostics, so it gets no CDF, no per-user rows and
-    no solver rows.
-    """
-    return {alg: [] for alg in cfg.algorithms if alg != "zf-dpc"}
+def _has_users(alg: str) -> bool:
+    """False for zf-dpc, a sum-rate bound: no per-user rows, solver rows or CDF."""
+    return alg != "zf-dpc"
 
 
-def _write_artifacts(out: Path, cfg: ExperimentConfig, tables, cdf_samples) -> dict:
+def _fold(units) -> dict:
+    """{table: rows} with each unit's rows of a table appended in unit order."""
+    tables = {}
+    for unit in units:
+        for name, rows in unit.items():
+            tables.setdefault(name, []).extend(rows)
+    return tables
+
+
+def _write_artifacts(out: Path, cfg: ExperimentConfig, tables) -> dict:
     """Write the manifest, one CSV per (name, header, rows) table and one rate
-    CDF per precoding algorithm; returns {artifact_name: path}."""
+    CDF per algorithm from its per_user rows (rate last); returns {artifact_name: path}."""
     paths = {"manifest": out / "manifest.json"}
     write_manifest(cfg, paths["manifest"])
     for name, header, rows in tables:
         paths[name] = out / f"{name}.csv"
         _write_csv(paths[name], header, rows)
-    for alg, samples in cdf_samples.items():
-        rows = []
-        if samples:
-            curve = evaluation.rate_cdf(samples)
-            rows = [[_fmt(v), _fmt(q)] for v, q in zip(curve.values, curve.quantiles)]
+    per_user = next(rows for name, _, rows in tables if name == "per_user")
+    for alg in filter(_has_users, cfg.algorithms):
+        curve = evaluation.rate_cdf([row[-1] for row in per_user if row[0] == alg])
         paths[f"cdf_{alg}"] = out / f"cdf_{alg}.csv"
-        _write_csv(paths[f"cdf_{alg}"], ["rate", "quantile"], rows)
+        _write_csv(paths[f"cdf_{alg}"], ["rate", "quantile"],
+                   zip(curve.values.tolist(), curve.quantiles.tolist()))
     return paths
+
+
+def link_unit(cfg: ExperimentConfig, stats: evaluation.LinkStatistics, index: int) -> dict:
+    """The per_trial, per_user and solver rows of link unit `index`: trial t of
+    SNR point p, where (p, t) = divmod(index, n_trials)."""
+    point, t = divmod(index, cfg.n_trials)
+    snr = cfg.snr_db[point]
+    with located(f"SNR {snr} dB, trial {t}, "):
+        results = link_trial(cfg, snr, cfg.algorithms,
+                             trial_rng(cfg.seed, DOMAIN_LINK_TRIAL, index), stats)
+    rows = {"per_trial": [], "per_user": [], "solver": []}
+    for alg in cfg.algorithms:
+        rates, extra = results[alg]
+        rows["per_trial"].append([alg, float(snr), t, float(rates.sum())])
+        if _has_users(alg):
+            rows["per_user"] += [[alg, float(snr), t, k, r] for k, r in enumerate(rates.tolist())]
+        if extra is not None:
+            rows["solver"].append([alg] + extra.csv_row(cfg.seed, snr))
+    return rows
 
 
 def run_link_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Single-cell ergodic campaign; returns {artifact_name: path}."""
     out = _campaign_dir(cfg, "link", out_dir)
-    link_stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
-
-    summary_rows = []
-    per_trial_rows = []
-    per_user_rows = []
-    solver_rows = []
-    cdf_samples = _cdf_samples(cfg)
-    for snr_idx, snr in enumerate(cfg.snr_db):
-        sums = {alg: np.empty(cfg.n_trials) for alg in cfg.algorithms}
-        extras = {alg: [] for alg in cfg.algorithms}
-        for t in range(cfg.n_trials):
-            rng = trial_rng(cfg.seed, DOMAIN_LINK_TRIAL, snr_idx * cfg.n_trials + t)
-            with located(f"SNR {snr} dB, trial {t}, "):
-                results = link_trial(cfg, snr, cfg.algorithms, rng, link_stats)
-            for alg in cfg.algorithms:
-                sums[alg][t] = results[alg][0].sum()
-                per_trial_rows.append([alg, _fmt(snr), t, _fmt(sums[alg][t])])
-            for alg, samples in cdf_samples.items():
-                rates, extra = results[alg]
-                for k, rate in enumerate(rates):
-                    per_user_rows.append([alg, _fmt(snr), t, k, _fmt(rate)])
-                    samples.append(float(rate))
-                if extra is not None:
-                    extras[alg].append(extra)
-                    solver_rows.append([alg] + extra.csv_row(cfg.seed, snr))
-        for alg in cfg.algorithms:
-            mean, half = monte_carlo_mean(sums[alg])
-            row = [alg, _fmt(snr), cfg.n_trials, _fmt(mean), _fmt(half)]
-            stats = [(e.iterations, e.kkt_residual, len(e.schedule)) for e in extras[alg]]
-            row += [_fmt(np.mean(col)) for col in zip(*stats)] if stats else ["", "", ""]
-            summary_rows.append(row)
-
+    stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+    tables = _fold(link_unit(cfg, stats, i) for i in range(len(cfg.snr_db) * cfg.n_trials))
+    # per (SNR, algorithm): the mean sum rate and solver diagnostics of its rows
+    header = ["algorithm"] + solver.GpipResult.csv_header(cfg.n_users)
+    cols = [header.index(c) for c in ("SNR_dB", "iterations", "kkt_residual", "active_count")]
+    points = {key: ([], []) for key in itertools.product(cfg.snr_db, cfg.algorithms)}
+    for alg, snr, _, rate in tables["per_trial"]:
+        points[snr, alg][0].append(rate)
+    for row in tables["solver"]:
+        points[row[cols[0]], row[0]][1].append([row[c] for c in cols[1:]])
+    summary = [[alg, float(snr), cfg.n_trials, *monte_carlo_mean(sums),
+                *([float(np.mean(c)) for c in zip(*solves)] or ["", "", ""])]
+               for (snr, alg), (sums, solves) in points.items()]
     return _write_artifacts(out, cfg, [
         ("summary", ["algorithm", "snr_db", "n_trials", "mean_sum_se", "ci_half_width",
-                     "mean_iterations", "mean_kkt_residual", "mean_active_count"], summary_rows),
-        ("per_trial", ["algorithm", "snr_db", "trial", "sum_rate"], per_trial_rows),
-        ("per_user", ["algorithm", "snr_db", "trial", "user", "rate"], per_user_rows),
-        ("solver", ["algorithm"] + solver.GpipResult.csv_header(cfg.n_users), solver_rows),
-    ], cdf_samples)
+                     "mean_iterations", "mean_kkt_residual", "mean_active_count"], summary),
+        ("per_trial", ["algorithm", "snr_db", "trial", "sum_rate"], tables["per_trial"]),
+        ("per_user", ["algorithm", "snr_db", "trial", "user", "rate"], tables["per_user"]),
+        ("solver", header, tables["solver"]),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -364,71 +365,65 @@ def multicell_block(cfg: ExperimentConfig, stats: DropStatistics, algorithms, rn
     return out
 
 
-def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """Hexagonal-layout campaign; returns {artifact_name: path}."""
-    out = _campaign_dir(cfg, "system", out_dir)
-    clusters = consecutive_clusters(cfg.n_cells, cfg.n_coop)
+def system_drop(cfg: ExperimentConfig, clusters, d: int) -> dict:
+    """The per_drop, per_user, solver and solver_coop rows of drop `d`, whose
+    fading blocks share its statistics and PF averages; rates are block means."""
     snr_db = cfg.bs_power_dbm - cfg.noise_power_dbm()
-
-    per_user_rows = []
-    per_drop_rows = []
-    solver_rows = []
-    coop_rows = []
-    cdf_samples = _cdf_samples(cfg)
-    drop_means = {alg: [] for alg in cfg.algorithms}
     use_pf = cfg.weights == "pf"
     # uplink noise over pilot energy in the noise-normalized units of
     # `system_correlations` (training runs at physical powers)
     noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
-    for d in range(cfg.n_drops):
-        with located(f"drop {d}, "):
-            corr, _, _ = system_correlations(cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d))
-            stats = drop_statistics(corr, clusters, noise_over_pilot,  # consumes corr
-                                    cfg.csit_model == "perfect", cfg.cov_knowledge)
-        acc = {alg: np.zeros((cfg.n_cells, cfg.n_users)) for alg in cfg.algorithms}
-        pf_avg = {alg: np.full((cfg.n_cells, cfg.n_users), 1e-3) for alg in cfg.algorithms}
-        for b in range(cfg.n_blocks):
-            rng = trial_rng(cfg.seed, DOMAIN_SYSTEM_BLOCK, d * cfg.n_blocks + b)
-            pf_w = {alg: evaluation.pf_weights(t) for alg, t in pf_avg.items()} if use_pf else None
-            with located(f"drop {d}, block {b}, "):
-                results = multicell_block(cfg, stats, cfg.algorithms, rng, pf_w)
-            for alg in cfg.algorithms:
-                rates, extras = results[alg]
-                acc[alg] += rates
-                if use_pf:
-                    pf_avg[alg] = evaluation.update_pf_averages(
-                        pf_avg[alg], rates, cfg.pf_smoothing
-                    )
-                for extra in extras or []:
-                    if isinstance(extra, coop.CoopResult):
-                        coop_rows.append([alg, d, b] + extra.csv_row(cfg.seed, snr_db, cfg.n_coop))
-                    else:
-                        solver_rows.append([alg, d, b] + extra.csv_row(cfg.seed, snr_db))
-        block_avg = {alg: a / cfg.n_blocks for alg, a in acc.items()}
+    with located(f"drop {d}, "):
+        corr, _, _ = system_correlations(cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d))
+        stats = drop_statistics(corr, clusters, noise_over_pilot,  # consumes corr
+                                cfg.csit_model == "perfect", cfg.cov_knowledge)
+    acc = {alg: np.zeros((cfg.n_cells, cfg.n_users)) for alg in cfg.algorithms}
+    pf_avg = {alg: np.full((cfg.n_cells, cfg.n_users), 1e-3) for alg in cfg.algorithms}
+    rows = {"per_drop": [], "per_user": [], "solver": [], "solver_coop": []}
+    for b in range(cfg.n_blocks):
+        rng = trial_rng(cfg.seed, DOMAIN_SYSTEM_BLOCK, d * cfg.n_blocks + b)
+        pf_w = {alg: evaluation.pf_weights(t) for alg, t in pf_avg.items()} if use_pf else None
+        with located(f"drop {d}, block {b}, "):
+            results = multicell_block(cfg, stats, cfg.algorithms, rng, pf_w)
         for alg in cfg.algorithms:
-            drop_means[alg].append(float(block_avg[alg].sum(axis=1).mean()))
-            per_drop_rows.append([alg, d, _fmt(drop_means[alg][-1])])
-        for alg, samples in cdf_samples.items():
-            for (l, k), rate in np.ndenumerate(block_avg[alg]):
-                per_user_rows.append([alg, d, l, k, _fmt(rate)])
-                samples.append(float(rate))
-
-    summary_rows = []
+            rates, extras = results[alg]
+            acc[alg] += rates
+            if use_pf:
+                pf_avg[alg] = evaluation.update_pf_averages(pf_avg[alg], rates, cfg.pf_smoothing)
+            for extra in extras or []:
+                if isinstance(extra, coop.CoopResult):
+                    rows["solver_coop"].append(
+                        [alg, d, b] + extra.csv_row(cfg.seed, snr_db, cfg.n_coop))
+                else:
+                    rows["solver"].append([alg, d, b] + extra.csv_row(cfg.seed, snr_db))
     for alg in cfg.algorithms:
-        mean, half = monte_carlo_mean(np.asarray(drop_means[alg]))
-        summary_rows.append([alg, _fmt(snr_db), cfg.n_drops, _fmt(mean), _fmt(half)])
-    tables = [
+        block_avg = acc[alg] / cfg.n_blocks
+        rows["per_drop"].append([alg, d, float(block_avg.sum(axis=1).mean())])
+        if _has_users(alg):
+            rows["per_user"] += [[alg, d, l, k, float(r)] for (l, k), r in np.ndenumerate(block_avg)]
+    return rows
+
+
+def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
+    """Hexagonal-layout campaign; returns {artifact_name: path}."""
+    out = _campaign_dir(cfg, "system", out_dir)
+    clusters = consecutive_clusters(cfg.n_cells, cfg.n_coop)
+    tables = _fold(system_drop(cfg, clusters, d) for d in range(cfg.n_drops))
+    summary = [[alg, cfg.bs_power_dbm - cfg.noise_power_dbm(), cfg.n_drops,
+                *monte_carlo_mean([m for a, _, m in tables["per_drop"] if a == alg])]
+               for alg in cfg.algorithms]
+    header = ["algorithm", "drop", "block"]
+    artifacts = [
         ("summary", ["algorithm", "tx_snr_db", "n_drops", "mean_cell_sum_se", "ci_half_width"],
-         summary_rows),
-        ("per_drop", ["algorithm", "drop", "mean_cell_sum_se"], per_drop_rows),
-        ("per_user", ["algorithm", "drop", "cell", "user", "rate"], per_user_rows),
-        ("solver", ["algorithm", "drop", "block"] + solver.GpipResult.csv_header(cfg.n_users),
-         solver_rows),
+         summary),
+        ("per_drop", ["algorithm", "drop", "mean_cell_sum_se"], tables["per_drop"]),
+        ("per_user", ["algorithm", "drop", "cell", "user", "rate"], tables["per_user"]),
+        ("solver", header + solver.GpipResult.csv_header(cfg.n_users), tables["solver"]),
     ]
     if "gpip-coop" in cfg.algorithms:
-        tables.append(("solver_coop", ["algorithm", "drop", "block"]
-                       + coop.CoopResult.csv_header(cfg.n_coop, cfg.n_users), coop_rows))
-    return _write_artifacts(out, cfg, tables, cdf_samples)
+        artifacts.append(("solver_coop", header + coop.CoopResult.csv_header(
+            cfg.n_coop, cfg.n_users), tables["solver_coop"]))
+    return _write_artifacts(out, cfg, artifacts)
 
 
 def run(cfg: ExperimentConfig, out_dir=None) -> dict:

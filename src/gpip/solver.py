@@ -418,19 +418,21 @@ class GpipResult:
         return sum(after < before for before, after in itertools.pairwise(self.trajectory))
 
     def csv_row(self, seed, snr_db) -> list:
-        return self._csv_row(seed, snr_db, [repr(float(p)) for p in self.per_user_power])
+        return self._csv_row(seed, snr_db, self.per_user_power.tolist())
 
     @staticmethod
     def csv_header(n_users: int) -> list[str]:
         return GpipResult._csv_header([f"power_{k}" for k in range(n_users)])
 
     def _csv_row(self, seed, snr_db, power_fields: list) -> list:
-        """A solver CSV row around the result's power fields; the last column,
-        stop_reason, is "tol" when successive iterates came within the
-        tolerance, else "max_iter"."""
+        """A solver CSV row around the result's power fields, of Python numbers
+        and strings only, so `csv` writes each float in its shortest round-trip
+        form whatever numpy's print options; the last column, stop_reason, is
+        "tol" when successive iterates came within the tolerance, else
+        "max_iter"."""
         k, n = self.precoder.shape[-2:]
-        return [seed, n, k, snr_db, self.iterations, repr(self.objective_log2),
-                repr(self.kkt_residual), len(self.schedule), *power_fields,
+        return [seed, n, k, snr_db, self.iterations, float(self.objective_log2),
+                float(self.kkt_residual), len(self.schedule), *power_fields,
                 self.objective_decreases, "tol" if self.converged else "max_iter"]
 
     @staticmethod

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpip import channel, cli, coop, evaluation, runner
+from gpip import channel, cli, coop, evaluation, runner, solver
 from gpip.config import FIELD_RULES, ExperimentConfig, config_from_dict, load_config
 from gpip.errors import ConfigInvalid, GpipError, NotPositiveDefinite, RankDeficient
 from gpip.numerics import hermitian_sqrt
@@ -176,6 +176,9 @@ class TestConfigValidation:
                   tdd_noise_over_pilot=1e-11), "tdd_noise_over_pilot"),
             # so near the circumradius a drop almost never placed a user: it hung
             (dict(scenario="system", n_cells=7, min_distance_m=577.3), "min_distance_m"),
+            # the tables key rows by SNR value: a repeated point would put two
+            # different draws under one key
+            (dict(snr_db=[10, 10.0]), "snr_db"),
         ],
     )
     def test_unrunnable_configs_rejected_before_any_output(self, tmp_path, patch, field):
@@ -719,6 +722,16 @@ class TestUnitErrors:
                            match=r"^SNR 5\.0 dB, trial 0, algorithm gpip: pivot 0\.0 at column 1$"):
             runner.run_link_level(cfg, tmp_path)
 
+    def test_ergodic_error_names_snr_trial_and_algorithm(self, monkeypatch):
+        def fail(alg, *args, **kwargs):
+            raise NotPositiveDefinite("pivot 0.0 at column 1")
+
+        monkeypatch.setattr(evaluation, "design_precoders", fail)
+        cfg = config_from_dict(minimal_link(algorithms=["gpip"], snr_db=[5.0]))
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^SNR 5\.0 dB, trial 0, algorithm gpip: pivot 0\.0 at column 1$"):
+            evaluation.ergodic_sum_se(cfg, "gpip")
+
     def test_system_error_names_drop_block_and_algorithm(self, tmp_path, monkeypatch):
         def fail(pairs, **kwargs):
             raise RankDeficient("cluster channel has rank 1")
@@ -772,6 +785,69 @@ class TestUnitErrors:
         with pytest.raises(RankDeficient, match=r"^drop 0, cell \d+: "):
             runner.run_system_level(cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+
+FOLD_LINK = minimal_link(algorithms=["gpip", "zf-dpc", "mrt"], snr_db=[0, 10.5], n_trials=3)
+FOLD_SYSTEM = minimal_link(scenario="system", n_cells=3, n_coop=2, csit_model="tdd", weights="pf",
+                           algorithms=["gpip", "gpip-coop", "zf-dpc"], n_drops=3, n_blocks=2)
+
+
+def assert_same_artifacts(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestCampaignFold:
+    """A campaign maps its units to rows and folds them in unit order; the rows
+    hold Python numbers, so numpy's print options cannot reach the artifacts."""
+
+    @pytest.mark.parametrize("data", [FOLD_LINK, FOLD_SYSTEM], ids=["link", "system"])
+    def test_units_computed_in_reverse_fold_to_the_same_artifacts(self, tmp_path, monkeypatch,
+                                                                  data):
+        cfg = config_from_dict(data)
+        runner.run(cfg, tmp_path / "normal")
+        if cfg.scenario == "link":
+            stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+            indices = range(len(cfg.snr_db) * cfg.n_trials)
+            units = {i: runner.link_unit(cfg, stats, i) for i in reversed(indices)}
+            name = "link_unit"
+        else:
+            clusters = runner.consecutive_clusters(cfg.n_cells, cfg.n_coop)
+            indices = range(cfg.n_drops)
+            units = {d: runner.system_drop(cfg, clusters, d) for d in reversed(indices)}
+            name = "system_drop"
+        calls = []
+        monkeypatch.setattr(runner, name, lambda cfg, _, i: calls.append(i) or units[i])
+        runner.run(cfg, tmp_path / "folded")
+        assert calls == list(indices)
+        assert_same_artifacts(tmp_path / "normal", tmp_path / "folded")
+
+    def test_artifacts_ignore_numpy_print_options(self, tmp_path):
+        for data in (FOLD_LINK, FOLD_SYSTEM):
+            cfg = config_from_dict(data)
+            default, legacy = tmp_path / f"{cfg.scenario}-a", tmp_path / f"{cfg.scenario}-b"
+            runner.run(cfg, default)
+            saved = np.get_printoptions()
+            try:
+                np.set_printoptions(legacy="1.13")
+                runner.run(cfg, legacy)
+            finally:
+                np.set_printoptions(**saved)
+            assert_same_artifacts(default, legacy)
+        assert (tmp_path / "system-b" / "solver_coop.csv").is_file()
+
+    def test_solver_rows_hold_python_numbers_and_strings(self):
+        rng = np.random.default_rng(4)
+        est = rng.standard_normal((2, 2, 3, 2)) + 1j * rng.standard_normal((2, 2, 3, 2))
+        single = solver.gpip_iterate(solver.build_effective_pairs(est[0, 0], None, 0.5))
+        cluster = coop.gpip_coop(coop.build_coop_pairs(est, None, 0.5))
+        rows = [single.csv_row(7, 10.0), cluster.csv_row(7, 10.0), cluster.csv_row(7, 10.0, 3)]
+        # a third cell past this cluster of two gets K + 1 empty fields
+        assert rows[2][-6:-2] == [""] * 4 and len(rows[2]) == len(rows[1]) + 4
+        for row in rows:
+            assert {type(v) for v in row} <= {int, float, str}, row
 
 
 class TestCli:
