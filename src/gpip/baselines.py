@@ -16,10 +16,17 @@ from .numerics import solve_hermitian
 DEFAULT_SUS_ALPHA = 0.3
 
 
+def _unit_power(f: np.ndarray) -> np.ndarray:
+    """`f` scaled to unit total power; a zero stack, from all-zero estimates, raises."""
+    norm = np.linalg.norm(f)
+    if not norm > 0:
+        raise RankDeficient("estimates are all zero, so no beam has a direction")
+    return f / norm
+
+
 def mrt(estimates: np.ndarray) -> np.ndarray:
     """Matched filtering: beams along the estimates, channel-strength powers."""
-    est = np.asarray(estimates, dtype=np.complex128)
-    return est / np.linalg.norm(est)
+    return _unit_power(np.asarray(estimates, dtype=np.complex128))
 
 
 def _zf_directions(est: np.ndarray) -> np.ndarray:
@@ -59,9 +66,7 @@ def rrzf(estimates: np.ndarray, error_covs, noise_ratio: float) -> np.ndarray:
     if error_covs is not None:
         gram = gram + np.sum(np.asarray(error_covs, dtype=np.complex128), axis=0)
     gram = gram + float(noise_ratio) * np.eye(n)
-    cols = solve_hermitian(gram, est.T)  # (N, K)
-    f = cols.T
-    return f / np.linalg.norm(f)
+    return _unit_power(solve_hermitian(gram, est.T).T)  # solve gives (N, K) columns
 
 
 def rzf(estimates: np.ndarray, noise_ratio: float) -> np.ndarray:

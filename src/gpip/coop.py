@@ -31,10 +31,9 @@ from .solver import (
     GpipResult,
     LiftedPairs,
     _as_cluster_arrays,
-    _as_weights,
+    _checked,
     _log2_objective,
     _power_iteration,
-    _problem,
     extract_schedule,
 )
 
@@ -52,18 +51,15 @@ def build_coop_pairs(estimates, error_covs=None, noise_ratio=1.0) -> LiftedPairs
 
 def lambda_coop_log2(pairs: LiftedPairs, weights, f_cells: np.ndarray) -> float:
     """log2 of the cooperative quotient product (weighted cluster rate bound)."""
-    prob = _problem(pairs)
-    w = _as_weights(weights, (prob.c, prob.k))
-    qa, qb = prob.quad_forms(np.asarray(f_cells, dtype=np.complex128))
-    return _log2_objective(w, qa, qb)
+    prob, w, f = _checked(pairs, weights, f_cells, "f_cells")
+    return _log2_objective(w, *prob.quad_forms(f))
 
 
 def coop_kkt_residual(pairs: LiftedPairs, weights, f_cells: np.ndarray) -> float:
     """Pencil residual of the cooperative stationarity condition, on the
     problem `pairs` carry (so after `gpip_coop` on them nothing is rebuilt)."""
-    prob = _problem(pairs)
-    w = _as_weights(weights, (prob.c, prob.k))
-    return prob.kkt_residual(w, np.asarray(f_cells, dtype=np.complex128))
+    prob, w, f = _checked(pairs, weights, f_cells, "f_cells")
+    return prob.kkt_residual(w, f)
 
 
 @dataclass
@@ -113,12 +109,9 @@ def gpip_coop(
     on the unit-norm iterate, where the relaxation's optimality condition
     lives; it is invariant to the final rescaling.
     """
-    prob = _problem(pairs)
-    w = _as_weights(weights, (prob.c, prob.k))
-    solve_blocks = partial(prob.cholesky_blocks, solve=solve_hermitian)
+    prob, w, init = _checked(pairs, weights, init, "init")
     best_f, best_obj, iterations, converged, traj = _power_iteration(
-        prob, w, init, (prob.c, prob.k, prob.n), tol, max_iter, solve_blocks
-    )
+        prob, w, init, tol, max_iter, partial(prob.cholesky_blocks, solve=solve_hermitian))
     residual = coop_kkt_residual(pairs, w, best_f)
     scaled = best_f / np.linalg.norm(best_f.reshape(prob.c, -1), axis=1).max()
     cell_norms = np.linalg.norm(scaled.reshape(prob.c, -1), axis=1)

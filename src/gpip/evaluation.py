@@ -10,7 +10,7 @@ call of its model's channel function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -304,9 +304,12 @@ def ergodic_sum_se(config, algorithm: str, metric: str = "true") -> tuple[float,
     (config.seed, link-domain, t), so results do not depend on execution
     order. The default metric averages true-channel rates;
     metric="estimated" averages the transmitter's own rate bounds instead.
+    The config, with `algorithm` as its one algorithm, must be a valid link
+    config; one that is not raises `ConfigInvalid` naming the field.
     """
-    if config.n_trials < 1:
-        raise ConfigInvalid("n_trials: must be >= 1")
+    replace(config, algorithms=[algorithm]).validate()
+    if config.scenario != "link":
+        raise ConfigInvalid("scenario: ergodic_sum_se needs scenario='link'")
     stats = link_statistics(config, _link_correlations(config))
     sums = np.empty(config.n_trials)
     for t in range(config.n_trials):

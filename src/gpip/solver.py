@@ -18,8 +18,9 @@ itself overflows doubles for large K.
 The lifted pair, its validation and the iteration are each written once,
 for a cluster of C cooperating base stations (see `coop`) and its (C, K, N)
 stack; `build_effective_pairs` and the solvers here are the case C = 1. The
-builders return a `LiftedPairs`, the cluster's checked arrays read as a pair
-sequence, and every solve reads its problem, built once, from those arrays.
+builders check a cluster's arrays and return them as a `LiftedPairs`, read as
+a pair sequence; every solver and evaluator opens with `_checked`, which reads
+the problem, built once, from them and checks the weights and stack it is given.
 Within cell j, Abar has one shared diagonal block and every block of Bbar is
 another shared matrix minus one rank-one term, so a sweep costs one Cholesky
 factorization of size N per cell plus O(C*K*N^2), never a dense one. The
@@ -90,8 +91,8 @@ class EffectivePair:
 
 
 def _as_cluster_arrays(estimates, error_covs, noise_ratio):
-    """Checked, read-only C-order copies of the (C, C, K, N) estimates, the (C, C, K, N, N)
-    error covariances (zero for None) and the (C, K) noise ratios; [j, l, u] is BS j toward
+    """Read-only C-order copies of the finite (C, C, K, N) estimates, (C, C, K, N, N) error
+    covariances (zero for None) and positive (C, K) noise ratios; [j, l, u] is BS j toward
     user u of cell l. The kernel's rounding depends on the memory layout, hence the copies."""
     est = np.array(estimates, dtype=np.complex128, order="C")
     if est.ndim != 4 or est.shape[0] != est.shape[1]:
@@ -111,7 +112,9 @@ def _as_cluster_arrays(estimates, error_covs, noise_ratio):
     except ValueError:
         raise DimensionMismatch(
             f"noise ratios must broadcast to (C, K) = {(c, k)}, got {nr.shape}") from None
-    if np.any(nr <= 0):  # NaN passes here and fails the finiteness check
+    for name, arr in (("estimates", est), ("error covariances", cov), ("noise ratios", nr)):
+        _require_finite(name, arr)
+    if np.any(nr <= 0):
         raise ValueError("noise ratios must be positive")
     for arr in (est, cov, nr):
         arr.flags.writeable = False
@@ -122,7 +125,7 @@ def _as_cluster_arrays(estimates, error_covs, noise_ratio):
 class LiftedPairs(Sequence):
     """A cluster's pairs as views of `_as_cluster_arrays`' output: entry l * K + u,
     user u of cell l, is lifted when indexed, and `problem` is the kernel's problem,
-    built on first use. Only the builders make one."""
+    built on first use. Only the builders make one, so its arrays are checked when built."""
 
     est: np.ndarray  # (C, C, K, N)
     cov: np.ndarray  # (C, C, K, N, N)
@@ -204,7 +207,8 @@ class _ClusterProblem:
     noise over transmit power. A single cell is C = 1. Small problems are
     bound by the number of numpy calls per sweep, so everything a sweep
     reuses (conjugates, cell indices, the own-estimate half of the solves'
-    right-hand sides) is computed here once.
+    right-hand sides) is computed here once. Nothing is checked here: the
+    builders check the arrays, and `_checked` the weights and stacks.
 
     The error covariances take one of three forms, fixed here (`cov_form`):
     "zero" (perfect knowledge) and "full" keep the covariances in the
@@ -218,9 +222,6 @@ class _ClusterProblem:
     """
 
     def __init__(self, est, cov, nr):
-        _require_finite("estimates", est)
-        _require_finite("error covariances", cov)
-        _require_finite("noise ratios", nr)
         self.c, _, self.k, self.n = est.shape
         self.est = est  # (C, C, K, N)
         self.nr = nr  # (C, K)
@@ -350,12 +351,28 @@ def _problem(pairs: LiftedPairs, single_cell: bool = False) -> _ClusterProblem:
     return pairs.problem
 
 
+def _checked(pairs: LiftedPairs, weights, stack, name: str, single_cell: bool = False):
+    """(problem, weights, stack), the entry of every solver and evaluator: weights are
+    (K,) for one cell, (C, K) for a cluster, ones for None; the stack `name` is (K, N) or
+    (C, K, N), finite and nonzero, returned as (C, K, N); None (the default init) passes."""
+    prob = _problem(pairs, single_cell)
+    cell_shape = (prob.k,) if single_cell else (prob.c, prob.k)
+    w = _as_weights(weights, cell_shape)
+    if stack is not None:
+        f = np.asarray(stack, dtype=np.complex128)
+        if f.shape != (*cell_shape, prob.n):
+            raise DimensionMismatch(f"{name} must be {(*cell_shape, prob.n)}, got {f.shape}")
+        _require_finite(name, f)
+        if not np.linalg.norm(f) > 0:
+            raise ValueError(f"{name} must be nonzero")
+        stack = f.reshape(prob.c, prob.k, prob.n)
+    return prob, w, stack
+
+
 def objective_log2(pairs: LiftedPairs, weights, f_users: np.ndarray) -> float:
     """log2 of the Rayleigh-quotient product; equals the weighted rate bound sum."""
-    prob = _problem(pairs, single_cell=True)
-    w = _as_weights(weights, (prob.k,))
-    qa, qb = prob.quad_forms(np.asarray(f_users, dtype=np.complex128)[None])
-    return _log2_objective(w, qa, qb)
+    prob, w, f = _checked(pairs, weights, f_users, "f_users", single_cell=True)
+    return _log2_objective(w, *prob.quad_forms(f))
 
 
 def build_weighted_pair(
@@ -366,10 +383,8 @@ def build_weighted_pair(
     Both matrices are defined up to one common positive scale, fixed here by
     the shared-max-exponent normalization of the coefficients.
     """
-    prob = _problem(pairs, single_cell=True)
-    w = _as_weights(weights, (prob.k,))
-    qa, qb = prob.quad_forms(np.asarray(f_users, dtype=np.complex128)[None])
-    c, d = prob.coefficients(qa, qb, w, np.log(w))
+    prob, w, f = _checked(pairs, weights, f_users, "f_users", single_cell=True)
+    c, d = prob.coefficients(*prob.quad_forms(f), w, np.log(w))
     a_blocks = np.broadcast_to(prob.cell_blocks(c), (prob.k, prob.n, prob.n)).copy()
     b_blocks = prob.cell_blocks(d) - d[0, :, None, None] * prob.own_rank1[0]
     return BlockDiagonal(a_blocks), BlockDiagonal(b_blocks)
@@ -378,9 +393,8 @@ def build_weighted_pair(
 def kkt_residual(pairs: LiftedPairs, weights, f_users: np.ndarray) -> float:
     """|| Abar f - objective * Bbar f || / || Abar f ||, zero at stationarity, on
     the problem `pairs` carry (so after a solve on them nothing is rebuilt)."""
-    prob = _problem(pairs, single_cell=True)
-    w = _as_weights(weights, (prob.k,))
-    return prob.kkt_residual(w, np.asarray(f_users, dtype=np.complex128)[None])
+    prob, w, f = _checked(pairs, weights, f_users, "f_users", single_cell=True)
+    return prob.kkt_residual(w, f)
 
 
 def extract_schedule(
@@ -441,29 +455,18 @@ class GpipResult:
                 "active_count", *power_columns, "objective_decreases", "stop_reason"]
 
 
-def _initial_stack(prob: _ClusterProblem, init, shape: tuple) -> np.ndarray:
-    """The unit-norm (C, K, N) start: `init`, in the caller's `shape`, or by
+def _initial_stack(prob: _ClusterProblem, init) -> np.ndarray:
+    """The unit-norm (C, K, N) start: `init`, checked by `_checked`, or by
     default each BS's estimates of its own users (matched filter)."""
-    if init is None:
-        f = prob.own
-        if not np.any(f):
-            raise ValueError(
-                "own-cell estimates are all zero, so the default matched-filter "
-                "init is zero; pass a nonzero init"
-            )
-    else:
-        f = np.asarray(init, dtype=np.complex128)
-        if f.shape != shape:
-            raise DimensionMismatch(f"init must be {shape}, got {f.shape}")
-        _require_finite("init", f)
-        f = f.reshape(prob.c, prob.k, prob.n)
+    f = prob.own if init is None else init
     norm = np.linalg.norm(f)
-    if not norm > 0:
-        raise ValueError("init must be nonzero")
+    if not norm > 0:  # only the default gets here: `_checked` rejects a zero init
+        raise ValueError("own-cell estimates are all zero, so the default matched-filter "
+                         "init is zero; pass a nonzero init")
     return f / norm
 
 
-def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve_blocks):
+def _power_iteration(prob: _ClusterProblem, w, init, tol, max_iter, solve_blocks):
     """The fixed-point iteration on a (C, K, N) stack, shared by every solver.
 
     Each sweep rebuilds the pencil at the current stack, applies the per-cell
@@ -478,7 +481,7 @@ def _power_iteration(prob: _ClusterProblem, w, init, shape, tol, max_iter, solve
     """
     if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
-    f = _initial_stack(prob, init, shape)
+    f = _initial_stack(prob, init)
     qa, qb = prob.quad_forms(f)
     best_f, best_obj = f, _log2_objective(w, qa, qb)
     traj = [best_obj]
@@ -542,10 +545,9 @@ def gpip_iterate(
     objective seen (including the start) is returned, so the result never
     falls below its initialization.
     """
-    prob = _problem(pairs, single_cell=True)
-    w = _as_weights(weights, (prob.k,))
+    prob, w, init = _checked(pairs, weights, init, "init", single_cell=True)
     solve_blocks = partial(prob.cholesky_blocks, solve=solve_hermitian)
-    out = _power_iteration(prob, w, init, (prob.k, prob.n), tol, max_iter, solve_blocks)
+    out = _power_iteration(prob, w, init, tol, max_iter, solve_blocks)
     return _finish(pairs, w, select_threshold, *out)
 
 
@@ -611,12 +613,12 @@ def gpip_covfree(
         raise ValueError("error scales must be non-negative")
     alphas = np.broadcast_to(alphas, (k,))
     pairs = build_effective_pairs(est, alphas[:, None, None] * np.eye(n), noise_ratio)
-    w = _as_weights(weights, (k,))
+    prob, w, init = _checked(pairs, weights, init, "init", single_cell=True)
 
     def solve_blocks(d, rhs):
         delta = float(np.sum(d * (alphas + pairs.nr)))
         inverses = covfree_block_inverses(est, d[0], delta)
         return (inverses @ rhs[0][:, :, None]).transpose(2, 0, 1)
 
-    out = _power_iteration(pairs.problem, w, init, (k, n), tol, max_iter, solve_blocks)
+    out = _power_iteration(prob, w, init, tol, max_iter, solve_blocks)
     return _finish(pairs, w, select_threshold, *out)

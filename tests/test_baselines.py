@@ -292,6 +292,18 @@ class TestPowerFeasibility:
             assert total_power(f) <= 1 + 1e-10
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("design", [
+    baselines.mrt,
+    lambda est: baselines.rzf(est, 0.1),
+    lambda est: baselines.rrzf(est, np.broadcast_to(0.1 * np.eye(3), (2, 3, 3)), 0.1),
+], ids=["mrt", "rzf", "rrzf"])
+def test_all_zero_estimates_raise_rank_deficient(design):
+    # the unit-power normalization divided by a zero norm and returned NaN beams
+    with pytest.raises(RankDeficient, match="^estimates are all zero"):
+        design(np.zeros((2, 3), dtype=complex))
+
+
 def greedy_loop_reference(est, limit, alpha=None):
     """The per-candidate Gram-Schmidt loop the baselines used before
     `_greedy_orthogonal`: (order, residual norms), first index on ties."""

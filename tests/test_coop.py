@@ -307,7 +307,7 @@ class TestPowerIteration:
         est, cov = random_cluster(rng, 2, 3, 4, cov_scale=0.05)
         prob = solver._problem(coop.build_coop_pairs(est, cov, 0.1))
         before = dict(vars(prob))
-        solver._power_iteration(prob, rng.uniform(0.5, 2.0, (2, 3)), None, (2, 3, 4), 1e-9,
+        solver._power_iteration(prob, rng.uniform(0.5, 2.0, (2, 3)), None, 1e-9,
                                 40, partial(prob.cholesky_blocks, solve=solve_hermitian))
         assert vars(prob).keys() == before.keys()
         assert all(vars(prob)[name] is value for name, value in before.items())

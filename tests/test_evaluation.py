@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,22 @@ class TestErgodicSumSe:
         true_val, _ = evaluation.ergodic_sum_se(cfg, "rzf")
         est_val, _ = evaluation.ergodic_sum_se(cfg, "rzf", metric="estimated")
         assert est_val != true_val
+
+    @pytest.mark.parametrize("overrides, algorithm, message", [
+        (dict(snr_db=[]), "mrt", r"^snr_db: list must be nonempty$"),
+        (dict(snr_db=[float("nan")]), "mrt", r"^snr_db: every entry must be finite"),
+        (dict(scenario="system"), "mrt", r"^scenario: ergodic_sum_se needs scenario='link'$"),
+        (dict(), "gpip-coop", r"^algorithms: 'gpip-coop' needs the system scenario$"),
+    ], ids=["no-snr", "nan-snr", "system-config", "gpip-coop"])
+    def test_invalid_config_rejected_before_any_trial(self, monkeypatch, overrides,
+                                                      algorithm, message):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(evaluation, "link_trial", no_trial)
+        cfg = dataclasses.replace(link_config(n_trials=2), **overrides)
+        with pytest.raises(ConfigInvalid, match=message):
+            evaluation.ergodic_sum_se(cfg, algorithm)
 
     def test_unknown_metric_rejected(self):
         # any other value used to measure true rates without a word

@@ -453,7 +453,7 @@ class TestBlockSolves:
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefinite,
                                match=f"^sweep 1: the Bbar solve returned a stack of {what} norm$"):
-                solver._power_iteration(prob, np.ones(3), None, (3, 2), 0.01, 10, broken)
+                solver._power_iteration(prob, np.ones(3), None, 0.01, 10, broken)
 
 
 class FullRouteProblem(solver._ClusterProblem):
@@ -538,7 +538,7 @@ class TestCovarianceForms:
         res = solver.gpip_iterate(solver.build_effective_pairs(est, cov, 0.1))
         oracle = FullRouteProblem(est[None, None], cov[None, None], np.full((1, k), 0.1))
         best_f, best_obj, iterations, _, traj = solver._power_iteration(
-            oracle, np.ones(k), None, (k, n), solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER,
+            oracle, np.ones(k), None, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER,
             partial(oracle.cholesky_blocks, solve=solve_hermitian),
         )
         assert res.iterations == iterations
@@ -837,3 +837,37 @@ class TestLiftedPairs:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
+
+
+def _cell_pairs():
+    return solver.build_effective_pairs(*random_instance(np.random.default_rng(61), 2, 2, 0.1))
+
+
+def _cluster_pairs():
+    rng = np.random.default_rng(62)
+    est = (rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))) / np.sqrt(2)
+    return coop.build_coop_pairs(est, None, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["shape", "nan", "zero"])
+@pytest.mark.parametrize("evaluate, pairs, name, shape, wrong", [
+    (solver.objective_log2, _cell_pairs, "f_users", (2, 2), (3, 2)),
+    (solver.build_weighted_pair, _cell_pairs, "f_users", (2, 2), (3, 2)),
+    (solver.kkt_residual, _cell_pairs, "f_users", (2, 2), (3, 2)),
+    (coop.lambda_coop_log2, _cluster_pairs, "f_cells", (2, 2, 2), (2, 3, 2)),
+    (coop.coop_kkt_residual, _cluster_pairs, "f_cells", (2, 2, 2), (1, 2, 2)),
+], ids=["objective_log2", "build_weighted_pair", "kkt_residual", "lambda_coop_log2",
+        "coop_kkt_residual"])
+def test_evaluators_check_their_stack(evaluate, pairs, name, shape, wrong, case):
+    # a misshaped stack used to give a number (or broadcast over the cells),
+    # and a zero or NaN stack a NaN
+    if case == "shape":
+        with pytest.raises(DimensionMismatch) as err:
+            evaluate(pairs(), None, np.ones(wrong))
+        assert str(err.value) == f"{name} must be {shape}, got {wrong}"
+    else:
+        stack = np.full(shape, np.nan if case == "nan" else 0.0)
+        message = "finite" if case == "nan" else "nonzero"
+        with pytest.raises(ValueError, match=f"^{name} must be {message}$"):
+            evaluate(pairs(), None, stack)
