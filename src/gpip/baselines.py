@@ -86,6 +86,8 @@ def waterfill(gains, total_power: float, noise_var: float = 1.0) -> np.ndarray:
     """
     g = np.asarray(gains, dtype=float)
     noise_var = float(noise_var)
+    if not np.isfinite(g).all():
+        raise ValueError("gains must be finite")
     if g.size == 0 or np.all(g <= 0):
         raise ValueError("need at least one positive gain")
     floors = np.where(g > 0, noise_var / np.maximum(g, 1e-300), np.inf)

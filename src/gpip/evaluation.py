@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import baselines, channel, solver
+from . import baselines, channel, coop, solver
 from .config import COV_KNOWLEDGE, CSIT_MODELS
 from .errors import ConfigInvalid, DimensionMismatch, located
 from .numerics import hermitian_sqrt, hermitize
@@ -233,18 +233,14 @@ def design_precoders(
     baseline ignores them.
     """
     nr_scalar = float(np.mean(noise_ratio))
+    opts = dict(weights=weights, tol=config.tol, max_iter=config.max_iter,
+                select_threshold=config.sel_threshold)
     if algorithm == "gpip":
         pairs = solver.build_effective_pairs(est, known_cov, noise_ratio)
-        res = solver.gpip_iterate(
-            pairs, weights=weights, tol=config.tol, max_iter=config.max_iter,
-            select_threshold=config.sel_threshold,
-        )
+        res = solver.gpip_iterate(pairs, **opts)
         return res.precoder, res
     if algorithm == "gpip-covfree":
-        res = solver.gpip_covfree(
-            est, alphas, noise_ratio, weights=weights, tol=config.tol,
-            max_iter=config.max_iter, select_threshold=config.sel_threshold,
-        )
+        res = solver.gpip_covfree(est, alphas, noise_ratio, **opts)
         return res.precoder, res
     if algorithm == "mrt":
         return baselines.mrt(est), None
@@ -263,37 +259,73 @@ def design_precoders(
     raise ConfigInvalid(f"algorithms: unknown algorithm {algorithm!r}")
 
 
+def _block_rates(config, algorithms, true_h, est_h, cells, noise_ratio, clusters=(),
+                 weights=None, metric: str = "true") -> dict:
+    """Design every algorithm from one block's estimates and score it; a link
+    trial is a block of one cell.
+
+    `true_h`, `est_h` are (L, L, K, N), indexed [bs, user_cell, user]. Cell l
+    designs from `cells[l]`, its (known covariances, levels, noise ratio) for
+    `design_precoders`, each cluster from its `clusters` entry (cell indices,
+    known covariances (C, C, K, N, N), noise ratios (C, K)). `weights` maps
+    an algorithm to (L, K) weights, else all weigh one. `zf-dpc` holds each
+    cell's sum-rate bound at its mean noise ratio on user 0; the others are
+    true-channel rates under all cells' precoders at the downlink
+    `noise_ratio` or, with metric "estimated", each cell's own lower bounds.
+    Returns {algorithm: ((L, K) rates, extras list or None)}.
+    """
+    if metric not in ("true", "estimated"):
+        raise ValueError(f"metric must be 'true' or 'estimated', got {metric!r}")
+    n_cells, _, n_users, n = est_h.shape
+    out = {}
+    for alg in algorithms:
+        with located(f"algorithm {alg}: "):
+            if alg == "zf-dpc":
+                rates = np.zeros((n_cells, n_users))
+                for l, (_, _, nr) in enumerate(cells):
+                    rates[l, 0] = baselines.zf_dpc_waterfilling(est_h[l, l], float(np.mean(nr)))[2]
+                out[alg] = (rates, None)
+                continue
+            w = weights[alg] if weights else np.ones((n_cells, n_users))
+            f = np.zeros((n_cells, n_users, n), dtype=np.complex128)
+            extras = []
+            if alg == "gpip-coop":
+                for cl, known_cov, nr in clusters:
+                    pairs = coop.build_coop_pairs(est_h[np.ix_(cl, cl)], known_cov, nr)
+                    extras.append(coop.gpip_coop(pairs, weights=w[cl], tol=config.tol,
+                                                 max_iter=config.max_iter,
+                                                 select_threshold=config.sel_threshold))
+                    f[cl] = extras[-1].precoder
+            else:
+                for l, (known_cov, alphas, nr) in enumerate(cells):
+                    f[l], extra = design_precoders(alg, est_h[l, l], known_cov, nr, config,
+                                                   alphas, w[l])
+                    extras.append(extra)
+            if metric == "true":
+                rates = true_sinr(true_h, f, noise_ratio).rate
+            else:
+                rates = np.array([gmi_rate_lb(est_h[l, l], known_cov, f[l], nr)
+                                  for l, (known_cov, _, nr) in enumerate(cells)])
+            out[alg] = (rates, [e for e in extras if e is not None] or None)
+    return out
+
+
 def link_trial(
     config, snr_db: float, algorithms, rng, stats: LinkStatistics, metric: str = "true"
 ) -> dict:
     """One fading block: draw channels once, run every algorithm on them.
 
-    Returns {algorithm: (per-user rates, extras)}; the shared draw makes
-    cross-algorithm comparisons paired. `metric` selects what the rates
-    measure: "true" evaluates the designed precoders on the actual channels
-    (what users receive), "estimated" reports the transmitter-side lower
-    bounds computed from its own imperfect knowledge, `stats.known_cov`, and
-    any other value raises. `stats` is the campaign's `LinkStatistics`.
+    A `_block_rates` block of one cell that knows `stats.known_cov` from the
+    campaign's `LinkStatistics`; returns {algorithm: (per-user rates,
+    extras)}, paired across algorithms by the shared draw. `metric` is
+    "true" (rates on the actual channels) or "estimated" (the transmitter's
+    lower bounds from its own imperfect knowledge); any other value raises.
     """
-    if metric not in ("true", "estimated"):
-        raise ValueError(f"metric must be 'true' or 'estimated', got {metric!r}")
     noise_ratio = 10.0 ** (-snr_db / 10.0)
     true, est = _draw_link_csit(stats, rng)
-    out = {}
-    for alg in algorithms:
-        with located(f"algorithm {alg}: "):
-            if alg == "zf-dpc":
-                _, _, rate = baselines.zf_dpc_waterfilling(est, noise_ratio)
-                out[alg] = (np.array([rate]), None)
-                continue
-            f, extras = design_precoders(alg, est, stats.known_cov, noise_ratio, config,
-                                         stats.alphas)
-        if metric == "estimated":
-            rates = gmi_rate_lb(est, stats.known_cov, f, noise_ratio)
-        else:
-            rates = true_sinr(true[None, None], f[None], noise_ratio).rate[0]
-        out[alg] = (rates, extras)
-    return out
+    out = _block_rates(config, algorithms, true[None, None], est[None, None],
+                       [(stats.known_cov, stats.alphas, noise_ratio)], noise_ratio, metric=metric)
+    return {alg: (rates[0], extras and extras[0]) for alg, (rates, extras) in out.items()}
 
 
 def ergodic_sum_se(config, algorithm: str, metric: str = "true") -> tuple[float, float]:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, channel, coop, evaluation, solver
+from . import channel, coop, evaluation, solver
 from .config import ExperimentConfig, write_manifest
 from .errors import ConfigInvalid, RankDeficient, located
 from .evaluation import (
@@ -317,52 +317,17 @@ def multicell_block(cfg: ExperimentConfig, stats: DropStatistics, algorithms, rn
                     pf_weights=None) -> dict:
     """Run every algorithm on one fading block of a multi-cell drop.
 
-    `stats` is the drop's `DropStatistics` (see `multicell_csit`), built
-    once per drop; the block reads its effective noise ratios and its
-    downlink noise ratio from there.
-    All algorithms see the same CSIT draw (paired comparison). `pf_weights`
-    optionally maps an algorithm name to its (L, K) weight array, else
-    every user weighs one; weights reach the joint designs only (gpip-coop
-    here, gpip and gpip-covfree through `evaluation.design_precoders`).
-    Returns {algorithm: (rates (L, K), solver_extras)} with rates evaluated
-    on the true channels under all cells' simultaneous transmissions.
+    `stats` is the drop's `DropStatistics`: each cell designs from its own
+    estimates, knowledge and effective noise ratios, each cluster from its
+    members'. `pf_weights` optionally maps an algorithm name to its (L, K)
+    weights. Returns `evaluation._block_rates` of the block's CSIT draw.
     """
-    n_cells, _, n_users, n, _ = stats.roots.shape
     true_h, est_h = multicell_csit(stats, rng)
-    out = {}
-    for alg in algorithms:
-        with located(f"algorithm {alg}: "):
-            if alg == "zf-dpc":
-                rates = np.zeros((n_cells, n_users))
-                for l in range(n_cells):
-                    nr = float(np.mean(stats.nr_cell[l]))
-                    _, _, rate = baselines.zf_dpc_waterfilling(est_h[l, l], nr)
-                    rates[l, 0] = rate  # per-cell sum bound, stored on slot 0
-                out[alg] = (rates, None)
-                continue
-            w_alg = pf_weights[alg] if pf_weights else np.ones((n_cells, n_users))
-            precoders = np.zeros((n_cells, n_users, n), dtype=np.complex128)
-            extras = []
-            if alg == "gpip-coop":
-                for cl in stats.clusters:
-                    pairs = coop.build_coop_pairs(est_h[np.ix_(cl, cl)],
-                                                  stats.known_cov[cl, :len(cl)], stats.nr_coop[cl])
-                    res = coop.gpip_coop(pairs, weights=w_alg[cl], tol=cfg.tol,
-                                         max_iter=cfg.max_iter,
-                                         select_threshold=cfg.sel_threshold)
-                    precoders[cl] = res.precoder
-                    extras.append(res)
-            else:
-                for l, p in enumerate(stats.position):
-                    precoders[l], extra = evaluation.design_precoders(
-                        alg, est_h[l, l], stats.known_cov[l, p], stats.nr_cell[l], cfg,
-                        stats.alphas[l, p], w_alg[l],
-                    )
-                    if extra is not None:
-                        extras.append(extra)
-            report = evaluation.true_sinr(true_h, precoders, stats.noise_ratio)
-            out[alg] = (report.rate, extras or None)
-    return out
+    cells = [(stats.known_cov[l, p], stats.alphas[l, p], stats.nr_cell[l])
+             for l, p in enumerate(stats.position)]
+    clusters = [(cl, stats.known_cov[cl, :len(cl)], stats.nr_coop[cl]) for cl in stats.clusters]
+    return evaluation._block_rates(cfg, algorithms, true_h, est_h, cells, stats.noise_ratio,
+                                   clusters, pf_weights)
 
 
 def system_drop(cfg: ExperimentConfig, clusters, d: int) -> dict:

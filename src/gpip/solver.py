@@ -354,7 +354,9 @@ def _problem(pairs: LiftedPairs, single_cell: bool = False) -> _ClusterProblem:
 def _checked(pairs: LiftedPairs, weights, stack, name: str, single_cell: bool = False):
     """(problem, weights, stack), the entry of every solver and evaluator: weights are
     (K,) for one cell, (C, K) for a cluster, ones for None; the stack `name` is (K, N) or
-    (C, K, N), finite and nonzero, returned as (C, K, N); None (the default init) passes."""
+    (C, K, N), finite and nonzero, returned as (C, K, N); None (the default init) passes.
+    Every use of a stack is scale-free, so one whose largest entry is far from one is
+    divided by it, which keeps its squared norm in range."""
     prob = _problem(pairs, single_cell)
     cell_shape = (prob.k,) if single_cell else (prob.c, prob.k)
     w = _as_weights(weights, cell_shape)
@@ -363,8 +365,11 @@ def _checked(pairs: LiftedPairs, weights, stack, name: str, single_cell: bool = 
         if f.shape != (*cell_shape, prob.n):
             raise DimensionMismatch(f"{name} must be {(*cell_shape, prob.n)}, got {f.shape}")
         _require_finite(name, f)
-        if not np.linalg.norm(f) > 0:
+        peak = np.abs(f).max()
+        if not peak > 0:
             raise ValueError(f"{name} must be nonzero")
+        if not 1e-150 < peak < 1e150:
+            f = f / peak
         stack = f.reshape(prob.c, prob.k, prob.n)
     return prob, w, stack
 

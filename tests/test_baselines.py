@@ -132,6 +132,12 @@ class TestWaterfill:
         assert p[0] == pytest.approx(0.1, abs=1e-9)
         assert p[1] == 0.0
 
+    @pytest.mark.parametrize("gains", [[np.nan], [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]])
+    def test_non_finite_gains_rejected(self, gains):
+        # a NaN used to raise IndexError or count as a zero gain, an inf to take all the power
+        with pytest.raises(ValueError, match="^gains must be finite$"):
+            baselines.waterfill(gains, 1.0)
+
     def test_sum_constraint_and_kkt(self):
         rng = np.random.default_rng(8)
         gains = rng.uniform(0.05, 5.0, size=8)

@@ -301,6 +301,36 @@ class TestKnownCovariance:
                 a[0] = 0.0
 
 
+class TestZfDpcBound:
+    """`zf-dpc` rates hold each cell's sum-rate bound on its own estimates at
+    its mean noise ratio on user 0, and zeros elsewhere."""
+
+    def test_link_trial_row(self):
+        cfg = link_config(n_antennas=3, n_users=3, algorithms=["zf-dpc"], csit_model="tdd",
+                          tdd_noise_over_pilot=0.3)
+        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+        rates, extras = evaluation.link_trial(cfg, 5.0, ["zf-dpc"], np.random.default_rng(3),
+                                              stats)["zf-dpc"]
+        _, est = evaluation._draw_link_csit(stats, np.random.default_rng(3))
+        bound = baselines.zf_dpc_waterfilling(est, 10.0 ** -0.5)[2]
+        assert extras is None
+        assert rates.tolist() == [bound, 0.0, 0.0]
+
+    def test_system_block_rows(self):
+        cfg = ExperimentConfig(scenario="system", n_antennas=3, n_users=2, n_cells=3, n_coop=2,
+                               algorithms=["zf-dpc"], csit_model="tdd", seed=4).validate()
+        corr, _, _ = runner.system_correlations(cfg, np.random.default_rng(1))
+        noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
+        stats = runner.drop_statistics(corr, runner.consecutive_clusters(3, 2), noise_over_pilot)
+        rates, extras = runner.multicell_block(cfg, stats, ["zf-dpc"],
+                                               np.random.default_rng(2))["zf-dpc"]
+        _, est_h = runner.multicell_csit(stats, np.random.default_rng(2))
+        bounds = [baselines.zf_dpc_waterfilling(est_h[l, l], np.mean(stats.nr_cell[l]))[2]
+                  for l in range(3)]
+        assert extras is None
+        assert rates.tolist() == [[b, 0.0] for b in bounds]
+
+
 class TestPfWeights:
     def test_equal_rates_give_uniform_weights(self):
         w = evaluation.pf_weights([2.0, 2.0, 2.0])

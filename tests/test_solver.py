@@ -871,3 +871,23 @@ def test_evaluators_check_their_stack(evaluate, pairs, name, shape, wrong, case)
         message = "finite" if case == "nan" else "nonzero"
         with pytest.raises(ValueError, match=f"^{name} must be {message}$"):
             evaluate(pairs(), None, stack)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_stacks_of_extreme_magnitude_act_as_unit_stacks(scale):
+    # every use of a stack is scale-free; a squared norm that overflowed used
+    # to raise a RuntimeWarning, and one that underflowed "must be nonzero"
+    rng = np.random.default_rng(63)
+    cell, cluster = _cell_pairs(), _cluster_pairs()
+    f_cell, f_cluster = random_stack(rng, 2, 2), random_stack(rng, 4, 2).reshape(2, 2, 2)
+    for evaluate, pairs, f in ((solver.objective_log2, cell, f_cell),
+                               (solver.kkt_residual, cell, f_cell),
+                               (coop.lambda_coop_log2, cluster, f_cluster),
+                               (coop.coop_kkt_residual, cluster, f_cluster)):
+        assert evaluate(pairs, None, scale * f) == pytest.approx(evaluate(pairs, None, f),
+                                                                 rel=1e-13, abs=1e-15)
+    for solve, pairs, f in ((solver.gpip_iterate, cell, f_cell), (coop.gpip_coop, cluster, f_cluster)):
+        ref, res = solve(pairs, init=f), solve(pairs, init=scale * f)
+        assert res.iterations == ref.iterations
+        np.testing.assert_allclose(res.precoder, ref.precoder, rtol=0, atol=1e-14)
