@@ -9,11 +9,13 @@ where A_k repeats the user-k effective channel block (outer product of the
 estimate, plus its error covariance, plus the noise-over-power ridge) down the
 diagonal, and B_k is A_k with the desired rank-one term removed from block k.
 A stationary point satisfies the self-consistent pencil equation
-Abar(f) f = objective(f) * Bbar(f) f, and the solver finds one by power
-iteration: f <- normalize(Bbar(f)^-1 Abar(f) f). Selection, powers, and beam
-directions are all read off the per-user segments of the converged stack.
-The objective is exposed as its base-2 log, `objective_log2`: the product
-itself overflows doubles for large K.
+Abar(f) f = Bbar(f) f, Abar = sum_k c_k A_k and Bbar = sum_k d_k B_k with the
+quotient weights c_k = w_k / f^H A_k f and d_k = w_k / f^H B_k f, and the solver
+finds one by power iteration: f <- normalize(Bbar(f)^-1 Abar(f) f). No positive
+scale of either weight family changes that update, so both are divided by
+max(d) and no product of quadratic forms is formed: the objective overflows
+doubles for large K and is exposed as its base-2 log, `objective_log2`.
+Selection, powers, and beam directions are read off the converged stack.
 
 The lifted pair, its validation and the iteration are each written once,
 for a cluster of C cooperating base stations (see `coop`) and its (C, K, N)
@@ -240,17 +242,22 @@ class _ClusterProblem:
         else:
             self.cov = cov  # (C, C, K, N, N)
             self.g0 = np.einsum("jlkn,jlkm->jlknm", est, self.est_conj) + cov
-        self.own_rank1 = np.einsum("jkn,jkm->jknm", self.own, self.own_conj)
+        users = np.arange(self.k)
+        self.desired_at = (self.cells[:, None], self.cells[:, None], users, users)
         # [rhs_j | own_j] of every cell, as rows; cholesky_blocks fills the rhs half
         self.stacked = np.empty((self.c, 2 * self.k, self.n), dtype=np.complex128)
         self.stacked[:, self.k:] = self.own
 
     def quad_forms(self, f: np.ndarray):
-        """f^H A_(l,u) f and f^H B_(l,u) f as (C, K) arrays, for a (C, K, N) stack."""
+        """f^H A_(l,u) f and f^H B_(l,u) f as (C, K) arrays, for a (C, K, N) stack.
+        The B side is summed with the desired terms zeroed and the A side adds them
+        back, so neither is a difference that can cancel."""
         norm2 = np.vdot(f, f).real
         # inner[j, l, u, i] = est(BS j -> user (l, u))^H f_(j, i)
         inner = self.est_conj @ f.transpose(0, 2, 1)[:, None]
         power = np.abs(inner) ** 2
+        desired = power[self.desired_at]  # power[j, j, u, u], (C, K)
+        power[self.desired_at] = 0.0
         sig = power.sum(axis=(0, 3))
         if self.cov_form == "scalar":
             # sum_(j, i) f_(j, i)^H (alpha_j I) f_(j, i) = sum_j alpha_j ||f_j||^2
@@ -260,31 +267,15 @@ class _ClusterProblem:
             # sum_i f_i^H cov f_i = <cov, sum_i conj(f_i) f_i^T>
             gram = np.einsum("jin,jim->jnm", f.conj(), f)
             sig = sig + np.real(np.einsum("jlknm,jnm->lk", self.cov, gram))
-        qa = sig + self.nr * norm2
-        desired = power.diagonal(0, 0, 1).diagonal(0, 0, 1)  # power[j, j, u, u], (C, K)
-        return qa, qa - desired
-
-    def coefficients(self, qa, qb, w, log_w):
-        """Log-domain quotient weights, re-centered by the shared max exponent.
-
-        Products of C*K quadratic forms overflow doubles well before K hits
-        the sizes the solver targets, so both coefficient families are
-        accumulated as log sums and exponentiated after subtracting one shared
-        maximum, which fixes the common positive scale of Abar and Bbar.
-        `log_w` is log(w), which the kernel takes once per solve.
-        """
-        log_qa, log_qb = np.log(qa), np.log(qb)
-        log_c = log_w - log_qa + np.vdot(w, log_qa)
-        log_d = log_w - log_qb + np.vdot(w, log_qb)
-        shift = max(log_c.max(), log_d.max())
-        return np.exp(log_c - shift), np.exp(log_d - shift)
+        qb = sig + self.nr * norm2
+        return qb + desired, qb
 
     def cell_blocks(self, coeff):
         """Per-cell shared block sum_(l,u) coeff[l,u] * g0[j,l,u] + ridge, (C, N, N).
 
-        With the c coefficients this is every diagonal block of Abar in cell
-        j; with the d coefficients, block (j, u) of Bbar subtracts
-        d[j, u] * own_rank1[j, u] from it.
+        With the c weights of `_quotient_weights` this is every diagonal block
+        of Abar in cell j; with the d weights, block (j, u) of Bbar subtracts
+        d[j, u] e e^H from it, e = own[j, u].
         """
         if self.cov_form == "scalar":
             # (N x CK) diag(coeff) (CK x N) per cell, then alpha + ridge on the diagonal
@@ -331,14 +322,22 @@ class _ClusterProblem:
         return x.transpose(0, 2, 1)
 
     def kkt_residual(self, w, f) -> float:
-        """|| Abar f - objective * Bbar f || / || Abar f || at the (C, K, N) stack f."""
-        qa, qb = self.quad_forms(f)
-        c, d = self.coefficients(qa, qb, w, np.log(w))
-        lam = 2.0 ** _log2_objective(w, qa, qb)
+        """|| Abar f - Bbar f || / || Abar f || at the (C, K, N) stack f and the sweep's
+        weights: the same number as || Abar f - objective * Bbar f || / || Abar f || at
+        the scale of `build_weighted_pair`, with no power of the objective formed."""
+        c, d = _quotient_weights(w, *self.quad_forms(f))
         af = f @ self.cell_blocks(c).transpose(0, 2, 1)
         bf = f @ self.cell_blocks(d).transpose(0, 2, 1)
-        bf -= d[:, :, None] * np.einsum("jknm,jkm->jkn", self.own_rank1, f)
-        return float(np.linalg.norm(af - lam * bf) / np.linalg.norm(af))
+        bf -= (d * np.einsum("jkn,jkn->jk", self.own_conj, f))[:, :, None] * self.own
+        return float(np.linalg.norm(af - bf) / np.linalg.norm(af))
+
+
+def _quotient_weights(w, qa, qb):
+    """The quotient weights (c, d) = (w / qa, w / qb) of the sweep's pencil, both
+    divided by max(d), so every weight is at most one (qa >= qb)."""
+    d = w / qb
+    scale = d.max()
+    return w / qa / scale, d / scale
 
 
 def _problem(pairs: LiftedPairs, single_cell: bool = False) -> _ClusterProblem:
@@ -385,13 +384,17 @@ def build_weighted_pair(
 ) -> tuple[BlockDiagonal, BlockDiagonal]:
     """The linearized pencil (Abar(f), Bbar(f)) at the given stack.
 
-    Both matrices are defined up to one common positive scale, fixed here by
-    the shared-max-exponent normalization of the coefficients.
+    Both matrices are defined up to one common positive scale. Bbar is the
+    sweep's divided by the objective, so that Abar f = objective * Bbar f at a
+    stationary point, the paper's form of the pencil.
     """
     prob, w, f = _checked(pairs, weights, f_users, "f_users", single_cell=True)
-    c, d = prob.coefficients(*prob.quad_forms(f), w, np.log(w))
+    qa, qb = prob.quad_forms(f)
+    c, d = _quotient_weights(w, qa, qb)
+    d = d * np.exp2(-_log2_objective(w, qa, qb))
+    own = prob.own[0]
     a_blocks = np.broadcast_to(prob.cell_blocks(c), (prob.k, prob.n, prob.n)).copy()
-    b_blocks = prob.cell_blocks(d) - d[0, :, None, None] * prob.own_rank1[0]
+    b_blocks = prob.cell_blocks(d) - d[0, :, None, None] * np.einsum("kn,km->knm", own, own.conj())
     return BlockDiagonal(a_blocks), BlockDiagonal(b_blocks)
 
 
@@ -476,13 +479,10 @@ def _power_iteration(prob: _ClusterProblem, w, init, tol, max_iter, solve_blocks
 
     Each sweep rebuilds the pencil at the current stack, applies the per-cell
     Abar block, hands the Bbar blocks to `solve_blocks(d, rhs)`, and
-    renormalizes. The quadratic forms are evaluated once per iterate and serve
-    both its objective and the next sweep's coefficients. The normalized
-    update runs first and the stopping distance compares successive unit-norm
-    stacks, so `tol` is scale-free. Returns (best stack, its log2 objective,
-    sweeps, converged, objective per iterate); the best iterate seen,
-    including the start, is the one returned, so the result never falls below
-    its initialization.
+    renormalizes; the quadratic forms of an iterate serve both its objective
+    and the next sweep's weights. It stops and picks its iterate as
+    `gpip_iterate` says, and returns (best stack, its log2 objective, sweeps,
+    converged, objective per iterate).
     """
     if not tol > 0:  # NaN included
         raise ValueError("tol must be positive")
@@ -490,11 +490,10 @@ def _power_iteration(prob: _ClusterProblem, w, init, tol, max_iter, solve_blocks
     qa, qb = prob.quad_forms(f)
     best_f, best_obj = f, _log2_objective(w, qa, qb)
     traj = [best_obj]
-    log_w = np.log(w)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        c, d = prob.coefficients(qa, qb, w, log_w)
+        c, d = _quotient_weights(w, qa, qb)
         rhs = f @ prob.cell_blocks(c).transpose(0, 2, 1)  # row (j, u) is Abar_j f_(j, u)
         f_new = solve_blocks(d, rhs)
         norm2 = np.vdot(f_new, f_new).real

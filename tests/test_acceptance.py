@@ -292,7 +292,7 @@ def test_c08_covariance_free_equivalence():
         prob = solver._problem(pairs, single_cell=True)
         for f_users in (baselines.mrt(est), fast.precoder):
             qa, qb = prob.quad_forms(f_users[None])
-            _, d = prob.coefficients(qa, qb, np.ones(k), np.zeros(k))  # w and log(w)
+            _, d = solver._quotient_weights(np.ones(k), qa, qb)
             d = d[0] / d.max()
             delta = float(np.sum(d * (alpha + nr)))
             inverses = solver.covfree_block_inverses(est, d, delta)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -745,22 +746,57 @@ class TestUnitErrors:
                                                 r"cluster channel has rank 1$"):
             runner.run_system_level(cfg, tmp_path)
 
-    def test_broken_down_solve_names_its_unit(self, tmp_path):
-        # perfect knowledge at 100 dB with N = K = 32: a Bbar solve can return a
-        # stack whose norm overflows, which must not surface as a division warning
+    def test_broken_down_solve_names_its_unit(self, tmp_path, monkeypatch):
+        # a Bbar solve that returns a non-finite stack is a typed error naming its
+        # unit, not a division warning, and leaves no artifact behind
+        def nan_blocks(self, d, rhs, solve):
+            return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(solver._ClusterProblem, "cholesky_blocks", nan_blocks)
+        cfg = config_from_dict(minimal_link(algorithms=["gpip"], snr_db=[10], n_trials=1))
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^SNR 10 dB, trial 0, algorithm gpip: sweep 1: "):
+            runner.run_link_level(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_perfect_knowledge_at_100_db_writes_finite_artifacts(self, tmp_path, seed):
+        # N = K = 32 at 100 dB spans hundreds of bits of objective: the sweep's
+        # weights used to share one scale, so the Bbar solve overflowed at sweep 2
         cfg = config_from_dict(minimal_link(
             n_antennas=32, n_users=32, algorithms=["gpip", "gpip-covfree"], snr_db=[100],
-            n_trials=1,
+            n_trials=1, max_iter=10, seed=seed,
         ))
-        try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             paths = runner.run_link_level(cfg, tmp_path)
-        except GpipError as exc:
-            assert str(exc).startswith("SNR 100 dB, trial 0, algorithm ")
-        else:
-            for path in paths.values():
-                if path.suffix == ".csv":
-                    rows = csv.reader(path.read_text().splitlines())
-                    assert not {c.lower() for row in rows for c in row} & {"nan", "inf", "-inf"}
+        assert set(paths) == {"manifest", "summary", "per_trial", "per_user", "solver",
+                              "cdf_gpip", "cdf_gpip-covfree"}
+        solver_rows = list(csv.DictReader(paths["solver"].read_text().splitlines()))
+        assert [row["algorithm"] for row in solver_rows] == ["gpip", "gpip-covfree"]
+        for name, path in paths.items():
+            if path.suffix != ".csv":
+                continue
+            for row in csv.DictReader(path.read_text().splitlines()):
+                # one trial has no confidence interval: its half-width is inf by design
+                values = [v for col, v in row.items() if col != "ci_half_width"]
+                assert not {v.lower() for v in values} & {"nan", "inf", "-inf"}, name
+
+    def test_singular_cluster_at_wide_dynamic_range_is_typed(self, tmp_path):
+        # 100 dBm under 40 dB shadowing: a user's B-side quadratic form used to
+        # cancel to zero and divide by zero; the shared block is singular in
+        # double precision, so a typed pivot error naming the unit is the outcome
+        cfg = config_from_dict(dict(
+            scenario="system", n_antennas=2, n_users=4, n_cells=6, n_coop=6,
+            algorithms=["gpip-coop"], csit_model="perfect", bs_power_dbm=100,
+            shadowing_db=40.0, n_drops=1, n_blocks=1, seed=879,
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite,
+                               match=r"^drop 0, block 0, algorithm gpip-coop: "):
+                runner.run_system_level(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_drop_setup_names_its_cell(self, tmp_path):
         # pilots 100 dB above the noise under 40 dB shadowing: a BS's MMSE

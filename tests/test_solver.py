@@ -729,6 +729,34 @@ class TestKktResidual:
         f = random_stack(rng, 3, 3)
         assert solver.kkt_residual(pairs, None, f) > 0.01
 
+    def test_equals_the_public_pencil_residual(self):
+        rng = np.random.default_rng(17)
+        est, cov, nr = random_instance(rng, 4, 3, cov_scale=0.1)
+        pairs = solver.build_effective_pairs(est, cov, nr)
+        w = rng.uniform(0.5, 2.0, 4)
+        f = random_stack(rng, 4, 3)
+        abar, bbar = solver.build_weighted_pair(pairs, w, f)
+        lam = 2.0 ** solver.objective_log2(pairs, w, f)
+        af = abar.matvec(f.reshape(-1))
+        expected = np.linalg.norm(af - lam * bbar.matvec(f.reshape(-1))) / np.linalg.norm(af)
+        assert solver.kkt_residual(pairs, w, f) == pytest.approx(expected, rel=1e-9)
+
+    def test_finite_beyond_the_largest_double_objective(self):
+        # zero forcing at noise ratio 1e-10, N = K = 48: the objective is about 1350
+        # bits, and 2 ** objective overflowed a float
+        rng = np.random.default_rng(48)
+        est = (rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))) / np.sqrt(2)
+        f = np.linalg.pinv(est.conj()).T  # row k is user k's zero-forcing beam
+        f /= np.linalg.norm(f)
+        cell = solver.build_effective_pairs(est, None, 1e-10)
+        cluster = coop.build_coop_pairs(est[None, None], None, 1e-10)
+        assert solver.objective_log2(cell, None, f) > 1024
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals = [solver.kkt_residual(cell, None, f),
+                         coop.coop_kkt_residual(cluster, None, f[None])]
+        assert np.isfinite(residuals).all()
+
 
 class TestResultSerialization:
     def test_csv_row_schema(self):
