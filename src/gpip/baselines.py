@@ -34,14 +34,16 @@ def _zf_directions(est: np.ndarray) -> np.ndarray:
     k, n = est.shape
     if k > n:
         raise RankDeficient(f"{k} users exceed {n} antennas")
-    h = est.T  # (N, K) columns
-    gram = h.conj().T @ h  # (K, K)
-    try:
-        cols = solve_hermitian(gram, h.conj().T).conj().T  # h @ gram^-1, (N, K)
+    norms = np.linalg.norm(est, axis=1)
+    if not np.all((norms > 0) & (norms < np.inf)):  # NaN fails too
+        raise RankDeficient(f"channel rows are linearly dependent: row norms {norms.tolist()}")
+    # unit rows: row scale moves no beam, and the pivot test weighs each user by its own gain
+    u = est / norms[:, None]
+    try:  # with G = conj(u) u^T, row k of conj(G^-1 conj(u)) is along user k's ZF beam
+        beams = solve_hermitian(u.conj() @ u.T, u.conj()).conj()
     except NotPositiveDefinite as exc:
         raise RankDeficient(f"channel rows are linearly dependent: {exc}") from exc
-    dirs = cols / np.linalg.norm(cols, axis=0, keepdims=True)
-    return dirs.T  # (K, N) rows
+    return beams / np.linalg.norm(beams, axis=1, keepdims=True)
 
 
 def zf(estimates: np.ndarray) -> np.ndarray:
@@ -88,6 +90,9 @@ def waterfill(gains, total_power: float, noise_var: float = 1.0) -> np.ndarray:
     noise_var = float(noise_var)
     if not np.isfinite(g).all():
         raise ValueError("gains must be finite")
+    for name, value in (("total_power", total_power), ("noise_var", noise_var)):
+        if not 0 <= value < np.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     if g.size == 0 or np.all(g <= 0):
         raise ValueError("need at least one positive gain")
     floors = np.where(g > 0, noise_var / np.maximum(g, 1e-300), np.inf)

@@ -2,7 +2,8 @@
 
 True-channel SINRs measure what users actually receive from the designed
 precoders; the estimate-based lower-bound rates are what a transmitter can
-promise from its imperfect knowledge. Both live here, together with the
+promise from its imperfect knowledge. Both read their powers off the
+solver's one power sum, as its quadratic forms do, and live here with the
 seeded single-cell Monte Carlo engine, proportional-fairness weighting, and
 empirical CDFs. A link trial draws all of its users' CSIT in one stacked
 call of its model's channel function.
@@ -39,17 +40,11 @@ def true_sinr(true_h: np.ndarray, precoders: np.ndarray, noise_ratio: float) -> 
     """
     h = np.asarray(true_h, dtype=np.complex128)
     f = np.asarray(precoders, dtype=np.complex128)
-    if h.ndim != 4 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"true_h must be (L, L, K, N), got {h.shape}")
-    n_cells, _, n_users, _ = h.shape
-    if f.shape != (n_cells, n_users, h.shape[3]):
-        raise DimensionMismatch(f"precoders must be (L, K, N), got {f.shape}")
-    # inner[j, l, k, i] = h(BS j -> user (l,k))^H f_{j,i}
-    inner = np.einsum("jlkn,jin->jlki", h.conj(), f)
-    power = np.abs(inner) ** 2
-    c = np.arange(n_cells)
-    desired = np.diagonal(power[c, c], axis1=1, axis2=2)  # (L, K)
-    sinr = desired / (power.sum(axis=(0, 3)) - desired + noise_ratio)
+    if h.ndim != 4 or h.shape[0] != h.shape[1] or f.shape != h.shape[1:]:
+        raise DimensionMismatch(f"true_h and precoders must be (L, L, K, N) and (L, K, N), "
+                                f"got {h.shape} and {f.shape}")
+    desired, rest = solver._power_sum(h.conj(), f, solver._desired_index(*f.shape[:2]))
+    sinr = desired / (rest + noise_ratio)
     rate = np.log2(1.0 + sinr)
     return RateReport(sinr, rate, float(rate.sum()))
 
@@ -57,25 +52,17 @@ def true_sinr(true_h: np.ndarray, precoders: np.ndarray, noise_ratio: float) -> 
 def gmi_rate_lb(
     estimates: np.ndarray, error_covs, precoders: np.ndarray, noise_ratio
 ) -> np.ndarray:
-    """Single-cell per-user rate lower bounds from imperfect knowledge.
+    """Single-cell per-user rate lower bounds, from the problem `build_effective_pairs` checks:
 
     rate_k = log2(1 + |est_k^H f_k|^2 / (sum_{i != k} |est_k^H f_i|^2
              + sum_i f_i^H Phi_k f_i + noise_ratio_k)).
     """
-    est = np.asarray(estimates, dtype=np.complex128)
+    prob = solver.build_effective_pairs(estimates, error_covs, noise_ratio).problem
     f = np.asarray(precoders, dtype=np.complex128)
-    k = est.shape[0]
-    nr = np.broadcast_to(np.asarray(noise_ratio, dtype=float), (k,))
-    inner = est.conj() @ f.T  # inner[k, i]
-    power = np.abs(inner) ** 2
-    if error_covs is None:
-        leak = np.zeros(k)
-    else:
-        cov = np.asarray(error_covs, dtype=np.complex128)
-        leak = np.real(np.einsum("in,knm,im->k", f.conj(), cov, f))
-    desired = np.diagonal(power)
-    interference = power.sum(axis=1) - desired
-    return np.log2(1.0 + desired / (interference + leak + nr))
+    if f.shape != (prob.k, prob.n):
+        raise DimensionMismatch(f"precoders must be {(prob.k, prob.n)}, got {f.shape}")
+    desired, rest = prob.powers(f[None])
+    return np.log2(1.0 + desired[0] / (rest[0] + prob.nr[0]))
 
 
 def pf_weights(long_term_rates, floor: float = 1e-3) -> np.ndarray:

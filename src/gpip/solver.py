@@ -17,6 +17,10 @@ max(d) and no product of quadratic forms is formed: the objective overflows
 doubles for large K and is exposed as its base-2 log, `objective_log2`.
 Selection, powers, and beam directions are read off the converged stack.
 
+Every quadratic form is read off one power sum, `_power_sum`, which zeroes the
+desired terms rather than subtracting them, so nothing cancels; `evaluation`
+scores the true SINRs and the rate bounds with the same sum.
+
 The lifted pair, its validation and the iteration are each written once,
 for a cluster of C cooperating base stations (see `coop`) and its (C, K, N)
 stack; `build_effective_pairs` and the solvers here are the case C = 1. The
@@ -27,14 +31,8 @@ Within cell j, Abar has one shared diagonal block and every block of Bbar is
 another shared matrix minus one rank-one term, so a sweep costs one Cholesky
 factorization of size N per cell plus O(C*K*N^2), never a dense one. The
 covariance-free path hands the kernel explicit block inverses instead, built
-from the ridge by O(K log K) rank-one inverse updates.
-
-Error covariances take one of three forms, read off once per problem: zero
-(perfect knowledge), scalar (every covariance exactly alpha * I, which the
-additive CSIT model, scalar covariance knowledge and the covariance-free path
-all produce) and full. A scalar covariance stays a scalar: its term in a
-quadratic form is alpha times a BS's transmit power and in a shared block
-alpha on the diagonal, so no (N, N) covariance is contracted per sweep.
+from the ridge by O(K log K) rank-one inverse updates. Error covariances are
+classified once per problem as zero, scalar or full (see `_ClusterProblem`).
 """
 
 from __future__ import annotations
@@ -206,30 +204,26 @@ class _ClusterProblem:
 
     est[j, l, u] is BS j's estimate of its channel toward user u of cell l,
     cov[j, l, u] its error covariance, and nr[l, u] that user's effective
-    noise over transmit power. A single cell is C = 1. Small problems are
-    bound by the number of numpy calls per sweep, so everything a sweep
-    reuses (conjugates, cell indices, the own-estimate half of the solves'
-    right-hand sides) is computed here once. Nothing is checked here: the
-    builders check the arrays, and `_checked` the weights and stacks.
+    noise over transmit power. A single cell is C = 1. A sweep is bound by
+    its number of numpy calls at small sizes, so all it reuses (conjugates,
+    the desired index, the own-estimate half of the solves' right-hand sides)
+    is computed here once. Nothing is checked here: the builders check the
+    arrays, and `_checked` the weights and stacks.
 
-    The error covariances take one of three forms, fixed here (`cov_form`):
-    "zero" (perfect knowledge) and "full" keep the covariances in the
-    per-link blocks `g0` = outer product + covariance; "scalar", where every
-    covariance is exactly alpha[j, l, u] * I, keeps only the (C, C, K) levels
-    `alpha`, so a sweep adds alpha times each BS's transmit power to the
-    quadratic forms and alpha to the diagonal of the shared blocks, and forms
-    the outer-product sums as one matrix product per cell. Zero covariances
-    keep the per-link route, so perfect-knowledge results do not move by a
-    rounding bit.
+    The error covariances take one of three forms, fixed here (`cov_form`).
+    "zero" (perfect knowledge, whose rounding the scalar route would move) and
+    "full" keep per-link blocks `g0` = outer product + covariance. "scalar",
+    every covariance exactly alpha[j, l, u] * I, keeps the (C, C, K) levels: a
+    sweep adds alpha times each BS's transmit power to the powers and alpha to
+    the shared blocks' diagonal, and sums outer products as one matmul per cell.
     """
 
     def __init__(self, est, cov, nr):
         self.c, _, self.k, self.n = est.shape
-        self.est = est  # (C, C, K, N)
         self.nr = nr  # (C, K)
         self.cov_form = _cov_form(cov)
-        self.cells = np.arange(self.c)
-        self.own = est[self.cells, self.cells]  # (C, K, N): each BS toward its own users
+        self.desired_at = _desired_index(self.c, self.k)  # [l, l, u, u]
+        self.own = est[self.desired_at[:3]]  # (C, K, N): each BS toward its own users
         self.own_conj = self.own.conj()
         self.est_conj = est.conj()
         if self.cov_form == "scalar":
@@ -242,32 +236,28 @@ class _ClusterProblem:
         else:
             self.cov = cov  # (C, C, K, N, N)
             self.g0 = np.einsum("jlkn,jlkm->jlknm", est, self.est_conj) + cov
-        users = np.arange(self.k)
-        self.desired_at = (self.cells[:, None], self.cells[:, None], users, users)
         # [rhs_j | own_j] of every cell, as rows; cholesky_blocks fills the rhs half
         self.stacked = np.empty((self.c, 2 * self.k, self.n), dtype=np.complex128)
         self.stacked[:, self.k:] = self.own
 
-    def quad_forms(self, f: np.ndarray):
-        """f^H A_(l,u) f and f^H B_(l,u) f as (C, K) arrays, for a (C, K, N) stack.
-        The B side is summed with the desired terms zeroed and the A side adds them
-        back, so neither is a difference that can cancel."""
-        norm2 = np.vdot(f, f).real
-        # inner[j, l, u, i] = est(BS j -> user (l, u))^H f_(j, i)
-        inner = self.est_conj @ f.transpose(0, 2, 1)[:, None]
-        power = np.abs(inner) ** 2
-        desired = power[self.desired_at]  # power[j, j, u, u], (C, K)
-        power[self.desired_at] = 0.0
-        sig = power.sum(axis=(0, 3))
+    def powers(self, f: np.ndarray):
+        """`_power_sum` at a (C, K, N) stack, the covariance leakage added to its rest."""
+        desired, rest = _power_sum(self.est_conj, f, self.desired_at)
         if self.cov_form == "scalar":
             # sum_(j, i) f_(j, i)^H (alpha_j I) f_(j, i) = sum_j alpha_j ||f_j||^2
             cell_power = np.einsum("jin,jin->j", f.conj(), f).real
-            sig = sig + (cell_power @ self.alpha_rows).reshape(self.c, self.k)
+            rest = rest + (cell_power @ self.alpha_rows).reshape(self.c, self.k)
         elif self.cov_form == "full":
             # sum_i f_i^H cov f_i = <cov, sum_i conj(f_i) f_i^T>
             gram = np.einsum("jin,jim->jnm", f.conj(), f)
-            sig = sig + np.real(np.einsum("jlknm,jnm->lk", self.cov, gram))
-        qb = sig + self.nr * norm2
+            rest = rest + np.real(np.einsum("jlknm,jnm->lk", self.cov, gram))
+        return desired, rest
+
+    def quad_forms(self, f: np.ndarray):
+        """f^H A_(l,u) f and f^H B_(l,u) f as (C, K) arrays, for a (C, K, N) stack:
+        qb is `powers`' rest plus nr * ||f||^2, and qa adds the desired power to it."""
+        desired, rest = self.powers(f)
+        qb = rest + self.nr * np.vdot(f, f).real
         return qb + desired, qb
 
     def cell_blocks(self, coeff):
@@ -332,6 +322,22 @@ class _ClusterProblem:
         return float(np.linalg.norm(af - bf) / np.linalg.norm(af))
 
 
+def _desired_index(c: int, k: int):
+    """The index of every desired entry [l, l, u, u] of a (C, C, K, K) power array, (C, K)."""
+    cells, users = np.arange(c)[:, None], np.arange(k)
+    return cells, cells, users, users
+
+
+def _power_sum(h_conj, f, desired_at):
+    """(desired, rest), (C, K): |h_(l,l,u)^H f_(l,u)|^2 and, those entries zeroed, the sum of
+    every |h_(j,l,u)^H f_(j,i)|^2; h_conj is (C, C, K, N) [BS j, cell l, user u], f (C, K, N)."""
+    # power[j, l, u, i] = |h(BS j -> user (l, u))^H f_(j, i)|^2
+    power = np.abs(h_conj @ f.transpose(0, 2, 1)[:, None]) ** 2
+    desired = power[desired_at]
+    power[desired_at] = 0.0
+    return desired, power.sum(axis=(0, 3))
+
+
 def _quotient_weights(w, qa, qb):
     """The quotient weights (c, d) = (w / qa, w / qb) of the sweep's pencil, both
     divided by max(d), so every weight is at most one (qa >= qb)."""
@@ -386,12 +392,14 @@ def build_weighted_pair(
 
     Both matrices are defined up to one common positive scale. Bbar is the
     sweep's divided by the objective, so that Abar f = objective * Bbar f at a
-    stationary point, the paper's form of the pencil.
+    stationary point, the paper's form of the pencil. Past 1022 bits: OverflowError.
     """
     prob, w, f = _checked(pairs, weights, f_users, "f_users", single_cell=True)
     qa, qb = prob.quad_forms(f)
     c, d = _quotient_weights(w, qa, qb)
-    d = d * np.exp2(-_log2_objective(w, qa, qb))
+    if not (log2_obj := _log2_objective(w, qa, qb)) <= 1022:
+        raise OverflowError(f"objective of {log2_obj:.1f} bits: 2^-objective is not normal")
+    d = d * np.exp2(-log2_obj)
     own = prob.own[0]
     a_blocks = np.broadcast_to(prob.cell_blocks(c), (prob.k, prob.n, prob.n)).copy()
     b_blocks = prob.cell_blocks(d) - d[0, :, None, None] * np.einsum("kn,km->knm", own, own.conj())

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,19 @@ class TestZf:
             baselines.zf(est)
         with pytest.raises(RankDeficient):
             baselines.zf(random_channels(np.random.default_rng(0), 5, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficient, match=r"^channel rows are linearly dependent: "
+                                                    r"row norms \[1\.0, 0\.0\]$"):
+                baselines.zf(np.array([[1.0 + 0j, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("scales", [[1e6, 1.0, 1e-6], [1e-6, 1e6, 1e6]])
+    def test_directions_do_not_depend_on_row_scale(self, scales):
+        # the pivot test used to compare every user to the strongest one, so
+        # rows six decades apart read as linearly dependent
+        est = random_channels(np.random.default_rng(10), 3, 4)
+        dirs = baselines._zf_directions(est * np.array(scales)[:, None])
+        np.testing.assert_allclose(dirs, baselines._zf_directions(est), rtol=0, atol=1e-12)
 
 
 class TestRzfRrzf:
@@ -126,6 +140,9 @@ class TestWaterfill:
     def test_equal_gains_split_evenly(self):
         p = baselines.waterfill([2.0, 2.0], 1.0, 0.5)
         np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-12)
+        # without noise every channel is worth the same
+        np.testing.assert_allclose(baselines.waterfill([1.0, 2.0, 4.0], 1.0, 0.0), 1 / 3,
+                                   atol=1e-12)
 
     def test_extreme_gains_winner_takes_all(self):
         p = baselines.waterfill([1e12, 1e-12], 0.1, 1.0)
@@ -137,6 +154,16 @@ class TestWaterfill:
         # a NaN used to raise IndexError or count as a zero gain, an inf to take all the power
         with pytest.raises(ValueError, match="^gains must be finite$"):
             baselines.waterfill(gains, 1.0)
+
+    @pytest.mark.parametrize("total, nv, name", [
+        (1.0, -1.0, "noise_var"), (1.0, np.nan, "noise_var"), (1.0, np.inf, "noise_var"),
+        (-1.0, 1.0, "total_power"), (np.nan, 1.0, "total_power"), (np.inf, 1.0, "total_power"),
+    ])
+    def test_budget_and_noise_it_cannot_allocate_rejected(self, total, nv, name):
+        # a negative noise variance used to give the weaker channels more power, a NaN
+        # budget NaN powers and a NaN noise variance an IndexError
+        with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
+            baselines.waterfill([1.0, 2.0, 4.0], total, nv)
 
     def test_sum_constraint_and_kkt(self):
         rng = np.random.default_rng(8)

@@ -798,6 +798,23 @@ class TestUnitErrors:
                 runner.run_system_level(cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed, algorithm", [(4, "zf"), (1, "sus-zf")])
+    def test_zero_forcing_at_wide_dynamic_range_writes_artifacts(self, tmp_path, seed,
+                                                                  algorithm):
+        # 100 dBm under 40 dB shadowing: the zero-forcing pivot test used to compare
+        # every user to the strongest one and reject rows six decades weaker
+        cfg = config_from_dict(dict(
+            scenario="system", n_antennas=4, n_users=4, n_cells=7, n_coop=1,
+            algorithms=[algorithm], csit_model="perfect", bs_power_dbm=100,
+            shadowing_db=40.0, n_drops=1, n_blocks=1, seed=seed,
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = runner.run_system_level(cfg, tmp_path)
+        assert set(paths) == {"manifest", "summary", "per_drop", "per_user", "solver",
+                              f"cdf_{algorithm}"}
+        assert all(path.stat().st_size > 0 for path in paths.values())
+
     def test_failed_drop_setup_names_its_cell(self, tmp_path):
         # pilots 100 dB above the noise under 40 dB shadowing: a BS's MMSE
         # solve meets a pivot below threshold, which named only the drop

@@ -25,7 +25,20 @@ def link_config(**overrides):
     return ExperimentConfig(**base).validate()
 
 
+def wide_range_cell():
+    """(h, f, noise ratio) of a two-user cell in which user 0's desired power is
+    5e19 and its interference 100, below half an ulp of 5e19: its SINR is 5e19 / 101."""
+    h = np.array([[1e10, np.sqrt(200.0)], [0.0, 1.0]], dtype=complex)
+    return h, np.eye(2) / np.sqrt(2.0), 1.0
+
+
 class TestTrueSinr:
+    def test_interference_below_an_ulp_of_the_desired_power_is_kept(self):
+        # the interference used to be the sum minus the desired power, which is 0 here
+        h, f, nr = wide_range_cell()
+        report = evaluation.true_sinr(h[None, None], f[None], nr)
+        assert report.sinr[0, 0] == pytest.approx(5e19 / 101, rel=1e-12)
+
     def test_single_user_matched_filter(self):
         h = np.array([1.0 + 1j, 2.0])
         f = h / np.linalg.norm(h)
@@ -76,10 +89,11 @@ class TestGmiRateLb:
         k, n = 3, 4
         h = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
         f = baselines.rzf(h, 0.1)
-        nr = 0.1
-        rates = evaluation.gmi_rate_lb(h, None, f, nr)
-        report = evaluation.true_sinr(h[None, None], f[None], nr)
-        np.testing.assert_allclose(rates, report.rate[0], atol=1e-12)
+        for h, f, nr in ((h, f, 0.1), wide_range_cell()):
+            rates = evaluation.gmi_rate_lb(h, None, f, nr)
+            report = evaluation.true_sinr(h[None, None], f[None], nr)
+            np.testing.assert_allclose(rates, report.rate[0], atol=1e-12)
+        assert 2.0 ** rates[0] - 1.0 == pytest.approx(5e19 / 101, rel=1e-12)
 
     def test_zero_beam_gives_zero_rate(self):
         h = np.array([[1.0 + 0j, 0.0], [0.0, 1.0 + 0j]])

@@ -755,6 +755,10 @@ class TestKktResidual:
             warnings.simplefilter("error")
             residuals = [solver.kkt_residual(cell, None, f),
                          coop.coop_kkt_residual(cluster, None, f[None])]
+            # the public pencil's Bbar is scaled by 2 ** -objective, which is not a
+            # normal double here: it used to be returned as zero
+            with pytest.raises(OverflowError, match=r"^objective of 13\d\d\.\d bits: "):
+                solver.build_weighted_pair(cell, None, f)
         assert np.isfinite(residuals).all()
 
 
