@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPositiveDefinite, RankDeficient
-from .numerics import solve_hermitian
+from .numerics import _rescaled, solve_hermitian
 
 DEFAULT_SUS_ALPHA = 0.3
 
@@ -24,16 +24,31 @@ def _unit_power(f: np.ndarray) -> np.ndarray:
     return f / norm
 
 
+def _rate_inputs(name: str, rows, noise_ratio) -> tuple[np.ndarray, float]:
+    """(rows as complex, noise_ratio as float) of a rate formula; non-finite rows or a
+    noise ratio that is not positive and finite raise ValueError naming the argument."""
+    h = np.asarray(rows, dtype=np.complex128)
+    if not np.isfinite(h).all():
+        raise ValueError(f"{name} must be finite")
+    nr = float(noise_ratio)
+    if not 0 < nr < np.inf:  # NaN fails too
+        raise ValueError(f"noise_ratio must be positive and finite, got {nr}")
+    return h, nr
+
+
 def mrt(estimates: np.ndarray) -> np.ndarray:
-    """Matched filtering: beams along the estimates, channel-strength powers."""
-    return _unit_power(np.asarray(estimates, dtype=np.complex128))
+    """Matched filtering: beams along the estimates, channel-strength powers.
+    The stack is `_rescaled` as a whole, so its powers keep their ratios."""
+    return _unit_power(_rescaled(np.asarray(estimates, dtype=np.complex128)))
 
 
 def _zf_directions(est: np.ndarray) -> np.ndarray:
-    """Unit-norm zero-forcing beam rows for full-column-rank channel rows."""
+    """Unit-norm zero-forcing beam rows for full-column-rank channel rows,
+    each row `_rescaled` on its own."""
     k, n = est.shape
     if k > n:
         raise RankDeficient(f"{k} users exceed {n} antennas")
+    est = _rescaled(est, axis=1)
     norms = np.linalg.norm(est, axis=1)
     if not np.all((norms > 0) & (norms < np.inf)):  # NaN fails too
         raise RankDeficient(f"channel rows are linearly dependent: row norms {norms.tolist()}")
@@ -174,8 +189,7 @@ def zf_dpc_waterfilling(
     ordering, sum rate): rate = sum_i log2(1 + p_i * gain_i / noise_ratio).
     Serves as the spectral-efficiency upper reference for linear schemes.
     """
-    h = np.asarray(channels, dtype=np.complex128)
-    noise_ratio = float(noise_ratio)
+    h, noise_ratio = _rate_inputs("channels", channels, noise_ratio)
     ordering, norms = _greedy_orthogonal(h, min(h.shape))
     if not ordering:
         raise RankDeficient("no user has a nonzero channel")
@@ -201,8 +215,7 @@ def rank_adaptive_zf(
     adding whichever user raises the equal-power ZF sum rate the most,
     stopping when no candidate improves it (or ZF runs out of rank).
     """
-    est = np.asarray(estimates, dtype=np.complex128)
-    noise_ratio = float(noise_ratio)
+    est, noise_ratio = _rate_inputs("estimates", estimates, noise_ratio)
     k, n = est.shape
     norms = np.linalg.norm(est, axis=1)
     selected = [int(np.argmax(norms))]

@@ -33,16 +33,17 @@ class RateReport:
 def true_sinr(true_h: np.ndarray, precoders: np.ndarray, noise_ratio: float) -> RateReport:
     """Ground-truth SINRs of every user under all cells' actual precoders.
 
-    true_h has shape (L, L, K, N) indexed [bs, user_cell, user]; precoders
-    has shape (L, K, N) with unit total power per cell. noise_ratio is the
+    true_h (L, L, K, N) is indexed [bs, user_cell, user]; precoders (L, K, N)
+    have unit total power per cell; both are finite. noise_ratio > 0 is the
     receiver noise variance over the per-cell transmit power. The denominator
     collects same-cell interference, other-cell interference, and noise.
     """
-    h = np.asarray(true_h, dtype=np.complex128)
+    h, noise_ratio = baselines._rate_inputs("true_h", true_h, noise_ratio)
     f = np.asarray(precoders, dtype=np.complex128)
     if h.ndim != 4 or h.shape[0] != h.shape[1] or f.shape != h.shape[1:]:
         raise DimensionMismatch(f"true_h and precoders must be (L, L, K, N) and (L, K, N), "
                                 f"got {h.shape} and {f.shape}")
+    solver._require_finite("precoders", f)
     desired, rest = solver._power_sum(h.conj(), f, solver._desired_index(*f.shape[:2]))
     sinr = desired / (rest + noise_ratio)
     rate = np.log2(1.0 + sinr)
@@ -61,6 +62,7 @@ def gmi_rate_lb(
     f = np.asarray(precoders, dtype=np.complex128)
     if f.shape != (prob.k, prob.n):
         raise DimensionMismatch(f"precoders must be {(prob.k, prob.n)}, got {f.shape}")
+    solver._require_finite("precoders", f)
     desired, rest = prob.powers(f[None])
     return np.log2(1.0 + desired[0] / (rest[0] + prob.nr[0]))
 
@@ -127,17 +129,16 @@ class LinkStatistics:
     `cov` is the (K, N, N) error covariance stack every trial reports (zero
     under perfect CSIT); `err_root` is the root of the additive model's error
     covariance or the (K, N, N) roots of the tdd model's (None otherwise).
-    `known_cov` and `alphas` are `_known_cov` of `cov` under the campaign's
-    `cov_knowledge`: what the transmitter knows of its error, zero under
-    perfect CSIT or "none". `csit_model` and `fdd_kappa` are the config
-    values the draws read. Arrays are read-only: every trial shares them.
+    `known_cov` is `_known_cov` of `cov` under the campaign's `cov_knowledge`:
+    what the transmitter knows of its error, zero under perfect CSIT or
+    "none". `csit_model` and `fdd_kappa` are the config values the draws
+    read. Arrays are read-only: every trial shares them.
     """
 
     roots: np.ndarray
     cov: np.ndarray
     err_root: np.ndarray | None
     known_cov: np.ndarray
-    alphas: np.ndarray
     csit_model: str
     fdd_kappa: float
 
@@ -163,11 +164,11 @@ def link_statistics(config, corr) -> LinkStatistics:
         cov = (config.fdd_kappa**2) * hermitize(corr)
     elif model == "perfect":
         cov = np.zeros_like(corr)
-    known_cov, alphas = _known_cov(config.cov_knowledge, cov)
-    for a in (roots, cov, err_root, known_cov, alphas):
+    known_cov = _known_cov(config.cov_knowledge, cov)
+    for a in (roots, cov, err_root, known_cov):
         if a is not None:
             a.flags.writeable = False
-    return LinkStatistics(roots, cov, err_root, known_cov, alphas, model, config.fdd_kappa)
+    return LinkStatistics(roots, cov, err_root, known_cov, model, config.fdd_kappa)
 
 
 def _draw_link_csit(stats: LinkStatistics, rng):
@@ -187,37 +188,41 @@ def _draw_link_csit(stats: LinkStatistics, rng):
     return channel.fdd_quantized_csit(stats.roots, stats.fdd_kappa, rng)
 
 
-def _known_cov(knowledge: str, cov: np.ndarray):
+def _levels(cov: np.ndarray) -> np.ndarray:
+    """Trace-matched scalar levels tr/N of a (..., N, N) covariance stack, clipped
+    at zero: a trace formed by a subtraction, as the MMSE error's R - R (R + Q)^-1 R
+    is, can round slightly negative."""
+    return np.maximum(np.real(np.trace(cov, axis1=-2, axis2=-1)) / cov.shape[-1], 0.0)
+
+
+def _known_cov(knowledge: str, cov: np.ndarray) -> np.ndarray:
     """Error covariance as the transmitter knows it, per the `cov_knowledge` setting.
 
-    cov is a (..., N, N) stack, zero under perfect CSIT; returns (known
-    covariances, scalar levels tr/N, which `gpip-covfree` uses), both zero
-    under "none". Under "full" the known covariances are `cov` itself. The
-    levels are clipped at zero: a trace formed by a subtraction, as the MMSE
-    error's R - R (R + Q)^-1 R is, can round slightly negative.
+    cov is a (..., N, N) stack, zero under perfect CSIT. Under "full" the
+    known covariances are `cov` itself, under "scalar" its `_levels` times I,
+    and under "none" zero.
     """
     if knowledge not in COV_KNOWLEDGE:
         raise ConfigInvalid(f"cov_knowledge: unknown setting {knowledge!r}")
     if knowledge == "none":
-        return np.zeros_like(cov), np.zeros(cov.shape[:-2])
-    n = cov.shape[-1]
-    alphas = np.maximum(np.real(np.trace(cov, axis1=-2, axis2=-1)) / n, 0.0)
-    return (cov if knowledge == "full" else alphas[..., None, None] * np.eye(n)), alphas
+        return np.zeros_like(cov)
+    return cov if knowledge == "full" else _levels(cov)[..., None, None] * np.eye(cov.shape[-1])
 
 
-def design_precoders(
-    algorithm: str, est: np.ndarray, known_cov, noise_ratio, config, alphas, weights=None,
-):
+def design_precoders(algorithm: str, est: np.ndarray, known_cov, noise_ratio, config,
+                     weights=None):
     """Run one algorithm on one block's knowledge; returns (precoder, extras).
 
-    `known_cov` (K, N, N) and `alphas` (K,) are what the transmitter knows
-    of its error, as `_known_cov` gives them (zero when it knows nothing).
-    The precoder is a (K, N) row stack with unit total power (zero rows for
-    unscheduled users). `extras` carries solver diagnostics when available.
-    noise_ratio may be per-user; the joint-design algorithms use it as given,
-    while the one-shot baselines take its mean (they admit one noise level).
-    `weights` reach the joint designs only, gpip and gpip-covfree; every
-    baseline ignores them.
+    `known_cov` (K, N, N) is what the transmitter knows of its error, as
+    `_known_cov` gives it (zero when it knows nothing); `gpip-covfree` takes
+    its `_levels`. The precoder is a (K, N) row stack with unit total power.
+    The joint designs return every row: `extras.schedule` lists those whose
+    norm is at or above `sel_threshold`, and the rest are still transmitted
+    with little power (`sus-zf` and `rank-zf` zero the rows they leave out).
+    `extras` carries solver diagnostics when available. noise_ratio may be
+    per-user; the joint designs use it as given, while the one-shot baselines
+    take its mean (they admit one noise level). `weights` reach the joint
+    designs only; every baseline ignores them.
     """
     nr_scalar = float(np.mean(noise_ratio))
     opts = dict(weights=weights, tol=config.tol, max_iter=config.max_iter,
@@ -227,7 +232,7 @@ def design_precoders(
         res = solver.gpip_iterate(pairs, **opts)
         return res.precoder, res
     if algorithm == "gpip-covfree":
-        res = solver.gpip_covfree(est, alphas, noise_ratio, **opts)
+        res = solver.gpip_covfree(est, _levels(known_cov), noise_ratio, **opts)
         return res.precoder, res
     if algorithm == "mrt":
         return baselines.mrt(est), None
@@ -252,7 +257,7 @@ def _block_rates(config, algorithms, true_h, est_h, cells, noise_ratio, clusters
     trial is a block of one cell.
 
     `true_h`, `est_h` are (L, L, K, N), indexed [bs, user_cell, user]. Cell l
-    designs from `cells[l]`, its (known covariances, levels, noise ratio) for
+    designs from `cells[l]`, its (known covariances, noise ratio) for
     `design_precoders`, each cluster from its `clusters` entry (cell indices,
     known covariances (C, C, K, N, N), noise ratios (C, K)). `weights` maps
     an algorithm to (L, K) weights, else all weigh one. `zf-dpc` holds each
@@ -269,7 +274,7 @@ def _block_rates(config, algorithms, true_h, est_h, cells, noise_ratio, clusters
         with located(f"algorithm {alg}: "):
             if alg == "zf-dpc":
                 rates = np.zeros((n_cells, n_users))
-                for l, (_, _, nr) in enumerate(cells):
+                for l, (_, nr) in enumerate(cells):
                     rates[l, 0] = baselines.zf_dpc_waterfilling(est_h[l, l], float(np.mean(nr)))[2]
                 out[alg] = (rates, None)
                 continue
@@ -284,15 +289,14 @@ def _block_rates(config, algorithms, true_h, est_h, cells, noise_ratio, clusters
                                                  select_threshold=config.sel_threshold))
                     f[cl] = extras[-1].precoder
             else:
-                for l, (known_cov, alphas, nr) in enumerate(cells):
-                    f[l], extra = design_precoders(alg, est_h[l, l], known_cov, nr, config,
-                                                   alphas, w[l])
+                for l, (known_cov, nr) in enumerate(cells):
+                    f[l], extra = design_precoders(alg, est_h[l, l], known_cov, nr, config, w[l])
                     extras.append(extra)
             if metric == "true":
                 rates = true_sinr(true_h, f, noise_ratio).rate
             else:
                 rates = np.array([gmi_rate_lb(est_h[l, l], known_cov, f[l], nr)
-                                  for l, (known_cov, _, nr) in enumerate(cells)])
+                                  for l, (known_cov, nr) in enumerate(cells)])
             out[alg] = (rates, [e for e in extras if e is not None] or None)
     return out
 
@@ -311,7 +315,7 @@ def link_trial(
     noise_ratio = 10.0 ** (-snr_db / 10.0)
     true, est = _draw_link_csit(stats, rng)
     out = _block_rates(config, algorithms, true[None, None], est[None, None],
-                       [(stats.known_cov, stats.alphas, noise_ratio)], noise_ratio, metric=metric)
+                       [(stats.known_cov, noise_ratio)], noise_ratio, metric=metric)
     return {alg: (rates[0], extras and extras[0]) for alg, (rates, extras) in out.items()}
 
 

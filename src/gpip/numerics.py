@@ -32,6 +32,16 @@ EIG_CLIP_REL = 1e-12
 SM_DENOM_TOL = 1e-14
 
 
+def _rescaled(a: np.ndarray, axis=None) -> np.ndarray:
+    """`a` divided by its largest |entry|, overall or along `axis`, wherever that
+    peak is finite and nonzero but outside (1e-150, 1e150), so that squared norms
+    neither overflow nor underflow; `a` itself when no peak is. For scale-free
+    uses only; inputs in range keep their arithmetic bit for bit."""
+    peak = np.abs(a).max(axis=axis, keepdims=True, initial=0.0)
+    far = (peak > 0) & (peak < np.inf) & ~((1e-150 < peak) & (peak < 1e150))
+    return a / np.where(far, peak, 1.0) if far.any() else a
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (m + m^H)/2 of a matrix or a (..., N, N) stack."""
     m = np.asarray(m)

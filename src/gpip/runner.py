@@ -198,7 +198,7 @@ class DropStatistics:
     the downlink noise over transmit power the correlations are expressed
     in; `nr_cell` and `nr_coop` add to it the out-of-cell and out-of-cluster
     interference powers, giving every user's effective noise ratio for the
-    per-cell and the cooperative designs. `known_cov` and `alphas` are
+    per-cell and the cooperative designs. `known_cov` is
     `evaluation._known_cov` of `err_cov` under the campaign's
     `cov_knowledge`: zero under perfect CSIT or "none". `clusters` holds the
     cooperation clusters the pilots were assigned for, as lists of cell
@@ -214,7 +214,6 @@ class DropStatistics:
     nr_cell: np.ndarray  # (L, K)
     nr_coop: np.ndarray  # (L, K)
     known_cov: np.ndarray  # (L, C, K, N, N)
-    alphas: np.ndarray  # (L, C, K)
     clusters: tuple
 
 
@@ -264,16 +263,16 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
             corr[j, cl] = stats.est_root
             if outside:
                 corr[j, outside] = hermitian_sqrt(corr[j, outside])
-    known_cov, alphas = evaluation._known_cov(cov_knowledge, err_cov)
+    known_cov = evaluation._known_cov(cov_knowledge, err_cov)
     nr_cell = noise_ratio + _outside_power(traces, n)
     nr_coop = noise_ratio + _outside_power(traces, n, clusters)
-    for a in (corr, known, err_cov, err_roots, position, nr_cell, nr_coop, known_cov, alphas):
+    for a in (corr, known, err_cov, err_roots, position, nr_cell, nr_coop, known_cov):
         if a is not None:
             a.flags.writeable = False
     return DropStatistics(
         roots=corr, known=known, err_cov=err_cov, err_roots=err_roots, position=position,
         noise_ratio=noise_ratio, nr_cell=nr_cell, nr_coop=nr_coop,
-        known_cov=known_cov, alphas=alphas, clusters=tuple(list(cl) for cl in clusters),
+        known_cov=known_cov, clusters=tuple(list(cl) for cl in clusters),
     )
 
 
@@ -323,8 +322,7 @@ def multicell_block(cfg: ExperimentConfig, stats: DropStatistics, algorithms, rn
     weights. Returns `evaluation._block_rates` of the block's CSIT draw.
     """
     true_h, est_h = multicell_csit(stats, rng)
-    cells = [(stats.known_cov[l, p], stats.alphas[l, p], stats.nr_cell[l])
-             for l, p in enumerate(stats.position)]
+    cells = [(stats.known_cov[l, p], stats.nr_cell[l]) for l, p in enumerate(stats.position)]
     clusters = [(cl, stats.known_cov[cl, :len(cl)], stats.nr_coop[cl]) for cl in stats.clusters]
     return evaluation._block_rates(cfg, algorithms, true_h, est_h, cells, stats.noise_ratio,
                                    clusters, pf_weights)

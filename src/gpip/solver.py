@@ -46,7 +46,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .numerics import PIVOT_TOL, BlockDiagonal, rank1_inverse_update, solve_hermitian
+from .numerics import (PIVOT_TOL, BlockDiagonal, _rescaled, rank1_inverse_update,
+                       solve_hermitian)
 
 DEFAULT_TOL = 0.01
 DEFAULT_MAX_ITER = 100
@@ -370,12 +371,9 @@ def _checked(pairs: LiftedPairs, weights, stack, name: str, single_cell: bool = 
         if f.shape != (*cell_shape, prob.n):
             raise DimensionMismatch(f"{name} must be {(*cell_shape, prob.n)}, got {f.shape}")
         _require_finite(name, f)
-        peak = np.abs(f).max()
-        if not peak > 0:
+        if not f.any():
             raise ValueError(f"{name} must be nonzero")
-        if not 1e-150 < peak < 1e150:
-            f = f / peak
-        stack = f.reshape(prob.c, prob.k, prob.n)
+        stack = _rescaled(f).reshape(prob.c, prob.k, prob.n)
     return prob, w, stack
 
 

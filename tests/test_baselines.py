@@ -41,6 +41,13 @@ class TestMrt:
             cos = abs(np.vdot(f[k], est[k])) / (np.linalg.norm(f[k]) * np.linalg.norm(est[k]))
             assert cos > 1 - 1e-12
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_beams_do_not_depend_on_stack_scale(self, scale):
+        # a raw stack norm overflows past about 1e154 and underflows below about 1e-154
+        est = random_channels(np.random.default_rng(9), 3, 4)
+        np.testing.assert_allclose(baselines.mrt(est * scale), baselines.mrt(est),
+                                   rtol=0, atol=1e-15)
+
 
 class TestZf:
     def test_orthonormal_channels(self):
@@ -74,10 +81,12 @@ class TestZf:
                                                     r"row norms \[1\.0, 0\.0\]$"):
                 baselines.zf(np.array([[1.0 + 0j, 0.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("scales", [[1e6, 1.0, 1e-6], [1e-6, 1e6, 1e6]])
+    @pytest.mark.parametrize("scales", [[1e6, 1.0, 1e-6], [1e-6, 1e6, 1e6],
+                                        [1e200, 1.0, 1e-200], [1e-200, 1e200, 1e200]])
     def test_directions_do_not_depend_on_row_scale(self, scales):
         # the pivot test used to compare every user to the strongest one, so
-        # rows six decades apart read as linearly dependent
+        # rows six decades apart read as linearly dependent; raw row norms
+        # overflow past about 1e154 and underflow below about 1e-154
         est = random_channels(np.random.default_rng(10), 3, 4)
         dirs = baselines._zf_directions(est * np.array(scales)[:, None])
         np.testing.assert_allclose(dirs, baselines._zf_directions(est), rtol=0, atol=1e-12)
@@ -335,6 +344,25 @@ def test_all_zero_estimates_raise_rank_deficient(design):
     # the unit-power normalization divided by a zero norm and returned NaN beams
     with pytest.raises(RankDeficient, match="^estimates are all zero"):
         design(np.zeros((2, 3), dtype=complex))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("formula", [baselines.zf_dpc_waterfilling, baselines.rank_adaptive_zf],
+                         ids=["zf-dpc", "rank-zf"])
+@pytest.mark.parametrize("row, nr, message", [
+    (0, 0.0, "noise_ratio must be positive and finite, got 0.0"),
+    (0, -1.0, "noise_ratio must be positive and finite, got -1.0"),
+    (0, np.inf, "noise_ratio must be positive and finite, got inf"),
+    (0, np.nan, "noise_ratio must be positive and finite, got nan"),
+    (np.nan, 0.1, "must be finite"),
+    (np.inf, 0.1, "must be finite"),
+])
+def test_rate_formulas_reject_inputs_they_cannot_score(formula, row, nr, message):
+    # a rate divides by the noise ratio, and a negative one gives negative rates
+    h = random_channels(np.random.default_rng(15), 2, 3)
+    h[1, 0] += row
+    with pytest.raises(ValueError, match=f"{message}$"):
+        formula(h, nr)
 
 
 def greedy_loop_reference(est, limit, alpha=None):

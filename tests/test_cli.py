@@ -516,6 +516,28 @@ class TestSystemRunner:
                               "cdf_gpip-covfree"}
         assert {p.name for p in tmp_path.iterdir()} == {Path(p).name for p in paths.values()}
 
+    def test_covfree_designs_at_the_levels_of_each_cells_scalar_knowledge(self):
+        cfg = config_from_dict(minimal_link(
+            scenario="system", n_cells=3, n_coop=2, n_users=2, n_antennas=4,
+            algorithms=["gpip-covfree"], n_drops=1, n_blocks=1, csit_model="tdd",
+            cov_knowledge="scalar",
+        ))
+        corr, _, _ = runner.system_correlations(
+            cfg, evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_DROP, 0))
+        stats = system_drop_statistics(cfg, corr, runner.consecutive_clusters(3, 2))
+        block = (cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
+        _, extras = runner.multicell_block(cfg, stats, cfg.algorithms,
+                                           evaluation.trial_rng(*block))["gpip-covfree"]
+        _, est_h = runner.multicell_csit(stats, evaluation.trial_rng(*block))
+        assert len(extras) == cfg.n_cells
+        for l, p in enumerate(stats.position):
+            # with N a power of two, tr(alpha I) / N reads alpha back exactly
+            levels = np.diagonal(stats.known_cov[l, p], axis1=1, axis2=2).real[:, 0]
+            assert levels.any()
+            ref = solver.gpip_covfree(est_h[l, l], levels, stats.nr_cell[l], tol=cfg.tol,
+                                      max_iter=cfg.max_iter, select_threshold=cfg.sel_threshold)
+            assert np.array_equal(extras[l].precoder, ref.precoder)
+
     def test_known_covariances_derived_once_per_drop(self, tmp_path, monkeypatch):
         calls = []
         known_cov = evaluation._known_cov
@@ -552,7 +574,7 @@ def system_drop_statistics(cfg, corr, clusters):
     """The system runner's DropStatistics of a copy of `corr`."""
     noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
     return runner.drop_statistics(corr.copy(), clusters, noise_over_pilot,
-                                  cfg.csit_model == "perfect")
+                                  cfg.csit_model == "perfect", cfg.cov_knowledge)
 
 
 def per_link_csit_reference(corr, clusters, noise_over_pilot, rng, perfect):
@@ -652,12 +674,11 @@ class TestDropStatistics:
         stats = runner.drop_statistics(corr, [[0, 1], [2]], 0.1, perfect, knowledge)
         want = evaluation._known_cov(knowledge, stats.err_cov)
         if perfect or knowledge == "none":
-            assert not stats.known_cov.any() and not stats.alphas.any()
+            assert not stats.known_cov.any()
         if knowledge == "full":
             assert stats.known_cov is stats.err_cov
-        for got, ref in zip((stats.known_cov, stats.alphas), want):
-            np.testing.assert_array_equal(got, ref)
-            assert not got.flags.writeable
+        np.testing.assert_array_equal(stats.known_cov, want)
+        assert not stats.known_cov.flags.writeable
 
     def test_unknown_knowledge_fails_when_built(self):
         corr = random_correlations(np.random.default_rng(0), 2, 1, 2)

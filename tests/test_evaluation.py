@@ -39,6 +39,21 @@ class TestTrueSinr:
         report = evaluation.true_sinr(h[None, None], f[None], nr)
         assert report.sinr[0, 0] == pytest.approx(5e19 / 101, rel=1e-12)
 
+    @pytest.mark.parametrize("h_entry, f_entry, nr, message", [
+        (np.nan, 0.0, 0.1, "^true_h must be finite$"),
+        (0.0, np.inf, 0.1, "^precoders must be finite$"),
+        (0.0, 0.0, -1.0, "^noise_ratio must be positive and finite, got -1.0$"),
+        (0.0, 0.0, 0.0, "^noise_ratio must be positive and finite, got 0.0$"),
+        (0.0, 0.0, np.nan, "^noise_ratio must be positive and finite, got nan$"),
+    ])
+    def test_inputs_it_cannot_score_rejected(self, h_entry, f_entry, nr, message):
+        # unchecked, NaN inputs give NaN rates and a noise ratio of -1 gives -102 bit/s/Hz
+        h, f, _ = wide_range_cell()
+        h[1, 1] += h_entry
+        f = f + f_entry
+        with pytest.raises(ValueError, match=message):
+            evaluation.true_sinr(h[None, None], f[None], nr)
+
     def test_single_user_matched_filter(self):
         h = np.array([1.0 + 1j, 2.0])
         f = h / np.linalg.norm(h)
@@ -94,6 +109,17 @@ class TestGmiRateLb:
             report = evaluation.true_sinr(h[None, None], f[None], nr)
             np.testing.assert_allclose(rates, report.rate[0], atol=1e-12)
         assert 2.0 ** rates[0] - 1.0 == pytest.approx(5e19 / 101, rel=1e-12)
+
+    @pytest.mark.parametrize("h_entry, f_entry, nr, message", [
+        (0.0, np.nan, 0.1, "^precoders must be finite$"),
+        (np.inf, 0.0, 0.1, "^estimates must be finite$"),
+        (0.0, 0.0, 0.0, "^noise ratios must be positive$"),
+    ])
+    def test_inputs_it_cannot_score_rejected(self, h_entry, f_entry, nr, message):
+        h, f, _ = wide_range_cell()
+        h[1, 1] += h_entry
+        with pytest.raises(ValueError, match=message):
+            evaluation.gmi_rate_lb(h, None, f + f_entry, nr)
 
     def test_zero_beam_gives_zero_rate(self):
         h = np.array([[1.0 + 0j, 0.0], [0.0, 1.0 + 0j]])
@@ -260,9 +286,9 @@ class TestKnownCovariance:
         stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
         _, est = evaluation._draw_link_csit(stats, np.random.default_rng(2))
         cov = stats.cov
-        known, alphas = evaluation._known_cov("full", cov)
+        known = evaluation._known_cov("full", cov)
         assert known is cov
-        f, _ = evaluation.design_precoders("gpip-covfree", est, known, 0.2, cfg, alphas)
+        f, _ = evaluation.design_precoders("gpip-covfree", est, known, 0.2, cfg)
         ref = solver.gpip_covfree(est, np.real(np.trace(cov, axis1=1, axis2=2)) / cfg.n_antennas,
                                   0.2, tol=cfg.tol, max_iter=cfg.max_iter,
                                   select_threshold=cfg.sel_threshold)
@@ -308,11 +334,10 @@ class TestKnownCovariance:
         cfg = link_config(csit_model="fdd", cov_knowledge=knowledge)
         stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
         if knowledge == "none":
-            assert not stats.known_cov.any() and not stats.alphas.any()
+            assert not stats.known_cov.any()
         assert (stats.known_cov is stats.cov) == (knowledge == "full")
-        for a in (stats.known_cov, stats.alphas):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            stats.known_cov[0] = 0.0
 
 
 class TestZfDpcBound:
