@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPositiveDefinite, RankDeficient
-from .numerics import _rescaled, solve_hermitian
+from .numerics import _far_peak, _rescaled, solve_hermitian
 
 DEFAULT_SUS_ALPHA = 0.3
 
@@ -75,14 +75,22 @@ def rrzf(estimates: np.ndarray, error_covs, noise_ratio: float) -> np.ndarray:
     = est_k, where the first term is the N x N outer-product sum of the
     estimates; the result is normalized to unit total power. With zero error
     covariances this is plain RZF. noise_ratio is one scalar: the shared
-    inverse admits a single regularization level.
+    inverse admits a single regularization level. The beams are the same
+    when the estimates are divided by p and the covariances and noise ratio
+    by p^2, so estimates whose `_far_peak` p is far from one are.
     """
     est = np.asarray(estimates, dtype=np.complex128)
+    covs = None if error_covs is None else np.asarray(error_covs, dtype=np.complex128)
+    noise_ratio = float(noise_ratio)
+    if (peak := _far_peak(est)) is not None:
+        p = peak.item()
+        est, noise_ratio = est / p, noise_ratio / p / p
+        covs = None if covs is None else covs / p / p
     k, n = est.shape
     gram = est.T @ est.conj()  # sum_k est_k est_k^H, (N, N)
-    if error_covs is not None:
-        gram = gram + np.sum(np.asarray(error_covs, dtype=np.complex128), axis=0)
-    gram = gram + float(noise_ratio) * np.eye(n)
+    if covs is not None:
+        gram = gram + np.sum(covs, axis=0)
+    gram = gram + noise_ratio * np.eye(n)
     return _unit_power(solve_hermitian(gram, est.T).T)  # solve gives (N, K) columns
 
 

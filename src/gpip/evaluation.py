@@ -58,7 +58,8 @@ def gmi_rate_lb(
     rate_k = log2(1 + |est_k^H f_k|^2 / (sum_{i != k} |est_k^H f_i|^2
              + sum_i f_i^H Phi_k f_i + noise_ratio_k)).
     """
-    prob = solver.build_effective_pairs(estimates, error_covs, noise_ratio).problem
+    pairs = solver.build_effective_pairs(estimates, error_covs, noise_ratio)
+    prob = solver._ClusterPowers(pairs.est, pairs.cov, pairs.nr)
     f = np.asarray(precoders, dtype=np.complex128)
     if f.shape != (prob.k, prob.n):
         raise DimensionMismatch(f"precoders must be {(prob.k, prob.n)}, got {f.shape}")

@@ -9,15 +9,27 @@ recursion needs them. A rank-one update forms one scaled outer product in a
 fresh buffer and subtracts it from (or adds it to) the old inverse in that
 buffer, one pass over the result: a Hermitian input stays Hermitian to
 rounding, so no re-symmetrizing pass follows.
+
+The two LAPACK routines come from `scipy.linalg._flapack`, the compiled
+module `scipy.linalg.lapack` re-exports them from, loaded from its file
+(`_load_lapack`): importing `scipy.linalg` runs its package init, which
+pulls in `numpy.f2py`, `numpy.testing` and more and took about two thirds
+of the time of `import gpip`, for two routines. They are the same function objects
+`scipy.linalg.lapack` hands out, so solves are bit-identical and cost the
+same; where the file cannot be found or loaded, `scipy.linalg.lapack`'s own
+are imported instead.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import DenominatorUnderflow, DimensionMismatch, EigenFailure, NotPositiveDefinite
 
@@ -30,16 +42,57 @@ PIVOT_TOL = 1e-12
 # square roots; small-angular-spread correlation matrices are rank-deficient.
 EIG_CLIP_REL = 1e-12
 SM_DENOM_TOL = 1e-14
+# the compiled module that scipy.linalg.lapack re-exports its routines from
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_lapack():
+    """`zpotrf` and `zpotrs` of scipy's compiled LAPACK module, loaded from its
+    file so that importing gpip does not run `scipy.linalg`'s package init.
+
+    The module is registered under its own name, so a later `scipy.linalg`
+    import reuses it and both hand out the same routine objects. Where the
+    file cannot be found or loaded, the public `scipy.linalg.lapack` routines.
+    """
+    try:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            scipy_spec = importlib.util.find_spec("scipy")  # finds, does not import
+            if scipy_spec is None or not scipy_spec.submodule_search_locations:
+                raise ImportError("scipy is not a package on the path")
+            linalg = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+            finder = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+            spec = finder.find_spec(_FLAPACK)
+            if spec is None:
+                raise ImportError(f"no {_FLAPACK} extension in {linalg}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+        return module.zpotrf, module.zpotrs
+    except ImportError:
+        from scipy.linalg.lapack import zpotrf, zpotrs
+
+        return zpotrf, zpotrs
+
+
+zpotrf, zpotrs = _load_lapack()
+
+
+def _far_peak(a: np.ndarray, axis=None) -> np.ndarray | None:
+    """The largest |entry| of `a`, overall or along `axis` (kept as length one),
+    wherever that peak is finite and nonzero but outside (1e-150, 1e150), where
+    squared norms overflow or underflow, and 1 elsewhere; None when no peak is."""
+    peak = np.abs(a).max(axis=axis, keepdims=True, initial=0.0)
+    far = (peak > 0) & (peak < np.inf) & ~((1e-150 < peak) & (peak < 1e150))
+    return np.where(far, peak, 1.0) if far.any() else None
 
 
 def _rescaled(a: np.ndarray, axis=None) -> np.ndarray:
-    """`a` divided by its largest |entry|, overall or along `axis`, wherever that
-    peak is finite and nonzero but outside (1e-150, 1e150), so that squared norms
-    neither overflow nor underflow; `a` itself when no peak is. For scale-free
-    uses only; inputs in range keep their arithmetic bit for bit."""
-    peak = np.abs(a).max(axis=axis, keepdims=True, initial=0.0)
-    far = (peak > 0) & (peak < np.inf) & ~((1e-150 < peak) & (peak < 1e150))
-    return a / np.where(far, peak, 1.0) if far.any() else a
+    """`a` divided by its `_far_peak`, so that squared norms neither overflow nor
+    underflow; `a` itself when no peak is far. For scale-free uses only; inputs
+    in range keep their arithmetic bit for bit."""
+    peak = _far_peak(a, axis)
+    return a if peak is None else a / peak
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ another shared matrix minus one rank-one term, so a sweep costs one Cholesky
 factorization of size N per cell plus O(C*K*N^2), never a dense one. The
 covariance-free path hands the kernel explicit block inverses instead, built
 from the ridge by O(K log K) rank-one inverse updates. Error covariances are
-classified once per problem as zero, scalar or full (see `_ClusterProblem`).
+classified once per problem as zero, scalar or full (see `_ClusterPowers`).
 """
 
 from __future__ import annotations
@@ -200,23 +200,20 @@ def _cov_form(cov: np.ndarray) -> str:
     return "scalar" if np.count_nonzero(cov) == np.count_nonzero(diag) else "full"
 
 
-class _ClusterProblem:
-    """Per-cluster quantities shared by every iteration of the kernel.
+class _ClusterPowers:
+    """A cluster's powers at any (C, K, N) stack, the desired ones and the rest,
+    covariance leakage included: all a rate bound reads. The kernel's
+    `_ClusterProblem` extends it with what its sweeps reuse.
 
     est[j, l, u] is BS j's estimate of its channel toward user u of cell l,
     cov[j, l, u] its error covariance, and nr[l, u] that user's effective
-    noise over transmit power. A single cell is C = 1. A sweep is bound by
-    its number of numpy calls at small sizes, so all it reuses (conjugates,
-    the desired index, the own-estimate half of the solves' right-hand sides)
-    is computed here once. Nothing is checked here: the builders check the
-    arrays, and `_checked` the weights and stacks.
+    noise over transmit power. A single cell is C = 1. Nothing is checked
+    here: the builders check the arrays, and `_checked` the weights and stacks.
 
     The error covariances take one of three forms, fixed here (`cov_form`).
-    "zero" (perfect knowledge, whose rounding the scalar route would move) and
-    "full" keep per-link blocks `g0` = outer product + covariance. "scalar",
-    every covariance exactly alpha[j, l, u] * I, keeps the (C, C, K) levels: a
-    sweep adds alpha times each BS's transmit power to the powers and alpha to
-    the shared blocks' diagonal, and sums outer products as one matmul per cell.
+    "scalar", every covariance exactly alpha[j, l, u] * I, keeps the (C, C, K)
+    levels, and the leakage is alpha times each BS's transmit power; "zero"
+    and "full" keep the covariances themselves.
     """
 
     def __init__(self, est, cov, nr):
@@ -224,22 +221,12 @@ class _ClusterProblem:
         self.nr = nr  # (C, K)
         self.cov_form = _cov_form(cov)
         self.desired_at = _desired_index(self.c, self.k)  # [l, l, u, u]
-        self.own = est[self.desired_at[:3]]  # (C, K, N): each BS toward its own users
-        self.own_conj = self.own.conj()
         self.est_conj = est.conj()
         if self.cov_form == "scalar":
             self.alpha = cov[..., 0, 0].real  # (C, C, K)
-            # each BS's estimates as (C*K, N) rows, and alpha + ridge per row
-            self.rows = est.reshape(self.c, -1, self.n)
-            self.rows_conj = self.est_conj.reshape(self.c, -1, self.n)
             self.alpha_rows = self.alpha.reshape(self.c, -1)
-            self.diag_rows = (self.alpha + nr).reshape(self.c, -1)
         else:
             self.cov = cov  # (C, C, K, N, N)
-            self.g0 = np.einsum("jlkn,jlkm->jlknm", est, self.est_conj) + cov
-        # [rhs_j | own_j] of every cell, as rows; cholesky_blocks fills the rhs half
-        self.stacked = np.empty((self.c, 2 * self.k, self.n), dtype=np.complex128)
-        self.stacked[:, self.k:] = self.own
 
     def powers(self, f: np.ndarray):
         """`_power_sum` at a (C, K, N) stack, the covariance leakage added to its rest."""
@@ -253,6 +240,34 @@ class _ClusterProblem:
             gram = np.einsum("jin,jim->jnm", f.conj(), f)
             rest = rest + np.real(np.einsum("jlknm,jnm->lk", self.cov, gram))
         return desired, rest
+
+
+class _ClusterProblem(_ClusterPowers):
+    """Per-cluster quantities shared by every iteration of the kernel.
+
+    A sweep is bound by its number of numpy calls at small sizes, so all it
+    reuses (conjugates, the desired index, the own-estimate half of the
+    solves' right-hand sides) is computed here once. "zero" covariances
+    (perfect knowledge, whose rounding the scalar route would move) and
+    "full" ones keep per-link blocks `g0` = outer product + covariance.
+    "scalar" ones add alpha to the shared blocks' diagonal, and a sweep sums
+    their outer products as one matmul per cell.
+    """
+
+    def __init__(self, est, cov, nr):
+        super().__init__(est, cov, nr)
+        self.own = est[self.desired_at[:3]]  # (C, K, N): each BS toward its own users
+        self.own_conj = self.own.conj()
+        if self.cov_form == "scalar":
+            # each BS's estimates as (C*K, N) rows, and alpha + ridge per row
+            self.rows = est.reshape(self.c, -1, self.n)
+            self.rows_conj = self.est_conj.reshape(self.c, -1, self.n)
+            self.diag_rows = (self.alpha + nr).reshape(self.c, -1)
+        else:
+            self.g0 = np.einsum("jlkn,jlkm->jlknm", est, self.est_conj) + cov
+        # [rhs_j | own_j] of every cell, as rows; cholesky_blocks fills the rhs half
+        self.stacked = np.empty((self.c, 2 * self.k, self.n), dtype=np.complex128)
+        self.stacked[:, self.k:] = self.own
 
     def quad_forms(self, f: np.ndarray):
         """f^H A_(l,u) f and f^H B_(l,u) f as (C, K) arrays, for a (C, K, N) stack:

@@ -127,6 +127,23 @@ class TestRzfRrzf:
             cos = abs(np.vdot(f[k], m[k])) / (np.linalg.norm(f[k]) * np.linalg.norm(m[k]))
             assert cos > 1 - 1e-4
 
+    @pytest.mark.parametrize("scale, nr", [(1e200, 1e-100), (1e-200, 1e100),
+                                           (1e154, 0.1), (1e-154, 0.1)])
+    def test_beams_do_not_depend_on_joint_scale(self, scale, nr):
+        # (est s, cov s^2, nr s^2) is the same problem as (est, cov, nr); the raw
+        # gram overflows or underflows past about 1e±154. At s = 1e±200 the
+        # scaled noise ratio stays a double only with the ridge far below the
+        # gains (zero forcing, so K = N) or far above them.
+        rng = np.random.default_rng(12)
+        est = random_channels(rng, 3, 3)
+        m = random_channels(rng, 9, 3).reshape(3, 3, 3)
+        cov = 0.5 * nr * (m @ m.conj().transpose(0, 2, 1))
+        np.testing.assert_allclose(baselines.rzf(est * scale, nr * scale * scale),
+                                   baselines.rzf(est, nr), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(baselines.rrzf(est * scale, cov * scale * scale,
+                                                  nr * scale * scale),
+                                   baselines.rrzf(est, cov, nr), rtol=0, atol=1e-12)
+
     def test_solve_residual_oracle(self):
         # oracle: the unnormalized beams X satisfy (G + sum Phi + ridge) X = est
         rng = np.random.default_rng(7)

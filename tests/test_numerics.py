@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
+from gpip import numerics
 from gpip.errors import DenominatorUnderflow, DimensionMismatch, EigenFailure, NotPositiveDefinite
 from gpip.numerics import (
     BlockDiagonal,
@@ -25,6 +32,42 @@ def random_psd(rng, n, rank=None):
     rank = n if rank is None else rank
     m = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     return hermitize(m @ m.conj().T)
+
+
+def run_python(code: str, *args) -> str:
+    """Standard output of `code` in a fresh interpreter that imports this checkout's gpip."""
+    src = Path(numerics.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestLapackImport:
+    def test_import_and_config_load_leave_scipy_linalg_unimported(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(scenario="link", n_antennas=2, n_users=2,
+                                       algorithms=["gpip"], snr_db=[10.0], n_trials=1, seed=0)))
+        code = ("import sys, gpip; gpip.load_config(sys.argv[1]); "
+                "print('scipy.linalg' in sys.modules)")
+        assert run_python(code, cfg) == "False"
+
+    @pytest.mark.parametrize("first, second", [("gpip.numerics", "scipy.linalg.lapack"),
+                                               ("scipy.linalg.lapack", "gpip.numerics")])
+    def test_routines_are_scipys_whichever_is_imported_first(self, first, second):
+        code = (f"import {first}, {second}, gpip.numerics as n, scipy.linalg.lapack as l; "
+                "print(n.zpotrf is l.zpotrf, n.zpotrs is l.zpotrs)")
+        assert run_python(code) == "True True"
+
+    def test_missing_extension_falls_back_to_scipy_linalg_lapack(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, numerics._FLAPACK)
+        monkeypatch.setattr(numerics, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        zpotrf, zpotrs = numerics._load_lapack()
+        assert zpotrf is lapack.zpotrf and zpotrs is lapack.zpotrs
+        assert numerics._FLAPACK not in sys.modules
 
 
 class TestCholesky:
