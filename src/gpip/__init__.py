@@ -47,7 +47,6 @@ from .errors import (
 from .evaluation import (
     CdfCurve,
     RateReport,
-    ergodic_sum_se,
     gmi_rate_lb,
     pf_weights,
     rate_cdf,
@@ -60,7 +59,7 @@ from .numerics import (
     rank1_inverse_update,
     solve_hermitian,
 )
-from .runner import run, run_link_level, run_system_level
+from .runner import ergodic_sum_se, run, run_link_level, run_system_level
 from .solver import (
     EffectivePair,
     GpipResult,

@@ -60,10 +60,6 @@ class ArrayGeometry:
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
 
-    @property
-    def n_antennas(self) -> int:
-        return self.positions.shape[0]
-
     @cached_property
     def aperture(self) -> float:
         """Largest distance between two antenna positions (meters)."""
@@ -352,14 +348,6 @@ class Topology:
 
     cell_xy: np.ndarray  # (L, 2)
     user_xy: np.ndarray  # (L, K, 2)
-
-    @property
-    def n_cells(self) -> int:
-        return self.cell_xy.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.user_xy.shape[1]
 
     def distances_km(self) -> np.ndarray:
         """(L_bs, L_cell, K) distances from every BS to every user, in km."""

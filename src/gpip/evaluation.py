@@ -4,14 +4,16 @@ True-channel SINRs measure what users actually receive from the designed
 precoders; the estimate-based lower-bound rates are what a transmitter can
 promise from its imperfect knowledge. Both read their powers off the
 solver's one power sum, as its quadratic forms do, and live here with the
-seeded single-cell Monte Carlo engine, proportional-fairness weighting, and
-empirical CDFs. A link trial draws all of its users' CSIT in one stacked
-call of its model's channel function.
+single-cell link trial, the seeded substreams and Monte Carlo mean,
+proportional-fairness weighting, and empirical CDFs. A link trial draws
+all of its users' CSIT in one stacked call of its model's channel
+function; it and a system block run the algorithms of their config, in
+config order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,9 +146,9 @@ class LinkStatistics:
     fdd_kappa: float
 
 
-def link_statistics(config, corr) -> LinkStatistics:
-    """The LinkStatistics of `config` on the (K, N, N) correlations."""
-    corr = np.asarray(corr, dtype=np.complex128)
+def link_statistics(config) -> LinkStatistics:
+    """The LinkStatistics of `config` on its `_link_correlations`."""
+    corr = _link_correlations(config)
     model, n = config.csit_model, config.n_antennas
     if model not in CSIT_MODELS:
         raise ConfigInvalid(f"csit_model: unknown model {model!r}")
@@ -252,10 +254,10 @@ def design_precoders(algorithm: str, est: np.ndarray, known_cov, noise_ratio, co
     raise ConfigInvalid(f"algorithms: unknown algorithm {algorithm!r}")
 
 
-def _block_rates(config, algorithms, true_h, est_h, cells, noise_ratio, clusters=(),
+def _block_rates(config, true_h, est_h, cells, noise_ratio, clusters=(),
                  weights=None, metric: str = "true") -> dict:
-    """Design every algorithm from one block's estimates and score it; a link
-    trial is a block of one cell.
+    """Design every algorithm of `config` from one block's estimates and score
+    it; a link trial is a block of one cell.
 
     `true_h`, `est_h` are (L, L, K, N), indexed [bs, user_cell, user]. Cell l
     designs from `cells[l]`, its (known covariances, noise ratio) for
@@ -271,7 +273,7 @@ def _block_rates(config, algorithms, true_h, est_h, cells, noise_ratio, clusters
         raise ValueError(f"metric must be 'true' or 'estimated', got {metric!r}")
     n_cells, _, n_users, n = est_h.shape
     out = {}
-    for alg in algorithms:
+    for alg in config.algorithms:
         with located(f"algorithm {alg}: "):
             if alg == "zf-dpc":
                 rates = np.zeros((n_cells, n_users))
@@ -302,10 +304,8 @@ def _block_rates(config, algorithms, true_h, est_h, cells, noise_ratio, clusters
     return out
 
 
-def link_trial(
-    config, snr_db: float, algorithms, rng, stats: LinkStatistics, metric: str = "true"
-) -> dict:
-    """One fading block: draw channels once, run every algorithm on them.
+def link_trial(config, snr_db: float, rng, stats: LinkStatistics, metric: str = "true") -> dict:
+    """One fading block: draw channels once, run every algorithm of `config` on them.
 
     A `_block_rates` block of one cell that knows `stats.known_cov` from the
     campaign's `LinkStatistics`; returns {algorithm: (per-user rates,
@@ -315,34 +315,9 @@ def link_trial(
     """
     noise_ratio = 10.0 ** (-snr_db / 10.0)
     true, est = _draw_link_csit(stats, rng)
-    out = _block_rates(config, algorithms, true[None, None], est[None, None],
+    out = _block_rates(config, true[None, None], est[None, None],
                        [(stats.known_cov, noise_ratio)], noise_ratio, metric=metric)
     return {alg: (rates[0], extras and extras[0]) for alg, (rates, extras) in out.items()}
-
-
-def ergodic_sum_se(config, algorithm: str, metric: str = "true") -> tuple[float, float]:
-    """Monte Carlo mean sum spectral efficiency with a 95% half-width.
-
-    Runs `config.n_trials` trials at the operating point `config.snr_db[0]`.
-    Deterministic per config: trial t uses the substream
-    (config.seed, link-domain, t), so results do not depend on execution
-    order. The default metric averages true-channel rates;
-    metric="estimated" averages the transmitter's own rate bounds instead.
-    The config, with `algorithm` as its one algorithm, must be a valid link
-    config; one that is not raises `ConfigInvalid` naming the field.
-    """
-    replace(config, algorithms=[algorithm]).validate()
-    if config.scenario != "link":
-        raise ConfigInvalid("scenario: ergodic_sum_se needs scenario='link'")
-    stats = link_statistics(config, _link_correlations(config))
-    sums = np.empty(config.n_trials)
-    for t in range(config.n_trials):
-        rng = trial_rng(config.seed, DOMAIN_LINK_TRIAL, t)
-        with located(f"SNR {config.snr_db[0]} dB, trial {t}, "):
-            rates, _ = link_trial(config, config.snr_db[0], [algorithm], rng, stats,
-                                  metric=metric)[algorithm]
-        sums[t] = rates.sum()
-    return monte_carlo_mean(sums)
 
 
 def monte_carlo_mean(samples: np.ndarray) -> tuple[float, float]:

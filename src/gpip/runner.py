@@ -8,16 +8,19 @@ block, and aggregate true-channel rates.
 
 A campaign maps its units (`link_unit`: an SNR and trial; `system_drop`: a
 drop and its blocks) to table rows and folds them in unit order; the summary
-and CDFs are computed from those rows. Units draw from their own substreams
-(seed, domain, index), so artifacts are deterministic per resolved config,
-and rows hold Python numbers only, which `csv` writes in shortest repr form.
+and CDFs are computed from those rows. A unit reads what it runs (algorithms,
+clusters, correlations) from the config alone. Units draw from their own
+substreams (seed, domain, index), so artifacts are deterministic per
+resolved config, and rows hold Python numbers only, which `csv` writes in
+shortest repr form. `ergodic_sum_se` is the library's mean of the link units
+at one operating point.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +46,17 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _campaign_dir(cfg: ExperimentConfig, scenario: str, out_dir) -> Path:
-    """Validate `cfg` for `scenario`, then create and return its output directory."""
+def _validated(cfg: ExperimentConfig, scenario: str, caller: str) -> ExperimentConfig:
+    """`cfg`, validated and checked to be a `scenario` config for `caller`."""
     cfg.validate()
     if cfg.scenario != scenario:
-        raise ConfigInvalid(f"scenario: run_{scenario}_level needs scenario='{scenario}'")
+        raise ConfigInvalid(f"scenario: {caller} needs scenario='{scenario}'")
+    return cfg
+
+
+def _campaign_dir(cfg: ExperimentConfig, scenario: str, out_dir) -> Path:
+    """Validate `cfg` for `scenario`, then create and return its output directory."""
+    _validated(cfg, scenario, f"run_{scenario}_level")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -87,14 +96,16 @@ def _write_artifacts(out: Path, cfg: ExperimentConfig, tables) -> dict:
     return paths
 
 
-def link_unit(cfg: ExperimentConfig, stats: evaluation.LinkStatistics, index: int) -> dict:
+def link_unit(cfg: ExperimentConfig, stats: evaluation.LinkStatistics, index: int,
+              metric: str = "true") -> dict:
     """The per_trial, per_user and solver rows of link unit `index`: trial t of
-    SNR point p, where (p, t) = divmod(index, n_trials)."""
+    SNR point p, where (p, t) = divmod(index, n_trials). Rates are `link_trial`'s
+    under `metric`."""
     point, t = divmod(index, cfg.n_trials)
     snr = cfg.snr_db[point]
     with located(f"SNR {snr} dB, trial {t}, "):
-        results = link_trial(cfg, snr, cfg.algorithms,
-                             trial_rng(cfg.seed, DOMAIN_LINK_TRIAL, index), stats)
+        results = link_trial(cfg, snr, trial_rng(cfg.seed, DOMAIN_LINK_TRIAL, index), stats,
+                             metric)
     rows = {"per_trial": [], "per_user": [], "solver": []}
     for alg in cfg.algorithms:
         rates, extra = results[alg]
@@ -109,7 +120,7 @@ def link_unit(cfg: ExperimentConfig, stats: evaluation.LinkStatistics, index: in
 def run_link_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Single-cell ergodic campaign; returns {artifact_name: path}."""
     out = _campaign_dir(cfg, "link", out_dir)
-    stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+    stats = evaluation.link_statistics(cfg)
     tables = _fold(link_unit(cfg, stats, i) for i in range(len(cfg.snr_db) * cfg.n_trials))
     # per (SNR, algorithm): the mean sum rate and solver diagnostics of its rows
     header = ["algorithm"] + solver.GpipResult.csv_header(cfg.n_users)
@@ -129,6 +140,24 @@ def run_link_level(cfg: ExperimentConfig, out_dir=None) -> dict:
         ("per_user", ["algorithm", "snr_db", "trial", "user", "rate"], tables["per_user"]),
         ("solver", header, tables["solver"]),
     ])
+
+
+def ergodic_sum_se(config: ExperimentConfig, algorithm: str,
+                   metric: str = "true") -> tuple[float, float]:
+    """Monte Carlo mean sum spectral efficiency with a 95% half-width.
+
+    The mean of the sum_rate rows of `link_unit` t < `config.n_trials`, the
+    trials at the operating point `config.snr_db[0]`, of the config with
+    `algorithm` as its one algorithm: the number `summary.csv` reports for
+    that point. The default metric averages true-channel rates;
+    metric="estimated" averages the transmitter's own rate bounds instead.
+    The config must be a valid link config; one that is not raises
+    `ConfigInvalid` naming the field before any trial.
+    """
+    cfg = _validated(replace(config, algorithms=[algorithm]), "link", "ergodic_sum_se")
+    stats = evaluation.link_statistics(cfg)
+    return monte_carlo_mean([row[-1] for t in range(cfg.n_trials)
+                             for row in link_unit(cfg, stats, t, metric)["per_trial"]])
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +341,8 @@ def multicell_csit(stats: DropStatistics, rng) -> tuple[np.ndarray, np.ndarray]:
     return true_h, est_h
 
 
-def multicell_block(cfg: ExperimentConfig, stats: DropStatistics, algorithms, rng,
-                    pf_weights=None) -> dict:
-    """Run every algorithm on one fading block of a multi-cell drop.
+def multicell_block(cfg: ExperimentConfig, stats: DropStatistics, rng, pf_weights=None) -> dict:
+    """Run every algorithm of `cfg` on one fading block of a multi-cell drop.
 
     `stats` is the drop's `DropStatistics`: each cell designs from its own
     estimates, knowledge and effective noise ratios, each cluster from its
@@ -324,13 +352,14 @@ def multicell_block(cfg: ExperimentConfig, stats: DropStatistics, algorithms, rn
     true_h, est_h = multicell_csit(stats, rng)
     cells = [(stats.known_cov[l, p], stats.nr_cell[l]) for l, p in enumerate(stats.position)]
     clusters = [(cl, stats.known_cov[cl, :len(cl)], stats.nr_coop[cl]) for cl in stats.clusters]
-    return evaluation._block_rates(cfg, algorithms, true_h, est_h, cells, stats.noise_ratio,
-                                   clusters, pf_weights)
+    return evaluation._block_rates(cfg, true_h, est_h, cells, stats.noise_ratio, clusters,
+                                   pf_weights)
 
 
-def system_drop(cfg: ExperimentConfig, clusters, d: int) -> dict:
+def system_drop(cfg: ExperimentConfig, d: int) -> dict:
     """The per_drop, per_user, solver and solver_coop rows of drop `d`, whose
-    fading blocks share its statistics and PF averages; rates are block means."""
+    fading blocks share its statistics and PF averages; rates are block means.
+    The drop's pilots are assigned for `consecutive_clusters` of `n_coop` cells."""
     snr_db = cfg.bs_power_dbm - cfg.noise_power_dbm()
     use_pf = cfg.weights == "pf"
     # uplink noise over pilot energy in the noise-normalized units of
@@ -338,7 +367,8 @@ def system_drop(cfg: ExperimentConfig, clusters, d: int) -> dict:
     noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
     with located(f"drop {d}, "):
         corr, _, _ = system_correlations(cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d))
-        stats = drop_statistics(corr, clusters, noise_over_pilot,  # consumes corr
+        stats = drop_statistics(corr, consecutive_clusters(cfg.n_cells, cfg.n_coop),
+                                noise_over_pilot,  # consumes corr
                                 cfg.csit_model == "perfect", cfg.cov_knowledge)
     acc = {alg: np.zeros((cfg.n_cells, cfg.n_users)) for alg in cfg.algorithms}
     pf_avg = {alg: np.full((cfg.n_cells, cfg.n_users), 1e-3) for alg in cfg.algorithms}
@@ -347,7 +377,7 @@ def system_drop(cfg: ExperimentConfig, clusters, d: int) -> dict:
         rng = trial_rng(cfg.seed, DOMAIN_SYSTEM_BLOCK, d * cfg.n_blocks + b)
         pf_w = {alg: evaluation.pf_weights(t) for alg, t in pf_avg.items()} if use_pf else None
         with located(f"drop {d}, block {b}, "):
-            results = multicell_block(cfg, stats, cfg.algorithms, rng, pf_w)
+            results = multicell_block(cfg, stats, rng, pf_w)
         for alg in cfg.algorithms:
             rates, extras = results[alg]
             acc[alg] += rates
@@ -370,8 +400,7 @@ def system_drop(cfg: ExperimentConfig, clusters, d: int) -> dict:
 def run_system_level(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Hexagonal-layout campaign; returns {artifact_name: path}."""
     out = _campaign_dir(cfg, "system", out_dir)
-    clusters = consecutive_clusters(cfg.n_cells, cfg.n_coop)
-    tables = _fold(system_drop(cfg, clusters, d) for d in range(cfg.n_drops))
+    tables = _fold(system_drop(cfg, d) for d in range(cfg.n_drops))
     summary = [[alg, cfg.bs_power_dbm - cfg.noise_power_dbm(), cfg.n_drops,
                 *monte_carlo_mean([m for a, _, m in tables["per_drop"] if a == alg])]
                for alg in cfg.algorithms]

@@ -12,6 +12,7 @@ the assertion is kept as written and left failing rather than retuned; the
 companion selection behavior (user 3 deactivated) passes.
 """
 
+import dataclasses
 import json
 import time
 
@@ -50,12 +51,13 @@ def _link_cfg(**overrides):
 
 def _mc_sums(cfg, snr, algorithms, n_trials):
     """Paired Monte Carlo sum rates: same channel draws for every algorithm."""
-    stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+    cfg = dataclasses.replace(cfg, algorithms=algorithms)
+    stats = evaluation.link_statistics(cfg)
     sums = {a: np.empty(n_trials) for a in algorithms}
     extras = {a: [] for a in algorithms}
     for t in range(n_trials):
         rng = trial_rng(cfg.seed, 0, t)
-        out = link_trial(cfg, snr, algorithms, rng, stats)
+        out = link_trial(cfg, snr, rng, stats)
         for a in algorithms:
             sums[a][t] = out[a][0].sum()
             if out[a][1] is not None:
@@ -324,9 +326,9 @@ def test_c09_convergence_speed():
     for i in range(100):
         k = ks[i % 3]
         cfg = _link_cfg(n_antennas=16, n_users=k, tol=0.1, seed=MASTER_SEED + i)
-        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+        stats = evaluation.link_statistics(cfg)
         rng = trial_rng(cfg.seed, 0, i)
-        out = link_trial(cfg, 10.0, ["gpip"], rng, stats)
+        out = link_trial(cfg, 10.0, rng, stats)
         iters = out["gpip"][1].iterations
         iters_by_k[k].append(iters)
         pooled.append(iters)
@@ -375,16 +377,16 @@ def test_c10_cooperative_dominance_and_degeneration():
         joint = runner.drop_statistics(corr.copy(), [[0, 1]], pilot_noise, noise_ratio=nr_dl)
         per_cell = runner.drop_statistics(corr.copy(), [[0], [1]], pilot_noise,
                                           noise_ratio=nr_dl)
-        res = runner.multicell_block(cfg, joint, ["gpip-coop"], trial_rng(cfg.seed, 5, d))
-        res_nc = runner.multicell_block(cfg, per_cell, ["gpip"], trial_rng(cfg.seed, 6, d))
+        res = runner.multicell_block(dataclasses.replace(cfg, algorithms=["gpip-coop"]), joint,
+                                     trial_rng(cfg.seed, 5, d))
+        res_nc = runner.multicell_block(dataclasses.replace(cfg, algorithms=["gpip"]), per_cell,
+                                        trial_rng(cfg.seed, 6, d))
         coop_sums.append(res["gpip-coop"][0].sum())
         noncoop_sums.append(res_nc["gpip"][0].sum())
         if d < 20:
             # degeneration: single-cell clusters must make the cooperative
             # path collapse onto the per-cell solver exactly
-            both = runner.multicell_block(
-                cfg, per_cell, ["gpip", "gpip-coop"], trial_rng(cfg.seed, 7, d),
-            )
+            both = runner.multicell_block(cfg, per_cell, trial_rng(cfg.seed, 7, d))
             worst_degen = max(
                 worst_degen, float(np.abs(both["gpip"][0] - both["gpip-coop"][0]).max())
             )

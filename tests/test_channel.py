@@ -484,11 +484,11 @@ class TestFddCsit:
         assert np.abs(acc / trials - np.eye(n)).max() < 0.05
 
     def test_reported_cov_is_kappa_sq_scaled(self):
-        # the error covariance a link campaign reports for the fdd model
-        r = np.diag([3.0, 1.0])
-        cfg = config_from_dict(dict(scenario="link", n_antennas=2, n_users=1, algorithms=["mrt"],
+        # the error covariances a link campaign reports for the fdd model
+        cfg = config_from_dict(dict(scenario="link", n_antennas=3, n_users=2, algorithms=["mrt"],
                                     seed=0, csit_model="fdd", fdd_kappa=0.5))
-        phi = evaluation.link_statistics(cfg, r[None]).cov[0]
+        r = evaluation._link_correlations(cfg)
+        phi = evaluation.link_statistics(cfg).cov
         np.testing.assert_allclose(phi, 0.25 * r)
 
 

@@ -274,7 +274,7 @@ class TestLinkRunner:
     def test_single_user_mrt_matches_oracle_row(self, tmp_path):
         cfg = config_from_dict(minimal_link(n_users=1, n_trials=8))
         paths = runner.run_link_level(cfg, tmp_path)
-        mean, half = evaluation.ergodic_sum_se(cfg, "mrt")
+        mean, half = runner.ergodic_sum_se(cfg, "mrt")
         rows = Path(paths["summary"]).read_text().strip().split("\n")
         header = rows[0].split(",")
         vals = rows[1].split(",")
@@ -282,6 +282,21 @@ class TestLinkRunner:
         assert row["algorithm"] == "mrt"
         assert float(row["mean_sum_se"]) == pytest.approx(mean)
         assert float(row["ci_half_width"]) == pytest.approx(half)
+
+    def test_ergodic_sum_se_is_the_summary_row_of_every_algorithm(self, tmp_path):
+        # the library's number and summary.csv come from the same link units
+        algorithms = ["gpip", "gpip-covfree", "rrzf", "sus-zf", "zf-dpc"]
+        cfg = config_from_dict(minimal_link(
+            n_antennas=3, n_users=3, algorithms=algorithms, csit_model="additive",
+            csit_error_var=0.2, snr_db=[5.0, 15.0], n_trials=4,
+        ))
+        paths = runner.run_link_level(cfg, tmp_path)
+        with open(paths["summary"], newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if float(r["snr_db"]) == cfg.snr_db[0]]
+        assert [r["algorithm"] for r in rows] == algorithms
+        for row in rows:
+            mean, half = runner.ergodic_sum_se(cfg, row["algorithm"])
+            assert (float(row["mean_sum_se"]), float(row["ci_half_width"])) == (mean, half)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_data = minimal_link(
@@ -383,7 +398,7 @@ class TestSystemRunner:
         )
         stats = system_drop_statistics(cfg, corr, [[0]])
         rng = evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
-        results = runner.multicell_block(cfg, stats, ["gpip"], rng)
+        results = runner.multicell_block(cfg, stats, rng)
         rates, _ = results["gpip"]
 
         # rebuild by hand in the same noise-normalized units
@@ -410,7 +425,7 @@ class TestSystemRunner:
         )
         stats = system_drop_statistics(cfg, corr, runner.consecutive_clusters(2, 1))
         rng = evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
-        results = runner.multicell_block(cfg, stats, ["gpip", "gpip-coop"], rng)
+        results = runner.multicell_block(cfg, stats, rng)
         np.testing.assert_allclose(
             results["gpip"][0], results["gpip-coop"][0], atol=1e-10
         )
@@ -481,7 +496,7 @@ class TestSystemRunner:
         )
         stats = system_drop_statistics(cfg, corr, [[0], [1]])
         rng = evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
-        results = runner.multicell_block(cfg, stats, cfg.algorithms, rng)
+        results = runner.multicell_block(cfg, stats, rng)
         for alg in cfg.algorithms:
             rates, _ = results[alg]
             assert np.all(np.isfinite(rates)) and rates.shape == (2, 3)
@@ -526,7 +541,7 @@ class TestSystemRunner:
             cfg, evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_DROP, 0))
         stats = system_drop_statistics(cfg, corr, runner.consecutive_clusters(3, 2))
         block = (cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
-        _, extras = runner.multicell_block(cfg, stats, cfg.algorithms,
+        _, extras = runner.multicell_block(cfg, stats,
                                            evaluation.trial_rng(*block))["gpip-covfree"]
         _, est_h = runner.multicell_csit(stats, evaluation.trial_rng(*block))
         assert len(extras) == cfg.n_cells
@@ -752,7 +767,7 @@ class TestUnitErrors:
         cfg = config_from_dict(minimal_link(algorithms=["gpip"], snr_db=[5.0]))
         with pytest.raises(NotPositiveDefinite,
                            match=r"^SNR 5\.0 dB, trial 0, algorithm gpip: pivot 0\.0 at column 1$"):
-            evaluation.ergodic_sum_se(cfg, "gpip")
+            runner.ergodic_sum_se(cfg, "gpip")
 
     def test_system_error_names_drop_block_and_algorithm(self, tmp_path, monkeypatch):
         def fail(pairs, **kwargs):
@@ -883,17 +898,16 @@ class TestCampaignFold:
         cfg = config_from_dict(data)
         runner.run(cfg, tmp_path / "normal")
         if cfg.scenario == "link":
-            stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+            stats = evaluation.link_statistics(cfg)
             indices = range(len(cfg.snr_db) * cfg.n_trials)
             units = {i: runner.link_unit(cfg, stats, i) for i in reversed(indices)}
-            name = "link_unit"
+            name, unit = "link_unit", lambda cfg, _, i: calls.append(i) or units[i]
         else:
-            clusters = runner.consecutive_clusters(cfg.n_cells, cfg.n_coop)
             indices = range(cfg.n_drops)
-            units = {d: runner.system_drop(cfg, clusters, d) for d in reversed(indices)}
-            name = "system_drop"
+            units = {d: runner.system_drop(cfg, d) for d in reversed(indices)}
+            name, unit = "system_drop", lambda cfg, d: calls.append(d) or units[d]
         calls = []
-        monkeypatch.setattr(runner, name, lambda cfg, _, i: calls.append(i) or units[i])
+        monkeypatch.setattr(runner, name, unit)
         runner.run(cfg, tmp_path / "folded")
         assert calls == list(indices)
         assert_same_artifacts(tmp_path / "normal", tmp_path / "folded")

@@ -143,14 +143,14 @@ class TestGmiRateLb:
 class TestErgodicSumSe:
     def test_zero_snr_limit_near_zero(self):
         cfg = link_config(snr_db=[-100.0], n_trials=5)
-        mean, _ = evaluation.ergodic_sum_se(cfg, "mrt")
+        mean, _ = runner.ergodic_sum_se(cfg, "mrt")
         assert mean < 1e-6
 
     def test_single_user_mrt_matches_direct_simulation(self):
         # oracle: 10^6-draw direct evaluation of E[log2(1 + ||h||^2 / nr)]
         # under the same one-ring correlation
         cfg = link_config(n_antennas=2, n_users=1, n_trials=400)
-        mean, half = evaluation.ergodic_sum_se(cfg, "mrt")
+        mean, half = runner.ergodic_sum_se(cfg, "mrt")
         corr = evaluation._link_correlations(cfg)[0]
         rng = np.random.default_rng(0)
         vals, vecs = np.linalg.eigh(corr)
@@ -163,26 +163,26 @@ class TestErgodicSumSe:
 
     def test_deterministic(self):
         cfg = link_config(n_trials=10)
-        a = evaluation.ergodic_sum_se(cfg, "mrt")
-        b = evaluation.ergodic_sum_se(cfg, "mrt")
+        a = runner.ergodic_sum_se(cfg, "mrt")
+        b = runner.ergodic_sum_se(cfg, "mrt")
         assert a == b
 
     def test_half_width_shrinks_like_sqrt_n(self):
-        _, h100 = evaluation.ergodic_sum_se(link_config(n_users=2, n_trials=100), "mrt")
-        _, h400 = evaluation.ergodic_sum_se(link_config(n_users=2, n_trials=400), "mrt")
+        _, h100 = runner.ergodic_sum_se(link_config(n_users=2, n_trials=100), "mrt")
+        _, h400 = runner.ergodic_sum_se(link_config(n_users=2, n_trials=400), "mrt")
         ratio = h100 / h400
         assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
 
     def test_estimated_metric_equals_true_under_perfect_csit(self):
         cfg = link_config(n_trials=12)
-        true_val = evaluation.ergodic_sum_se(cfg, "rzf")
-        est_val = evaluation.ergodic_sum_se(cfg, "rzf", metric="estimated")
+        true_val = runner.ergodic_sum_se(cfg, "rzf")
+        est_val = runner.ergodic_sum_se(cfg, "rzf", metric="estimated")
         assert est_val == pytest.approx(true_val)
 
     def test_estimated_metric_diverges_under_errors(self):
         cfg = link_config(csit_model="additive", cov_knowledge="full", n_trials=12)
-        true_val, _ = evaluation.ergodic_sum_se(cfg, "rzf")
-        est_val, _ = evaluation.ergodic_sum_se(cfg, "rzf", metric="estimated")
+        true_val, _ = runner.ergodic_sum_se(cfg, "rzf")
+        est_val, _ = runner.ergodic_sum_se(cfg, "rzf", metric="estimated")
         assert est_val != true_val
 
     @pytest.mark.parametrize("overrides, algorithm, message", [
@@ -196,15 +196,15 @@ class TestErgodicSumSe:
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(evaluation, "link_trial", no_trial)
+        monkeypatch.setattr(runner, "link_trial", no_trial)
         cfg = dataclasses.replace(link_config(n_trials=2), **overrides)
         with pytest.raises(ConfigInvalid, match=message):
-            evaluation.ergodic_sum_se(cfg, algorithm)
+            runner.ergodic_sum_se(cfg, algorithm)
 
     def test_unknown_metric_rejected(self):
         # any other value used to measure true rates without a word
         with pytest.raises(ValueError, match="^metric must be 'true' or 'estimated', got 'estimate'$"):
-            evaluation.ergodic_sum_se(link_config(n_trials=2), "rzf", metric="estimate")
+            runner.ergodic_sum_se(link_config(n_trials=2), "rzf", metric="estimate")
 
 
 def per_user_link_csit_reference(config, corr, rng):
@@ -249,7 +249,7 @@ class TestLinkStatistics:
             fdd_kappa=float(rng.uniform(0.0, 1.0)),
         )
         corr = evaluation._link_correlations(cfg)
-        stats = evaluation.link_statistics(cfg, corr)
+        stats = evaluation.link_statistics(cfg)
         for trial in range(2):
             rng_want = np.random.default_rng([seed, trial])
             rng_got = np.random.default_rng([seed, trial])
@@ -265,7 +265,7 @@ class TestLinkStatistics:
     ])
     def test_one_csit_call_per_trial(self, monkeypatch, model, name):
         cfg = link_config(n_users=4, n_antennas=3, csit_model=model, csit_error_var=0.1)
-        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+        stats = evaluation.link_statistics(cfg)
         calls = []
         for fn in ("sample_channel", "additive_error_csit", "mmse_csit_tdd", "fdd_quantized_csit"):
             def counted(*args, _name=fn, _fn=getattr(channel, fn), **kwargs):
@@ -283,7 +283,7 @@ class TestKnownCovariance:
     def test_covfree_uses_trace_matched_levels_under_full_knowledge(self):
         cfg = link_config(n_antennas=4, n_users=3, algorithms=["gpip-covfree"],
                           csit_model="tdd", tdd_noise_over_pilot=0.3)
-        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+        stats = evaluation.link_statistics(cfg)
         _, est = evaluation._draw_link_csit(stats, np.random.default_rng(2))
         cov = stats.cov
         known = evaluation._known_cov("full", cov)
@@ -300,8 +300,8 @@ class TestKnownCovariance:
             cfg = link_config(n_antennas=4, n_users=4, algorithms=["gpip-covfree"],
                               csit_model="additive", csit_error_var=0.3,
                               cov_knowledge=knowledge)
-            stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
-            out = evaluation.link_trial(cfg, 10.0, cfg.algorithms, np.random.default_rng(1), stats)
+            stats = evaluation.link_statistics(cfg)
+            out = evaluation.link_trial(cfg, 10.0, np.random.default_rng(1), stats)
             rates[knowledge] = out["gpip-covfree"][0]
         # additive errors are white, so the trace-matched levels are the truth
         assert np.array_equal(rates["full"], rates["scalar"])
@@ -327,17 +327,39 @@ class TestKnownCovariance:
         cfg = link_config(csit_model=model)
         cfg.cov_knowledge = "vibes"
         with pytest.raises(ConfigInvalid, match="^cov_knowledge: unknown setting 'vibes'$"):
-            evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+            evaluation.link_statistics(cfg)
 
     @pytest.mark.parametrize("knowledge", ["full", "scalar", "none"])
     def test_knowledge_is_read_only_and_full_knowledge_shares_the_covariances(self, knowledge):
         cfg = link_config(csit_model="fdd", cov_knowledge=knowledge)
-        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
+        stats = evaluation.link_statistics(cfg)
         if knowledge == "none":
             assert not stats.known_cov.any()
         assert (stats.known_cov is stats.cov) == (knowledge == "full")
         with pytest.raises(ValueError, match="read-only"):
             stats.known_cov[0] = 0.0
+
+
+class TestUnitsRunTheConfigsAlgorithms:
+    """A link trial and a system block run exactly the algorithms of their
+    config, in config order."""
+
+    def test_link_trial(self):
+        cfg = link_config(n_antennas=3, n_users=2, algorithms=["rrzf", "zf-dpc", "gpip", "mrt"],
+                          csit_model="additive", csit_error_var=0.1)
+        stats = evaluation.link_statistics(cfg)
+        out = evaluation.link_trial(cfg, 10.0, np.random.default_rng(0), stats)
+        assert list(out) == cfg.algorithms
+
+    def test_multicell_block(self):
+        cfg = ExperimentConfig(scenario="system", n_antennas=3, n_users=2, n_cells=3, n_coop=2,
+                               algorithms=["gpip-coop", "zf-dpc", "gpip", "rzf"],
+                               csit_model="tdd", seed=4).validate()
+        corr, _, _ = runner.system_correlations(cfg, np.random.default_rng(1))
+        noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
+        stats = runner.drop_statistics(corr, runner.consecutive_clusters(3, 2), noise_over_pilot)
+        out = runner.multicell_block(cfg, stats, np.random.default_rng(2))
+        assert list(out) == cfg.algorithms
 
 
 class TestZfDpcBound:
@@ -347,8 +369,8 @@ class TestZfDpcBound:
     def test_link_trial_row(self):
         cfg = link_config(n_antennas=3, n_users=3, algorithms=["zf-dpc"], csit_model="tdd",
                           tdd_noise_over_pilot=0.3)
-        stats = evaluation.link_statistics(cfg, evaluation._link_correlations(cfg))
-        rates, extras = evaluation.link_trial(cfg, 5.0, ["zf-dpc"], np.random.default_rng(3),
+        stats = evaluation.link_statistics(cfg)
+        rates, extras = evaluation.link_trial(cfg, 5.0, np.random.default_rng(3),
                                               stats)["zf-dpc"]
         _, est = evaluation._draw_link_csit(stats, np.random.default_rng(3))
         bound = baselines.zf_dpc_waterfilling(est, 10.0 ** -0.5)[2]
@@ -361,8 +383,7 @@ class TestZfDpcBound:
         corr, _, _ = runner.system_correlations(cfg, np.random.default_rng(1))
         noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
         stats = runner.drop_statistics(corr, runner.consecutive_clusters(3, 2), noise_over_pilot)
-        rates, extras = runner.multicell_block(cfg, stats, ["zf-dpc"],
-                                               np.random.default_rng(2))["zf-dpc"]
+        rates, extras = runner.multicell_block(cfg, stats, np.random.default_rng(2))["zf-dpc"]
         _, est_h = runner.multicell_csit(stats, np.random.default_rng(2))
         bounds = [baselines.zf_dpc_waterfilling(est_h[l, l], np.mean(stats.nr_cell[l]))[2]
                   for l in range(3)]
