@@ -36,6 +36,17 @@ def _rate_inputs(name: str, rows, noise_ratio) -> tuple[np.ndarray, float]:
     return h, nr
 
 
+def _joint_rescaled(estimates, noise_ratio, covs=None):
+    """The estimates as complex, the noise ratio and `covs`, divided by p, p^2 and p^2
+    when the estimates' `_far_peak` p is far from one. The division leaves gains over
+    noise unchanged and in range; every baseline that reads them starts here."""
+    est, noise_ratio = np.asarray(estimates, dtype=np.complex128), float(noise_ratio)
+    if (peak := _far_peak(est)) is None:
+        return est, noise_ratio, covs
+    p = peak.item()
+    return est / p, noise_ratio / p / p, None if covs is None else covs / p / p
+
+
 def mrt(estimates: np.ndarray) -> np.ndarray:
     """Matched filtering: beams along the estimates, channel-strength powers.
     The stack is `_rescaled` as a whole, so its powers keep their ratios."""
@@ -75,17 +86,11 @@ def rrzf(estimates: np.ndarray, error_covs, noise_ratio: float) -> np.ndarray:
     = est_k, where the first term is the N x N outer-product sum of the
     estimates; the result is normalized to unit total power. With zero error
     covariances this is plain RZF. noise_ratio is one scalar: the shared
-    inverse admits a single regularization level. The beams are the same
-    when the estimates are divided by p and the covariances and noise ratio
-    by p^2, so estimates whose `_far_peak` p is far from one are.
+    inverse admits a single regularization level. The inputs are
+    `_joint_rescaled`, which moves no beam.
     """
-    est = np.asarray(estimates, dtype=np.complex128)
     covs = None if error_covs is None else np.asarray(error_covs, dtype=np.complex128)
-    noise_ratio = float(noise_ratio)
-    if (peak := _far_peak(est)) is not None:
-        p = peak.item()
-        est, noise_ratio = est / p, noise_ratio / p / p
-        covs = None if covs is None else covs / p / p
+    est, noise_ratio, covs = _joint_rescaled(estimates, noise_ratio, covs)
     k, n = est.shape
     gram = est.T @ est.conj()  # sum_k est_k est_k^H, (N, N)
     if covs is not None:
@@ -176,8 +181,7 @@ def sus_zf(
     survives. Water-filling runs over the selected users' effective beam
     gains.
     """
-    est = np.asarray(estimates, dtype=np.complex128)
-    noise_ratio = float(noise_ratio)
+    est, noise_ratio, _ = _joint_rescaled(estimates, noise_ratio)
     selected, _ = _greedy_orthogonal(est, est.shape[1], alpha_sus)
     f = np.zeros_like(est)
     dirs = _zf_directions(est[selected])
@@ -197,7 +201,7 @@ def zf_dpc_waterfilling(
     ordering, sum rate): rate = sum_i log2(1 + p_i * gain_i / noise_ratio).
     Serves as the spectral-efficiency upper reference for linear schemes.
     """
-    h, noise_ratio = _rate_inputs("channels", channels, noise_ratio)
+    h, noise_ratio, _ = _joint_rescaled(*_rate_inputs("channels", channels, noise_ratio))
     ordering, norms = _greedy_orthogonal(h, min(h.shape))
     if not ordering:
         raise RankDeficient("no user has a nonzero channel")
@@ -223,7 +227,7 @@ def rank_adaptive_zf(
     adding whichever user raises the equal-power ZF sum rate the most,
     stopping when no candidate improves it (or ZF runs out of rank).
     """
-    est, noise_ratio = _rate_inputs("estimates", estimates, noise_ratio)
+    est, noise_ratio, _ = _joint_rescaled(*_rate_inputs("estimates", estimates, noise_ratio))
     k, n = est.shape
     norms = np.linalg.norm(est, axis=1)
     selected = [int(np.argmax(norms))]

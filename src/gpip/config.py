@@ -15,8 +15,10 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
+from .baselines import DEFAULT_SUS_ALPHA
 from .channel import MIN_DISTANCE_KM
 from .errors import ConfigInvalid
+from .solver import DEFAULT_MAX_ITER, DEFAULT_SELECT_THRESHOLD, DEFAULT_TOL
 
 KNOWN_ALGORITHMS = (
     "gpip",
@@ -135,10 +137,10 @@ class ExperimentConfig:
     # weights and solver knobs
     weights: str = "uniform"  # "uniform" or "pf"
     pf_smoothing: float = 0.1
-    tol: float = 0.01
-    sel_threshold: float = 0.01
-    max_iter: int = 100
-    sus_alpha: float = 0.3
+    tol: float = DEFAULT_TOL
+    sel_threshold: float = DEFAULT_SELECT_THRESHOLD
+    max_iter: int = DEFAULT_MAX_ITER
+    sus_alpha: float = DEFAULT_SUS_ALPHA
     output_dir: str = "out"
 
     def validate(self) -> "ExperimentConfig":

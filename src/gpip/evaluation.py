@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines, channel, coop, solver
 from .config import COV_KNOWLEDGE, CSIT_MODELS
 from .errors import ConfigInvalid, DimensionMismatch, located
-from .numerics import hermitian_sqrt, hermitize
+from .numerics import hermitian_sqrt
 
 
 @dataclass
@@ -70,19 +70,22 @@ def gmi_rate_lb(
     return np.log2(1.0 + desired[0] / (rest[0] + prob.nr[0]))
 
 
-def pf_weights(long_term_rates, floor: float = 1e-3) -> np.ndarray:
+PF_FLOOR = 1e-3  # the least smoothed rate PF weights divide by; every user's first average
+
+
+def pf_weights(long_term_rates) -> np.ndarray:
     """Proportional-fairness weights: inverse smoothed rates, mean-normalized.
 
     The smoothed rates T come from `update_pf_averages`; the weights are
-    1 / max(T, floor) scaled to mean one over the last axis, so an (L, K)
+    1 / max(T, PF_FLOOR) scaled to mean one over the last axis, so an (L, K)
     array gives every cell's weights at once.
     """
-    t = np.maximum(np.asarray(long_term_rates, dtype=float), floor)
+    t = np.maximum(np.asarray(long_term_rates, dtype=float), PF_FLOOR)
     w = 1.0 / t
     return w / w.mean(axis=-1, keepdims=True)
 
 
-def update_pf_averages(averages, served_rates, smoothing: float = 0.1) -> np.ndarray:
+def update_pf_averages(averages, served_rates, smoothing: float) -> np.ndarray:
     """Exponentially smoothed served-rate tracker for PF weighting."""
     t = np.asarray(averages, dtype=float)
     r = np.asarray(served_rates, dtype=float)
@@ -164,7 +167,7 @@ def link_statistics(config) -> LinkStatistics:
         err_root = hermitian_sqrt(phi)
         cov = np.repeat(np.asarray(phi, dtype=np.complex128)[None], corr.shape[0], axis=0)
     elif model == "fdd":
-        cov = (config.fdd_kappa**2) * hermitize(corr)
+        cov = (config.fdd_kappa**2) * corr
     elif model == "perfect":
         cov = np.zeros_like(corr)
     known_cov = _known_cov(config.cov_knowledge, cov)
@@ -217,8 +220,8 @@ def design_precoders(algorithm: str, est: np.ndarray, known_cov, noise_ratio, co
     """Run one algorithm on one block's knowledge; returns (precoder, extras).
 
     `known_cov` (K, N, N) is what the transmitter knows of its error, as
-    `_known_cov` gives it (zero when it knows nothing); `gpip-covfree` takes
-    its `_levels`. The precoder is a (K, N) row stack with unit total power.
+    `_known_cov` gives it (zero when it knows nothing); `gpip-covfree` designs
+    at its `_levels` times I. The precoder is a (K, N) row stack with unit total power.
     The joint designs return every row: `extras.schedule` lists those whose
     norm is at or above `sel_threshold`, and the rest are still transmitted
     with little power (`sus-zf` and `rank-zf` zero the rows they leave out).
@@ -230,12 +233,11 @@ def design_precoders(algorithm: str, est: np.ndarray, known_cov, noise_ratio, co
     nr_scalar = float(np.mean(noise_ratio))
     opts = dict(weights=weights, tol=config.tol, max_iter=config.max_iter,
                 select_threshold=config.sel_threshold)
-    if algorithm == "gpip":
-        pairs = solver.build_effective_pairs(est, known_cov, noise_ratio)
-        res = solver.gpip_iterate(pairs, **opts)
-        return res.precoder, res
-    if algorithm == "gpip-covfree":
-        res = solver.gpip_covfree(est, _levels(known_cov), noise_ratio, **opts)
+    if algorithm in ("gpip", "gpip-covfree"):
+        covfree = algorithm == "gpip-covfree"
+        cov = _levels(known_cov)[:, None, None] * np.eye(est.shape[1]) if covfree else known_cov
+        pairs = solver.build_effective_pairs(est, cov, noise_ratio)
+        res = (solver.gpip_covfree if covfree else solver.gpip_iterate)(pairs, **opts)
         return res.precoder, res
     if algorithm == "mrt":
         return baselines.mrt(est), None

@@ -9,7 +9,9 @@ block, and aggregate true-channel rates.
 A campaign maps its units (`link_unit`: an SNR and trial; `system_drop`: a
 drop and its blocks) to table rows and folds them in unit order; the summary
 and CDFs are computed from those rows. A unit reads what it runs (algorithms,
-clusters, correlations) from the config alone. Units draw from their own
+clusters, correlations) from the config alone. A drop's correlations are in
+units of the downlink noise over transmit power, so its downlink noise ratio
+is one and no statistic carries it. Units draw from their own
 substreams (seed, domain, index), so artifacts are deterministic per
 resolved config, and rows hold Python numbers only, which `csv` writes in
 shortest repr form. `ergodic_sum_se` is the library's mean of the link units
@@ -171,16 +173,16 @@ def consecutive_clusters(n_cells: int, cluster_size: int) -> list[list[int]]:
             for i in range(0, n_cells, cluster_size)]
 
 
-def system_correlations(cfg: ExperimentConfig, rng) -> tuple[np.ndarray, channel.Topology, np.ndarray]:
-    """One drop's per-link correlation matrices (L, L, K, N, N) and gains.
+def system_correlations(cfg: ExperimentConfig, rng) -> np.ndarray:
+    """One drop's per-link correlation matrices (L, L, K, N, N).
 
     Azimuths come from the true user geometry; large-scale gains combine the
-    path-loss model with independent log-normal shadowing per link. The
-    correlation matrices are returned in noise-normalized units (gain divided
-    by noise-power-over-transmit-power), so the downlink noise ratio becomes
-    exactly one and matrix conditioning is independent of the absolute
-    physical scales. `betas` stays in raw linear units. Each serving BS's
-    L*K links take one `one_ring_correlation` call.
+    path-loss model with independent log-normal shadowing per link. Every
+    correlation is expressed in units of the downlink noise power over the
+    transmit power (its gain divided by that ratio), so the downlink noise
+    ratio of every system drop and block is exactly one and matrix
+    conditioning is independent of the absolute physical scales. Each
+    serving BS's L*K links take one `one_ring_correlation` call.
     """
     topo = channel.drop_users(
         cfg.n_cells, cfg.n_users, cfg.inter_site_m, cfg.min_distance_m, rng
@@ -197,7 +199,7 @@ def system_correlations(cfg: ExperimentConfig, rng) -> tuple[np.ndarray, channel
         corr[j] = channel.one_ring_correlation(
             geom, channel.OneRingParams(theta[j], cfg.angular_spread, gains[j])
         )
-    return corr, topo, betas
+    return corr
 
 
 def _outside_power(traces: np.ndarray, n: int, clusters=None) -> np.ndarray:
@@ -223,11 +225,10 @@ class DropStatistics:
     position of the user's cell in j's cluster, user], as
     `channel.mmse_statistics` gives them for j's cluster (zero past a short
     cluster's end); `err_cov` is zero and `err_roots` None under perfect
-    CSIT. `position[l]` is cell l's index in its cluster. `noise_ratio` is
-    the downlink noise over transmit power the correlations are expressed
-    in; `nr_cell` and `nr_coop` add to it the out-of-cell and out-of-cluster
-    interference powers, giving every user's effective noise ratio for the
-    per-cell and the cooperative designs. `known_cov` is
+    CSIT. `position[l]` is cell l's index in its cluster. `nr_cell` and
+    `nr_coop` add the out-of-cell and out-of-cluster interference powers to
+    the downlink noise ratio of one, giving every user's effective noise
+    ratio for the per-cell and the cooperative designs. `known_cov` is
     `evaluation._known_cov` of `err_cov` under the campaign's
     `cov_knowledge`: zero under perfect CSIT or "none". `clusters` holds the
     cooperation clusters the pilots were assigned for, as lists of cell
@@ -239,7 +240,6 @@ class DropStatistics:
     err_cov: np.ndarray  # (L, C, K, N, N)
     err_roots: np.ndarray | None  # (L, C, K, N, N)
     position: np.ndarray  # (L,)
-    noise_ratio: float
     nr_cell: np.ndarray  # (L, K)
     nr_coop: np.ndarray  # (L, K)
     known_cov: np.ndarray  # (L, C, K, N, N)
@@ -247,11 +247,9 @@ class DropStatistics:
 
 
 def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
-                    perfect: bool = False, cov_knowledge: str = "full",
-                    noise_ratio: float = 1.0) -> DropStatistics:
-    """The DropStatistics of one drop's (L, L, K, N, N) correlation stack,
-    expressed in units of the downlink noise ratio `noise_ratio` (one for
-    the noise-normalized correlations of `system_correlations`).
+                    perfect: bool = False, cov_knowledge: str = "full") -> DropStatistics:
+    """The DropStatistics of one drop's (L, L, K, N, N) correlation stack, in
+    the units of `system_correlations`, where the downlink noise ratio is one.
 
     `corr` is consumed and becomes `roots`: serving BS by serving BS, the
     correlations of the links drawn from their prior are replaced by their
@@ -293,14 +291,14 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
             if outside:
                 corr[j, outside] = hermitian_sqrt(corr[j, outside])
     known_cov = evaluation._known_cov(cov_knowledge, err_cov)
-    nr_cell = noise_ratio + _outside_power(traces, n)
-    nr_coop = noise_ratio + _outside_power(traces, n, clusters)
+    nr_cell = 1.0 + _outside_power(traces, n)
+    nr_coop = 1.0 + _outside_power(traces, n, clusters)
     for a in (corr, known, err_cov, err_roots, position, nr_cell, nr_coop, known_cov):
         if a is not None:
             a.flags.writeable = False
     return DropStatistics(
         roots=corr, known=known, err_cov=err_cov, err_roots=err_roots, position=position,
-        noise_ratio=noise_ratio, nr_cell=nr_cell, nr_coop=nr_coop,
+        nr_cell=nr_cell, nr_coop=nr_coop,
         known_cov=known_cov, clusters=tuple(list(cl) for cl in clusters),
     )
 
@@ -352,8 +350,7 @@ def multicell_block(cfg: ExperimentConfig, stats: DropStatistics, rng, pf_weight
     true_h, est_h = multicell_csit(stats, rng)
     cells = [(stats.known_cov[l, p], stats.nr_cell[l]) for l, p in enumerate(stats.position)]
     clusters = [(cl, stats.known_cov[cl, :len(cl)], stats.nr_coop[cl]) for cl in stats.clusters]
-    return evaluation._block_rates(cfg, true_h, est_h, cells, stats.noise_ratio, clusters,
-                                   pf_weights)
+    return evaluation._block_rates(cfg, true_h, est_h, cells, 1.0, clusters, pf_weights)
 
 
 def system_drop(cfg: ExperimentConfig, d: int) -> dict:
@@ -366,12 +363,13 @@ def system_drop(cfg: ExperimentConfig, d: int) -> dict:
     # `system_correlations` (training runs at physical powers)
     noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
     with located(f"drop {d}, "):
-        corr, _, _ = system_correlations(cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d))
+        corr = system_correlations(cfg, trial_rng(cfg.seed, DOMAIN_SYSTEM_DROP, d))
         stats = drop_statistics(corr, consecutive_clusters(cfg.n_cells, cfg.n_coop),
                                 noise_over_pilot,  # consumes corr
                                 cfg.csit_model == "perfect", cfg.cov_knowledge)
     acc = {alg: np.zeros((cfg.n_cells, cfg.n_users)) for alg in cfg.algorithms}
-    pf_avg = {alg: np.full((cfg.n_cells, cfg.n_users), 1e-3) for alg in cfg.algorithms}
+    pf_avg = {alg: np.full((cfg.n_cells, cfg.n_users), evaluation.PF_FLOOR)
+              for alg in cfg.algorithms}
     rows = {"per_drop": [], "per_user": [], "solver": [], "solver_coop": []}
     for b in range(cfg.n_blocks):
         rng = trial_rng(cfg.seed, DOMAIN_SYSTEM_BLOCK, d * cfg.n_blocks + b)

@@ -29,10 +29,11 @@ a pair sequence; every solver and evaluator opens with `_checked`, which reads
 the problem, built once, from them and checks the weights and stack it is given.
 Within cell j, Abar has one shared diagonal block and every block of Bbar is
 another shared matrix minus one rank-one term, so a sweep costs one Cholesky
-factorization of size N per cell plus O(C*K*N^2), never a dense one. The
-covariance-free path hands the kernel explicit block inverses instead, built
-from the ridge by O(K log K) rank-one inverse updates. Error covariances are
-classified once per problem as zero, scalar or full (see `_ClusterPowers`).
+factorization of size N per cell plus O(C*K*N^2), never a dense one. Error
+covariances are classified once per problem as zero, scalar or full (see
+`_ClusterPowers`). The covariance-free solver takes the same pairs, reads the
+scalar levels off their problem, and hands the kernel explicit block inverses,
+built from the ridge by O(K log K) rank-one inverse updates.
 """
 
 from __future__ import annotations
@@ -608,9 +609,7 @@ def covfree_block_inverses(
 
 
 def gpip_covfree(
-    estimates: np.ndarray,
-    error_scales,
-    noise_ratio,
+    pairs: LiftedPairs,
     weights=None,
     init: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
@@ -619,30 +618,24 @@ def gpip_covfree(
 ) -> GpipResult:
     """gpip_iterate for scalar error covariances, with recursive block inverses.
 
-    `error_scales` holds the finite, non-negative scalar error variances
-    alpha_k, one shared or one per user (the error covariance is
-    alpha_k * I). It solves on the problem of the pairs `build_effective_pairs`
-    lifts from these arrays. Iteration semantics are identical to gpip_iterate;
-    only the block inversion path differs, so the two agree to solver tolerance
-    on the same inputs.
+    The transmitter knows only the levels alpha_k of its error covariances
+    alpha_k * I, which are read off the problem of `pairs` (zero for perfect
+    knowledge); full covariances, complex levels and negative levels raise
+    ValueError. Iteration semantics are identical to gpip_iterate; only the
+    block inversion path differs, so the two agree to solver tolerance on the
+    same pairs.
     """
-    est = np.asarray(estimates, dtype=np.complex128)
-    if est.ndim != 2:
-        raise DimensionMismatch(f"estimates must be (K, N), got {est.shape}")
-    k, n = est.shape
-    alphas = _as_real("error scales", error_scales)
-    if alphas.shape not in ((), (k,)):
-        raise DimensionMismatch(f"error_scales must be a scalar or ({k},), got {alphas.shape}")
-    _require_finite("error scales", alphas)
+    prob, w, init = _checked(pairs, weights, init, "init", single_cell=True)
+    if prob.cov_form == "full":
+        raise ValueError("gpip_covfree needs error covariances alpha * I with real alpha, "
+                         "got full ones or complex levels")
+    alphas = prob.alpha[0, 0] if prob.cov_form == "scalar" else np.zeros(prob.k)
     if np.any(alphas < 0):
         raise ValueError("error scales must be non-negative")
-    alphas = np.broadcast_to(alphas, (k,))
-    pairs = build_effective_pairs(est, alphas[:, None, None] * np.eye(n), noise_ratio)
-    prob, w, init = _checked(pairs, weights, init, "init", single_cell=True)
 
     def solve_blocks(d, rhs):
         delta = float(np.sum(d * (alphas + pairs.nr)))
-        inverses = covfree_block_inverses(est, d[0], delta)
+        inverses = covfree_block_inverses(pairs.est[0, 0], d[0], delta)
         return (inverses @ rhs[0][:, :, None]).transpose(2, 0, 1)
 
     out = _power_iteration(prob, w, init, tol, max_iter, solve_blocks)

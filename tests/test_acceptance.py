@@ -285,7 +285,7 @@ def test_c08_covariance_free_equivalence():
         cov = np.broadcast_to(alpha * np.eye(n), (k, n, n)).copy()
         pairs = solver.build_effective_pairs(est, cov, nr)
         ref = solver.gpip_iterate(pairs, tol=1e-6, max_iter=500)
-        fast = solver.gpip_covfree(est, alpha, nr, tol=1e-6, max_iter=500)
+        fast = solver.gpip_covfree(pairs, tol=1e-6, max_iter=500)
         worst_prec = max(worst_prec, float(np.abs(ref.precoder - fast.precoder).max()))
         # Recursive block inverses vs direct Cholesky inversion at two
         # iterates. The quotient coefficients are only defined up to a common
@@ -369,14 +369,14 @@ def test_c10_cooperative_dominance_and_degeneration():
         algorithms=["gpip", "gpip-coop"], seed=MASTER_SEED, csit_model="tdd",
         n_drops=1, n_blocks=1,
     ).validate()
+    # drop statistics are in units of the downlink noise ratio, here 0.1
     nr_dl, pilot_noise = 0.1, 0.1
     coop_sums, noncoop_sums = [], []
     worst_degen = 0.0
     for d in range(200):
-        corr = _toy_two_cell_corr(40_000 + d)
-        joint = runner.drop_statistics(corr.copy(), [[0, 1]], pilot_noise, noise_ratio=nr_dl)
-        per_cell = runner.drop_statistics(corr.copy(), [[0], [1]], pilot_noise,
-                                          noise_ratio=nr_dl)
+        corr = _toy_two_cell_corr(40_000 + d) / nr_dl
+        joint = runner.drop_statistics(corr.copy(), [[0, 1]], pilot_noise / nr_dl)
+        per_cell = runner.drop_statistics(corr.copy(), [[0], [1]], pilot_noise / nr_dl)
         res = runner.multicell_block(dataclasses.replace(cfg, algorithms=["gpip-coop"]), joint,
                                      trial_rng(cfg.seed, 5, d))
         res_nc = runner.multicell_block(dataclasses.replace(cfg, algorithms=["gpip"]), per_cell,

@@ -351,6 +351,25 @@ class TestPowerFeasibility:
             assert total_power(f) <= 1 + 1e-10
 
 
+@pytest.mark.parametrize("scale, nr", [(1e200, 1e-100), (1e-200, 1e93),
+                                       (1e160, 1e-20), (1e-160, 1e13)])
+def test_selection_baselines_do_not_depend_on_joint_scale(scale, nr):
+    # (est s, nr s^2) has the gains over noise of (est, nr); the raw squared
+    # norms overflow or underflow past about 1e±154. The noise ratio is chosen
+    # so that nr s^2 stays a normal double.
+    est = random_channels(np.random.default_rng(21), 4, 6)
+    est_s, nr_s = est * scale, nr * scale * scale
+    for design in (baselines.sus_zf, baselines.rank_adaptive_zf):
+        want, got = design(est, nr), design(est_s, nr_s)
+        assert got[0] == want[0]
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    order, powers, rate = baselines.zf_dpc_waterfilling(est, nr)
+    got = baselines.zf_dpc_waterfilling(est_s, nr_s)
+    assert got[0] == order
+    np.testing.assert_allclose(got[1], powers, rtol=0, atol=1e-12)
+    assert got[2] == pytest.approx(rate, rel=1e-12, abs=1e-300)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("design", [
     baselines.mrt,

@@ -217,11 +217,13 @@ class TestStackedPathloss:
     def test_system_correlations_equal_a_per_link_loop(self):
         cfg = config_from_dict(dict(scenario="system", n_antennas=4, n_users=3, n_cells=7,
                                     algorithms=["gpip"], seed=0))
-        corr, topo, betas = runner.system_correlations(cfg, np.random.default_rng(5))
+        corr = runner.system_correlations(cfg, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        channel.drop_users(cfg.n_cells, cfg.n_users, cfg.inter_site_m, cfg.min_distance_m, rng)
+        topo = channel.drop_users(cfg.n_cells, cfg.n_users, cfg.inter_site_m,
+                                  cfg.min_distance_m, rng)
         dist_km = topo.distances_km()
         shadow = rng.normal(0.0, cfg.shadowing_db, size=dist_km.shape)
+        betas = channel.gain_from_pathloss(channel.okumura_hata_pathloss(dist_km), shadow)
         geom = channel.uniform_circular_array(cfg.n_antennas, cfg.wavelength_m())
         norm = cfg.noise_power_mw() / cfg.bs_power_mw()
         for j, l, k in np.ndindex(dist_km.shape):

@@ -393,7 +393,7 @@ class TestSystemRunner:
                 algorithms=["gpip"], n_drops=1, n_blocks=1, csit_model="tdd",
             )
         )
-        corr, _, _ = runner.system_correlations(
+        corr = runner.system_correlations(
             cfg, evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_DROP, 0)
         )
         stats = system_drop_statistics(cfg, corr, [[0]])
@@ -420,7 +420,7 @@ class TestSystemRunner:
                 csit_model="tdd",
             )
         )
-        corr, _, _ = runner.system_correlations(
+        corr = runner.system_correlations(
             cfg, evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_DROP, 0)
         )
         stats = system_drop_statistics(cfg, corr, runner.consecutive_clusters(2, 1))
@@ -491,7 +491,7 @@ class TestSystemRunner:
                 n_drops=1, n_blocks=1, csit_model="tdd",
             )
         )
-        corr, _, _ = runner.system_correlations(
+        corr = runner.system_correlations(
             cfg, evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_DROP, 0)
         )
         stats = system_drop_statistics(cfg, corr, [[0], [1]])
@@ -537,7 +537,7 @@ class TestSystemRunner:
             algorithms=["gpip-covfree"], n_drops=1, n_blocks=1, csit_model="tdd",
             cov_knowledge="scalar",
         ))
-        corr, _, _ = runner.system_correlations(
+        corr = runner.system_correlations(
             cfg, evaluation.trial_rng(cfg.seed, runner.DOMAIN_SYSTEM_DROP, 0))
         stats = system_drop_statistics(cfg, corr, runner.consecutive_clusters(3, 2))
         block = (cfg.seed, runner.DOMAIN_SYSTEM_BLOCK, 0)
@@ -549,8 +549,10 @@ class TestSystemRunner:
             # with N a power of two, tr(alpha I) / N reads alpha back exactly
             levels = np.diagonal(stats.known_cov[l, p], axis1=1, axis2=2).real[:, 0]
             assert levels.any()
-            ref = solver.gpip_covfree(est_h[l, l], levels, stats.nr_cell[l], tol=cfg.tol,
-                                      max_iter=cfg.max_iter, select_threshold=cfg.sel_threshold)
+            pairs = solver.build_effective_pairs(
+                est_h[l, l], levels[:, None, None] * np.eye(cfg.n_antennas), stats.nr_cell[l])
+            ref = solver.gpip_covfree(pairs, tol=cfg.tol, max_iter=cfg.max_iter,
+                                      select_threshold=cfg.sel_threshold)
             assert np.array_equal(extras[l].precoder, ref.precoder)
 
     def test_known_covariances_derived_once_per_drop(self, tmp_path, monkeypatch):
@@ -726,7 +728,7 @@ class TestStackedBlockDraws:
             scenario="system", n_cells=7, n_coop=2, n_users=2, n_antennas=2,
             algorithms=["gpip"], n_drops=1, n_blocks=1, csit_model="tdd",
         ))
-        corr, _, _ = runner.system_correlations(cfg, np.random.default_rng(0))
+        corr = runner.system_correlations(cfg, np.random.default_rng(0))
         clusters = runner.consecutive_clusters(7, 2)
         stats = runner.drop_statistics(corr, clusters, 0.1, perfect)
         calls = []

@@ -289,8 +289,9 @@ class TestKnownCovariance:
         known = evaluation._known_cov("full", cov)
         assert known is cov
         f, _ = evaluation.design_precoders("gpip-covfree", est, known, 0.2, cfg)
-        ref = solver.gpip_covfree(est, np.real(np.trace(cov, axis1=1, axis2=2)) / cfg.n_antennas,
-                                  0.2, tol=cfg.tol, max_iter=cfg.max_iter,
+        levels = np.real(np.trace(cov, axis1=1, axis2=2)) / cfg.n_antennas
+        pairs = solver.build_effective_pairs(est, levels[:, None, None] * np.eye(4), 0.2)
+        ref = solver.gpip_covfree(pairs, tol=cfg.tol, max_iter=cfg.max_iter,
                                   select_threshold=cfg.sel_threshold)
         assert np.array_equal(f, ref.precoder)
 
@@ -355,7 +356,7 @@ class TestUnitsRunTheConfigsAlgorithms:
         cfg = ExperimentConfig(scenario="system", n_antennas=3, n_users=2, n_cells=3, n_coop=2,
                                algorithms=["gpip-coop", "zf-dpc", "gpip", "rzf"],
                                csit_model="tdd", seed=4).validate()
-        corr, _, _ = runner.system_correlations(cfg, np.random.default_rng(1))
+        corr = runner.system_correlations(cfg, np.random.default_rng(1))
         noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
         stats = runner.drop_statistics(corr, runner.consecutive_clusters(3, 2), noise_over_pilot)
         out = runner.multicell_block(cfg, stats, np.random.default_rng(2))
@@ -380,7 +381,7 @@ class TestZfDpcBound:
     def test_system_block_rows(self):
         cfg = ExperimentConfig(scenario="system", n_antennas=3, n_users=2, n_cells=3, n_coop=2,
                                algorithms=["zf-dpc"], csit_model="tdd", seed=4).validate()
-        corr, _, _ = runner.system_correlations(cfg, np.random.default_rng(1))
+        corr = runner.system_correlations(cfg, np.random.default_rng(1))
         noise_over_pilot = cfg.uplink_noise_over_pilot() * cfg.bs_power_mw() / cfg.noise_power_mw()
         stats = runner.drop_statistics(corr, runner.consecutive_clusters(3, 2), noise_over_pilot)
         rates, extras = runner.multicell_block(cfg, stats, np.random.default_rng(2))["zf-dpc"]

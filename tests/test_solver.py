@@ -53,6 +53,17 @@ def random_kind_instance(rng, k, n, kind, cov_scale, noise_ratio=0.1):
 COV_KINDS = ("zero", "scalar", "full")
 
 
+def covfree_pairs(est, alphas, nr):
+    """The pairs of (K, N) estimates with error covariances alpha_k * I, from one
+    shared level or one per user: what `gpip_covfree` solves on."""
+    est = np.asarray(est)
+    k, n = est.shape
+    levels = np.broadcast_to(alphas, (k,))
+    cov = np.zeros((k, n, n), dtype=np.result_type(levels, float))
+    cov[:, range(n), range(n)] = levels[:, None]  # no 0 * inf off the diagonal
+    return solver.build_effective_pairs(est, cov, nr)
+
+
 def random_stack(rng, k, n):
     f = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
     return f / np.linalg.norm(f)
@@ -295,7 +306,7 @@ class TestGpipIterate:
         init = random_stack(rng, k, n)
         for res in (
             solver.gpip_iterate(pairs, init=init, tol=1e-6, max_iter=50),
-            solver.gpip_covfree(est, 0.1, nr, init=init, tol=1e-6, max_iter=50),
+            solver.gpip_covfree(covfree_pairs(est, 0.1, nr), init=init, tol=1e-6, max_iter=50),
         ):
             assert res.objective_log2 >= res.trajectory[0]
 
@@ -316,7 +327,7 @@ class TestGpipIterate:
 
 @pytest.mark.parametrize("solve", [
     lambda est, tol: solver.gpip_iterate(solver.build_effective_pairs(est, None, 0.1), tol=tol),
-    lambda est, tol: solver.gpip_covfree(est, 0.1, 0.1, tol=tol),
+    lambda est, tol: solver.gpip_covfree(covfree_pairs(est, 0.1, 0.1), tol=tol),
     lambda est, tol: coop.gpip_coop(coop.build_coop_pairs(est[None, None], None, 0.1), tol=tol),
 ], ids=["gpip_iterate", "gpip_covfree", "gpip_coop"])
 def test_nan_tol_rejected(solve):
@@ -329,7 +340,7 @@ def test_nan_tol_rejected(solve):
 @pytest.mark.parametrize("shape", [(3, 0), (0, 3)], ids=["N=0", "K=0"])
 @pytest.mark.parametrize("solve", [
     lambda est: solver.gpip_iterate(solver.build_effective_pairs(est, None, 0.1)),
-    lambda est: solver.gpip_covfree(est, 0.1, 0.1),
+    lambda est: solver.gpip_covfree(covfree_pairs(est, 0.1, 0.1)),
     lambda est: coop.gpip_coop(coop.build_coop_pairs(est[None, None], None, 0.1)),
 ], ids=["gpip_iterate", "gpip_covfree", "gpip_coop"])
 def test_empty_cells_raise_dimension_mismatch(solve, shape):
@@ -341,7 +352,7 @@ def test_empty_cells_raise_dimension_mismatch(solve, shape):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("solve", [
     lambda est, nr, w: solver.gpip_iterate(solver.build_effective_pairs(est, None, nr), weights=w),
-    lambda est, nr, w: solver.gpip_covfree(est, 0.1, nr, weights=w),
+    lambda est, nr, w: solver.gpip_covfree(covfree_pairs(est, 0.1, nr), weights=w),
     lambda est, nr, w: coop.gpip_coop(coop.build_coop_pairs(est[None, None], None, nr),
                                       weights=None if w is None else w[None]),
 ], ids=["gpip_iterate", "gpip_covfree", "gpip_coop"])
@@ -587,7 +598,7 @@ class TestCovarianceFree:
         gc.collect()
         gc.disable()
         try:
-            solver.gpip_covfree(est, 0.1, 0.1, max_iter=5)
+            solver.gpip_covfree(covfree_pairs(est, 0.1, 0.1), max_iter=5)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -595,7 +606,7 @@ class TestCovarianceFree:
     def test_zero_error_single_user_matched_filter(self):
         rng = np.random.default_rng(1)
         est = (rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))) / np.sqrt(2)
-        res = solver.gpip_covfree(est, 0.0, 0.4, tol=1e-10, max_iter=300)
+        res = solver.gpip_covfree(covfree_pairs(est, 0.0, 0.4), tol=1e-10, max_iter=300)
         direction = est[0] / np.linalg.norm(est[0])
         assert abs(np.vdot(res.precoder[0], direction)) > 1 - 1e-8
 
@@ -607,50 +618,60 @@ class TestCovarianceFree:
         cov = np.broadcast_to(alpha * np.eye(n), (k, n, n)).copy()
         pairs = solver.build_effective_pairs(est, cov, 0.2)
         ref = solver.gpip_iterate(pairs, tol=1e-8, max_iter=300)
-        fast = solver.gpip_covfree(est, alpha, 0.2, tol=1e-8, max_iter=300)
+        fast = solver.gpip_covfree(pairs, tol=1e-8, max_iter=300)
         assert np.abs(ref.precoder - fast.precoder).max() < 1e-6
         assert ref.schedule == fast.schedule
 
     def test_rejects_non_finite_inputs_and_misshaped_init(self):
         with pytest.raises(DimensionMismatch):
-            solver.gpip_covfree(EX_CHANNELS, 0.1, 0.1, init=np.ones(5))
+            solver.gpip_covfree(covfree_pairs(EX_CHANNELS, 0.1, 0.1), init=np.ones(5))
         with pytest.raises(ValueError, match="noise ratios must be finite"):
-            solver.gpip_covfree(EX_CHANNELS, 0.1, np.nan)
+            covfree_pairs(EX_CHANNELS, 0.1, np.nan)
         bad = EX_CHANNELS.copy()
         bad[2, 1] = np.inf
         with pytest.raises(ValueError, match="estimates must be finite"):
-            solver.gpip_covfree(bad, 0.1, 0.1)
+            covfree_pairs(bad, 0.1, 0.1)
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_non_positive_noise_and_negative_or_misshaped_scales(self):
         for alpha, nr in ((0.0, 0.0), (0.1, -0.05)):
             with pytest.raises(ValueError, match="noise ratios must be positive"):
-                solver.gpip_covfree(EX_CHANNELS, alpha, nr)
-        with pytest.raises(ValueError, match="error scales must be non-negative"):
-            solver.gpip_covfree(EX_CHANNELS, -0.1, 0.1)
-        with pytest.raises(ValueError, match="^error scales must be real$"):
-            solver.gpip_covfree(EX_CHANNELS, [0.1 + 1j, 0.1, 0.1], 0.1)
-        with pytest.raises(DimensionMismatch, match=r"error_scales must be a scalar or \(3,\)"):
-            solver.gpip_covfree(EX_CHANNELS, np.full(2, 0.1), 0.1)
+                covfree_pairs(EX_CHANNELS, alpha, nr)
+        with pytest.raises(ValueError, match="^error scales must be non-negative$"):
+            solver.gpip_covfree(covfree_pairs(EX_CHANNELS, -0.1, 0.1))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alphas", [np.nan, np.inf, [0.1, np.nan, 0.1]])
     def test_rejects_non_finite_error_scales(self, alphas):
-        with pytest.raises(ValueError, match="^error scales must be finite$"):
-            solver.gpip_covfree(EX_CHANNELS, alphas, 0.1)
+        with pytest.raises(ValueError, match="^error covariances must be finite$"):
+            covfree_pairs(EX_CHANNELS, alphas, 0.1)
 
     def test_all_zero_estimates_name_the_estimates(self):
         with pytest.raises(ValueError, match="estimates are all zero"):
-            solver.gpip_covfree(np.zeros((3, 2)), 0.1, 0.1)
+            solver.gpip_covfree(covfree_pairs(np.zeros((3, 2)), 0.1, 0.1))
 
     def test_three_dimensional_estimates_name_the_expected_shape(self):
         with pytest.raises(DimensionMismatch,
                            match=r"estimates must be \(K, N\), got \(2, 2, 2\)"):
-            solver.gpip_covfree(np.ones((2, 2, 2)), 0.1, 0.1)
+            solver.build_effective_pairs(np.ones((2, 2, 2)), None, 0.1)
 
     def test_one_dimensional_estimates_name_the_expected_shape(self):
         with pytest.raises(DimensionMismatch, match=r"estimates must be \(K, N\), got \(3,\)"):
-            solver.gpip_covfree(np.ones(3), 0.1, 0.1)
+            solver.build_effective_pairs(np.ones(3), None, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pairs, message", [
+        (lambda: solver.build_effective_pairs(
+            *random_instance(np.random.default_rng(4), 3, 2, cov_scale=0.1)),
+         "^gpip_covfree needs .* got full ones"),
+        # (0.1 + 0.1j) I is not Hermitian: its level has no real reading
+        (lambda: covfree_pairs(EX_CHANNELS, [0.1, 0.1 + 0.1j, 0.1], 0.1), "complex levels$"),
+        (lambda: covfree_pairs(EX_CHANNELS, [0.1, 0.0, -1e-3], 0.1),
+         "^error scales must be non-negative$"),
+    ], ids=["full", "complex", "negative"])
+    def test_covariances_without_real_non_negative_levels_are_named(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            solver.gpip_covfree(pairs())
 
 
 class TestSchedule:
@@ -704,7 +725,7 @@ class TestKktResidual:
         cases = [
             ((est, cov, nr), lambda p: solver.gpip_iterate(p, weights=w, tol=1e-6)),
             ((est, alphas[:, None, None] * np.eye(3), nr),
-             lambda p: solver.gpip_covfree(est, alphas, nr, weights=w, tol=1e-6)),
+             lambda p: solver.gpip_covfree(p, weights=w, tol=1e-6)),
         ]
         built = []
 
