@@ -110,9 +110,10 @@ def waterfill(gains, total_power: float, noise_var: float = 1.0) -> np.ndarray:
     Closed form: with the floors noise_var/gains sorted ascending, the level
     over the m lowest floors is (total_power + their sum) / m, and the active
     set is the longest prefix whose level stays above its last floor. A final
-    equal spread of the rounding residue over the active channels pins the
-    sum exactly; it also cancels the common error the level picks up from
-    large floors.
+    equal spread of the rounding residue over that prefix pins the sum
+    exactly at any noise level and cancels the common error the level picks
+    up from large floors. A floor so large that the floors' sum could
+    overflow drops out; when every floor does, the largest gains share it.
     """
     g = np.asarray(gains, dtype=float)
     noise_var = float(noise_var)
@@ -123,14 +124,16 @@ def waterfill(gains, total_power: float, noise_var: float = 1.0) -> np.ndarray:
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
     if g.size == 0 or np.all(g <= 0):
         raise ValueError("need at least one positive gain")
-    floors = np.where(g > 0, noise_var / np.maximum(g, 1e-300), np.inf)
-    s = np.sort(floors[np.isfinite(floors)])
-    levels = (total_power + np.cumsum(s)) / np.arange(1, s.size + 1)
-    mu = levels[np.count_nonzero(levels >= s) - 1]
-    p = np.maximum(0.0, mu - floors)
-    active = p > 0
-    if np.any(active):
-        p[active] += (total_power - p.sum()) / np.count_nonzero(active)
+    with np.errstate(over="ignore"):
+        floors = np.where(g > 0, noise_var / np.maximum(g, 1e-300), np.inf)
+    floors[floors > np.finfo(float).max / g.size] = np.inf  # so that their sum is a double
+    if np.isinf(floors).all():
+        floors = np.where(g == g.max(), 0.0, np.inf)
+    order = np.argsort(floors, kind="stable")[:np.count_nonzero(np.isfinite(floors))]
+    levels = (total_power + np.cumsum(floors[order])) / np.arange(1, order.size + 1)
+    m = np.count_nonzero(levels >= floors[order])
+    p = np.maximum(0.0, levels[m - 1] - floors)
+    p[order[:m]] += (total_power - p.sum()) / m
     return p
 
 

@@ -226,7 +226,7 @@ class MmseStatistics(NamedTuple):
 
 def mmse_statistics(
     r_serving: np.ndarray,
-    r_interferers: list[np.ndarray],
+    r_interferers: list[np.ndarray] | np.ndarray,
     noise_over_pilot: float,
 ) -> MmseStatistics:
     """The second-order statistics of `mmse_csit_tdd`, for one link or a stack.
@@ -234,8 +234,10 @@ def mmse_statistics(
     phi = R - R (R + sum_j R_j + noise_over_pilot I)^-1 R, with the sum over
     the interfering co-pilot covariances and `noise_over_pilot` the uplink
     noise variance over the pilot energy (pilot length times pilot power).
-    `r_serving` and every interferer are (N, N) or share one (..., N, N)
-    shape; each matrix of a stack gets exactly what a call on it alone gives.
+    Each interferer (a list's items, or an array's along its first axis)
+    must broadcast to the (N, N) or (..., N, N) shape of `r_serving`, and
+    is summed onto R in order; each matrix of a stack gets exactly what a
+    call on it alone gives.
     """
     if not noise_over_pilot >= 0:
         raise ValueError(f"noise_over_pilot must be non-negative, got {noise_over_pilot!r}")
@@ -243,10 +245,10 @@ def mmse_statistics(
     n = r.shape[-1]
     total = r.copy()
     for ri in r_interferers:
-        ri = np.asarray(ri, dtype=np.complex128)
-        if ri.shape != r.shape:
-            raise DimensionMismatch("interferer covariance shape mismatch")
-        total = total + ri
+        try:  # in place, so an interferer must broadcast to R's shape
+            total += np.asarray(ri, dtype=np.complex128)
+        except ValueError:
+            raise DimensionMismatch("interferer covariance shape mismatch") from None
     total = hermitize(total) + noise_over_pilot * np.eye(n)
     gain = np.empty_like(r)
     for idx in np.ndindex(r.shape[:-2]):

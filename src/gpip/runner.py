@@ -202,41 +202,31 @@ def system_correlations(cfg: ExperimentConfig, rng) -> np.ndarray:
     return corr
 
 
-def _outside_power(traces: np.ndarray, n: int, clusters=None) -> np.ndarray:
-    """(L, K) isotropic expectation of the interference from the BSs outside
-    each user's cell or (optional) cluster, over transmit power, from the
-    (L, L, K) link correlation traces. Added to the receiver noise ratio it
-    is the users' effective noise over power."""
-    outside = ~np.eye(traces.shape[0], dtype=bool)  # outside[j, l]: BS j is outside l's cluster
-    for cl in clusters or []:
-        outside[np.ix_(cl, cl)] = False
-    return np.einsum("jl,jlk->lk", outside, traces) / n
-
-
 @dataclass(frozen=True)
 class DropStatistics:
     """Everything second-order a drop fixes for all of its fading blocks.
 
-    `known[j, l, k]` marks the links BS j trains from in-cluster pilots.
-    `roots[j, l, k]` is the PSD root link (j, l, k)'s draw starts from: the
-    root of the MMSE estimate covariance R - phi on a trained link under
-    tdd, the root of R on every other link. `err_cov` and `err_roots` hold
-    each BS's MMSE error covariances phi and their roots, indexed [BS j,
-    position of the user's cell in j's cluster, user], as
-    `channel.mmse_statistics` gives them for j's cluster (zero past a short
-    cluster's end); `err_cov` is zero and `err_roots` None under perfect
-    CSIT. `position[l]` is cell l's index in its cluster. `nr_cell` and
-    `nr_coop` add the out-of-cell and out-of-cluster interference powers to
-    the downlink noise ratio of one, giving every user's effective noise
-    ratio for the per-cell and the cooperative designs. `known_cov` is
-    `evaluation._known_cov` of `err_cov` under the campaign's
-    `cov_knowledge`: zero under perfect CSIT or "none". `clusters` holds the
-    cooperation clusters the pilots were assigned for, as lists of cell
-    indices. Arrays are read-only: one drop's blocks share them.
+    `known[j, l]` is the cluster layout: BS j and cell l share a cluster, so
+    j trains on the pilots of all of l's users. `roots[j, l, k]` is the PSD
+    root link (j, l, k)'s draw starts from: the root of the MMSE estimate
+    covariance R - phi on a trained link under tdd, the root of R on every
+    other link. `err_cov` and `err_roots` hold each BS's MMSE error
+    covariances phi and their roots, indexed [BS j, position of the user's
+    cell in j's cluster, user], as `channel.mmse_statistics` gives them for
+    j's cluster (zero past a short cluster's end); `err_cov` is zero and
+    `err_roots` None under perfect CSIT. `position[l]` is cell l's index in
+    its cluster. `nr_cell` and `nr_coop` add the out-of-cell and
+    out-of-cluster interference powers to the downlink noise ratio of one,
+    giving every user's effective noise ratio for the per-cell and the
+    cooperative designs. `known_cov` is `evaluation._known_cov` of `err_cov`
+    under the campaign's `cov_knowledge`: zero under perfect CSIT or "none".
+    `clusters` holds the cooperation clusters the pilots were assigned for,
+    as lists of cell indices. Arrays are read-only: one drop's blocks share
+    them.
     """
 
     roots: np.ndarray  # (L, L, K, N, N)
-    known: np.ndarray  # (L, L, K) bool
+    known: np.ndarray  # (L, L) bool
     err_cov: np.ndarray  # (L, C, K, N, N)
     err_roots: np.ndarray | None  # (L, C, K, N, N)
     position: np.ndarray  # (L,)
@@ -251,24 +241,32 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     """The DropStatistics of one drop's (L, L, K, N, N) correlation stack, in
     the units of `system_correlations`, where the downlink noise ratio is one.
 
-    `corr` is consumed and becomes `roots`: serving BS by serving BS, the
-    correlations of the links drawn from their prior are replaced by their
-    PSD roots (one batched `hermitian_sqrt` each) and, under tdd, those of
-    the trained links by their estimate roots, so a drop never holds the
-    correlations and the roots at once. One `channel.mmse_statistics` call
-    per BS gives its trained links, with the out-of-cluster co-pilot
-    contamination that `multicell_csit` describes; their correlations are
-    never rooted. Pass a copy to keep the correlations. `cov_knowledge` is
-    applied once, here. Raises RankDeficient naming the cell when training
-    leaves a BS no knowledge of its own users, and a failed MMSE solve names
-    its cell too.
+    `clusters` must partition the L cells (else ValueError naming the cell);
+    it is read once, into the mask `known`. `corr` is consumed and becomes
+    `roots`: serving BS by serving BS, the correlations of the links drawn
+    from their prior are replaced by their PSD roots (one batched
+    `hermitian_sqrt` each) and, under tdd, those of the trained links by
+    their estimate roots, so a drop never holds the correlations and the
+    roots at once. One `channel.mmse_statistics` call per BS j gives its
+    trained links, contaminated by the co-pilot stack `corr[j, ~known[j]]`
+    as `multicell_csit` describes; their correlations are never rooted. Pass
+    a copy to keep the correlations. `cov_knowledge` is applied once, here.
+    Raises RankDeficient naming the cell when training leaves a BS no
+    knowledge of its own users, and a failed MMSE solve names its cell too.
     """
     n_cells, _, _, n, _ = corr.shape
-    position = np.empty(n_cells, dtype=np.intp)
-    known = np.zeros(corr.shape[:3], dtype=bool)
-    for cl in clusters:
-        position[cl] = np.arange(len(cl))
-        known[np.ix_(cl, cl)] = True
+    cluster_of, position = np.full(n_cells, -1), np.empty(n_cells, dtype=np.intp)
+    for i, cl in enumerate(clusters):
+        for p, l in enumerate(cl):
+            if not 0 <= l < n_cells:
+                raise ValueError(f"clusters: cell {l} is outside 0..{n_cells - 1}")
+            if cluster_of[l] >= 0:
+                where = "listed twice" if cluster_of[l] == i else "in two clusters"
+                raise ValueError(f"clusters: cell {l} is {where}")
+            cluster_of[l], position[l] = i, p
+    if (missing := np.flatnonzero(cluster_of < 0)).size:
+        raise ValueError(f"clusters: cell {missing[0]} is in no cluster")
+    known = cluster_of[:, None] == cluster_of  # (L, L): BS j trains on cell l's pilots
     traces = np.real(np.trace(corr, axis1=3, axis2=4))  # (L, L, K)
     size = max(len(cl) for cl in clusters)
     err_cov = np.zeros((n_cells, size, *corr.shape[2:]), dtype=np.complex128)
@@ -278,40 +276,37 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
             if perfect:
                 corr[j] = hermitian_sqrt(corr[j])
                 continue
-            outside = [lp for lp in range(n_cells) if lp not in cl]
-            r = corr[j, cl]  # (C, K, N, N): BS j toward its cluster's users
-            interferers = [np.broadcast_to(corr[j, lp], r.shape) for lp in outside]
             with located(f"cell {j}: "):
-                stats = channel.mmse_statistics(r, interferers, noise_over_pilot)
+                stats = channel.mmse_statistics(corr[j, cl], corr[j, ~known[j]], noise_over_pilot)
             if not stats.est_root[position[j]].any():
                 raise RankDeficient(f"cell {j}: uplink training leaves every own-cell "
                                     f"estimate zero (noise over pilot {noise_over_pilot:g})")
             err_cov[j, :len(cl)], err_roots[j, :len(cl)] = stats.phi, stats.err_root
             corr[j, cl] = stats.est_root
-            if outside:
-                corr[j, outside] = hermitian_sqrt(corr[j, outside])
+            if not known[j].all():
+                corr[j, ~known[j]] = hermitian_sqrt(corr[j, ~known[j]])
     known_cov = evaluation._known_cov(cov_knowledge, err_cov)
-    nr_cell = 1.0 + _outside_power(traces, n)
-    nr_coop = 1.0 + _outside_power(traces, n, clusters)
+    nr_cell = 1.0 + np.einsum("jl,jlk->lk", ~np.eye(n_cells, dtype=bool), traces) / n
+    nr_coop = 1.0 + np.einsum("jl,jlk->lk", ~known, traces) / n
     for a in (corr, known, err_cov, err_roots, position, nr_cell, nr_coop, known_cov):
         if a is not None:
             a.flags.writeable = False
     return DropStatistics(
         roots=corr, known=known, err_cov=err_cov, err_roots=err_roots, position=position,
-        nr_cell=nr_cell, nr_coop=nr_coop,
-        known_cov=known_cov, clusters=tuple(list(cl) for cl in clusters),
-    )
+        nr_cell=nr_cell, nr_coop=nr_coop, known_cov=known_cov,
+        clusters=tuple(list(cl) for cl in clusters))
 
 
 def multicell_csit(stats: DropStatistics, rng) -> tuple[np.ndarray, np.ndarray]:
     """Joint (true, estimate) draw for every link of one block.
 
     Both are (L, L, K, N) arrays indexed [bs, user_cell, user]; an estimate
-    is zero on every link its BS has no pilots for (`stats.known`).
-    BSs estimate links to every user of their own cluster from uplink pilots
-    that are orthogonal inside the cluster and reused outside it, so the
-    contaminating covariances for user (l, k) are the same-index users of all
-    out-of-cluster cells. Links without pilots are drawn from their prior.
+    is zero on every link its BS has no pilots for (`~stats.known[:, l]` for
+    cell l's users). BSs estimate links to every user of their own cluster
+    from uplink pilots that are orthogonal inside the cluster and reused
+    outside it, so the contaminating covariances for user (l, k) are the
+    same-index users of all out-of-cluster cells. Links without pilots are
+    drawn from their prior.
     `stats` is the drop's `DropStatistics`, which leaves only the Gaussian
     draws to each block. Links are drawn in (cell, user, BS) order: one
     stacked CSIT call per run of consecutive BSs with the same knowledge of
@@ -322,7 +317,7 @@ def multicell_csit(stats: DropStatistics, rng) -> tuple[np.ndarray, np.ndarray]:
     true_h = np.zeros((n_cells, n_cells, n_users, n), dtype=np.complex128)
     est_h = np.zeros_like(true_h)
     for l in range(n_cells):
-        known = stats.known[:, l, 0]  # a BS trains on all users of a cell or on none
+        known = stats.known[:, l]
         edges = [0, *(np.flatnonzero(known[1:] != known[:-1]) + 1).tolist(), n_cells]
         runs = [(slice(j0, j1), known[j0]) for j0, j1 in itertools.pairwise(edges)]
         for k in range(n_users):

@@ -203,6 +203,23 @@ class TestWaterfill:
         assert np.abs(levels[active] - mu).max() < 1e-8
         assert np.all(nv / gains[~active] >= mu - 1e-8)
 
+    @pytest.mark.parametrize("gains, nv, want", [
+        ([1.0, 0.5], 1e17, [1.0, 0.0]),
+        ([1.0, 1.0], 1e17, [0.5, 0.5]),
+        ([1e-10], 1e300, [1.0]),
+        ([1.0, 1e-10], 1e300, [1.0, 0.0]),
+        ([1e-10, 1e-20, 1e-10], 1e300, [0.5, 0.0, 0.5]),
+        ([1e-300, 1e-300], 1e8, [0.5, 0.5]),
+        ([1e-300, 1.0], 1e8, [0.0, 1.0]),
+    ])
+    def test_budget_kept_at_any_noise_level(self, gains, nv, want):
+        # the level rounded to the lowest floor and left every power zero, an
+        # overflowing floor raised a RuntimeWarning and then an IndexError, and
+        # floors whose sum overflowed gave NaN powers
+        p = baselines.waterfill(gains, 1.0, nv)
+        assert p.sum() == 1.0
+        np.testing.assert_array_equal(p, want)
+
     def test_beats_random_feasible_allocations(self):
         # oracle: objective sum log(1 + p g / nv) over random simplex points
         rng = np.random.default_rng(9)
@@ -224,6 +241,13 @@ class TestSusZf:
         assert selected == [0]
         cos = abs(np.vdot(f[0], est[0])) / (np.linalg.norm(f[0]) * np.linalg.norm(est[0]))
         assert cos > 1 - 1e-10
+
+    def test_unit_power_far_below_the_noise(self):
+        # water-filling used to hand every selected user zero power here
+        est = random_channels(np.random.default_rng(0), 4, 6)
+        selected, f = baselines.sus_zf(est, 1e100)
+        assert selected
+        assert np.linalg.norm(f) ** 2 == pytest.approx(1.0, rel=1e-12)
 
     def test_identical_channels_pick_one(self):
         h = np.array([1.0 + 0.5j, -0.2j, 0.3])

@@ -243,12 +243,10 @@ class TestSampleChannel:
         np.testing.assert_allclose(h, 0)
 
     def test_empirical_covariance_identity(self):
-        rng = np.random.default_rng(10)
         n, trials = 3, 100_000
-        acc = np.zeros((n, n), dtype=complex)
-        root = np.eye(n)
-        g = channel.standard_complex_gaussian(rng, trials, n)
-        samples = g @ root.T
+        roots = np.broadcast_to(np.eye(n, dtype=complex), (trials, n, n))
+        samples = channel.sample_channel(roots, np.random.default_rng(10))
+        assert samples.shape == (trials, n)
         acc = samples.T.conj() @ samples / trials
         assert np.abs(acc.T - np.eye(n)).max() < 0.05
 
@@ -427,6 +425,25 @@ class TestTddCsit:
             np.testing.assert_array_equal(a, b)
         with pytest.raises(DimensionMismatch):
             channel.mmse_statistics(r, [np.eye(3).tolist()], 0.37)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(0, 3))
+    def test_statistics_accept_interferers_that_broadcast(self, seed, c, k, n, n_interferers):
+        # a BS's (K, N, N) co-pilot correlations against its (C, K, N, N) cluster
+        rng = np.random.default_rng(seed)
+        r = random_psd_stack(rng, (c, k), n)
+        ints = random_psd_stack(rng, (n_interferers, k), n)
+        stats = channel.mmse_statistics(r, ints, 0.3)
+        for i, u in np.ndindex(c, k):
+            want = channel.mmse_statistics(r[i, u], ints[:, u], 0.3)
+            for got, member in zip(stats, want):
+                np.testing.assert_array_equal(got[i, u], member)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (1, 2, 2, 2), (2, 3, 3)])
+    def test_statistics_reject_interferers_that_do_not_broadcast(self, shape):
+        with pytest.raises(DimensionMismatch, match="^interferer covariance shape mismatch$"):
+            channel.mmse_statistics(np.broadcast_to(np.eye(2), (2, 2, 2)), [np.ones(shape)], 0.3)
 
     def test_estimate_error_independence(self):
         # cov(est) must be R - phi and the error must be uncorrelated with it

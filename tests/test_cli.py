@@ -601,7 +601,7 @@ def per_link_csit_reference(corr, clusters, noise_over_pilot, rng, perfect):
     true_h = np.zeros((n_cells, n_cells, n_users, n), dtype=np.complex128)
     est_h = np.zeros_like(true_h)
     err_cov = np.zeros((n_cells, n_cells, n_users, n, n), dtype=np.complex128)
-    known = np.zeros((n_cells, n_cells, n_users), dtype=bool)
+    known = np.zeros((n_cells, n_cells), dtype=bool)
     for l in range(n_cells):
         members = cluster_of[l]
         copilot = [lp for lp in range(n_cells) if lp not in members]
@@ -617,7 +617,7 @@ def per_link_csit_reference(corr, clusters, noise_over_pilot, rng, perfect):
                                                         noise_over_pilot)
                         h, hhat = channel.mmse_csit_tdd(stats.est_root, stats.err_root, rng)
                         true_h[j, l, k], est_h[j, l, k], err_cov[j, l, k] = h, hhat, stats.phi
-                    known[j, l, k] = True
+                    known[j, l] = True
                 else:
                     true_h[j, l, k] = channel.sample_channel(hermitian_sqrt(corr[j, l, k]), rng)
     return true_h, est_h, err_cov, known
@@ -634,6 +634,13 @@ def effective_noise_reference(corr, noise_ratio_dl, clusters=None):
     return out
 
 
+def random_partition(rng, n_cells, n_clusters):
+    """Up to `n_clusters` clusters of the cells in random order, e.g. [[2, 0], [1]]."""
+    cells = rng.permutation(n_cells).tolist()
+    cuts = rng.choice(np.arange(1, n_cells), min(n_clusters, n_cells) - 1, replace=False)
+    return [cells[a:b] for a, b in itertools.pairwise([0, *sorted(cuts.tolist()), n_cells])]
+
+
 def random_correlations(rng, n_cells, n_users, n):
     """PSD links of random rank and gains over four decades."""
     corr = np.empty((n_cells, n_cells, n_users, n, n), dtype=np.complex128)
@@ -648,10 +655,10 @@ class TestDropStatistics:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
            st.integers(1, 3), st.booleans())
-    def test_draw_equals_per_link_loop(self, seed, n_cells, n_users, n, n_coop, perfect):
+    def test_draw_equals_per_link_loop(self, seed, n_cells, n_users, n, n_clusters, perfect):
         rng = np.random.default_rng(seed)
         corr = random_correlations(rng, n_cells, n_users, n)
-        clusters = runner.consecutive_clusters(n_cells, min(n_coop, n_cells))
+        clusters = random_partition(rng, n_cells, n_clusters)
         noise = float(rng.uniform(0.01, 1.0))
         stats = runner.drop_statistics(corr.copy(), clusters, noise, perfect)
         for nr, cl in ((stats.nr_cell, None), (stats.nr_coop, clusters)):
@@ -697,6 +704,30 @@ class TestDropStatistics:
         np.testing.assert_array_equal(stats.known_cov, want)
         assert not stats.known_cov.flags.writeable
 
+    @pytest.mark.parametrize("clusters, message", [
+        ([[0, 1]], "cell 2 is in no cluster"),
+        ([[0, 1], [1, 2]], "cell 1 is in two clusters"),
+        ([[0, 0, 1], [2]], "cell 0 is listed twice"),
+        ([[0, 1, 2, 3]], "cell 3 is outside 0..2"),
+        ([[0, -1], [1, 2]], "cell -1 is outside 0..2"),
+    ])
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_clusters_that_do_not_partition_the_cells_name_the_cell(self, clusters, message,
+                                                                    perfect):
+        # [[0, 1]] left BS 2 unrooted and its position unset, [[0, 1], [1, 2]] trained
+        # BS 1 twice, and [[0, 1, 2, 3]] raised a bare IndexError
+        corr = random_correlations(np.random.default_rng(0), 3, 2, 2)
+        with pytest.raises(ValueError, match=f"^clusters: {message}$"):
+            runner.drop_statistics(corr, clusters, 0.1, perfect)
+
+    def test_known_is_the_cluster_co_membership_mask(self):
+        corr = random_correlations(np.random.default_rng(0), 4, 2, 2)
+        stats = runner.drop_statistics(corr, [[3, 0], [2], [1]], 0.1)
+        assert stats.known.dtype == bool
+        assert stats.known.tolist() == [[True, False, False, True], [False, True, False, False],
+                                        [False, False, True, False], [True, False, False, True]]
+        assert stats.position.tolist() == [1, 0, 0, 0]
+
     def test_unknown_knowledge_fails_when_built(self):
         corr = random_correlations(np.random.default_rng(0), 2, 1, 2)
         with pytest.raises(ConfigInvalid, match="^cov_knowledge: "):
@@ -718,9 +749,9 @@ class TestStackedBlockDraws:
         clusters = runner.consecutive_clusters(5, 2)
         stats = runner.drop_statistics(corr.copy(), clusters, 0.2, perfect)
         rooted = np.concatenate(rooted)
-        prior = np.ones(stats.known.shape, dtype=bool) if perfect else ~stats.known
-        assert len(rooted) == np.count_nonzero(prior)
-        assert {m.tobytes() for m in rooted} == {m.tobytes() for m in corr[prior]}
+        prior = corr[~stats.known | perfect].reshape(-1, 3, 3)  # every user of a cell alike
+        assert len(rooted) == len(prior)
+        assert {m.tobytes() for m in rooted} == {m.tobytes() for m in prior}
 
     @pytest.mark.parametrize("perfect", [False, True])
     def test_one_csit_call_per_run_of_equal_knowledge(self, monkeypatch, perfect):
