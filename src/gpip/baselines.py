@@ -105,7 +105,8 @@ def rzf(estimates: np.ndarray, noise_ratio: float) -> np.ndarray:
 
 
 def waterfill(gains, total_power: float, noise_var: float = 1.0) -> np.ndarray:
-    """Power allocation p_k = max(0, mu - noise_var/gains_k) summing to total_power.
+    """Power allocation p_k = max(0, mu - noise_var/gains_k) summing to total_power,
+    one per gain (a scalar `gains` is one channel).
 
     Closed form: with the floors noise_var/gains sorted ascending, the level
     over the m lowest floors is (total_power + their sum) / m, and the active
@@ -115,7 +116,7 @@ def waterfill(gains, total_power: float, noise_var: float = 1.0) -> np.ndarray:
     up from large floors. A floor so large that the floors' sum could
     overflow drops out; when every floor does, the largest gains share it.
     """
-    g = np.asarray(gains, dtype=float)
+    g = np.array(gains, dtype=float, ndmin=1)
     noise_var = float(noise_var)
     if not np.isfinite(g).all():
         raise ValueError("gains must be finite")

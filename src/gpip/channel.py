@@ -147,13 +147,17 @@ def one_ring_correlation(geom: ArrayGeometry, params: OneRingParams) -> np.ndarr
     alphas = azimuth[..., None] + params.angular_spread * nodes  # (*S, nodes)
     weights = 0.5 * gl_weights  # normalizes the sector average to 1
     k_wave = 2 * np.pi / geom.wavelength
-    phase = -k_wave * (
-        np.cos(alphas)[..., None] * geom.positions[:, 0]
-        + np.sin(alphas)[..., None] * geom.positions[:, 1]
-    )
-    steer = np.exp(1j * phase)  # (*S, nodes, N)
-    r = gain[..., None, None] * (np.swapaxes(weights[:, None] * steer, -1, -2) @ steer.conj())
-    return hermitize(r)
+    # in place where that gives the same bits: one serving BS's stack of
+    # steering vectors is about ten times the size of its result
+    phase = np.cos(alphas)[..., None] * geom.positions[:, 0]
+    phase += np.sin(alphas)[..., None] * geom.positions[:, 1]
+    phase *= -k_wave
+    steer = 1j * phase  # (*S, nodes, N)
+    del phase
+    np.exp(steer, out=steer)
+    r = np.swapaxes(weights[:, None] * steer, -1, -2) @ np.conjugate(steer, out=steer)
+    del steer
+    return hermitize(gain[..., None, None] * r)
 
 
 def sample_channel(root: np.ndarray, rng) -> np.ndarray:

@@ -16,12 +16,21 @@ substreams (seed, domain, index), so artifacts are deterministic per
 resolved config, and rows hold Python numbers only, which `csv` writes in
 shortest repr form. `ergodic_sum_se` is the library's mean of the link units
 at one operating point.
+
+A drop's setup (`system_correlations`, `drop_statistics`) splits its
+serving BSs across the CPUs the process may run on: the calling thread and
+one helper thread per further CPU take the BSs in order, and each BS writes
+only its own slices, so outputs do not depend on the thread count. There is
+no option for it; with one usable CPU the loop runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import itertools
+import os
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -167,6 +176,58 @@ def ergodic_sum_se(config: ExperimentConfig, algorithm: str,
 # ---------------------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _for_each_cell(work, cells) -> None:
+    """Call `work(j)` for each cell j of `cells`, as the plain loop would.
+
+    The calling thread and one helper thread per further usable CPU (at most
+    one thread per cell) take the cells in order; each call must write only
+    its own cell's slices. A helper runs in a copy of the caller's context,
+    so numpy's error state carries over. Once every helper is joined, the
+    exception of the first cell in order whose call raised is raised again,
+    the one the loop would have raised; cells after it may have run.
+    """
+    cells = list(cells)
+    n_threads = min(_usable_cpus(), len(cells))
+    if n_threads <= 1:
+        for j in cells:
+            work(j)
+        return
+    todo, lock, failed = iter(enumerate(cells)), threading.Lock(), {}
+
+    def drain():
+        while True:
+            with lock:  # no new cell once one has failed
+                i, j = (None, None) if failed else next(todo, (None, None))
+            if i is None:
+                return
+            try:
+                work(j)
+            except BaseException as exc:
+                with lock:
+                    failed[i] = exc
+                return
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(drain,))
+               for _ in range(n_threads - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+
+
 def consecutive_clusters(n_cells: int, cluster_size: int) -> list[list[int]]:
     """Fixed geographic clusters: consecutive grid indices, last may be short."""
     return [list(range(i, min(i + cluster_size, n_cells)))
@@ -182,7 +243,8 @@ def system_correlations(cfg: ExperimentConfig, rng) -> np.ndarray:
     transmit power (its gain divided by that ratio), so the downlink noise
     ratio of every system drop and block is exactly one and matrix
     conditioning is independent of the absolute physical scales. Each
-    serving BS's L*K links take one `one_ring_correlation` call.
+    serving BS's L*K links take one `one_ring_correlation` call, the BSs
+    split across threads by `_for_each_cell`.
     """
     topo = channel.drop_users(
         cfg.n_cells, cfg.n_users, cfg.inter_site_m, cfg.min_distance_m, rng
@@ -195,10 +257,13 @@ def system_correlations(cfg: ExperimentConfig, rng) -> np.ndarray:
     theta = np.arctan2(delta[..., 1], delta[..., 0])
     gains = betas / (cfg.noise_power_mw() / cfg.bs_power_mw())
     corr = np.empty(dist_km.shape + (cfg.n_antennas, cfg.n_antennas), dtype=np.complex128)
-    for j in range(cfg.n_cells):
+
+    def correlate(j):
         corr[j] = channel.one_ring_correlation(
             geom, channel.OneRingParams(theta[j], cfg.angular_spread, gains[j])
         )
+
+    _for_each_cell(correlate, range(cfg.n_cells))
     return corr
 
 
@@ -251,8 +316,10 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     trained links, contaminated by the co-pilot stack `corr[j, ~known[j]]`
     as `multicell_csit` describes; their correlations are never rooted. Pass
     a copy to keep the correlations. `cov_knowledge` is applied once, here.
-    Raises RankDeficient naming the cell when training leaves a BS no
-    knowledge of its own users, and a failed MMSE solve names its cell too.
+    The serving BSs are split across threads by `_for_each_cell`, in cluster
+    order. Raises RankDeficient naming the cell when training leaves a BS no
+    knowledge of its own users, and a failed MMSE solve names its cell too;
+    when several BSs fail, the first in cluster order is named.
     """
     n_cells, _, _, n, _ = corr.shape
     cluster_of, position = np.full(n_cells, -1), np.empty(n_cells, dtype=np.intp)
@@ -271,20 +338,24 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     size = max(len(cl) for cl in clusters)
     err_cov = np.zeros((n_cells, size, *corr.shape[2:]), dtype=np.complex128)
     err_roots = None if perfect else np.zeros_like(err_cov)
-    for cl in clusters:
-        for j in cl:
-            if perfect:
-                corr[j] = hermitian_sqrt(corr[j])
-                continue
-            with located(f"cell {j}: "):
-                stats = channel.mmse_statistics(corr[j, cl], corr[j, ~known[j]], noise_over_pilot)
-            if not stats.est_root[position[j]].any():
-                raise RankDeficient(f"cell {j}: uplink training leaves every own-cell "
-                                    f"estimate zero (noise over pilot {noise_over_pilot:g})")
-            err_cov[j, :len(cl)], err_roots[j, :len(cl)] = stats.phi, stats.err_root
-            corr[j, cl] = stats.est_root
-            if not known[j].all():
-                corr[j, ~known[j]] = hermitian_sqrt(corr[j, ~known[j]])
+
+    def train(j):  # writes corr[j], err_cov[j] and err_roots[j] only
+        if perfect:
+            corr[j] = hermitian_sqrt(corr[j])
+            return
+        cl = clusters[cluster_of[j]]
+        copilots = corr[j, ~known[j]]  # a copy; also the links drawn from their prior
+        with located(f"cell {j}: "):
+            stats = channel.mmse_statistics(corr[j, cl], copilots, noise_over_pilot)
+        if not stats.est_root[position[j]].any():
+            raise RankDeficient(f"cell {j}: uplink training leaves every own-cell "
+                                f"estimate zero (noise over pilot {noise_over_pilot:g})")
+        err_cov[j, :len(cl)], err_roots[j, :len(cl)] = stats.phi, stats.err_root
+        corr[j, cl] = stats.est_root
+        if copilots.size:
+            corr[j, ~known[j]] = hermitian_sqrt(copilots)
+
+    _for_each_cell(train, [j for cl in clusters for j in cl])
     known_cov = evaluation._known_cov(cov_knowledge, err_cov)
     nr_cell = 1.0 + np.einsum("jl,jlk->lk", ~np.eye(n_cells, dtype=bool), traces) / n
     nr_coop = 1.0 + np.einsum("jl,jlk->lk", ~known, traces) / n

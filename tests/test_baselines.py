@@ -220,6 +220,14 @@ class TestWaterfill:
         assert p.sum() == 1.0
         np.testing.assert_array_equal(p, want)
 
+    @pytest.mark.parametrize("gain", [2.0, np.float64(2.0), np.array(2.0)],
+                             ids=["float", "float64", "0-d array"])
+    def test_scalar_gain_is_one_channel(self, gain):
+        # a 0-d gains raised IndexError
+        p = baselines.waterfill(gain, 1.0, 0.5)
+        assert p.shape == (1,)
+        np.testing.assert_array_equal(p, baselines.waterfill([2.0], 1.0, 0.5))
+
     def test_beats_random_feasible_allocations(self):
         # oracle: objective sum log(1 + p g / nv) over random simplex points
         rng = np.random.default_rng(9)

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -779,6 +781,111 @@ class TestStackedBlockDraws:
                 expected.append((name, len(list(run))))
         assert calls == expected
         assert len(calls) == 18 * 2  # cells 0, 1, 6 have two runs, cells 2 to 5 three
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """`use(cpus)` patches the usable CPU count of drop setup; the returned
+    list collects every helper thread the runner starts."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(runner, "threading",
+                        types.SimpleNamespace(Thread=Recorded, Lock=threading.Lock))
+
+    def use(cpus):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+        started.clear()
+        return started
+
+    return use
+
+
+def untrainable_cells(cells):
+    """Correlations of four cells where BS j has no gain to its own users for j in `cells`."""
+    corr = random_correlations(np.random.default_rng(5), 4, 2, 3)
+    for j in cells:
+        corr[j, j] = 0.0
+    return corr
+
+
+class TestDropSetupThreads:
+    """Drop setup splits its BSs across the usable CPUs, with the outputs and
+    errors of the serial loop."""
+
+    def test_artifacts_do_not_depend_on_the_thread_count(self, tmp_path, helpers):
+        cfg = config_from_dict(FOLD_SYSTEM)
+        for cpus in (1, 2):
+            started = helpers(cpus)
+            runner.run(cfg, tmp_path / str(cpus))
+            # one helper for the correlations and one for the statistics of each drop
+            assert len(started) == (cpus - 1) * 2 * cfg.n_drops
+            assert not any(t.is_alive() for t in started)
+        assert_same_artifacts(tmp_path / "1", tmp_path / "2")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("clusters, failing, named", [
+        ([[0, 1], [2, 3]], [1, 3], 1),
+        ([[3, 2], [1, 0]], [1, 3], 3),
+        ([[0], [1], [2], [3]], [2, 1], 1),
+    ])
+    def test_first_failing_cell_in_cluster_order_is_named(self, helpers, cpus, clusters,
+                                                          failing, named):
+        started = helpers(cpus)
+        with pytest.raises(RankDeficient, match=rf"^cell {named}: uplink training leaves every "
+                                                r"own-cell estimate zero \(noise over pilot "
+                                                r"0\.1\)$"):
+            runner.drop_statistics(untrainable_cells(failing), clusters, 0.1)
+        assert len(started) == cpus - 1
+        assert not any(t.is_alive() for t in started)
+
+    def test_a_later_cell_failing_first_does_not_win(self, helpers):
+        # cell 1 fails only after cell 2 has failed on the other thread
+        helpers(2)
+        failed_2 = threading.Event()
+
+        def work(j):
+            if j == 1:
+                assert failed_2.wait(timeout=30)
+                raise RankDeficient("cell 1")
+            try:
+                raise RankDeficient("cell 2")
+            finally:
+                failed_2.set()
+
+        with pytest.raises(RankDeficient, match="^cell 1$"):
+            runner._for_each_cell(work, [1, 2])
+
+    def test_helpers_keep_the_callers_numpy_error_state(self, helpers):
+        # a new thread starts from numpy's default error state
+        helpers(2)
+        both_running = threading.Barrier(2, timeout=30)
+        seen = []
+
+        def work(j):
+            both_running.wait()
+            seen.append((threading.current_thread(), np.geterr()["over"]))
+
+        with np.errstate(over="raise"):
+            runner._for_each_cell(work, [0, 1])
+        assert len({thread for thread, _ in seen}) == 2
+        assert [over for _, over in seen] == ["raise", "raise"]
+
+    def test_no_helper_is_left_running_when_a_drop_fails(self, tmp_path, helpers, monkeypatch):
+        def fail(*args):
+            raise NotPositiveDefinite("pivot 0.0 at column 0")
+
+        monkeypatch.setattr(channel, "mmse_statistics", fail)
+        started = helpers(2)
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^drop 0, cell 0: pivot 0\.0 at column 0$"):
+            runner.run(config_from_dict(FOLD_SYSTEM), tmp_path)
+        assert len(started) == 2
+        assert not any(t.is_alive() for t in started)
 
 
 class TestUnitErrors:

@@ -59,15 +59,23 @@ class TestLapackImport:
                                                ("scipy.linalg.lapack", "gpip.numerics")])
     def test_routines_are_scipys_whichever_is_imported_first(self, first, second):
         code = (f"import {first}, {second}, gpip.numerics as n, scipy.linalg.lapack as l; "
-                "print(n.zpotrf is l.zpotrf, n.zpotrs is l.zpotrs)")
+                "print(n.zpotrf is l.zpotrf, n.zposv is l.zposv)")
         assert run_python(code) == "True True"
 
     def test_missing_extension_falls_back_to_scipy_linalg_lapack(self, monkeypatch):
         monkeypatch.delitem(sys.modules, numerics._FLAPACK)
         monkeypatch.setattr(numerics, "EXTENSION_SUFFIXES", [".no-such-suffix"])
-        zpotrf, zpotrs = numerics._load_lapack()
-        assert zpotrf is lapack.zpotrf and zpotrs is lapack.zpotrs
+        zpotrf, zposv = numerics._load_lapack()
+        assert zpotrf is lapack.zpotrf and zposv is lapack.zposv
         assert numerics._FLAPACK not in sys.modules
+
+
+class TestImportCost:
+    def test_import_loads_no_thread_pool_or_logging(self):
+        # drop setup runs on plain threads: concurrent.futures pulls in logging,
+        # about 11 ms of every process's start
+        code = "import sys, gpip; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        assert run_python(code) == "[]"
 
 
 class TestCholesky:
