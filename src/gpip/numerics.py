@@ -1,15 +1,14 @@
 """Dense complex Hermitian linear-algebra kernels.
 
 Everything here is deterministic (no randomized pivoting) and pure: identical
-inputs give bit-identical outputs. A Hermitian solve is one LAPACK call
-(`zposv`: factorization and factored solve), with the positive-definiteness
-checks around it; `cholesky_factor` is one `zpotrf` call with the same
-checks. Inverses are never materialized for solves; only the rank-one update
-path carries explicit inverses, because its recursion needs them. A rank-one
-update forms one scaled outer product in a fresh buffer and subtracts it from
-(or adds it to) the old inverse in that buffer, one pass over the result: a
-Hermitian input stays Hermitian to rounding, so no re-symmetrizing pass
-follows.
+inputs give bit-identical outputs. A Hermitian solve is one LAPACK
+factorization (`zpotrf`) and one factored solve (`zpotrs`), with the
+positive-definiteness checks around them. Inverses are never materialized for
+solves; only the rank-one update path carries explicit inverses, because its
+recursion needs them. A rank-one update forms one scaled outer product in a
+fresh buffer and subtracts it from (or adds it to) the old inverse in that
+buffer, one pass over the result: a Hermitian input stays Hermitian to
+rounding, so no re-symmetrizing pass follows.
 
 The two LAPACK routines come from `scipy.linalg._flapack`, the compiled
 module `scipy.linalg.lapack` re-exports them from, loaded from its file
@@ -48,7 +47,7 @@ _FLAPACK = "scipy.linalg._flapack"
 
 
 def _load_lapack():
-    """`zpotrf` and `zposv` of scipy's compiled LAPACK module, loaded from its
+    """`zpotrf` and `zpotrs` of scipy's compiled LAPACK module, loaded from its
     file so that importing gpip does not run `scipy.linalg`'s package init.
 
     The module is registered under its own name, so a later `scipy.linalg`
@@ -69,14 +68,14 @@ def _load_lapack():
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             sys.modules[_FLAPACK] = module
-        return module.zpotrf, module.zposv
+        return module.zpotrf, module.zpotrs
     except ImportError:
-        from scipy.linalg.lapack import zposv, zpotrf
+        from scipy.linalg.lapack import zpotrf, zpotrs
 
-        return zpotrf, zposv
+        return zpotrf, zpotrs
 
 
-zpotrf, zposv = _load_lapack()
+zpotrf, zpotrs = _load_lapack()
 
 
 def _far_peak(a: np.ndarray, axis=None) -> np.ndarray | None:
@@ -102,24 +101,24 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
-def _checked_square(m) -> tuple[np.ndarray, float]:
-    """`m` as a complex square matrix, and its largest diagonal entry, which
-    must be positive; every entry must be finite (LAPACK never reads the
-    upper triangle, so every entry is checked here)."""
+def cholesky_factor(m: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L @ L^H = m for Hermitian positive-definite m.
+
+    LAPACK factors the lower triangle; the upper triangle of L is zero.
+    Raises NotPositiveDefinite for a non-finite entry, a failed factorization,
+    or any pivot |L_jj|^2 <= PIVOT_TOL times the largest diagonal entry, which
+    signals a degenerate input: the caller must add a ridge or reject it.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    # LAPACK never reads the upper triangle, so every entry is checked here
     if not np.isfinite(a).all():
         raise NotPositiveDefinite("non-finite entry")
     scale = float(a.diagonal().real.max(initial=0.0))
     if scale <= 0.0:
         raise NotPositiveDefinite("no positive diagonal entry")
-    return a, scale
-
-
-def _check_factor(low: np.ndarray, info: int, scale: float) -> None:
-    """Raise NotPositiveDefinite for a failed factorization or a pivot
-    |L_jj|^2 <= PIVOT_TOL * `scale`, read off the Cholesky factor `low`."""
+    low, info = zpotrf(a, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(f"factorization failed at column {info - 1}")
     threshold = PIVOT_TOL * scale
@@ -129,36 +128,19 @@ def _check_factor(low: np.ndarray, info: int, scale: float) -> None:
         raise NotPositiveDefinite(
             f"pivot {pivots[j]:.3e} at column {j} (threshold {threshold:.1e})"
         )
-
-
-def cholesky_factor(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L^H = m for Hermitian positive-definite m.
-
-    LAPACK factors the lower triangle; the upper triangle of L is zero.
-    Raises NotPositiveDefinite for a non-finite entry, a failed factorization,
-    or any pivot |L_jj|^2 <= PIVOT_TOL times the largest diagonal entry, which
-    signals a degenerate input: the caller must add a ridge or reject it.
-    """
-    a, scale = _checked_square(m)
-    low, info = zpotrf(a, lower=1, clean=1)
-    _check_factor(low, info, scale)
     return low
 
 
 def solve_hermitian(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m @ x = rhs for Hermitian positive-definite m via Cholesky, with
-    `cholesky_factor`'s checks and errors, which come before a misfit `rhs`'s.
+    """Solve m @ x = rhs for Hermitian positive-definite m via Cholesky.
 
     `rhs` is (N,) or (N, R); x has its shape.
     """
-    a, scale = _checked_square(m)
+    low = cholesky_factor(m)
     rhs = np.asarray(rhs)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[0]:
-        cholesky_factor(a)
-        raise DimensionMismatch(f"right-hand side shape {rhs.shape} does not fit {a.shape}")
-    # info < 0 only flags an argument the checks above rule out
-    low, x, info = zposv(a, rhs, lower=1)
-    _check_factor(low, info, scale)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != low.shape[0]:
+        raise DimensionMismatch(f"right-hand side shape {rhs.shape} does not fit {low.shape}")
+    x, _ = zpotrs(low, rhs, lower=1)  # info < 0 only flags an argument the checks above rule out
     return x
 
 

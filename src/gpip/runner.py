@@ -18,10 +18,11 @@ shortest repr form. `ergodic_sum_se` is the library's mean of the link units
 at one operating point.
 
 A drop's setup (`system_correlations`, `drop_statistics`) splits its
-serving BSs across the CPUs the process may run on: the calling thread and
-one helper thread per further CPU take the BSs in order, and each BS writes
-only its own slices, so outputs do not depend on the thread count. There is
-no option for it; with one usable CPU the loop runs on the calling thread.
+serving BSs across the CPUs the process may run on, at most two threads:
+the calling thread and, with a second usable CPU, one helper thread take
+the BSs in order, and each BS writes only its own slices, so outputs do not
+depend on the thread count. There is no option for it; with one usable CPU
+the loop runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -176,6 +177,12 @@ def ergodic_sum_se(config: ExperimentConfig, algorithm: str,
 # ---------------------------------------------------------------------------
 
 
+# Threads of drop setup, the calling thread included: the most whose gain and
+# memory were measured (on 2 CPUs, one BLAS thread); each BS in flight holds
+# its own temporaries.
+_MAX_SETUP_THREADS = 2
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -187,15 +194,15 @@ def _usable_cpus() -> int:
 def _for_each_cell(work, cells) -> None:
     """Call `work(j)` for each cell j of `cells`, as the plain loop would.
 
-    The calling thread and one helper thread per further usable CPU (at most
-    one thread per cell) take the cells in order; each call must write only
-    its own cell's slices. A helper runs in a copy of the caller's context,
+    The calling thread and one helper thread per further usable CPU, at most
+    `_MAX_SETUP_THREADS` threads and one per cell, take the cells in order;
+    each call must write only its own cell's slices. A helper runs in a copy of the caller's context,
     so numpy's error state carries over. Once every helper is joined, the
     exception of the first cell in order whose call raised is raised again,
     the one the loop would have raised; cells after it may have run.
     """
     cells = list(cells)
-    n_threads = min(_usable_cpus(), len(cells))
+    n_threads = min(_usable_cpus(), _MAX_SETUP_THREADS, len(cells))
     if n_threads <= 1:
         for j in cells:
             work(j)

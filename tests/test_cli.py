@@ -843,6 +843,13 @@ class TestDropSetupThreads:
         assert len(started) == cpus - 1
         assert not any(t.is_alive() for t in started)
 
+    def test_threads_are_capped_at_two_whatever_the_cpu_count(self, helpers):
+        started = helpers(64)
+        corr = random_correlations(np.random.default_rng(5), 4, 2, 3)
+        runner.drop_statistics(corr, [[0, 1], [2, 3]], 0.1)
+        assert len(started) == runner._MAX_SETUP_THREADS - 1 == 1
+        assert not any(t.is_alive() for t in started)
+
     def test_a_later_cell_failing_first_does_not_win(self, helpers):
         # cell 1 fails only after cell 2 has failed on the other thread
         helpers(2)
