@@ -175,15 +175,11 @@ def sample_channel(root: np.ndarray, rng) -> np.ndarray:
     return _apply(root, g[..., 0, :])
 
 
-def standard_complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex Gaussian samples."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _member_gaussians(rng: np.random.Generator, lead: tuple, count: int, n: int) -> np.ndarray:
-    """(*lead, count, n) standard complex Gaussians, drawn member by member:
-    for each member of `lead` in C order, `count` vectors, each as
-    `standard_complex_gaussian(rng, n)` draws it (real parts, then imaginary)."""
+    """(*lead, count, n) unit-variance circularly-symmetric complex Gaussians,
+    drawn member by member: for each member of `lead` in C order, `count`
+    vectors, each (x + 1j y) / sqrt(2) where x and then y are n standard
+    normals drawn from `rng`."""
     z = rng.standard_normal((*lead, count, 2, n))
     g = np.empty((*lead, count, n), dtype=np.complex128)
     g.real = z[..., 0, :]

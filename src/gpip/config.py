@@ -36,7 +36,8 @@ CSIT_MODELS = ("perfect", "additive", "tdd", "fdd")
 COV_KNOWLEDGE = ("full", "scalar", "none")
 NOISE_DENSITY_DBM_HZ = -174.0
 _FLOAT_MAX = sys.float_info.max
-# Decibel values (SNRs, powers in dBm, the noise figure) lie within +-DB_LIMIT
+# Decibel values (SNRs, powers in dBm, the noise figure) lie within +-DB_LIMIT,
+# the shadowing standard deviation within [0, DB_LIMIT],
 # and the bandwidth within [1 Hz, 1 THz]: a linear value far outside these
 # overflows, or vanishes and is divided by, in the power and noise arithmetic.
 DB_LIMIT = 100.0
@@ -87,10 +88,11 @@ FIELD_RULES = {
     "pilot_len": Rule(numbers.Integral, 1, nullable=True),
     **dict.fromkeys(("bs_power_dbm", "noise_figure_db", "pilot_power_dbm"),
                     Rule(numbers.Real, -DB_LIMIT, DB_LIMIT)),
+    "shadowing_db": Rule(numbers.Real, 0.0, DB_LIMIT),
     **dict.fromkeys(("bandwidth_hz", "carrier_hz"), Rule(numbers.Real, 1.0, 1e12)),
     **dict.fromkeys(("inter_site_m", "angular_spread", "tol"),
                     Rule(numbers.Real, 0.0, open_low=True)),
-    **dict.fromkeys(("min_distance_m", "shadowing_db", "csit_error_var", "sel_threshold",
+    **dict.fromkeys(("min_distance_m", "csit_error_var", "sel_threshold",
                      "sus_alpha"), Rule(numbers.Real, 0.0)),
     # within DB_LIMIT in linear units, like the decibel fields: far above it
     # training leaves every estimate zero, far below it the error covariances

@@ -132,17 +132,16 @@ class LinkStatistics:
 
     `roots` holds the (K, N, N) PSD roots each user's draw starts from: of
     the correlations, or under tdd of the MMSE estimate covariances R - phi.
-    `cov` is the (K, N, N) error covariance stack every trial reports (zero
-    under perfect CSIT); `err_root` is the root of the additive model's error
-    covariance or the (K, N, N) roots of the tdd model's (None otherwise).
-    `known_cov` is `_known_cov` of `cov` under the campaign's `cov_knowledge`:
-    what the transmitter knows of its error, zero under perfect CSIT or
-    "none". `csit_model` and `fdd_kappa` are the config values the draws
-    read. Arrays are read-only: every trial shares them.
+    `err_root` is the root of the additive model's error covariance or the
+    (K, N, N) roots of the tdd model's (None otherwise). `known_cov` is what
+    the transmitter knows of its error: `_known_cov` of the model's (K, N, N)
+    error covariance stack (zero under perfect CSIT, kappa^2 R under fdd)
+    under the campaign's `cov_knowledge`, so under "full" it is that stack.
+    `csit_model` and `fdd_kappa` are the config values the draws read.
+    Arrays are read-only: every trial shares them.
     """
 
     roots: np.ndarray
-    cov: np.ndarray
     err_root: np.ndarray | None
     known_cov: np.ndarray
     csit_model: str
@@ -171,10 +170,10 @@ def link_statistics(config) -> LinkStatistics:
     elif model == "perfect":
         cov = np.zeros_like(corr)
     known_cov = _known_cov(config.cov_knowledge, cov)
-    for a in (roots, cov, err_root, known_cov):
+    for a in (roots, err_root, known_cov):
         if a is not None:
             a.flags.writeable = False
-    return LinkStatistics(roots, cov, err_root, known_cov, model, config.fdd_kappa)
+    return LinkStatistics(roots, err_root, known_cov, model, config.fdd_kappa)
 
 
 def _draw_link_csit(stats: LinkStatistics, rng):

@@ -282,24 +282,23 @@ class DropStatistics:
     j trains on the pilots of all of l's users. `roots[j, l, k]` is the PSD
     root link (j, l, k)'s draw starts from: the root of the MMSE estimate
     covariance R - phi on a trained link under tdd, the root of R on every
-    other link. `err_cov` and `err_roots` hold each BS's MMSE error
-    covariances phi and their roots, indexed [BS j, position of the user's
-    cell in j's cluster, user], as `channel.mmse_statistics` gives them for
-    j's cluster (zero past a short cluster's end); `err_cov` is zero and
-    `err_roots` None under perfect CSIT. `position[l]` is cell l's index in
-    its cluster. `nr_cell` and `nr_coop` add the out-of-cell and
-    out-of-cluster interference powers to the downlink noise ratio of one,
-    giving every user's effective noise ratio for the per-cell and the
-    cooperative designs. `known_cov` is `evaluation._known_cov` of `err_cov`
-    under the campaign's `cov_knowledge`: zero under perfect CSIT or "none".
-    `clusters` holds the cooperation clusters the pilots were assigned for,
-    as lists of cell indices. Arrays are read-only: one drop's blocks share
-    them.
+    other link. `err_roots` holds the roots of each BS's MMSE error
+    covariances phi, indexed [BS j, position of the user's cell in j's
+    cluster, user], as `channel.mmse_statistics` gives them for j's cluster
+    (zero past a short cluster's end), and is None under perfect CSIT.
+    `known_cov`, in the same layout, is what each BS knows of its error:
+    `evaluation._known_cov` of those phi (zero under perfect CSIT) under the
+    campaign's `cov_knowledge`, so under "full" it is phi itself and under
+    "none" zero. `position[l]` is cell l's index in its cluster. `nr_cell`
+    and `nr_coop` add the out-of-cell and out-of-cluster interference powers
+    to the downlink noise ratio of one, giving every user's effective noise
+    ratio for the per-cell and the cooperative designs. `clusters` holds the
+    cooperation clusters the pilots were assigned for, as lists of cell
+    indices. Arrays are read-only: one drop's blocks share them.
     """
 
     roots: np.ndarray  # (L, L, K, N, N)
     known: np.ndarray  # (L, L) bool
-    err_cov: np.ndarray  # (L, C, K, N, N)
     err_roots: np.ndarray | None  # (L, C, K, N, N)
     position: np.ndarray  # (L,)
     nr_cell: np.ndarray  # (L, K)
@@ -322,11 +321,13 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     roots at once. One `channel.mmse_statistics` call per BS j gives its
     trained links, contaminated by the co-pilot stack `corr[j, ~known[j]]`
     as `multicell_csit` describes; their correlations are never rooted. Pass
-    a copy to keep the correlations. `cov_knowledge` is applied once, here.
-    The serving BSs are split across threads by `_for_each_cell`, in cluster
-    order. Raises RankDeficient naming the cell when training leaves a BS no
-    knowledge of its own users, and a failed MMSE solve names its cell too;
-    when several BSs fail, the first in cluster order is named.
+    a copy to keep the correlations. The MMSE error covariances phi are
+    formed only to apply `cov_knowledge` once, here: `known_cov` is what is
+    kept of them. The serving BSs are split across threads by
+    `_for_each_cell`, in cluster order. A BS's training runs inside one
+    `located("cell j: ")`, so its RankDeficient (training leaves it no
+    knowledge of its own users) or failed MMSE solve names its cell; when
+    several BSs fail, the first in cluster order is named.
     """
     n_cells, _, _, n, _ = corr.shape
     cluster_of, position = np.full(n_cells, -1), np.empty(n_cells, dtype=np.intp)
@@ -347,30 +348,30 @@ def drop_statistics(corr: np.ndarray, clusters, noise_over_pilot: float,
     err_roots = None if perfect else np.zeros_like(err_cov)
 
     def train(j):  # writes corr[j], err_cov[j] and err_roots[j] only
-        if perfect:
-            corr[j] = hermitian_sqrt(corr[j])
-            return
-        cl = clusters[cluster_of[j]]
-        copilots = corr[j, ~known[j]]  # a copy; also the links drawn from their prior
         with located(f"cell {j}: "):
+            if perfect:
+                corr[j] = hermitian_sqrt(corr[j])
+                return
+            cl = clusters[cluster_of[j]]
+            copilots = corr[j, ~known[j]]  # a copy; also the links drawn from their prior
             stats = channel.mmse_statistics(corr[j, cl], copilots, noise_over_pilot)
-        if not stats.est_root[position[j]].any():
-            raise RankDeficient(f"cell {j}: uplink training leaves every own-cell "
-                                f"estimate zero (noise over pilot {noise_over_pilot:g})")
-        err_cov[j, :len(cl)], err_roots[j, :len(cl)] = stats.phi, stats.err_root
-        corr[j, cl] = stats.est_root
-        if copilots.size:
-            corr[j, ~known[j]] = hermitian_sqrt(copilots)
+            if not stats.est_root[position[j]].any():
+                raise RankDeficient(f"uplink training leaves every own-cell estimate zero "
+                                    f"(noise over pilot {noise_over_pilot:g})")
+            err_cov[j, :len(cl)], err_roots[j, :len(cl)] = stats.phi, stats.err_root
+            corr[j, cl] = stats.est_root
+            if copilots.size:
+                corr[j, ~known[j]] = hermitian_sqrt(copilots)
 
     _for_each_cell(train, [j for cl in clusters for j in cl])
     known_cov = evaluation._known_cov(cov_knowledge, err_cov)
     nr_cell = 1.0 + np.einsum("jl,jlk->lk", ~np.eye(n_cells, dtype=bool), traces) / n
     nr_coop = 1.0 + np.einsum("jl,jlk->lk", ~known, traces) / n
-    for a in (corr, known, err_cov, err_roots, position, nr_cell, nr_coop, known_cov):
+    for a in (corr, known, err_roots, position, nr_cell, nr_coop, known_cov):
         if a is not None:
             a.flags.writeable = False
     return DropStatistics(
-        roots=corr, known=known, err_cov=err_cov, err_roots=err_roots, position=position,
+        roots=corr, known=known, err_roots=err_roots, position=position,
         nr_cell=nr_cell, nr_coop=nr_coop, known_cov=known_cov,
         clusters=tuple(list(cl) for cl in clusters))
 

@@ -264,6 +264,18 @@ class TestSampleChannel:
         b = channel.sample_channel(hermitian_sqrt(r), 123)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, n", [(0, 1), (3, 4), (11, 7)])
+    def test_draw_convention(self, seed, n):
+        # an identity root returns the Gaussians themselves: n real parts, then
+        # n imaginary parts, over sqrt(2), member after member of a stack
+        z = np.random.default_rng(seed).standard_normal((3, 2, n))
+        want = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+        one = channel.sample_channel(np.eye(n), np.random.default_rng(seed))
+        np.testing.assert_array_equal(one, want[0])
+        stack = channel.sample_channel(np.broadcast_to(np.eye(n), (3, n, n)),
+                                       np.random.default_rng(seed))
+        np.testing.assert_array_equal(stack, want)
+
 
 def random_psd_stack(rng, lead, n):
     """A (*lead, N, N) stack of random PSD matrices of random rank."""
@@ -507,7 +519,7 @@ class TestFddCsit:
         cfg = config_from_dict(dict(scenario="link", n_antennas=3, n_users=2, algorithms=["mrt"],
                                     seed=0, csit_model="fdd", fdd_kappa=0.5))
         r = evaluation._link_correlations(cfg)
-        phi = evaluation.link_statistics(cfg).cov
+        phi = evaluation.link_statistics(cfg).known_cov  # full knowledge
         np.testing.assert_allclose(phi, 0.25 * r)
 
 

@@ -160,6 +160,9 @@ class TestConfigValidation:
             (dict(SYSTEM_TDD, bs_power_dbm=-4000), "bs_power_dbm"),
             (dict(SYSTEM_TDD, pilot_power_dbm=-4000), "pilot_power_dbm"),
             (dict(SYSTEM_TDD, bandwidth_hz=1e300), "bandwidth_hz"),
+            # shadowing this wide overflowed a drop's gains: a bare ValueError
+            # ("gain must be finite") that named no drop
+            (dict(SYSTEM_TDD, shadowing_db=1e6), "shadowing_db"),
             # training this noisy left every estimate zero: gpip raised a misleading
             # error mid-campaign, mrt and rzf wrote NaN rates
             (dict(csit_model="tdd", algorithms=["gpip", "mrt", "rzf"],
@@ -409,7 +412,7 @@ class TestSystemRunner:
         true_h, est_h = runner.multicell_csit(stats, rng2)
         from gpip import solver as slv
 
-        pairs = slv.build_effective_pairs(est_h[0, 0], stats.err_cov[0, 0], nr)
+        pairs = slv.build_effective_pairs(est_h[0, 0], stats.known_cov[0, 0], nr)
         res = slv.gpip_iterate(pairs, tol=cfg.tol, max_iter=cfg.max_iter)
         report = evaluation.true_sinr(true_h, res.precoder[None], nr)
         np.testing.assert_allclose(rates, report.rate, atol=1e-12)
@@ -625,6 +628,17 @@ def per_link_csit_reference(corr, clusters, noise_over_pilot, rng, perfect):
     return true_h, est_h, err_cov, known
 
 
+def by_position(err_cov, clusters):
+    """A [BS, user cell] stack of `per_link_csit_reference` in the [BS, position of
+    the user's cell in the BS's cluster] layout of DropStatistics, zero past a
+    short cluster's end."""
+    out = np.zeros((err_cov.shape[0], max(map(len, clusters)), *err_cov.shape[2:]),
+                   dtype=err_cov.dtype)
+    for cl in clusters:
+        out[cl, :len(cl)] = err_cov[np.ix_(cl, cl)]
+    return out
+
+
 def effective_noise_reference(corr, noise_ratio_dl, clusters=None):
     """Receiver noise plus the isotropic out-of-cluster interference, per link."""
     n_cells, _, n_users, n, _ = corr.shape
@@ -669,27 +683,26 @@ class TestDropStatistics:
             ref = per_link_csit_reference(corr, clusters, noise,
                                           np.random.default_rng([seed, block]), perfect)
             drawn = runner.multicell_csit(stats, np.random.default_rng([seed, block]))
-            got_err_cov = np.zeros_like(corr)
-            for cl in clusters:
-                # [BS, position in its cluster] back to [BS, user cell]
-                got_err_cov[np.ix_(cl, cl)] = stats.err_cov[cl, :len(cl)]
-                assert not stats.err_cov[cl, len(cl):].any()
-            for got, want in zip((*drawn, got_err_cov, stats.known), ref):
-                np.testing.assert_array_equal(got, want)
+            *want, err_cov, known = ref
+            for got, w in zip(drawn, want):
+                np.testing.assert_array_equal(got, w)
+            # full knowledge: the known covariances are the MMSE error covariances
+            np.testing.assert_array_equal(stats.known_cov, by_position(err_cov, clusters))
+            np.testing.assert_array_equal(stats.known, known)
 
     @pytest.mark.parametrize("perfect", [False, True])
     def test_layout(self, perfect):
         corr = random_correlations(np.random.default_rng(1), 5, 2, 3)
         stats = runner.drop_statistics(corr, runner.consecutive_clusters(5, 2), 0.2, perfect)
         assert np.all(np.isfinite(stats.roots))
-        assert stats.err_cov.shape == (5, 2, 2, 3, 3)
+        assert stats.known_cov.shape == (5, 2, 2, 3, 3)
         assert (stats.err_roots is None) == perfect
         assert stats.position.tolist() == [0, 1, 0, 1, 0]
 
     def test_statistics_are_read_only(self):
         corr = random_correlations(np.random.default_rng(0), 3, 2, 2)
         stats = runner.drop_statistics(corr, [[0, 1], [2]], 0.1)
-        for a in (stats.roots, stats.err_cov, stats.err_roots, stats.nr_cell, stats.nr_coop):
+        for a in (stats.roots, stats.known_cov, stats.err_roots, stats.nr_cell, stats.nr_coop):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 1.0
 
@@ -697,12 +710,11 @@ class TestDropStatistics:
     @pytest.mark.parametrize("perfect", [False, True])
     def test_knowledge_is_fixed_when_built(self, knowledge, perfect):
         corr = random_correlations(np.random.default_rng(0), 3, 2, 2)
+        ref = per_link_csit_reference(corr, [[0, 1], [2]], 0.1, np.random.default_rng(0), perfect)
         stats = runner.drop_statistics(corr, [[0, 1], [2]], 0.1, perfect, knowledge)
-        want = evaluation._known_cov(knowledge, stats.err_cov)
+        want = evaluation._known_cov(knowledge, by_position(ref[2], [[0, 1], [2]]))
         if perfect or knowledge == "none":
             assert not stats.known_cov.any()
-        if knowledge == "full":
-            assert stats.known_cov is stats.err_cov
         np.testing.assert_array_equal(stats.known_cov, want)
         assert not stats.known_cov.flags.writeable
 
@@ -1108,6 +1120,15 @@ class TestCli:
         assert manifest["seed"] == 99
         assert manifest["n_trials"] == 3
         assert manifest["algorithms"] == ["mrt"]
+
+    def test_trials_override_sets_a_system_campaigns_drops(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_link(**SYSTEM_TDD, n_drops=5, n_blocks=1)))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(p), "--out", str(out), "--trials", "2"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["n_drops"] == 2
+        rows = list(csv.DictReader((out / "per_drop.csv").read_text().splitlines()))
+        assert [row["drop"] for row in rows] == ["0", "1"]
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -255,7 +255,7 @@ class TestLinkStatistics:
             rng_got = np.random.default_rng([seed, trial])
             want = per_user_link_csit_reference(cfg, corr, rng_want)
             got = evaluation._draw_link_csit(stats, rng_got)
-            for g, w in zip((*got, stats.cov), want):
+            for g, w in zip((*got, stats.known_cov), want):  # full knowledge
                 np.testing.assert_array_equal(g, w)
             assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
@@ -285,10 +285,9 @@ class TestKnownCovariance:
                           csit_model="tdd", tdd_noise_over_pilot=0.3)
         stats = evaluation.link_statistics(cfg)
         _, est = evaluation._draw_link_csit(stats, np.random.default_rng(2))
-        cov = stats.cov
-        known = evaluation._known_cov("full", cov)
-        assert known is cov
-        f, _ = evaluation.design_precoders("gpip-covfree", est, known, 0.2, cfg)
+        cov = stats.known_cov  # full knowledge: the MMSE error covariances
+        assert evaluation._known_cov("full", cov) is cov
+        f, _ = evaluation.design_precoders("gpip-covfree", est, cov, 0.2, cfg)
         levels = np.real(np.trace(cov, axis1=1, axis2=2)) / cfg.n_antennas
         pairs = solver.build_effective_pairs(est, levels[:, None, None] * np.eye(4), 0.2)
         ref = solver.gpip_covfree(pairs, tol=cfg.tol, max_iter=cfg.max_iter,
@@ -334,9 +333,10 @@ class TestKnownCovariance:
     def test_knowledge_is_read_only_and_full_knowledge_shares_the_covariances(self, knowledge):
         cfg = link_config(csit_model="fdd", cov_knowledge=knowledge)
         stats = evaluation.link_statistics(cfg)
+        phi = cfg.fdd_kappa**2 * evaluation._link_correlations(cfg)
+        np.testing.assert_array_equal(stats.known_cov, evaluation._known_cov(knowledge, phi))
         if knowledge == "none":
             assert not stats.known_cov.any()
-        assert (stats.known_cov is stats.cov) == (knowledge == "full")
         with pytest.raises(ValueError, match="read-only"):
             stats.known_cov[0] = 0.0
 
